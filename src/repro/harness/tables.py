@@ -191,6 +191,8 @@ CACHE_STATISTIC_KEYS = (
     "tseitin_misses",
     "guard_hits",
     "scopes",
+    "clauses_shipped",
+    "variables_mapped",
     "learned_retained",
     "learned_carried",
 )
@@ -201,8 +203,9 @@ def cache_statistics_table(results: Sequence[ExperimentResult]) -> str:
 
     Renders the counters :class:`~repro.core.results.ModularReport` collects
     from the incremental backend (bit-blast and Tseitin cache hits/misses,
-    reused assertion guards, SAT scopes, learned clauses retained), so
-    ablation claims about encoding reuse are measurable straight from the
+    reused assertion guards, SAT scopes, clauses shipped and variables
+    mapped into them, learned clauses retained), so ablation claims about
+    encoding reuse and shipping volume are measurable straight from the
     CLI.  Points without counters (fresh backend, per-node parallel runs)
     render as ``-``.
     """

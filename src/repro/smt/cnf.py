@@ -3,25 +3,73 @@
 Variables are positive integers starting at 1; literals are non-zero integers
 where a negative literal denotes the negation of the corresponding variable
 (the usual DIMACS convention).
+
+Clauses are stored flat: one ``array('i')`` of literals plus an ``array('i')``
+of offsets (clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]``), so a
+contiguous range of clauses is a single slice (:meth:`Cnf.span`) and a
+database of a few hundred thousand clauses costs a few megabytes instead of
+one Python list per clause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterator, Sequence
 
 from repro.errors import SolverError
 
 
-@dataclass
-class Cnf:
-    """A CNF formula: a variable counter, clause list and name bookkeeping."""
+class _ClauseView(Sequence):
+    """Read-only ``list[list[int]]``-shaped view of a :class:`Cnf`'s clauses."""
 
-    num_vars: int = 0
-    clauses: list[list[int]] = field(default_factory=list)
-    #: Maps the original boolean variable name to its CNF variable index.
-    name_to_var: dict[str, int] = field(default_factory=dict)
-    #: Inverse of :attr:`name_to_var`.
-    var_to_name: dict[int, str] = field(default_factory=dict)
+    __slots__ = ("_cnf",)
+
+    def __init__(self, cnf: "Cnf") -> None:
+        self._cnf = cnf
+
+    def __len__(self) -> int:
+        return self._cnf.num_clauses
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("clause index out of range")
+        return self._cnf.span(index, index + 1)[0].tolist()
+
+    def __iter__(self) -> Iterator[list[int]]:
+        literals, ends = self._cnf.span(0, len(self))
+        flat = literals.tolist()
+        start = 0
+        for end in ends:
+            yield flat[start:end]
+            start = end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, _ClauseView)):
+            return NotImplemented
+        return list(self) == [list(clause) for clause in other]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Cnf:
+    """A CNF formula: a variable counter, flat clause storage and name bookkeeping."""
+
+    def __init__(self) -> None:
+        self.num_vars = 0
+        #: Every clause's literals, back to back.
+        self.literals = array("i")
+        #: ``offsets[i]`` is where clause ``i`` starts in :attr:`literals`;
+        #: the final entry is ``len(literals)``.
+        self.offsets = array("i", [0])
+        #: Maps the original boolean variable name to its CNF variable index.
+        self.name_to_var: dict[str, int] = {}
+        #: Inverse of :attr:`name_to_var`.
+        self.var_to_name: dict[int, str] = {}
 
     def new_var(self, name: str | None = None) -> int:
         """Allocate a fresh variable, optionally registering a source name."""
@@ -53,11 +101,30 @@ class Cnf:
             if literal not in seen:
                 seen.add(literal)
                 unique.append(literal)
-        self.clauses.append(unique)
+        self.literals.extend(unique)
+        self.offsets.append(len(self.literals))
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.offsets) - 1
+
+    @property
+    def clauses(self) -> _ClauseView:
+        """The clauses as a read-only sequence of literal lists (copies)."""
+        return _ClauseView(self)
+
+    def span(self, start: int, end: int) -> tuple[array, list[int]]:
+        """Clauses ``[start, end)`` as one flat literal array plus clause ends.
+
+        ``ends[i]`` is where the ``i``-th clause of the range stops within the
+        returned array (it starts where the previous one stopped, the first
+        at 0) — the shape :meth:`CdclSolver.add_clauses
+        <repro.smt.sat.solver.CdclSolver.add_clauses>` loads in one pass.
+        """
+        offsets = self.offsets
+        base = offsets[start]
+        ends = [offset - base for offset in offsets[start + 1 : end + 1]]
+        return self.literals[base : offsets[end]], ends
 
     def to_dimacs(self) -> str:
         """Render the formula in DIMACS CNF format (useful for debugging)."""

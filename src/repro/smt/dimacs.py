@@ -14,11 +14,7 @@ from repro.smt.cnf import Cnf
 
 def dumps(cnf: Cnf, comments: list[str] | None = None) -> str:
     """Serialise a :class:`Cnf` to DIMACS text."""
-    lines = [f"c {comment}" for comment in comments or []]
-    lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(literal) for literal in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    return "".join(f"c {comment}\n" for comment in comments or []) + cnf.to_dimacs()
 
 
 def loads(text: str) -> Cnf:

@@ -20,17 +20,25 @@ natural lifetimes and persists each part as long as it stays valid:
   clause ``¬a ∨ lit(t)`` — permanently.  A ``check`` assumes the activation
   literals of the currently active frames; ``pop`` simply stops assuming
   them, and re-asserting the same term later reuses the same guard for free.
-* **SAT instances are scoped.**  Clauses are fed to the CDCL core on demand:
-  each ``check`` ships only the not-yet-shipped cone of its active
-  assertions (with CNF variables renumbered densely per scope).  Within a
-  scope the solver object, its clause database and its learned clauses
-  persist across checks — that is what amortises the three verification
-  conditions of a node.  :meth:`new_scope` rotates in a fresh, empty SAT
-  instance; the encoding caches are untouched, so the next check pays only
-  the (cheap) clause shipping, never re-encoding.  Scoping is what keeps a
-  long-lived backend healthy: a single ever-growing SAT database would drag
-  every historical query's clauses through propagation forever, which is
-  measurably *slower* than fresh instances.
+* **SAT instances are scoped, and cones ship as ranges.**  Clauses are fed
+  to the CDCL core on demand.  A cone is a sorted list of disjoint
+  ``[start, end)`` clause-index ranges over the flat CNF
+  (:class:`~repro.smt.cnf.Cnf`), and a scope remembers what it has received
+  in the same shape, so each ``check`` finds the not-yet-shipped part of its
+  active assertions' cones by interval subtraction.  Every such gap is one
+  slice of the CNF's literal array: it is renumbered densely for the scope
+  in one pass (new variables numbered in first-occurrence order, the whole
+  slice turned over through a signed literal map) and handed to
+  :meth:`CdclSolver.add_clauses <repro.smt.sat.solver.CdclSolver.add_clauses>`
+  in one call — no per-clause Python call chain.  Within a scope the solver
+  object, its clause database and its learned clauses persist across checks
+  — that is what amortises the three verification conditions of a node.
+  :meth:`new_scope` rotates in a fresh, empty SAT instance; the encoding
+  caches are untouched, so the next check pays only the clause shipping,
+  never re-encoding.  Scoping is what keeps a long-lived backend healthy: a
+  single ever-growing SAT database would drag every historical query's
+  clauses through propagation forever, which is measurably *slower* than
+  fresh instances.
 
 Learned clauses within a scope survive across checks: conflict analysis
 resolves only on reason clauses (assumptions are decisions), so every
@@ -57,12 +65,14 @@ filtering in :meth:`IncrementalSolver._ship` is what keeps this sharing
 safe: a scope only ever receives the clauses its active assertions need,
 however many other classes the process has encoded.  ``cache_statistics``
 exposes counters (bit-blast and Tseitin cache hits, guard reuse, scopes,
-learned-clause retention) so the sharing is measurable from reports.
+clauses shipped and variables mapped into scopes, learned-clause retention)
+so the sharing is measurable from reports.
 """
 
 from __future__ import annotations
 
 import time as _time
+from operator import neg
 
 from repro.errors import SolverError
 from repro.smt import builder
@@ -165,9 +175,14 @@ class IncrementalSolver:
         self._carried_checked_at = -1
         #: Clauses injected into scopes from the carried set (cumulative).
         self.learned_carried = 0
+        #: Clauses shipped / variables mapped into SAT scopes (cumulative).
+        self.clauses_shipped = 0
+        self.variables_mapped = 0
         self._sat = CdclSolver()
-        self._shipped: set[int] = set()
-        self._var_map: dict[int, int] = {}
+        #: Clause-index ranges the current scope holds (sorted, disjoint).
+        self._shipped: tuple[tuple[int, int], ...] = ()
+        #: Signed CNF literal -> scope-local literal, both polarities.
+        self._literal_map: dict[int, int] = {}
 
     # -- assertion management ----------------------------------------------------
 
@@ -216,11 +231,15 @@ class IncrementalSolver:
         self._retired_learned += self._sat.statistics["learned"]
         self._retired_deleted += self._sat.statistics["deleted"]
         self._sat = CdclSolver()
-        self._shipped = set()
-        self._var_map = {}
+        self._shipped = ()
+        self._literal_map = {}
         self._carried_injected = set()
         self._carried_checked_at = -1
         self.scopes += 1
+
+    def local_variable(self, cnf_variable: int) -> int | None:
+        """The current scope's number for a CNF variable (``None``: not shipped)."""
+        return self._literal_map.get(cnf_variable)
 
     def _harvest_learned(self) -> None:
         """Translate the retiring scope's learned clauses to global CNF variables.
@@ -231,16 +250,13 @@ class IncrementalSolver:
         and the CDCL core stores them on the root trail rather than in its
         learned-clause list.
         """
-        inverse = {local: global_var for global_var, local in self._var_map.items()}
+        inverse = {local: literal for literal, local in self._literal_map.items()}
         units = [[literal] for literal in self._sat.root_implied_literals()]
         for clause in units + self._sat.learned_clauses():
             if len(clause) > self.max_carried_literals:
                 continue
             try:
-                translated = tuple(
-                    inverse[abs(literal)] if literal > 0 else -inverse[abs(literal)]
-                    for literal in clause
-                )
+                translated = tuple(inverse[literal] for literal in clause)
             except KeyError:
                 # A literal over a variable this scope never mapped (cannot
                 # happen for clauses learned from shipped cones; defensive).
@@ -262,27 +278,24 @@ class IncrementalSolver:
         Mappability can only change when the scope's variable map grows, so
         checks that ship no new structure skip the rescan entirely.
         """
-        var_map = self._var_map
-        if self._carried_checked_at == len(var_map):
+        literal_map = self._literal_map
+        if self._carried_checked_at == len(literal_map):
             return
-        self._carried_checked_at = len(var_map)
+        self._carried_checked_at = len(literal_map)
         sat = self._sat
         injected = self._carried_injected
         for clause in self._carried:
             if clause in injected:
                 continue
-            mapped = []
-            for literal in clause:
-                local = var_map.get(abs(literal))
-                if local is None:
-                    break
-                mapped.append(local if literal > 0 else -local)
-            else:
-                injected.add(clause)
-                # Count only clauses that recorded a constraint; the checked
-                # add path drops clauses already satisfied at root level.
-                if sat.add_clause_unchecked(mapped):
-                    self.learned_carried += 1
+            try:
+                mapped = [literal_map[literal] for literal in clause]
+            except KeyError:
+                continue
+            injected.add(clause)
+            # Count only clauses that recorded a constraint; the checked
+            # add path drops clauses already satisfied at root level.
+            if sat.add_clause_unchecked(mapped):
+                self.learned_carried += 1
 
     def recover(self) -> None:
         """Restore a known-good state after an exception escaped a check.
@@ -320,6 +333,8 @@ class IncrementalSolver:
             "guard_hits": self.guard_hits,
             "guard_misses": self.guard_misses,
             "scopes": self.scopes,
+            "clauses_shipped": self.clauses_shipped,
+            "variables_mapped": self.variables_mapped,
             "clauses_learned": learned,
             "clauses_deleted": deleted,
             "learned_retained": learned - deleted,
@@ -346,7 +361,7 @@ class IncrementalSolver:
         # harvest the retiring scope's clauses into the new carry set.
         self._carried = {}
         self._carried_injected = set()
-        self._var_map = {}
+        self._literal_map = {}
         self.compactions += 1
         self.new_scope()
 
@@ -364,7 +379,7 @@ class IncrementalSolver:
                 raise SolverError(f"only boolean terms can be asserted, got sort {term.sort!r}")
         terms = [term for frame in self._frames for term in frame] + list(extra)
 
-        if len(self._sat._clauses) > self.max_scope_clauses:
+        if self._sat.num_clauses > self.max_scope_clauses:
             self.new_scope()
 
         variables_before = self._cnf.num_vars
@@ -386,7 +401,7 @@ class IncrementalSolver:
                 continue
             seen_guards.add(guard)
             self._ship(spans)
-            assumptions.append(self._var_map[guard])
+            assumptions.append(self._literal_map[guard])
 
         if trivially_unsat:
             status = SatStatus.UNSAT
@@ -433,7 +448,8 @@ class IncrementalSolver:
             # The cone: every clause emitted for any subterm of the blasted
             # goal, whether it was first encoded just now or by an earlier
             # query.  (Spans of subterms encoded within a larger span merely
-            # overlap it; _ship deduplicates per clause index.)
+            # overlap it; _merge_spans folds them into disjoint ranges, the
+            # shape _ship subtracts the scope's shipped ranges from.)
             for subterm in iter_subterms(blasted):
                 span = self._encoder.clause_span(subterm.term_id)
                 if span is not None and span[0] < span[1]:
@@ -445,29 +461,29 @@ class IncrementalSolver:
     def _ship(self, spans: tuple[tuple[int, int], ...]) -> None:
         """Feed the not-yet-shipped clauses of ``spans`` to the SAT core.
 
-        CNF variables are renumbered densely per scope, so the SAT instance
-        only ever sees the variables its own clauses mention — a query's
-        cost does not grow with the amount of unrelated structure the
-        encoder has accumulated.
+        ``spans`` is a cone as :func:`_merge_spans` leaves it (sorted,
+        disjoint).  CNF variables are renumbered densely per scope, in order
+        of first occurrence, so the SAT instance only ever sees the variables
+        its own clauses mention — a query's cost does not grow with the
+        amount of unrelated structure the encoder has accumulated.
         """
-        shipped = self._shipped
-        clauses = self._cnf.clauses
-        var_map = self._var_map
-        sat = self._sat
-        for start, end in spans:
-            for index in range(start, end):
-                if index in shipped:
-                    continue
-                shipped.add(index)
-                mapped = []
-                for literal in clauses[index]:
-                    variable = abs(literal)
-                    local = var_map.get(variable)
-                    if local is None:
-                        local = len(var_map) + 1
-                        var_map[variable] = local
-                    mapped.append(local if literal > 0 else -local)
-                sat.add_clause_unchecked(mapped)
+        gaps = _subtract_spans(spans, self._shipped)
+        if not gaps:
+            return
+        self._shipped = _merge_spans([*self._shipped, *gaps])
+        cnf = self._cnf
+        literal_map = self._literal_map
+        load = self._sat.add_clauses
+        for start, end in gaps:
+            literals, ends = cnf.span(start, end)
+            fresh = [v for v in dict.fromkeys(map(abs, literals)) if v not in literal_map]
+            first = len(literal_map) // 2 + 1
+            stop = first + len(fresh)
+            literal_map.update(zip(fresh, range(first, stop)))
+            literal_map.update(zip(map(neg, fresh), range(-first, -stop, -1)))
+            load(list(map(literal_map.__getitem__, literals)), ends)
+            self.clauses_shipped += end - start
+            self.variables_mapped += len(fresh)
 
     def _reconstruct_model(self, terms: list[Term]) -> Model:
         """Rebuild a model over the original variable names of ``terms``.
@@ -482,7 +498,7 @@ class IncrementalSolver:
             cnf_var = self._cnf.name_to_var.get(name)
             if cnf_var is None:
                 return False
-            local = self._var_map.get(cnf_var)
+            local = self.local_variable(cnf_var)
             return bool(assignment.get(local, False)) if local is not None else False
 
         goal = builder.and_(*terms) if terms else builder.true()
@@ -509,6 +525,31 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         else:
             merged.append((start, end))
     return tuple(merged)
+
+
+def _subtract_spans(
+    spans: tuple[tuple[int, int], ...], covered: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int]]:
+    """The parts of ``spans`` outside ``covered``, in ascending order.
+
+    Both arguments are sorted lists of disjoint ``[start, end)`` ranges, so
+    one forward pass over each suffices.
+    """
+    gaps: list[tuple[int, int]] = []
+    index = 0
+    for start, end in spans:
+        while index < len(covered) and covered[index][1] <= start:
+            index += 1
+        position = index
+        while start < end and position < len(covered) and covered[position][0] < end:
+            covered_start, covered_end = covered[position]
+            if covered_start > start:
+                gaps.append((start, covered_start))
+            start = covered_end
+            position += 1
+        if start < end:
+            gaps.append((start, end))
+    return gaps
 
 
 # -- the shared per-process instance ---------------------------------------------

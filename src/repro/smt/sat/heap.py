@@ -31,6 +31,17 @@ class ActivityHeap:
         self._positions[variable] = len(self._heap) - 1
         self._sift_up(len(self._heap) - 1)
 
+    def extend(self, variables: range) -> None:
+        """Insert absent variables whose activity is zero.
+
+        Activities are never negative, so a zero-activity variable cannot
+        outrank any parent: appending in order is exactly what repeated
+        :meth:`push` would do, without the per-variable sift.
+        """
+        start = len(self._heap)
+        self._heap.extend(variables)
+        self._positions.update(zip(variables, range(start, len(self._heap))))
+
     def pop(self) -> int:
         """Remove and return the variable with the highest activity."""
         top = self._heap[0]

@@ -26,6 +26,10 @@ invariant sound for late-arriving clauses.
 
 from __future__ import annotations
 
+import gc
+import time as _time
+from collections import defaultdict
+from collections.abc import Iterable
 from enum import Enum
 
 from repro.errors import SolverError
@@ -87,7 +91,7 @@ class CdclSolver:
         self.num_vars = 0
         self._clauses: list[list[int]] = []
         self._learned: list[LearnedClause] = []
-        self._watches: dict[int, list[list[int]]] = {}
+        self._watches: defaultdict[int, list[list[int]]] = defaultdict(list)
         self._assignment: list[int] = [0]  # 1-indexed; 0 = unassigned, 1 = true, -1 = false
         self._level: list[int] = [0]
         self._reason: list[list[int] | None] = [None]
@@ -119,16 +123,23 @@ class CdclSolver:
 
     # -- problem construction ---------------------------------------------------
 
+    @property
+    def num_clauses(self) -> int:
+        """Problem clauses currently attached (units and learned clauses excluded)."""
+        return len(self._clauses)
+
     def ensure_vars(self, count: int) -> None:
         """Grow the variable universe so that variables ``1..count`` exist."""
-        while self.num_vars < count:
-            self.num_vars += 1
-            self._assignment.append(0)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._heap.push(self.num_vars)
+        grow = count - self.num_vars
+        if grow <= 0:
+            return
+        self._assignment.extend([0] * grow)
+        self._level.extend([0] * grow)
+        self._reason.extend([None] * grow)
+        self._activity.extend([0.0] * grow)
+        self._phase.extend([False] * grow)
+        self._heap.extend(range(self.num_vars + 1, count + 1))
+        self.num_vars = count
 
     def add_clause(self, literals: list[int]) -> bool:
         """Add a clause to the database (before or between solve calls).
@@ -194,6 +205,47 @@ class CdclSolver:
         self._attach_clause(literals)
         return True
 
+    def add_clauses(self, literals: list[int], ends: Iterable[int]) -> None:
+        """Bulk-load a run of CNF clauses stored back to back in ``literals``.
+
+        Clause ``i`` is ``literals[ends[i - 1]:ends[i]]`` (the first starts
+        at 0) — the layout of :meth:`repro.smt.cnf.Cnf.span`.  The effect is
+        that of :meth:`add_clause_unchecked` on each clause in order, under
+        the same caller guarantees, but the variable arrays grow once and
+        the watches are attached in one loop.  Units and empty clauses, and
+        every clause while a root trail exists, take the checked
+        :meth:`add_clause` path.
+        """
+        if self._trail_limits:
+            raise SolverError("clauses may only be added at decision level 0")
+        if literals:
+            self.ensure_vars(max(max(literals), -min(literals)))
+        root_trail = bool(self._trail)
+        checked = self.add_clause
+        attach = self._clauses.append
+        watches = self._watches
+        # A clause list holds only ints and can never be part of a reference
+        # cycle, yet allocating ~10^6 of them back to back drives the cyclic
+        # collector through full passes over every live object that free
+        # nothing (0.65 s of the 1.5 s k=12 fattree/reach spent shipping),
+        # so the collector is paused for the duration of the loop.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = 0
+            for end in ends:
+                clause = literals[start:end]
+                if root_trail or end - start < 2:
+                    checked(clause)
+                else:
+                    attach(clause)
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+                start = end
+        finally:
+            if collecting:
+                gc.enable()
+
     def learned_clauses(self) -> list[list[int]]:
         """The currently retained learned clauses (copies, DIMACS literals).
 
@@ -224,8 +276,8 @@ class CdclSolver:
             self._learned.append(clause)
         else:
             self._clauses.append(clause)
-        self._watches.setdefault(clause[0], []).append(clause)
-        self._watches.setdefault(clause[1], []).append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     def _detach_clause(self, clause: list[int]) -> None:
         """Remove ``clause`` from the two watch lists it occupies."""
@@ -295,7 +347,7 @@ class CdclSolver:
                     candidate = clause[position]
                     if self._value(candidate) != -1:
                         clause[1], clause[position] = clause[position], clause[1]
-                        self._watches.setdefault(candidate, []).append(clause)
+                        self._watches[candidate].append(clause)
                         moved = True
                         break
                 if moved:
@@ -467,8 +519,6 @@ class CdclSolver:
         outcome, the solver is left at decision level 0, so clauses may be
         added and ``solve`` called again.
         """
-        import time as _time
-
         deadline = None if timeout is None else _time.monotonic() + timeout
         if self._unsatisfiable:
             return SatStatus.UNSAT

@@ -171,8 +171,8 @@ class Solver:
 
         sat_solver = CdclSolver()
         sat_solver.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            sat_solver.add_clause_unchecked(list(clause))
+        literals, ends = cnf.span(0, cnf.num_clauses)
+        sat_solver.add_clauses(literals.tolist(), ends)
         status = sat_solver.solve(timeout=timeout)
 
         elapsed = _time.perf_counter() - started

@@ -153,6 +153,7 @@ class TestSweepCommands:
         # --stats adds the symmetry and cache tables.
         assert "discharged" in output
         assert "tseitin_hits" in output
+        assert "clauses_shipped" in output and "variables_mapped" in output
         if symmetry != "off":
             assert symmetry in output
 

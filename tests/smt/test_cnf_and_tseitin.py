@@ -53,7 +53,63 @@ class TestCnf:
         assert "1 -2 0" in text
 
 
+    def test_clauses_view_over_flat_storage(self):
+        cnf = Cnf()
+        for _ in range(4):
+            cnf.new_var()
+        for clause in ([1, -2], [3], [-1, 2, 4], []):
+            cnf.add_clause(clause)
+        view = cnf.clauses
+        assert len(view) == cnf.num_clauses == 4
+        assert view[0] == [1, -2] and view[-1] == [] and view[-2] == [-1, 2, 4]
+        assert view[1:3] == [[3], [-1, 2, 4]]
+        assert list(view) == [[1, -2], [3], [-1, 2, 4], []]
+        assert view == [[1, -2], [3], [-1, 2, 4], []] and view != [[1, -2]]
+        assert [3] in view and [2] not in view
+        with pytest.raises(IndexError):
+            view[4]
+        # Read-only: clauses come out as copies and the view has no mutators.
+        view[0].append(99)
+        assert cnf.clauses[0] == [1, -2]
+        assert not hasattr(view, "append")
+        with pytest.raises(TypeError):
+            view[0] = [1]
+        # The view is live: later clauses show up.
+        cnf.add_clause([4, 4, -3])
+        assert view[-1] == [4, -3]
+        assert list(cnf.literals) == [1, -2, 3, -1, 2, 4, 4, -3]
+        assert list(cnf.offsets) == [0, 2, 3, 6, 6, 8]
+
+    def test_span_is_a_slice_with_relative_clause_ends(self):
+        cnf = Cnf()
+        for _ in range(4):
+            cnf.new_var()
+        for clause in ([1, -2], [3], [-1, 2, 4], [4, -3]):
+            cnf.add_clause(clause)
+        literals, ends = cnf.span(1, 3)
+        assert list(literals) == [3, -1, 2, 4] and ends == [1, 4]
+        literals, ends = cnf.span(0, 4)
+        assert list(literals) == list(cnf.literals) and ends == [2, 3, 6, 8]
+        literals, ends = cnf.span(2, 2)
+        assert list(literals) == [] and ends == []
+
+
 class TestDimacs:
+    def test_flat_storage_round_trip_with_units_and_empty_clause(self):
+        cnf = Cnf()
+        for _ in range(5):
+            cnf.new_var()
+        clauses = [[1, -2, 5], [3], [], [-4, 2], [-5]]
+        for clause in clauses:
+            cnf.add_clause(clause)
+        text = dimacs.dumps(cnf)
+        assert text == cnf.to_dimacs()
+        assert text.splitlines() == ["p cnf 5 5", "1 -2 5 0", "3 0", " 0", "-4 2 0", "-5 0"]
+        parsed = dimacs.loads(text)
+        assert parsed.num_vars == 5
+        assert parsed.clauses == clauses
+        assert dimacs.dumps(parsed) == text
+
     def test_round_trip(self):
         cnf = Cnf()
         cnf.new_var()

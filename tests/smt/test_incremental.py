@@ -304,7 +304,9 @@ class TestLearnedClausePersistence:
         # pending-units list (assertions themselves are guarded decisions,
         # so nothing else reaches the root trail); plant one to pin down
         # the harvest path deterministically.
-        local = next(iter(solver._var_map.values()))
+        # ``carry_a`` is the first variable a new solver's CNF allocates.
+        local = solver.local_variable(1)
+        assert local is not None
         solver._sat._pending_units.append(local)
         solver.new_scope()
         assert solver.cache_statistics()["learned_carry_size"] > 0

@@ -322,3 +322,135 @@ class TestRootImpliedLiterals:
         solver.add_clause([-1, 2])
         assert solver.solve().name == "SAT"
         assert {1, 2} <= set(solver.root_implied_literals())
+
+
+def _flat(clauses):
+    """``clauses`` in the back-to-back layout :meth:`CdclSolver.add_clauses` loads."""
+    literals, ends = [], []
+    for clause in clauses:
+        literals.extend(clause)
+        ends.append(len(literals))
+    return literals, ends
+
+
+class TestBulkLoader:
+    def test_matches_the_per_clause_path(self):
+        clauses = [[1, -2, 3], [-1, 2], [4], [2, 3, -4, 5], [-5, -1]]
+        bulk, single = CdclSolver(), CdclSolver()
+        bulk.add_clauses(*_flat(clauses))
+        for clause in clauses:
+            single.add_clause_unchecked(list(clause))
+        assert bulk.num_vars == single.num_vars == 5
+        assert bulk.num_clauses == single.num_clauses == 4  # the unit is not attached
+        assert bulk._clauses == single._clauses
+        assert bulk._pending_units == single._pending_units == [4]
+        assert dict(bulk._watches) == dict(single._watches)
+        assert bulk.solve() == single.solve() == SatStatus.SAT
+        assert bulk.model() == single.model()
+        assert bulk.statistics == single.statistics
+
+    def test_units_take_the_checked_path(self):
+        solver = CdclSolver()
+        solver.add_clauses(*_flat([[1], [-1, 2], [-2]]))
+        assert solver.num_clauses == 1
+        assert solver.solve() == SatStatus.UNSAT
+
+    def test_empty_clauses_prove_unsat(self):
+        solver = CdclSolver()
+        solver.add_clauses([], [0])  # one clause, no literals
+        assert solver.solve() == SatStatus.UNSAT
+        mixed = CdclSolver()
+        mixed.add_clauses(*_flat([[1, 2], [], [-1, 2]]))
+        assert mixed.num_clauses == 2
+        assert mixed.solve() == SatStatus.UNSAT
+
+    def test_loading_nothing_is_a_no_op(self):
+        solver = CdclSolver()
+        solver.add_clauses([], [])
+        assert solver.num_vars == 0 and solver.num_clauses == 0
+        assert solver.solve() == SatStatus.SAT
+
+    def test_root_trail_simplifies_bulk_loaded_clauses(self):
+        solver = CdclSolver()
+        solver.add_clause([1])
+        assert solver.solve() == SatStatus.SAT  # 1 now sits on the root trail
+        # [-1, 2] must lose its false literal (propagation never revisits -1,
+        # so attaching it as is would leave 2 unforced); [1, 3] is satisfied
+        # at level 0 and dropped; [-1, -2, 4] shrinks to a binary clause.
+        solver.add_clauses(*_flat([[-1, 2], [1, 3], [-1, -2, 4]]))
+        assert solver.num_clauses == 1
+        assert solver._pending_units == [2]
+        assert solver.solve() == SatStatus.SAT
+        model = solver.model()
+        assert model[2] is True and model[4] is True
+        # All false at the root: detected on arrival.
+        solver.add_clauses(*_flat([[-1, -2]]))
+        assert solver.solve() == SatStatus.UNSAT
+
+    def test_loading_between_solve_calls(self):
+        solver = CdclSolver()
+        solver.add_clauses(*_flat([[1, 2], [-1, 3]]))
+        assert solver.solve(assumptions=[1]) == SatStatus.SAT
+        assert solver.model()[3] is True
+        assert solver.decision_level == 0
+        solver.add_clauses(*_flat([[-3, 4], [-4, -1, 5]]))
+        assert solver.num_vars == 5 and solver.num_clauses == 4
+        assert solver.solve(assumptions=[1]) == SatStatus.SAT
+        model = solver.model()
+        assert model[3] and model[4] and model[5]
+        solver.add_clauses(*_flat([[-5, -3]]))
+        assert solver.solve(assumptions=[1]) == SatStatus.UNSAT
+        assert solver.solve() == SatStatus.SAT
+
+    def test_growth_keeps_arrays_and_heap_consistent(self):
+        solver = CdclSolver()
+        solver.add_clauses(*_flat([[1, -7], [3, 7]]))
+        assert solver.solve() == SatStatus.SAT  # pops variables off the heap
+        solver.add_clauses(*_flat([[-3, 12], [9, -12, 2]]))
+        assert solver.num_vars == 12
+        for array in (solver._assignment, solver._level, solver._reason, solver._activity, solver._phase):
+            assert len(array) == 13
+        solver.ensure_vars(5)  # never shrinks
+        assert solver.num_vars == 12
+        assert solver.solve() == SatStatus.SAT
+        # Every variable, old or new, was reachable for branching.
+        assert sorted(solver.model()) == list(range(1, 13))
+        heap = solver._heap
+        assert sorted(heap._heap) == list(range(1, 13))
+        assert all(heap._heap[position] == variable for variable, position in heap._positions.items())
+
+    def test_bulk_growth_equals_one_variable_at_a_time(self):
+        bulk, stepwise = CdclSolver(), CdclSolver()
+        bulk.ensure_vars(6)
+        for count in range(1, 7):
+            stepwise.ensure_vars(count)
+        assert bulk._heap._heap == stepwise._heap._heap
+        assert bulk._heap._positions == stepwise._heap._positions
+        assert bulk._assignment == stepwise._assignment and bulk._phase == stepwise._phase
+
+    def test_rejected_above_decision_level_zero(self):
+        solver = CdclSolver()
+        solver.add_clauses(*_flat([[1, 2]]))
+        # No public call leaves the solver above level 0; open one by hand.
+        solver._trail_limits.append(len(solver._trail))
+        solver._enqueue(1, None)
+        with pytest.raises(SolverError, match="decision level 0"):
+            solver.add_clauses(*_flat([[-1, 2]]))
+        assert solver.num_clauses == 1
+
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v))), max_size=4, unique_by=abs),
+            max_size=20,
+        ),
+        st.integers(0, 20),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_split_loads_agree_with_brute_force(self, clauses, cut):
+        cdcl, brute = CdclSolver(), BruteForceSolver()
+        cdcl.add_clauses(*_flat(clauses[:cut]))
+        cdcl.solve()  # may leave a root trail for the second load to respect
+        cdcl.add_clauses(*_flat(clauses[cut:]))
+        for clause in clauses:
+            brute.add_clause(list(clause))
+        assert cdcl.solve() == brute.solve()
