@@ -31,9 +31,9 @@
   classes.  The ablation compares quotient vs hash-only vs off on the
   ``k=8`` all-pairs Reach benchmark.
 * **Adaptive class scheduler.** When the quotient leaves fewer classes than
-  workers, the fixed one-item-per-class dispatch serialises the dominant
-  class's condition kinds on one worker; the adaptive scheduler's
-  work-stealing split runs them concurrently.  The ablation measures the
+  workers, the unsplit one-item-per-class plan serialises the dominant
+  class's condition kinds on one worker; the scheduler's work-stealing
+  split runs them concurrently.  The ablation measures the
   wall-time gap on a synthetic skewed partition whose dominant class has two
   genuinely hard condition kinds (pigeonhole instances, exponential for the
   CDCL core).
@@ -409,19 +409,20 @@ def _pigeonhole_annotation(holes: int = PIGEONHOLE_HOLES) -> core.AnnotatedNetwo
 
 
 def test_benchmark_adaptive_scheduler():
-    """Ablation row: work-stealing splits vs fixed dispatch on a skewed partition.
+    """Ablation row: the split plan vs the unsplit plan on a skewed partition.
 
     The destination quotient routinely leaves fewer classes than workers,
     one of them dominant — here reproduced synthetically as one giant class
     whose representative has two pigeonhole-hard condition kinds
-    (:func:`_pigeonhole_annotation`) plus two trivial singletons.  With four
-    requested workers the fixed scheduler dispatches three whole-class items,
-    so the dominant class's kinds run back to back on a single worker; the
-    adaptive scheduler splits that class into one item per condition kind
-    and runs the two hard kinds concurrently.  Best-of-rounds wall time must
-    improve measurably, with verdicts and report order identical.
+    (:func:`_pigeonhole_annotation`) plus two trivial singletons.  With as
+    many workers as classes the plan is unsplit: three whole-class items on
+    three workers, so the dominant class's kinds run back to back on a single
+    worker.  With four requested workers the plan splits that class into one
+    item per condition kind and runs the two hard kinds concurrently.
+    Best-of-rounds wall time must improve measurably, with verdicts and
+    report order identical.
     """
-    from repro.core.parallel import SchedulerStats, check_classes_in_parallel
+    from repro.core.parallel import SchedulerStats, iter_class_batches
     from repro.core.symmetry import SymmetryClass
 
     annotated = _pigeonhole_annotation()
@@ -432,57 +433,60 @@ def test_benchmark_adaptive_scheduler():
     ]
 
     rows = {}
-    for scheduler in ("fixed", "adaptive"):
+    for plan, jobs in (("unsplit", len(classes)), ("split", 4)):
         times = []
         verdicts = stats = None
         for _ in range(ABLATION_ROUNDS):
             stats = SchedulerStats()
             started = time.perf_counter()
-            reports, _totals = check_classes_in_parallel(
-                annotated,
-                classes,
-                delay=0,
-                jobs=4,
-                conditions=core.CONDITION_KINDS,
-                fail_fast=True,
-                scheduler=scheduler,
-                stats=stats,
+            batches = sorted(
+                iter_class_batches(
+                    annotated,
+                    classes,
+                    delay=0,
+                    jobs=jobs,
+                    conditions=core.CONDITION_KINDS,
+                    fail_fast=True,
+                    stats=stats,
+                ),
+                key=lambda batch: batch[0],
             )
             times.append(time.perf_counter() - started)
             verdicts = [
                 (report.node, [(result.condition, result.holds) for result in report.results])
+                for _index, reports, _delta in batches
                 for report in reports
             ]
-        rows[scheduler] = {"times": times, "verdicts": verdicts, "stats": stats}
+        rows[plan] = {"times": times, "verdicts": verdicts, "stats": stats}
 
     header = (
-        f"{'scheduler':<12} {'best [s]':>10} {'rounds [s]':>24} "
+        f"{'plan':<12} {'best [s]':>10} {'rounds [s]':>24} "
         f"{'stolen':>7} {'workers':>8}"
     )
     print("\n" + header)
     print("-" * len(header))
-    for scheduler, row in rows.items():
+    for plan, row in rows.items():
         rounds = " ".join(f"{seconds:7.3f}" for seconds in row["times"])
         stats = row["stats"]
         print(
-            f"{scheduler:<12} {min(row['times']):>10.3f} {rounds:>24} "
+            f"{plan:<12} {min(row['times']):>10.3f} {rounds:>24} "
             f"{stats.classes_stolen:>7} {len(stats.worker_pids):>8}"
         )
 
     # Same verdicts, same report order — the split changes only the schedule.
-    assert rows["fixed"]["verdicts"] == rows["adaptive"]["verdicts"]
+    assert rows["unsplit"]["verdicts"] == rows["split"]["verdicts"]
     assert all(
         holds
-        for _node, results in rows["adaptive"]["verdicts"]
+        for _node, results in rows["split"]["verdicts"]
         for _condition, holds in results
     )
     # The plan actually stole: the dominant class was split per kind.
-    assert rows["adaptive"]["stats"].classes_stolen >= 1
-    assert rows["fixed"]["stats"].classes_stolen == 0
+    assert rows["split"]["stats"].classes_stolen >= 1
+    assert rows["unsplit"]["stats"].classes_stolen == 0
     # The acceptance claim: a measurable best-of-rounds wall-time win.
-    assert min(rows["adaptive"]["times"]) < min(rows["fixed"]["times"]), (
-        rows["adaptive"]["times"],
-        rows["fixed"]["times"],
+    assert min(rows["split"]["times"]) < min(rows["unsplit"]["times"]), (
+        rows["split"]["times"],
+        rows["unsplit"]["times"],
     )
 
 

@@ -1,79 +1,64 @@
-"""Streaming process-pool execution of per-node and per-class checks.
+"""Streaming execution of class checks: one work-item type, one generator.
 
-Node checks share no state, so they parallelise trivially.  Annotated
-networks hold closures (transfer functions, interfaces) that are not
-picklable in general, so instead of shipping the network to worker processes
-we rely on ``fork``: the annotated network (and, with symmetry reduction,
-the precomputed symmetry classes) is stashed in a module-level slot before
-the pool is created, every forked worker inherits it, and only an index or
-node name travels over the queue.  The returned :class:`NodeReport` objects
-contain plain data and pickle fine.
+The engine's only unit of work is a :class:`~repro.core.symmetry.SymmetryClass`
+(a plain per-node run is the singleton partition), and
+:func:`iter_class_batches` is the only way to run a list of them.  It yields
+one ``(class_index, member_reports, cache_delta)`` batch per class the moment
+the class is done, in completion order; the caller re-sorts final reports by
+the submission index, so results are reproducible while progress is live.
 
-Work items are dispatched **streamingly** rather than barrier-style:
-:func:`iter_node_batches` and :func:`iter_class_batches` are generators that
-yield one ``(index, reports, cache_delta)`` batch the moment its worker
-finishes, in completion order.  The caller re-sorts final reports to
-deterministic node order by the submission index, so results are
-reproducible while progress is live.
+**In-process is the one-worker schedule.**  With one worker (``jobs <= 1``,
+a single work item, no ``fork`` on the platform, or a pool that cannot be set
+up — the last with a :class:`RuntimeWarning`) the items run in the calling
+process, in submission order, through the very function the pool workers run
+(:func:`_check_item`).  That is the engine's sequential path, not a fallback
+beside it: it takes the caller's pinned solver (or ``None`` for the shared
+per-process one), opens a SAT scope per item on it and recovers it if the
+item raises.  Failures inside a check propagate on either schedule; masking
+them behind a silent rerun would hide real bugs.
 
-**Adaptive scheduling.**  The in-flight window per worker is adaptive
-(:func:`_window_size`): with many more pending items than workers it grows
-(up to :data:`MAX_WINDOW`) so cheap items don't serialise on dispatch
-latency, and it shrinks back to one as the queue drains, so a consumer that
-*closes* the iterator (run-level fail-fast, an abandoned stream) still stops
-dispatch promptly — unsubmitted items are never started, the in-flight
-remainder is terminated, and the pool's processes are reaped before
-``GeneratorExit`` propagates.  No worker is ever orphaned.  Class batches
-additionally get **work-stealing splits**: when there are fewer classes than
-requested workers (the skewed partitions the destination quotient produces —
-a handful of classes, one of them huge), the largest splittable classes are
-split into one work item per requested condition kind, computed up front as
-a deterministic plan (:func:`_class_work_items`); the stream re-merges each
-split class's sub-results into a single batch with the exact results an
-unsplit check would have produced (kind order, fail-fast truncation), so
-report order, verdicts and ``stop_on_failure`` semantics are unchanged.
-A :class:`SchedulerStats` instance passed by the caller records the window
-histogram, the number of split (stolen) classes and the distinct worker
-processes observed; the sequential degrade path records the same window
-accounting the pool would have used, so ablation rows compare like with
-like.
+**The pool.**  Annotated networks hold closures that do not pickle, so the
+network, the classes and the options are stashed in a module-level slot
+before a ``fork`` pool is created; workers inherit it and only the work item
+travels over the queue.  Each worker keeps its own per-process incremental
+solver, so the items it checks share encoded structure and learned clauses.
+Its counters are not observable from the parent, so every item measures its
+own cache-counter delta and ships it home with the reports — on both
+schedules, which therefore report identical statistics for identical inputs.
+The in-flight window per worker is adaptive (:func:`_window_size`): it grows
+with the backlog so cheap items do not serialise on dispatch latency and
+decays to one at the tail.  Closing the iterator (run-level fail-fast, an
+abandoned stream) never submits another item, raises the run's stop flag so
+workers skip what is still queued, lets the item each worker is running
+finish, and reaps every worker before ``GeneratorExit`` propagates.  An
+early stop does not kill workers: ``Pool.terminate()`` deadlocks when its
+``SIGTERM`` lands on a worker that holds one of the pool's queue locks,
+which tiny work items make likely.  Anything else that ends the stream — a
+crashing check, ``KeyboardInterrupt`` — terminates the pool at once; workers
+ignore ``SIGINT`` so an interrupt is always the parent's to handle.
 
-Each forked worker keeps its own per-process incremental SMT solver
-(:func:`repro.smt.process_solver`), so the batches a worker checks share
-encoded structure and learned clauses exactly as in sequential mode.
-Because those per-worker counters are not observable from the parent, every
-work item measures its own cache-counter delta (the ``_with_delta``
-protocol below) and ships it home with the reports; the parent sums the
-deltas into the run's ``backend_cache`` aggregate.  The sequential fallback
-measures deltas the same way, so degraded runs report identical statistics
-for identical inputs.
-
-With symmetry reduction, work is partitioned by *equivalence class* rather
-than by node: one work item is one whole class, so a worker encodes one
-structural shape, discharges it once, and propagates verdicts to the class
-members without its caches ever being evicted by unrelated structure —
-batch-aware partitioning in the sense of batch-parallel data structures.
-Class work items are dispatched in class order, which balances the (very
-uneven) class sizes; the caller re-sorts member reports to node order.
-
-On platforms without ``fork``, or when the pool itself cannot be set up, the
-checker degrades to sequential execution with a :class:`RuntimeWarning` —
-the results (reports *and* cache deltas) are identical, only the wall-clock
-time differs.  Failures *inside* a worker (a crashing check, a keyboard
-interrupt) propagate to the caller; masking them behind a silent sequential
-rerun would hide real bugs.
+**The split plan.**  When there are fewer classes than requested workers (the
+destination quotient's skewed partitions, or a narrow node selection), the
+largest splittable classes are split into one work item per requested
+condition kind, as a deterministic up-front plan (:func:`_class_work_items`).
+The stream re-merges a split class into a single batch with exactly the
+results an unsplit check produces (kind order, fail-fast truncation), so
+report order, verdicts and ``stop_on_failure`` semantics do not depend on
+the plan.  Splitting only happens while there are fewer items than workers,
+so ``jobs=len(classes)`` is the unsplit plan.  :class:`SchedulerStats`
+records the window histogram, the split classes and the worker processes
+seen, with the same window accounting on both schedules.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Any, Iterator, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
+from repro.core.checker import check_class
 from repro.core.conditions import CONDITION_KINDS
 from repro.core.results import NodeReport
 from repro.core.symmetry import SymmetryClass
@@ -83,29 +68,28 @@ from repro.smt.incremental import (
     subtract_cache_statistics,
 )
 
-# The network being checked by the current pool; inherited by forked workers.
-_ACTIVE_NETWORK: AnnotatedNetwork | None = None
-_ACTIVE_OPTIONS: dict | None = None
-_ACTIVE_CLASSES: Sequence[SymmetryClass] | None = None
+#: ``(network, classes, options)`` of the current pool and its stop flag;
+#: inherited by forked workers.
+_ACTIVE: tuple[AnnotatedNetwork, Sequence[SymmetryClass], dict] | None = None
+_STOP: Any = None
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: One completed work item: the submission index (node or class position),
-#: the member reports, and the worker's incremental-backend cache delta for
-#: the item (``{}`` with ``incremental=False``).
+#: One completed class: its position in the submitted class list, the member
+#: reports, and the incremental-backend cache delta of checking it (``{}``
+#: with ``incremental=False``).
 Batch = tuple[int, list[NodeReport], dict[str, int]]
+
+#: One work item: ``(class_index, kinds)`` where ``kinds`` is ``None`` for a
+#: whole class or the single condition kind of a split.
+WorkItem = tuple[int, "tuple[str, ...] | None"]
+
+#: What checking one work item returns: the member reports, the cache delta
+#: and the pid of the process that did the work.
+_Outcome = tuple[list[NodeReport], dict[str, int], int]
 
 #: The largest per-worker prefetch window the adaptive dispatcher uses.
 #: Bounded so closing a stream never leaves more than ``workers × MAX_WINDOW``
 #: items to discard.
 MAX_WINDOW = 4
-
-#: The scheduler modes :func:`iter_class_batches` accepts: ``"adaptive"``
-#: (adaptive window + work-stealing splits, the default) and ``"fixed"``
-#: (one item per worker in flight, no splits — the pre-refactor behaviour,
-#: kept as the ablation baseline).
-SCHEDULER_MODES = ("adaptive", "fixed")
 
 
 def _window_size(pending: int, processes: int) -> int:
@@ -128,8 +112,8 @@ class SchedulerStats:
     ``classes_stolen`` counts classes split into per-kind work items;
     ``window`` histograms dispatches by the prefetch-window size in effect
     when each was submitted; ``worker_pids`` collects the distinct OS
-    processes that produced class batches (the degraded sequential path
-    contributes just the parent pid).
+    processes that produced batches (the one-worker schedule contributes
+    just the calling process).
     """
 
     classes_stolen: int = 0
@@ -148,134 +132,72 @@ class SchedulerStats:
         }
 
 
-def _check_node_with_delta(
+def _check_item(
     annotated: AnnotatedNetwork,
-    node: str,
-    delay: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool,
-) -> tuple[list[NodeReport], dict[str, int]]:
-    """Check one node and measure this process's cache-counter delta.
+    classes: Sequence[SymmetryClass],
+    options: dict,
+    item: WorkItem,
+    solver: Any | None = None,
+) -> _Outcome:
+    """Check one work item in this process and measure its cache-counter delta.
 
-    The single definition of the node-batch delta protocol — used verbatim
-    by the forked worker entry point and the sequential fallback, so both
-    report identical ``backend_cache`` statistics for identical inputs.
+    The single definition of a unit of engine work, run verbatim by pool
+    workers and by the one-worker schedule.  A pinned ``solver`` gets a fresh
+    SAT scope for the item and is recovered if the check raises (the checker
+    only restores backends it acquired itself, and a poisoned trail must not
+    leak into later items and runs); the delta is read off that solver, or
+    off the shared per-process one when none is pinned.
     """
-    from repro.core.checker import check_node
-
-    before = process_cache_statistics() if incremental else {}
-    report = check_node(
-        annotated,
-        node,
-        delay=delay,
-        conditions=conditions,
-        fail_fast=fail_fast,
-        incremental=incremental,
-    )
-    delta = (
-        subtract_cache_statistics(process_cache_statistics(), before) if incremental else {}
-    )
-    return [report], delta
-
-
-def _check_class_with_delta(
-    annotated: AnnotatedNetwork,
-    symmetry_class: SymmetryClass,
-    delay: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool,
-) -> tuple[list[NodeReport], dict[str, int]]:
-    """Check one class and measure this process's cache-counter delta.
-
-    The single definition of the class-batch delta protocol — used verbatim
-    by the forked worker entry point and the sequential fallback, so both
-    report identical ``backend_cache`` statistics for identical inputs.
-    """
-    from repro.core.checker import check_class
-
-    before = process_cache_statistics() if incremental else {}
-    reports = check_class(
-        annotated,
-        symmetry_class,
-        delay=delay,
-        conditions=conditions,
-        fail_fast=fail_fast,
-        incremental=incremental,
-    )
-    delta = (
-        subtract_cache_statistics(process_cache_statistics(), before) if incremental else {}
-    )
-    return reports, delta
-
-
-def _check_one(node: str) -> tuple[list[NodeReport], dict[str, int]]:
-    """Worker entry point: check a single node of the inherited network."""
-    assert _ACTIVE_NETWORK is not None and _ACTIVE_OPTIONS is not None
-    return _check_node_with_delta(
-        _ACTIVE_NETWORK,
-        node,
-        delay=_ACTIVE_OPTIONS["delay"],
-        conditions=_ACTIVE_OPTIONS["conditions"],
-        fail_fast=_ACTIVE_OPTIONS["fail_fast"],
-        incremental=_ACTIVE_OPTIONS["incremental"],
-    )
-
-
-#: One class-scheduler work item: ``(class_index, kinds)`` where ``kinds``
-#: is ``None`` for a whole class or the single condition kind of a
-#: work-stealing split.
-ClassItem = tuple[int, "tuple[str, ...] | None"]
-
-
-def _check_one_class(item: ClassItem) -> tuple[list[NodeReport], dict[str, int], int]:
-    """Worker entry point: check one class work item of the inherited network.
-
-    Returns the member reports, the cache delta and the worker's pid (the
-    scheduler's evidence of how many processes actually did class work).
-    A split item restricts the check to its condition-kind subset; the
-    parent-side stream re-merges the subsets into whole-class batches.
-    """
-    assert _ACTIVE_NETWORK is not None and _ACTIVE_OPTIONS is not None
-    assert _ACTIVE_CLASSES is not None
     index, kinds = item
-    reports, delta = _check_class_with_delta(
-        _ACTIVE_NETWORK,
-        _ACTIVE_CLASSES[index],
-        delay=_ACTIVE_OPTIONS["delay"],
-        conditions=kinds if kinds is not None else _ACTIVE_OPTIONS["conditions"],
-        fail_fast=_ACTIVE_OPTIONS["fail_fast"],
-        incremental=_ACTIVE_OPTIONS["incremental"],
-    )
+    incremental = options["incremental"]
+    statistics = solver.cache_statistics if solver is not None else process_cache_statistics
+    before = statistics() if incremental else {}
+    if kinds is not None:
+        options = {**options, "conditions": kinds}
+    if solver is not None:
+        solver.new_scope()
+    try:
+        reports = check_class(annotated, classes[index], solver=solver, **options)
+    except BaseException:
+        if solver is not None:
+            solver.recover()
+        raise
+    delta = subtract_cache_statistics(statistics(), before) if incremental else {}
     return reports, delta, os.getpid()
+
+
+def _worker(item: WorkItem) -> _Outcome | None:
+    """Pool entry point: check one work item of the inherited run.
+
+    Once the run is stopped the queued items drain without being checked.
+    """
+    assert _ACTIVE is not None and _STOP is not None
+    if _STOP.is_set():
+        return None
+    return _check_item(*_ACTIVE, item)
 
 
 def _class_work_items(
     classes: Sequence[SymmetryClass],
     jobs: int,
     conditions: Sequence[str],
-    scheduler: str,
     stats: SchedulerStats,
-) -> list[ClassItem]:
-    """The deterministic work-item plan for a class batch run.
+) -> list[WorkItem]:
+    """The deterministic work-item plan for a run.
 
     One item per class, except when the partition is *narrower than the
-    requested worker count* (the destination quotient's skewed partitions:
-    a handful of classes, some huge): then the largest still-whole classes
-    are split into one item per requested condition kind — work-stealing at
-    the granularity the engine can actually parallelise — until there are
-    enough items to keep every worker busy or nothing splittable remains.
+    requested worker count*: then the largest still-whole classes are split
+    into one item per requested condition kind — work-stealing at the
+    granularity the engine can actually parallelise — until there are enough
+    items to keep every worker busy or nothing splittable remains.
     Spot-check classes are never split (their extra member must be compared
     against the representative's full verdict vector in one place).  The
-    plan depends only on ``(classes, jobs, conditions, scheduler)``, so the
-    pool and sequential-degrade paths run identical work items.
+    plan depends only on ``(classes, jobs, conditions)``, so both schedules
+    run identical work items.
     """
-    items: list[ClassItem] = [(index, None) for index in range(len(classes))]
-    if scheduler == "fixed" or jobs <= 1:
-        return items
+    items: list[WorkItem] = [(index, None) for index in range(len(classes))]
     kinds = tuple(kind for kind in CONDITION_KINDS if kind in set(conditions))
-    if len(kinds) < 2:
+    if jobs <= 1 or len(kinds) < 2:
         return items
     while len(items) < jobs:
         candidates = [
@@ -330,186 +252,126 @@ def _merge_split_class(
     return merged, totals
 
 
-def _iter_pool(
-    annotated: AnnotatedNetwork,
-    classes: Sequence[SymmetryClass] | None,
-    options: dict,
-    jobs: int,
-    items: Sequence[_T],
-    worker: Callable[[_T], _R],
-    sequential_one: Callable[[_T], _R],
-    stats: SchedulerStats | None = None,
-) -> Iterator[tuple[int, _R]]:
-    """Yield ``(index, worker(item))`` in completion order, streamingly.
+def _open_pool(active: tuple, processes: int) -> Any | None:
+    """A ``fork`` pool whose workers inherit ``active``, or ``None`` without one.
 
-    The core dispatcher: submits up to ``workers × window`` items with
-    ``apply_async`` (the window is adaptive, see :func:`_window_size`) and
-    blocks on a completion queue fed by the pool's result-handler callbacks;
-    each completion tops the in-flight set back up and is yielded
-    immediately.  Closing the generator (or any exception, including a
-    worker crash propagating) terminates the pool — unsubmitted items are
-    never started and no worker is orphaned.  Falls back to in-process
-    execution (same yield protocol, same window *accounting* on ``stats``)
-    when ``fork`` or the pool is unavailable.
-
-    Known limitation (shared with the ``pool.map`` predecessor): a worker
-    killed *hard* (SIGKILL/OOM) loses its in-flight task — the pool respawns
-    the process but no callback ever fires, so the completion wait blocks
-    until the consumer interrupts it.  Python exceptions inside a worker are
-    not affected: they arrive via ``error_callback`` and propagate.
+    Pool *setup* can fail on exotic platforms (no fork, no semaphores);
+    running on the one-worker schedule is safe there.
     """
-    global _ACTIVE_NETWORK, _ACTIVE_OPTIONS, _ACTIVE_CLASSES
+    global _ACTIVE, _STOP
+    # Imported where a pool is wanted: one-worker runs (every ``parallel=1``
+    # run goes through this module) then pay neither its ~15 ms nor its ~1.5 MiB.
+    import multiprocessing
+    import signal
 
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:
-        context = None
+        return None
+    try:
+        _ACTIVE, _STOP = active, context.Event()
+        # A terminal's Ctrl-C reaches the whole process group; only the
+        # parent acts on it, so no worker dies with a task in hand.
+        return context.Pool(processes, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    except OSError as error:
+        _ACTIVE = _STOP = None
+        warnings.warn(
+            f"process pool unavailable ({error}); checking sequentially",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        return None
 
-    if context is None or jobs <= 1 or len(items) <= 1:
-        sequential_processes = max(1, min(jobs, len(items)))
-        for index, item in enumerate(items):
-            if stats is not None:
-                stats.record_dispatch(_window_size(len(items) - index, sequential_processes))
-            yield index, sequential_one(item)
+
+def _dispatch(
+    active: tuple[AnnotatedNetwork, Sequence[SymmetryClass], dict],
+    jobs: int,
+    items: Sequence[WorkItem],
+    stats: SchedulerStats,
+    solver: Any | None,
+) -> Iterator[tuple[int, _Outcome]]:
+    """Yield ``(position, outcome)`` for every work item, in completion order.
+
+    On the pool schedule: submits up to ``workers × window`` items with
+    ``apply_async`` and blocks on a completion queue fed by the pool's
+    result-handler callbacks; each completion tops the in-flight set back up
+    and is yielded immediately.  However the stream ends, unsubmitted items
+    are never started and no worker is orphaned: closing the generator winds
+    the pool down without killing (queued items are skipped, running ones
+    finish), any exception — a worker crash propagating, an interrupt —
+    terminates it.
+
+    Known limitation: a worker killed *hard* (SIGKILL/OOM) loses its
+    in-flight task — the pool respawns the process but no callback ever
+    fires, so the completion wait blocks until the consumer interrupts it.
+    Python exceptions inside a worker are not affected: they arrive via
+    ``error_callback`` and propagate.
+    """
+    global _ACTIVE, _STOP
+    processes = max(1, min(jobs, len(items)))
+    pool = _open_pool(active, processes) if processes > 1 else None
+    if pool is None:
+        for position, item in enumerate(items):
+            stats.record_dispatch(_window_size(len(items) - position, processes))
+            yield position, _check_item(*active, item, solver)
         return
 
-    _ACTIVE_NETWORK = annotated
-    _ACTIVE_OPTIONS = options
-    _ACTIVE_CLASSES = classes
+    import queue
+
+    # Completions land here from the pool's result-handler thread; the
+    # third element is the worker's exception, if it raised.
+    completions: queue.SimpleQueue = queue.SimpleQueue()
+
+    def submit(position: int) -> None:
+        pool.apply_async(
+            _worker,
+            (items[position],),
+            callback=lambda outcome: completions.put((position, outcome, None)),
+            error_callback=lambda error: completions.put((position, None, error)),
+        )
+
+    next_position = 0
+    in_flight = 0
+
+    def top_up() -> None:
+        # Keep up to ``processes × window`` items in flight, where the
+        # window adapts to the remaining backlog: >1 while many items
+        # are pending (cheap items amortise dispatch latency), back to
+        # one per worker at the tail — so closing the iterator still
+        # stops promptly, with at most the in-flight window to discard.
+        nonlocal next_position, in_flight
+        while next_position < len(items):
+            window = _window_size(len(items) - next_position, processes)
+            if in_flight >= processes * window:
+                break
+            stats.record_dispatch(window)
+            submit(next_position)
+            next_position += 1
+            in_flight += 1
+
     try:
-        processes = min(jobs, len(items))
-        try:
-            pool = context.Pool(processes=processes)
-        except OSError as error:
-            # Pool *setup* can fail on exotic platforms (no fork, no
-            # semaphores); degrading to sequential checking is safe there.
-            # Anything raised by the checks themselves propagates — a silent
-            # rerun would mask real worker crashes.
-            warnings.warn(
-                f"process pool unavailable ({error}); checking sequentially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            _ACTIVE_NETWORK = None
-            _ACTIVE_OPTIONS = None
-            _ACTIVE_CLASSES = None
-            # Same adaptive window *accounting* as the pool path below, so a
-            # degraded run's scheduler statistics stay comparable.
-            for index, item in enumerate(items):
-                if stats is not None:
-                    stats.record_dispatch(_window_size(len(items) - index, processes))
-                yield index, sequential_one(item)
-            return
-
-        # Completions land here from the pool's result-handler thread; the
-        # third element is the worker's exception, if it raised.
-        completions: queue.SimpleQueue = queue.SimpleQueue()
-
-        def submit(index: int) -> None:
-            pool.apply_async(
-                worker,
-                (items[index],),
-                callback=lambda outcome, index=index: completions.put((index, outcome, None)),
-                error_callback=lambda error, index=index: completions.put((index, None, error)),
-            )
-
-        next_index = 0
-        in_flight = 0
-
-        def top_up() -> None:
-            # Keep up to ``processes × window`` items in flight, where the
-            # window adapts to the remaining backlog: >1 while many items
-            # are pending (cheap items amortise dispatch latency), back to
-            # one per worker at the tail — so closing the iterator still
-            # stops promptly, with at most the in-flight window to discard.
-            nonlocal next_index, in_flight
-            while next_index < len(items):
-                window = _window_size(len(items) - next_index, processes)
-                if in_flight >= processes * window:
-                    break
-                if stats is not None:
-                    stats.record_dispatch(window)
-                submit(next_index)
-                next_index += 1
-                in_flight += 1
-
-        try:
+        top_up()
+        while in_flight:
+            position, outcome, error = completions.get()
+            in_flight -= 1
+            if error is not None:
+                raise error
             top_up()
-            while in_flight:
-                index, outcome, error = completions.get()
-                in_flight -= 1
-                if error is not None:
-                    raise error
-                top_up()
-                yield index, outcome
-        except BaseException:
-            # Worker crash, run-level fail-fast, consumer abandonment
-            # (GeneratorExit) or an interrupt mid-priming: stop dispatching,
-            # kill the in-flight remainder, reap every worker before
-            # propagating.
-            pool.terminate()
-            pool.join()
-            raise
-        else:
-            pool.close()
-            pool.join()
+            yield position, outcome
+    except GeneratorExit:
+        # Run-level fail-fast or consumer abandonment: workers skip what is
+        # queued and are reaped below once their running item is done.
+        _STOP.set()
+        raise
+    except BaseException:
+        # Worker crash or an interrupt (mid-priming included): kill the
+        # in-flight remainder before propagating.
+        pool.terminate()
+        raise
     finally:
-        _ACTIVE_NETWORK = None
-        _ACTIVE_OPTIONS = None
-        _ACTIVE_CLASSES = None
-
-
-def _options(
-    delay: int, conditions: Sequence[str], fail_fast: bool, incremental: bool
-) -> dict:
-    return {
-        "delay": delay,
-        "conditions": tuple(conditions),
-        "fail_fast": fail_fast,
-        "incremental": incremental,
-    }
-
-
-def _stream(
-    pooled: Iterator[tuple[int, tuple[list[NodeReport], dict[str, int]]]]
-) -> Iterator[Batch]:
-    """Re-shape the dispatcher's pairs into :data:`Batch` triples.
-
-    Closes the inner generator explicitly on every exit path: pool teardown
-    must not depend on refcount finalization of the wrapped generator (the
-    documented stop-dispatch guarantee).
-    """
-    try:
-        for index, (reports, delta) in pooled:
-            yield index, reports, delta
-    finally:
-        pooled.close()
-
-
-def iter_node_batches(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool = True,
-) -> Iterator[Batch]:
-    """Stream per-node check batches using up to ``jobs`` forked workers.
-
-    Yields ``(node_index, [report], cache_delta)`` in completion order;
-    ``node_index`` is the node's position in ``nodes``, so the caller can
-    restore the deterministic selection order after the fact.  Closing the
-    iterator stops dispatching queued nodes and terminates the pool.
-    """
-    options = _options(delay, conditions, fail_fast, incremental)
-
-    def sequential_one(node: str) -> tuple[list[NodeReport], dict[str, int]]:
-        return _check_node_with_delta(annotated, node, **options)
-
-    return _stream(
-        _iter_pool(annotated, None, options, jobs, tuple(nodes), _check_one, sequential_one)
-    )
+        pool.close()
+        pool.join()
+        _ACTIVE = _STOP = None
 
 
 def iter_class_batches(
@@ -520,70 +382,35 @@ def iter_class_batches(
     conditions: Sequence[str],
     fail_fast: bool,
     incremental: bool = True,
-    scheduler: str = "adaptive",
     stats: SchedulerStats | None = None,
+    solver: Any | None = None,
 ) -> Iterator[Batch]:
-    """Stream per-class check batches under the adaptive class scheduler.
+    """Stream one :data:`Batch` per class, on up to ``jobs`` workers.
 
-    Yields ``(class_index, member_reports, cache_delta)`` in completion
-    order; a class split across workers by the work-stealing plan
-    (:func:`_class_work_items`) is yielded once, re-merged, when its last
-    sub-item completes, so consumers see exactly one batch per class with
-    unchanged results either way.  ``scheduler="fixed"`` disables splitting
-    and the adaptive window (the ablation baseline).  ``stats`` (a
-    :class:`SchedulerStats`) is filled in while the stream drains.  Closing
-    the iterator stops dispatching unsubmitted items and terminates the
-    pool.
+    Batches arrive in completion order (submission order on the one-worker
+    schedule).  A class split by the plan (:func:`_class_work_items`) is
+    yielded once, re-merged, when its last sub-item completes, so consumers
+    see exactly one batch per class with unchanged results either way; an
+    early stop discards buffered partial classes, whose nodes then correctly
+    count as skipped.  ``stats`` is filled in while the stream drains.
+    ``solver`` pins the backend of the one-worker schedule (pool workers
+    always use their own per-process solver).  Closing the iterator stops
+    dispatching unsubmitted items and winds the pool down.
     """
-    if scheduler not in SCHEDULER_MODES:
-        raise ValueError(f"unknown scheduler {scheduler!r}; choose one of {SCHEDULER_MODES}")
-    options = _options(delay, conditions, fail_fast, incremental)
+    options = {
+        "delay": delay,
+        "conditions": tuple(conditions),
+        "fail_fast": fail_fast,
+        "incremental": incremental,
+    }
     if stats is None:
         stats = SchedulerStats()
-    items = _class_work_items(classes, jobs, conditions, scheduler, stats)
-
-    def sequential_one(item: ClassItem) -> tuple[list[NodeReport], dict[str, int], int]:
-        index, kinds = item
-        sub_options = dict(options)
-        if kinds is not None:
-            sub_options["conditions"] = kinds
-        reports, delta = _check_class_with_delta(annotated, classes[index], **sub_options)
-        return reports, delta, os.getpid()
-
-    pooled = _iter_pool(
-        annotated,
-        classes,
-        options,
-        jobs,
-        items,
-        _check_one_class,
-        sequential_one,
-        stats=None if scheduler == "fixed" else stats,
-    )
-    return _stream_class_items(pooled, items, conditions, fail_fast, stats)
-
-
-def _stream_class_items(
-    pooled: Iterator[tuple[int, tuple[list[NodeReport], dict[str, int], int]]],
-    items: Sequence[ClassItem],
-    conditions: Sequence[str],
-    fail_fast: bool,
-    stats: SchedulerStats,
-) -> Iterator[Batch]:
-    """Adapt the dispatcher's class work items into per-class :data:`Batch` triples.
-
-    Whole-class items pass straight through; split sub-items are buffered
-    per class and re-merged (:func:`_merge_split_class`) when the last kind
-    arrives.  Closes the inner generator on every exit path — an early stop
-    discards buffered partial classes, whose nodes then correctly count as
-    skipped.
-    """
+    items = _class_work_items(classes, jobs, conditions, stats)
     kinds = tuple(kind for kind in CONDITION_KINDS if kind in set(conditions))
-    expected = {index: sum(1 for i, sub in items if i == index and sub is not None)
-                for index, sub in items if sub is not None}
     partial: dict[int, dict[str, tuple[list[NodeReport], dict[str, int]]]] = {}
+    outcomes = _dispatch((annotated, classes, options), jobs, items, stats, solver)
     try:
-        for position, (reports, delta, pid) in pooled:
+        for position, (reports, delta, pid) in outcomes:
             stats.worker_pids.add(pid)
             class_index, sub = items[position]
             if sub is None:
@@ -591,90 +418,11 @@ def _stream_class_items(
                 continue
             bucket = partial.setdefault(class_index, {})
             bucket[sub[0]] = (reports, delta)
-            if len(bucket) == expected[class_index]:
-                merged, totals = _merge_split_class(bucket, kinds, fail_fast)
+            if len(bucket) == len(kinds):
                 del partial[class_index]
+                merged, totals = _merge_split_class(bucket, kinds, fail_fast)
                 yield class_index, merged, totals
     finally:
-        pooled.close()
-
-
-def _drain(
-    batches: Iterator[Batch], incremental: bool
-) -> tuple[list[NodeReport], dict[str, int] | None]:
-    """Barrier-style convenience: exhaust a batch stream and re-sort.
-
-    Returns the flattened reports in submission order plus the summed cache
-    deltas (``None`` with ``incremental=False``).
-    """
-    indexed: dict[int, list[NodeReport]] = {}
-    totals: dict[str, int] = {}
-    for index, reports, delta in batches:
-        indexed[index] = reports
-        totals = add_cache_statistics(totals, delta)
-    flattened = [report for index in sorted(indexed) for report in indexed[index]]
-    return flattened, (totals if incremental else None)
-
-
-def check_nodes_in_parallel(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool = True,
-) -> tuple[list[NodeReport], dict[str, int] | None]:
-    """Check ``nodes`` using up to ``jobs`` forked worker processes.
-
-    The barrier-style drain of :func:`iter_node_batches`: returns the
-    reports in node order and the summed incremental-backend cache deltas of
-    the workers (``None`` with ``incremental=False``) — measured identically
-    whether the items ran on the pool or on the sequential fallback.
-    """
-    return _drain(
-        iter_node_batches(
-            annotated,
-            nodes,
-            delay=delay,
-            jobs=jobs,
-            conditions=conditions,
-            fail_fast=fail_fast,
-            incremental=incremental,
-        ),
-        incremental,
-    )
-
-
-def check_classes_in_parallel(
-    annotated: AnnotatedNetwork,
-    classes: Sequence[SymmetryClass],
-    delay: int,
-    jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
-    incremental: bool = True,
-    scheduler: str = "adaptive",
-    stats: SchedulerStats | None = None,
-) -> tuple[list[NodeReport], dict[str, int] | None]:
-    """Check symmetry ``classes`` on a fork pool under the class scheduler.
-
-    The barrier-style drain of :func:`iter_class_batches`: returns the
-    flattened member reports (class order; the caller re-sorts to node
-    order) and the summed incremental-backend cache deltas of the workers
-    (``None`` with ``incremental=False``).
-    """
-    return _drain(
-        iter_class_batches(
-            annotated,
-            classes,
-            delay=delay,
-            jobs=jobs,
-            conditions=conditions,
-            fail_fast=fail_fast,
-            incremental=incremental,
-            scheduler=scheduler,
-            stats=stats,
-        ),
-        incremental,
-    )
+        # Pool teardown must not depend on refcount finalization of the
+        # inner generator (the documented stop-dispatch guarantee).
+        outcomes.close()

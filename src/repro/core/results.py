@@ -132,8 +132,8 @@ class ModularReport:
     #: verdict — ``lint="strict"`` raises before a report exists.
     diagnostics: list = field(default_factory=list)
     #: Adaptive-scheduler statistics from the parallel dispatcher (``None``
-    #: for sequential runs or when symmetry was off): ``workers`` (pool
-    #: size), ``classes_stolen`` (oversized classes split across workers)
+    #: for ``parallel=1`` runs or when nothing was scheduled): ``workers``
+    #: (pool size), ``classes_stolen`` (oversized classes split across workers)
     #: and ``window`` (histogram: prefetch-window size → number of
     #: dispatches made at that window).  See :mod:`repro.core.parallel`.
     scheduler: dict | None = None

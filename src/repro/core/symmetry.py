@@ -4,10 +4,15 @@ On a ``k``-fattree the modular checker discharges ``1.25·k²`` structurally
 identical batches of verification conditions: every edge switch of a
 non-destination pod (and every aggregation switch, and every core switch)
 proves the *same* theorem up to node renaming.  This module computes node
-equivalence classes so :func:`repro.core.checker.check_modular` can discharge
+equivalence classes so :func:`repro.core.checker.check_class` can discharge
 the conditions of one *representative* per class and propagate the verdict to
 the remaining members — cutting the dominant cost from O(k²) condition
 batches to O(1) per tier.
+
+The class is the engine's only unit of work: ``symmetry="off"`` is the
+singleton partition (:func:`singleton_classes`), whose classes keep the
+per-node ``"sender"`` route naming so each discharges exactly the queries a
+plain per-node check would.
 
 Two partitioning strategies, in order of preference:
 
@@ -71,7 +76,7 @@ from repro.core.conditions import (
 from repro.core.counterexample import Counterexample, reindex_destination
 from repro.errors import VerificationError
 
-#: The symmetry modes accepted by ``check_modular``.
+#: The symmetry modes of :class:`repro.verify.Modular`.
 SYMMETRY_MODES = ("off", "classes", "spot-check")
 
 
@@ -131,6 +136,9 @@ class SymmetryClass:
     are built lazily at check time).  ``spot_member`` names the extra member
     re-verified in ``spot-check`` mode (chosen up front by the checker so the
     selection is reproducible and independent of parallel scheduling).
+    ``naming`` is the route-naming scheme the class's conditions are built
+    with: ``"class"`` for every partition that merges nodes, ``"sender"`` for
+    the singleton partition.
     """
 
     key: Hashable
@@ -144,6 +152,7 @@ class SymmetryClass:
     #: the cached ``conditions`` are the *canonical* instance and verdicts
     #: re-concretize through the quotient's per-member witnesses.
     destination: DestinationQuotient | None = None
+    naming: str = "class"
 
     @property
     def representative(self) -> str:
@@ -151,6 +160,14 @@ class SymmetryClass:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def singleton_classes(nodes: Sequence[str]) -> list[SymmetryClass]:
+    """The trivial partition: one sender-named class per node, in ``nodes`` order."""
+    return [
+        SymmetryClass(key=("singleton", node), members=(node,), naming="sender")
+        for node in nodes
+    ]
 
 
 def partition_nodes(

@@ -3,15 +3,13 @@
 Sweeps are parameterised by :mod:`repro.verify` strategy objects (pass
 ``modular=Modular(...)`` / ``monolithic=Monolithic(...)``, or ``None`` to
 skip an engine) and build their networks through
-:mod:`repro.networks.registry`.  :class:`SweepSettings` is a deprecated
-shim over the strategy pair.
+:mod:`repro.networks.registry`.
 """
 
 from repro.harness.runner import (
     DEFAULT_MODULAR,
     DEFAULT_MONOLITHIC,
     ExperimentResult,
-    SweepSettings,
     results_to_json,
     run_point,
     scaling_comparison,
@@ -33,7 +31,6 @@ __all__ = [
     "DEFAULT_MODULAR",
     "DEFAULT_MONOLITHIC",
     "ExperimentResult",
-    "SweepSettings",
     "results_to_json",
     "run_point",
     "sweep_fattree",

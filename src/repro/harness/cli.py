@@ -155,7 +155,7 @@ def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "stop scheduling further nodes/classes after the first failing "
-            "batch (parallel runs stop dispatching queued work and terminate "
+            "batch (parallel runs stop dispatching queued work and wind down "
             "the pool; the report records how many conditions were skipped)"
         ),
     )

@@ -38,7 +38,6 @@ from repro.core import (
     until,
     until_dynamic,
 )
-from repro.errors import BenchmarkError
 from repro.networks.fattree import Fattree, fattree_symmetry_key
 from repro.routing.algebra import Network, SymbolicVariable
 from repro.routing.bgp import (
@@ -651,33 +650,3 @@ def build_hijack(pods: int, all_pairs: bool = False, widths: dict[str, int] | No
         network, interfaces, properties, destination_symmetry=_ap_symmetry(fattree)
     )
     return FattreeBenchmark("ApHijack", "hijack", True, fattree, family, annotated, None)
-
-
-# ---------------------------------------------------------------------------
-# Legacy dispatch (shim over the benchmark registry)
-# ---------------------------------------------------------------------------
-
-
-def build_benchmark(
-    policy: str, pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None
-) -> FattreeBenchmark:
-    """Deprecated shim over :mod:`repro.networks.registry`.
-
-    Use ``registry.build(f"fattree/{policy}", pods=..., all_pairs=...,
-    widths=...)`` instead; the built network is identical (the registry
-    entries call this module's builders).
-    """
-    import warnings
-
-    warnings.warn(
-        "build_benchmark is deprecated; use repro.networks.registry.build"
-        "('fattree/<policy>', pods=..., all_pairs=..., widths=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.networks import registry
-
-    if policy not in POLICIES:
-        raise BenchmarkError(f"unknown policy {policy!r}; choose one of {sorted(POLICIES)}")
-    built = registry.build(f"fattree/{policy}", pods=pods, all_pairs=all_pairs, widths=widths)
-    return built.raw

@@ -590,8 +590,8 @@ def process_cache_statistics() -> dict[str, int]:
 
 
 #: Statistics keys that report a *current size* (gauges) rather than a
-#: cumulative count; deltas keep the latest reading and merges keep the
-#: largest, since differencing or summing a gauge is meaningless.
+#: cumulative count; deltas and merges keep the latest reading, since
+#: differencing or summing a gauge is meaningless.
 GAUGE_STATISTICS = ("learned_carry_size",)
 
 
@@ -604,11 +604,15 @@ def subtract_cache_statistics(after: dict[str, int], before: dict[str, int]) -> 
 
 
 def add_cache_statistics(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
-    """Component-wise sum (used to merge per-worker statistics deltas)."""
+    """Component-wise sum of statistics deltas, ``right`` being the later one.
+
+    Summing a solver's consecutive per-item deltas therefore equals its
+    whole-run delta on every key, gauges included.
+    """
     merged = dict(left)
     for key, value in right.items():
         if key in GAUGE_STATISTICS:
-            merged[key] = max(merged.get(key, 0), value)
+            merged[key] = value
         else:
             merged[key] = merged.get(key, 0) + value
     return merged

@@ -3,11 +3,9 @@
 A strategy is a frozen, self-validating dataclass bundling every knob of one
 verification engine — the paper's comparison harness runs the same annotated
 network under several of them (modular vs monolithic vs the §2.2
-strawperson).  Strategies replace the kwarg forests of the legacy
-``check_modular``/``check_monolithic``/``check_strawperson`` entry points:
-a knob that exists on the strategy *provably* reaches the engine, because
-the engine receives the whole object (see the regression test in
-``tests/verify/test_strategies.py``).
+strawperson).  A knob that exists on the strategy *provably* reaches the
+engine, because the engine receives the whole object (see the regression
+test in ``tests/verify/test_strategies.py``).
 
 Strategies are registered by name in :data:`STRATEGY_REGISTRY`, so the CLI
 and harness can construct them from plain strings (``strategy("modular",
@@ -127,13 +125,13 @@ class Modular(Strategy):
     backend (:data:`BACKENDS`); ``parallel`` the worker-process count;
     ``spot_check_seed`` seeds the deterministic choice of re-verified class
     members in ``spot-check`` mode.  ``delay`` and ``conditions`` mirror the
-    per-node knobs of :func:`repro.core.check_node`.
+    per-class knobs of :func:`repro.core.check_class`.
 
     Two fail-fast granularities: ``fail_fast`` (per batch) skips a node's
     remaining conditions after its first failure, mirroring Algorithm 1;
     ``stop_on_failure`` (run level) additionally stops scheduling *further*
     nodes/classes once any completed batch reports a failing condition —
-    parallel runs stop dispatching queued work items and terminate the pool,
+    parallel runs stop dispatching queued work items and wind the pool down,
     and the report records ``stopped_early``/``conditions_skipped``.
 
     ``delta="reuse"`` (CLI ``--delta reuse``) turns the run change-aware: a
@@ -203,6 +201,10 @@ class Modular(Strategy):
             raise ValueError(
                 f"unknown condition kinds {sorted(unknown)}; choose among {CONDITION_KINDS}"
             )
+        if len(set(self.conditions)) != len(self.conditions):
+            # A repeated kind would over-count skipped conditions and derive
+            # a distinct store path for the same set of queries.
+            raise ValueError(f"condition kinds must be distinct, got {self.conditions}")
 
     @property
     def incremental(self) -> bool:
@@ -210,7 +212,7 @@ class Modular(Strategy):
         return self.backend != "fresh"
 
     def engine_options(self) -> dict[str, Any]:
-        """The per-batch kwargs handed to ``check_node``/``check_class``.
+        """The per-batch kwargs handed to ``check_class``.
 
         Every :class:`Modular` field must either appear here or steer the
         engine loop itself (``symmetry``, ``backend``, ``parallel``,

@@ -36,3 +36,41 @@ def one_failing_node_annotated():
         return core.annotate(network, interfaces)
 
     return build
+
+
+@pytest.fixture
+def check_classes():
+    """Drain ``iter_class_batches`` barrier-style.
+
+    Returns the member reports in class order and the summed cache deltas
+    (``None`` with ``incremental=False``); keyword arguments default to a
+    plain full check.
+    """
+    from repro.core import CONDITION_KINDS
+    from repro.core.parallel import iter_class_batches
+    from repro.smt.incremental import add_cache_statistics
+
+    def run(annotated, classes, jobs, **options):
+        options = {"delay": 0, "conditions": CONDITION_KINDS, "fail_fast": True, **options}
+        indexed, totals = {}, {}
+        for index, reports, delta in iter_class_batches(annotated, classes, jobs=jobs, **options):
+            indexed[index] = reports
+            totals = add_cache_statistics(totals, delta)
+        flattened = [report for index in sorted(indexed) for report in indexed[index]]
+        return flattened, (totals if options.get("incremental", True) else None)
+
+    return run
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Simulate a platform whose ``fork`` context cannot set up a pool."""
+    import multiprocessing
+
+    class _FailingContext:
+        def _unavailable(self, *args, **kwargs):
+            raise OSError("no semaphores on this platform")
+
+        Event = Pool = _unavailable
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda kind: _FailingContext())

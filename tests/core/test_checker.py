@@ -142,6 +142,10 @@ class TestCheckerMechanics:
         assert [result.condition for result in report.results] == [core.INITIAL]
         with pytest.raises(VerificationError):
             core.check_node(annotated, "v", conditions=("bogus",))
+        with pytest.raises(VerificationError, match="unknown condition kinds"):
+            core.check_class(
+                annotated, core.SymmetryClass(key=0, members=("v", "d")), conditions=("bogus",)
+            )
 
     def test_verify_subset_of_nodes(self):
         example = build_running_example("symbolic")

@@ -1,15 +1,16 @@
 """Tests for counterexample rendering, report aggregation and the parallel runner."""
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.counterexample import Counterexample
-from repro.core.parallel import (
-    check_classes_in_parallel,
-    check_nodes_in_parallel,
-    iter_node_batches,
-)
+from repro.core.parallel import iter_class_batches
 from repro.core.results import (
     ConditionResult,
     ModularReport,
@@ -19,6 +20,7 @@ from repro.core.results import (
     percentile,
 )
 from repro import core
+from repro.core.symmetry import partition_nodes, singleton_classes
 from repro.routing import path_topology, shortest_path_network
 from repro.verify import Modular, verify
 
@@ -106,34 +108,21 @@ class TestParallelRunner:
         }
         return core.annotate(network, interfaces)
 
-    def test_parallel_runner_returns_one_report_per_node(self):
+    def test_parallel_runner_returns_one_report_per_node(self, check_classes):
         annotated = self._annotated()
-        reports, totals = check_nodes_in_parallel(
-            annotated,
-            annotated.nodes,
-            delay=0,
-            jobs=2,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        reports, totals = check_classes(annotated, singleton_classes(annotated.nodes), jobs=2)
         # Reports come back in node order regardless of completion order,
         # and the workers' cache deltas are summed for the caller.
         assert tuple(report.node for report in reports) == annotated.nodes
         assert all(report.passed for report in reports)
         assert totals is not None and totals["scopes"] == len(annotated.nodes)
 
-    def test_single_job_falls_back_to_sequential(self):
+    def test_single_job_runs_in_process(self, check_classes):
         annotated = self._annotated()
-        reports, totals = check_nodes_in_parallel(
-            annotated,
-            ("n1",),
-            delay=0,
-            jobs=1,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        reports, totals = check_classes(annotated, singleton_classes(("n1",)), jobs=1)
         assert len(reports) == 1 and reports[0].node == "n1"
         assert totals is not None and totals["scopes"] == 1
+        assert multiprocessing.active_children() == []
 
     def test_counterexamples_survive_the_process_boundary(self):
         topology = path_topology(2)
@@ -145,25 +134,11 @@ class TestParallelRunner:
         assert not report.passed
         assert report.counterexamples()
 
-    def test_pool_setup_failure_warns_and_degrades_to_sequential(self, monkeypatch):
-        import repro.core.parallel as parallel
-
-        class _FailingContext:
-            def Pool(self, processes):
-                raise OSError("no semaphores on this platform")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", lambda kind: _FailingContext()
-        )
+    def test_pool_setup_failure_warns_and_degrades_to_sequential(self, no_process_pool, check_classes):
         annotated = self._annotated()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-            reports, totals = check_nodes_in_parallel(
-                annotated,
-                annotated.nodes,
-                delay=0,
-                jobs=2,
-                conditions=core.CONDITION_KINDS,
-                fail_fast=True,
+            reports, totals = check_classes(
+                annotated, singleton_classes(annotated.nodes), jobs=2
             )
         assert sorted(report.node for report in reports) == sorted(annotated.nodes)
         assert all(report.passed for report in reports)
@@ -176,18 +151,9 @@ class TestParallelRunner:
         # when an earlier run in this process already encoded the terms).
         assert totals["guard_hits"] + totals["guard_misses"] > 0
 
-    def test_degraded_parallel_run_still_reports_backend_cache(self, monkeypatch):
+    def test_degraded_parallel_run_still_reports_backend_cache(self, no_process_pool):
         """A parallel>1 engine run that silently degrades to sequential must
         not lose the cache statistics the in-process run can observe."""
-        import repro.core.parallel as parallel
-
-        class _FailingContext:
-            def Pool(self, processes):
-                raise OSError("no semaphores on this platform")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", lambda kind: _FailingContext()
-        )
         annotated = self._annotated()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             report = verify(annotated, Modular(parallel=2))
@@ -195,7 +161,7 @@ class TestParallelRunner:
         assert report.backend_cache is not None
         assert report.backend_cache["scopes"] == len(annotated.nodes)
 
-    def test_worker_crashes_propagate_instead_of_rerunning_sequentially(self):
+    def test_worker_crashes_propagate_instead_of_rerunning_sequentially(self, check_classes):
         # A crashing interface used to be swallowed by a blanket
         # ``except Exception`` that silently reran everything sequentially —
         # which would crash again, but only after masking where the error
@@ -211,14 +177,7 @@ class TestParallelRunner:
             {node: core.globally(exploding_predicate) for node in topology.nodes},
         )
         with pytest.raises(RuntimeError, match="worker exploded"):
-            check_nodes_in_parallel(
-                annotated,
-                annotated.nodes,
-                delay=0,
-                jobs=2,
-                conditions=core.CONDITION_KINDS,
-                fail_fast=True,
-            )
+            check_classes(annotated, singleton_classes(annotated.nodes), jobs=2)
         _assert_no_orphaned_workers()
 
 
@@ -239,18 +198,19 @@ class TestStreamingDispatcher:
         }
         return core.annotate(network, interfaces)
 
+    def _batches(self, annotated, classes):
+        return iter_class_batches(
+            annotated,
+            classes,
+            delay=0,
+            jobs=2,
+            conditions=core.CONDITION_KINDS,
+            fail_fast=True,
+        )
+
     def test_batches_carry_submission_indices_and_deltas(self):
         annotated = self._annotated()
-        batches = list(
-            iter_node_batches(
-                annotated,
-                annotated.nodes,
-                delay=0,
-                jobs=2,
-                conditions=core.CONDITION_KINDS,
-                fail_fast=True,
-            )
-        )
+        batches = list(self._batches(annotated, singleton_classes(annotated.nodes)))
         assert sorted(index for index, _, _ in batches) == list(range(len(annotated.nodes)))
         for index, reports, delta in batches:
             assert [report.node for report in reports] == [annotated.nodes[index]]
@@ -259,33 +219,17 @@ class TestStreamingDispatcher:
 
     def test_closing_the_stream_stops_dispatch_without_orphans(self):
         annotated = self._annotated(length=8)
-        batches = iter_node_batches(
-            annotated,
-            annotated.nodes,
-            delay=0,
-            jobs=2,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        batches = self._batches(annotated, singleton_classes(annotated.nodes))
         next(batches)
         batches.close()
         _assert_no_orphaned_workers()
 
-    def test_class_barrier_drain_matches_node_order_contract(self):
-        """check_classes_in_parallel (the barrier drain over class batches)
-        returns member reports in class order with summed worker deltas."""
-        from repro.core.symmetry import partition_nodes
-
+    def test_class_batches_drain_in_class_order(self, check_classes):
+        """Draining class batches returns member reports in class order with
+        summed worker deltas."""
         annotated = self._annotated()
         classes = partition_nodes(annotated, annotated.nodes, delay=0)
-        reports, totals = check_classes_in_parallel(
-            annotated,
-            classes,
-            delay=0,
-            jobs=2,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        reports, totals = check_classes(annotated, classes, jobs=2)
         expected = [member for cls in classes for member in cls.members]
         assert [report.node for report in reports] == expected
         assert totals is not None and totals["scopes"] == len(classes)
@@ -328,6 +272,102 @@ class TestStreamingDispatcher:
                 by_node.setdefault(event.node, []).append(event.condition)
             for conditions in by_node.values():
                 assert conditions == list(core.CONDITION_KINDS)
+
+
+def _run_script(script, *arguments, **popen_options):
+    """Start ``script`` in a fresh interpreter that can import ``repro``."""
+    source = Path(__file__).resolve().parents[2] / "src"
+    environment = {**os.environ, "PYTHONPATH": os.pathsep.join([str(source), *sys.path])}
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *arguments],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=environment,
+        **popen_options,
+    )
+
+
+class TestPoolTeardown:
+    """How the pool ends: an early stop never kills, an interrupt always exits."""
+
+    def test_early_stop_lets_workers_exit_on_their_own(self, one_failing_node_annotated):
+        annotated = one_failing_node_annotated()
+        batches = iter_class_batches(
+            annotated,
+            singleton_classes(annotated.nodes),
+            delay=0,
+            jobs=2,
+            conditions=core.CONDITION_KINDS,
+            fail_fast=True,
+        )
+        next(batches)
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        batches.close()
+        # A SIGTERMed worker would report -15.
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        _assert_no_orphaned_workers()
+
+    # Killing workers on an early stop deadlocks ``Pool.terminate()`` when the
+    # signal lands on a worker inside one of the pool's queue locks: about one
+    # stop in a hundred on this network.  Probabilistic by nature — against a
+    # terminating teardown this times out roughly every other run.
+    STOP_LOOP = """
+from repro import core
+from repro.routing import path_topology, shortest_path_network
+from repro.verify import Modular, verify
+
+topology = path_topology(5)
+has_route = core.globally(lambda r: r.is_some)
+interfaces = {node: core.finally_(1, has_route) for node in topology.nodes}
+interfaces["n2"] = has_route
+annotated = core.annotate(shortest_path_network(topology, "n2"), interfaces)
+for _ in range(100):
+    assert verify(annotated, Modular(parallel=2, stop_on_failure=True)).stopped_early
+"""
+
+    def test_a_hundred_early_stops_never_deadlock_the_pool(self):
+        process = _run_script(self.STOP_LOOP)
+        try:
+            assert process.wait(timeout=120) == 0
+        finally:
+            process.kill()
+
+    # The terminal sends Ctrl-C to the whole foreground process group, so
+    # the workers get the signal too.
+    INTERRUPTED_RUN = """
+import sys, time
+from repro.networks import registry
+from repro.verify import Modular, Session
+
+annotated = registry.build("fattree/reach", pods=8).annotated
+with Session(annotated, Modular(parallel=2)) as session:
+    for _ in session.stream():
+        print("running", flush=True)
+        time.sleep(float(sys.argv[1]))
+print("finished", flush=True)
+"""
+
+    @pytest.mark.parametrize("consumer_pause", ["0", "0.05"], ids=["waiting", "consuming"])
+    def test_interrupting_the_process_group_ends_the_run(self, consumer_pause):
+        """Whether the signal finds the parent waiting for a completion or in
+        the consumer's own code, the run exits and leaves no process behind."""
+        process = _run_script(self.INTERRUPTED_RUN, consumer_pause, start_new_session=True)
+        try:
+            assert process.stdout.readline() == "running\n"
+            os.killpg(process.pid, signal.SIGINT)
+            output, _ = process.communicate(timeout=30)
+            assert process.returncode == -signal.SIGINT
+            assert "finished" not in output
+            # The session leader is gone; so must be the rest of its group.
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestReportJson:

@@ -5,9 +5,9 @@ classes — fewer classes than workers, and wildly uneven sizes.  These tests
 pin the scheduler semantics on a *synthetic* skewed partition (one giant
 class plus singletons over a cheap path network), independent of the
 quotient itself: the split plan is deterministic, splits keep multiple
-workers busy, verdicts and report order match the unsplit baseline, and the
-crash / stop-on-failure / degrade contracts of the pre-refactor dispatcher
-are unchanged.
+workers busy, verdicts and report order match the unsplit plan, and the
+crash / stop-on-failure / degrade contracts of the dispatcher hold on a
+split plan too.
 """
 
 import multiprocessing
@@ -18,11 +18,9 @@ import pytest
 from repro import core
 from repro.core.parallel import (
     MAX_WINDOW,
-    SCHEDULER_MODES,
     SchedulerStats,
     _class_work_items,
     _window_size,
-    check_classes_in_parallel,
 )
 from repro.core.symmetry import SymmetryClass
 from repro.routing import path_topology, shortest_path_network
@@ -66,7 +64,7 @@ class TestSplitPlan:
     def test_splits_largest_class_in_place_until_workers_covered(self):
         classes = _classes(("a", "b", "c", "d"), ("e",))
         stats = SchedulerStats()
-        items = _class_work_items(classes, 4, core.CONDITION_KINDS, "adaptive", stats)
+        items = _class_work_items(classes, 4, core.CONDITION_KINDS, stats)
         # The giant class splits into one item per condition kind, at its
         # original position, so dispatch order still follows class order.
         assert items == [(0, (kind,)) for kind in core.CONDITION_KINDS] + [(1, None)]
@@ -74,17 +72,18 @@ class TestSplitPlan:
 
     def test_plan_is_deterministic_on_ties(self):
         classes = _classes(("a", "b"), ("c", "d"), ("e", "f"))
-        first = _class_work_items(classes, 8, core.CONDITION_KINDS, "adaptive", SchedulerStats())
-        second = _class_work_items(classes, 8, core.CONDITION_KINDS, "adaptive", SchedulerStats())
+        first = _class_work_items(classes, 8, core.CONDITION_KINDS, SchedulerStats())
+        second = _class_work_items(classes, 8, core.CONDITION_KINDS, SchedulerStats())
         assert first == second
         # Ties break to the earliest class.
         assert first[0] == (0, (core.CONDITION_KINDS[0],))
 
-    def test_fixed_scheduler_and_single_job_never_split(self):
+    def test_enough_classes_or_a_single_job_never_split(self):
         classes = _classes(("a", "b", "c", "d"), ("e",))
-        for jobs, scheduler in ((4, "fixed"), (1, "adaptive")):
+        # jobs == len(classes) is the unsplit plan; so is the one-worker schedule.
+        for jobs in (len(classes), 1):
             stats = SchedulerStats()
-            items = _class_work_items(classes, jobs, core.CONDITION_KINDS, scheduler, stats)
+            items = _class_work_items(classes, jobs, core.CONDITION_KINDS, stats)
             assert items == [(0, None), (1, None)]
             assert stats.classes_stolen == 0
 
@@ -94,7 +93,7 @@ class TestSplitPlan:
             SymmetryClass(key=1, members=("e",)),
         ]
         stats = SchedulerStats()
-        items = _class_work_items(classes, 8, core.CONDITION_KINDS, "adaptive", stats)
+        items = _class_work_items(classes, 8, core.CONDITION_KINDS, stats)
         # Only the splittable singleton can be stolen; the spot-check class
         # must stay whole (its extra member is compared against the full
         # verdict vector in one place).
@@ -104,7 +103,7 @@ class TestSplitPlan:
     def test_single_condition_kind_cannot_split(self):
         classes = _classes(("a", "b", "c", "d"))
         stats = SchedulerStats()
-        items = _class_work_items(classes, 4, ("inductive",), "adaptive", stats)
+        items = _class_work_items(classes, 4, ("inductive",), stats)
         assert items == [(0, None)]
         assert stats.classes_stolen == 0
 
@@ -131,19 +130,11 @@ class TestSkewedPartition:
             SymmetryClass(key="tail", members=("n5",)),
         ]
 
-    def test_work_stealing_keeps_multiple_workers_busy(self):
+    def test_work_stealing_keeps_multiple_workers_busy(self, check_classes):
         annotated = self._annotated()
         classes = self._skewed_classes(annotated)
         stats = SchedulerStats()
-        reports, totals = check_classes_in_parallel(
-            annotated,
-            classes,
-            delay=0,
-            jobs=4,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-            stats=stats,
-        )
+        reports, totals = check_classes(annotated, classes, jobs=4, stats=stats)
         # Deterministic report order: class order, members in member order.
         assert [report.node for report in reports] == [
             member for cls in classes for member in cls.members
@@ -156,58 +147,26 @@ class TestSkewedPartition:
         assert totals is not None
         _assert_no_orphaned_workers()
 
-    def test_split_and_fixed_schedulers_agree_on_verdicts(self):
+    def test_split_and_unsplit_plans_agree_on_verdicts(self, check_classes):
         annotated = self._annotated()
         classes = self._skewed_classes(annotated)
-        adaptive_stats = SchedulerStats()
-        adaptive, _ = check_classes_in_parallel(
-            annotated,
-            classes,
-            delay=0,
-            jobs=4,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-            stats=adaptive_stats,
-        )
-        fixed, _ = check_classes_in_parallel(
-            annotated,
-            classes,
-            delay=0,
-            jobs=4,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-            scheduler="fixed",
-        )
-        assert adaptive_stats.classes_stolen >= 1
-        assert _verdicts(adaptive) == _verdicts(fixed)
+        split_stats, whole_stats = SchedulerStats(), SchedulerStats()
+        split, _ = check_classes(annotated, classes, jobs=4, stats=split_stats)
+        whole, _ = check_classes(annotated, classes, jobs=len(classes), stats=whole_stats)
+        assert split_stats.classes_stolen >= 1
+        assert whole_stats.classes_stolen == 0
+        assert _verdicts(split) == _verdicts(whole)
         _assert_no_orphaned_workers()
 
-    def test_adaptive_runs_are_reproducible(self):
+    def test_adaptive_runs_are_reproducible(self, check_classes):
         annotated = self._annotated()
         classes = self._skewed_classes(annotated)
-        first, _ = check_classes_in_parallel(
-            annotated, classes, delay=0, jobs=4,
-            conditions=core.CONDITION_KINDS, fail_fast=True,
-        )
-        second, _ = check_classes_in_parallel(
-            annotated, classes, delay=0, jobs=4,
-            conditions=core.CONDITION_KINDS, fail_fast=True,
-        )
+        first, _ = check_classes(annotated, classes, jobs=4)
+        second, _ = check_classes(annotated, classes, jobs=4)
         assert _verdicts(first) == _verdicts(second)
         _assert_no_orphaned_workers()
 
-    def test_unknown_scheduler_is_rejected(self):
-        annotated = self._annotated()
-        classes = self._skewed_classes(annotated)
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            check_classes_in_parallel(
-                annotated, classes, delay=0, jobs=2,
-                conditions=core.CONDITION_KINDS, fail_fast=True,
-                scheduler="eager",
-            )
-        assert "adaptive" in SCHEDULER_MODES and "fixed" in SCHEDULER_MODES
-
-    def test_crash_propagates_through_split_plan(self):
+    def test_crash_propagates_through_split_plan(self, check_classes):
         topology = path_topology(6)
         network = shortest_path_network(topology, "n0")
 
@@ -220,38 +179,21 @@ class TestSkewedPartition:
         )
         classes = self._skewed_classes(annotated)
         with pytest.raises(RuntimeError, match="worker exploded"):
-            check_classes_in_parallel(
-                annotated, classes, delay=0, jobs=4,
-                conditions=core.CONDITION_KINDS, fail_fast=True,
-            )
+            check_classes(annotated, classes, jobs=4)
         _assert_no_orphaned_workers()
 
-    def test_degraded_run_matches_pool_window_accounting(self, monkeypatch):
-        """Satellite contract: the sequential-degrade path records the same
+    def test_degraded_run_matches_pool_window_accounting(self, request, check_classes):
+        """Satellite contract: the one-worker degrade path records the same
         adaptive window accounting the pool path would have used."""
         annotated = self._annotated()
         classes = self._skewed_classes(annotated)
         pooled_stats = SchedulerStats()
-        pooled, _ = check_classes_in_parallel(
-            annotated, classes, delay=0, jobs=4,
-            conditions=core.CONDITION_KINDS, fail_fast=True, stats=pooled_stats,
-        )
+        pooled, _ = check_classes(annotated, classes, jobs=4, stats=pooled_stats)
 
-        import repro.core.parallel as parallel
-
-        class _FailingContext:
-            def Pool(self, processes):
-                raise OSError("no semaphores on this platform")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", lambda kind: _FailingContext()
-        )
+        request.getfixturevalue("no_process_pool")
         degraded_stats = SchedulerStats()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-            degraded, _ = check_classes_in_parallel(
-                annotated, classes, delay=0, jobs=4,
-                conditions=core.CONDITION_KINDS, fail_fast=True, stats=degraded_stats,
-            )
+            degraded, _ = check_classes(annotated, classes, jobs=4, stats=degraded_stats)
         assert _verdicts(degraded) == _verdicts(pooled)
         assert degraded_stats.window == pooled_stats.window
         assert degraded_stats.classes_stolen == pooled_stats.classes_stolen
@@ -278,6 +220,24 @@ class TestSchedulerReportPlumbing:
         assert set(report.scheduler) == {"classes_stolen", "window", "workers"}
         assert "stopped early" in report.summary()
         assert "scheduler" in report.summary()
+        _assert_no_orphaned_workers()
+
+    def test_narrow_node_selection_splits_like_a_narrow_partition(self):
+        """symmetry="off" is the singleton partition: fewer selected nodes
+        than workers get the per-kind split, with the reference verdicts."""
+        topology = path_topology(3)
+        network = shortest_path_network(topology, "n0")
+        interfaces = {
+            node: core.finally_(index, core.globally(lambda r: r.is_some))
+            for index, node in enumerate(topology.nodes)
+        }
+        annotated = core.annotate(network, interfaces)
+        reference = verify(annotated, Modular(backend="fresh"), nodes=("n1", "n2"))
+        report = verify(annotated, Modular(parallel=4), nodes=("n1", "n2"))
+        assert report.symmetry_classes is None
+        assert report.scheduler is not None and report.scheduler["classes_stolen"] >= 1
+        assert core.condition_verdicts(report) == core.condition_verdicts(reference)
+        assert tuple(report.node_reports) == ("n1", "n2")
         _assert_no_orphaned_workers()
 
     def test_sequential_run_reports_no_scheduler(self):

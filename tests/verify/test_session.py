@@ -1,7 +1,6 @@
 """Tests for :class:`repro.verify.Session`: streaming, reports, persistence."""
 
 import multiprocessing
-import warnings
 
 import pytest
 
@@ -44,19 +43,18 @@ def _figure8_annotated():
 
 
 class TestByteIdenticalVerdicts:
-    def test_session_matches_legacy_check_modular_on_k4_spreach(self):
-        """Acceptance: Session(Modular(symmetry="classes")) ≡ legacy checker."""
+    def test_session_matches_reference_mode_on_k4_spreach(self):
+        """Acceptance: Session(Modular(symmetry="classes")) ≡ the reference mode."""
         benchmark = registry.build("fattree/reach", pods=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = core.check_modular(benchmark.annotated, symmetry="classes")
-        reset_process_solver()
+        reference = verify(
+            benchmark.annotated, Modular(symmetry="off", backend="fresh", parallel=1)
+        )
         with Session(benchmark.annotated, Modular(symmetry="classes")) as session:
             modern = session.run()
-        assert condition_verdicts(legacy) == condition_verdicts(modern)
-        assert legacy.passed and modern.passed
-        assert modern.symmetry_classes == legacy.symmetry_classes
-        assert tuple(modern.node_reports) == tuple(legacy.node_reports)
+        assert condition_verdicts(reference) == condition_verdicts(modern)
+        assert reference.passed and modern.passed
+        assert reference.symmetry_classes is None and modern.symmetry_classes == 6
+        assert tuple(modern.node_reports) == tuple(reference.node_reports)
 
     @pytest.mark.parametrize("backend", ["incremental", "persistent", "fresh"])
     def test_backends_agree_on_verdicts(self, backend):
@@ -147,6 +145,22 @@ class TestPersistentSessions:
         # The gauge reports the live carry-set size, not a per-run delta —
         # a second run with a full, stable carry set must not read as zero.
         assert second.backend_cache["learned_carry_size"] > 0
+
+    def test_backend_cache_is_the_whole_run_delta_of_the_pinned_solver(self):
+        """Summed per-item deltas equal after-minus-before on every key, and
+        the gauge carries the last reading (not the largest) — compaction
+        empties the carry set mid-run, so the two differ here."""
+        from repro.smt.incremental import IncrementalSolver, subtract_cache_statistics
+
+        benchmark = registry.build("fattree/reach", pods=4)
+        solver = IncrementalSolver(persist_learned=True, max_variables=2000)
+        with Session(benchmark.annotated, Modular(backend="persistent"), solver=solver) as session:
+            for _ in range(2):
+                before = solver.cache_statistics()
+                report = session.run()
+                after = solver.cache_statistics()
+                assert report.backend_cache == subtract_cache_statistics(after, before)
+                assert report.backend_cache["compactions"] > 0
 
     def test_closed_session_rejects_runs(self):
         benchmark = registry.build("ghost/reach")
@@ -466,6 +480,12 @@ class TestSessionValidation:
         benchmark = registry.build("ghost/reach")
         with pytest.raises(VerificationError, match="unknown node"):
             verify(benchmark.annotated, nodes=["nope"])
+
+    def test_duplicate_nodes_rejected(self):
+        benchmark = registry.build("ghost/reach")
+        node = benchmark.annotated.nodes[0]
+        with pytest.raises(VerificationError, match=f"more than once.*{node}"):
+            verify(benchmark.annotated, nodes=(node, node))
 
     def test_monolithic_rejects_node_subsets(self):
         benchmark = registry.build("ghost/reach")

@@ -44,6 +44,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="condition kinds"):
             Modular(conditions=("initial", "bogus"))
 
+    def test_duplicate_condition_kinds_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Modular(conditions=("initial", "initial"))
+
     def test_fail_fast_flags_must_be_bools(self):
         # A truthy string (e.g. "false" from a config file) must not
         # silently flip either fail-fast granularity.
@@ -137,17 +141,15 @@ class TestRegistry:
 
 
 class TestEveryFieldReachesTheEngine:
-    """Regression for the SweepSettings knob-dropping bug.
+    """Regression for knob-dropping: no strategy field may be lost on the way.
 
-    The legacy sweep path silently dropped ``incremental`` and
-    ``spot_check_seed`` on the floor.  With strategy objects the engine
-    receives the whole object; this test pins down, field by field, how each
-    :class:`Modular` field steers the engine — and fails if a new field is
-    added without wiring (and testing) it.
+    The engine receives the whole strategy object; this test pins down,
+    field by field, how each :class:`Modular` field steers the engine — and
+    fails if a new field is added without wiring (and testing) it.
     """
 
     #: Fields consumed per batch via ``engine_options()`` (value must arrive
-    #: in the kwargs of check_node/check_class) vs fields steering the
+    #: in the kwargs of check_class) vs fields steering the
     #: engine loop itself (asserted individually below).
     OPTION_FIELDS = {"delay": 3, "conditions": ("initial",), "fail_fast": False}
     LOOP_FIELDS = {
@@ -164,58 +166,46 @@ class TestEveryFieldReachesTheEngine:
         names = {field.name for field in dataclasses.fields(Modular)}
         assert names == set(self.OPTION_FIELDS) | self.LOOP_FIELDS
 
-    def test_option_fields_arrive_in_batch_kwargs(self, monkeypatch):
-        benchmark = registry.build("ghost/reach")
+    def _captured_check_kwargs(self, monkeypatch, strategy_obj):
+        """Run ghost/reach under ``strategy_obj``; the kwargs check_class received."""
+        import repro.core.parallel as parallel_module
+
         captured = {}
+        original = parallel_module.check_class
 
-        import repro.core.checker as checker_module
-
-        original = checker_module.check_node
-
-        def capture(annotated, node, **kwargs):
+        def capture(annotated, symmetry_class, **kwargs):
             captured.update(kwargs)
-            return original(annotated, node, **kwargs)
+            return original(annotated, symmetry_class, **kwargs)
 
-        monkeypatch.setattr(checker_module, "check_node", capture)
-        strategy_obj = Modular(**self.OPTION_FIELDS)
-        with Session(benchmark.annotated, strategy_obj) as session:
+        monkeypatch.setattr(parallel_module, "check_class", capture)
+        with Session(registry.build("ghost/reach").annotated, strategy_obj) as session:
             session.run()
+        return captured
+
+    def test_option_fields_arrive_in_batch_kwargs(self, monkeypatch):
+        captured = self._captured_check_kwargs(monkeypatch, Modular(**self.OPTION_FIELDS))
         for name, value in self.OPTION_FIELDS.items():
             assert captured[name] == value, f"field {name!r} did not reach the engine"
         # backend="incremental" arrives as incremental=True.
         assert captured["incremental"] is True
 
     def test_backend_fresh_reaches_the_engine(self, monkeypatch):
-        benchmark = registry.build("ghost/reach")
-        captured = {}
-        import repro.core.checker as checker_module
-
-        original = checker_module.check_node
-
-        def capture(annotated, node, **kwargs):
-            captured.update(kwargs)
-            return original(annotated, node, **kwargs)
-
-        monkeypatch.setattr(checker_module, "check_node", capture)
-        with Session(benchmark.annotated, Modular(backend="fresh")) as session:
-            session.run()
+        captured = self._captured_check_kwargs(monkeypatch, Modular(backend="fresh"))
         assert captured["incremental"] is False
 
     def test_parallel_reaches_the_engine(self, monkeypatch):
         benchmark = registry.build("fattree/reach", pods=4)
         seen = {}
 
-        import repro.core.parallel as parallel_module
+        import repro.verify.session as session_module
 
-        original = parallel_module.iter_node_batches
+        original = session_module.iter_class_batches
 
-        def capture(annotated, nodes, **kwargs):
+        def capture(annotated, classes, **kwargs):
             seen["jobs"] = kwargs.get("jobs")
-            return original(annotated, nodes, **kwargs)
+            return original(annotated, classes, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.core.parallel.iter_node_batches", capture
-        )
+        monkeypatch.setattr(session_module, "iter_class_batches", capture)
         with Session(benchmark.annotated, Modular(parallel=2)) as session:
             report = session.run()
         assert seen["jobs"] == 2
