@@ -32,7 +32,7 @@ from repro.errors import ConfigSemanticError
 from repro.routing.algebra import Network, SymbolicVariable
 from repro.routing.bgp import BgpRouteFamily, bgp_merge, bgp_route_family
 from repro.routing.topology import Edge, Topology
-from repro.symbolic import SymBV, SymBool, SymOption, ite_value
+from repro.symbolic import SymBV, SymBool, SymOption, all_of, ite_value
 
 #: Route-field widths used for compiled WAN configurations.
 WAN_WIDTHS = {
@@ -215,11 +215,13 @@ def compile_config(
 
     for external in resolved.external_routers:
         announcement = family.route.fresh(f"announce.{external}")
-        constraint = family.route.constraint(announcement)
+        conjuncts = [family.route.constraint(announcement)]
         if external_constraint is not None:
-            constraint = constraint & external_constraint(announcement)
+            conjuncts.append(external_constraint(announcement))
         symbolics.append(
-            SymbolicVariable(name=f"announce.{external}", value=announcement, constraint=constraint)
+            SymbolicVariable(
+                name=f"announce.{external}", value=announcement, constraint=all_of(conjuncts)
+            )
         )
         external_announcements[external] = announcement
 

@@ -66,6 +66,17 @@ class AnnotatedNetwork:
         self.network = network
         self._interfaces = self._materialise(interfaces, "interface")
         self._properties = self._materialise(properties, "property")
+        # The annotation maps are never mutated after this point (the edit
+        # helpers build new instances), so the scan happens once, not once
+        # per condition.
+        self._max_witness_time = max(
+            (
+                predicate.max_witness
+                for annotations in (self._interfaces, self._properties)
+                for predicate in annotations.values()
+            ),
+            default=0,
+        )
         self.minimum_time_width = minimum_time_width
         self.symmetry_key = symmetry_key
         self.destination_symmetry = destination_symmetry
@@ -122,9 +133,7 @@ class AnnotatedNetwork:
 
     def max_witness_time(self) -> int:
         """The largest witness time mentioned by any interface or property."""
-        witnesses = [predicate.max_witness for predicate in self._interfaces.values()]
-        witnesses += [predicate.max_witness for predicate in self._properties.values()]
-        return max(witnesses, default=0)
+        return self._max_witness_time
 
     def time_width(self, delay: int = 0) -> int:
         """Bits needed for the symbolic time variable.

@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time as _time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -75,7 +76,7 @@ from repro.smt.terms import (
     OP_OR,
     Term,
 )
-from repro.symbolic import SymBV, SymBool, any_of, exact_names
+from repro.symbolic import SymBV, SymBool, all_of, any_of, exact_names
 
 INITIAL = "initial"
 INDUCTIVE = "inductive"
@@ -206,12 +207,27 @@ class VerificationCondition:
         return ConditionResult(self.node, self.kind, False, elapsed, counterexample)
 
 
+#: Per-network memo of :func:`_network_symbolics`.  A :class:`Network`'s
+#: symbolics are fixed at construction, so the answer is too; weak keys let a
+#: network that goes away take its entry with it.
+_NETWORK_SYMBOLICS: weakref.WeakKeyDictionary[Any, tuple[SymBool, dict[str, Any]]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _network_symbolics(annotated: AnnotatedNetwork) -> tuple[SymBool, dict[str, Any]]:
-    """The conjunction of symbolic-variable preconditions and the value map."""
+    """The conjunction of symbolic-variable preconditions and the value map.
+
+    Computed once per network and shared, read-only, by every condition built
+    from it.  A network with a reserved-prefix name is never memoised, so it
+    raises on every call.
+    """
+    network = annotated.network
+    cached = _NETWORK_SYMBOLICS.get(network)
+    if cached is not None:
+        return cached
     reserved = [
-        symbolic.name
-        for symbolic in annotated.network.symbolics
-        if symbolic.name.startswith(VC_PREFIX)
+        symbolic.name for symbolic in network.symbolics if symbolic.name.startswith(VC_PREFIX)
     ]
     if reserved:
         raise VerificationError(
@@ -219,8 +235,9 @@ def _network_symbolics(annotated: AnnotatedNetwork) -> tuple[SymBool, dict[str, 
             f"{VC_PREFIX!r}; it would alias the verification conditions' "
             "query variables and corrupt verdicts"
         )
-    assumptions = annotated.network.symbolic_constraints()
-    values = {symbolic.name: symbolic.value for symbolic in annotated.network.symbolics}
+    assumptions = network.symbolic_constraints()
+    values = {symbolic.name: symbolic.value for symbolic in network.symbolics}
+    _NETWORK_SYMBOLICS[network] = (assumptions, values)
     return assumptions, values
 
 
@@ -250,26 +267,28 @@ def inductive_condition(
         raise VerificationError(f"delay must be non-negative, got {delay}")
     network = annotated.network
     width = annotated.time_width(delay)
-    assumptions, symbolics = _network_symbolics(annotated)
+    precondition, symbolics = _network_symbolics(annotated)
 
     time_variable = _query_time(node, width)
     # Keep t small enough that t + delay + 1 cannot wrap around.  Because every
     # annotation is constant beyond its largest witness time, this bound loses
     # no generality (see DESIGN.md §5).
     max_time = (1 << width) - 1
-    assumptions = assumptions & (time_variable <= max_time - delay - 1)
+    # Conjuncts are collected and joined once: the precondition has one
+    # conjunct per symbolic, and `acc & part` would re-flatten it per part.
+    conjuncts = [precondition, time_variable <= max_time - delay - 1]
 
     neighbor_routes: dict[str, Any] = {}
     for position, neighbor in enumerate(network.topology.predecessors(node)):
         route = _query_route(network, neighbor, naming=naming, position=position)
         neighbor_routes[neighbor] = route
-        assumptions = assumptions & network.route_shape.constraint(route)
+        conjuncts.append(network.route_shape.constraint(route))
         interface = annotated.interface(neighbor)
         # With delay d, the route may have been sent at any of t, t+1, ..., t+d.
-        sent_at_some_step = any_of(
-            interface(route, time_variable + step) for step in range(delay + 1)
+        conjuncts.append(
+            any_of(interface(route, time_variable + step) for step in range(delay + 1))
         )
-        assumptions = assumptions & sent_at_some_step
+    assumptions = all_of(conjuncts)
 
     new_route = network.updated_route(node, neighbor_routes)
     goal = annotated.interface(node)(new_route, time_variable + (delay + 1))
@@ -293,12 +312,17 @@ def safety_condition(
     """``A(v)(t) ⊆ P(v)(t)`` for all times ``t`` (equation 7)."""
     network = annotated.network
     width = annotated.time_width()
-    assumptions, symbolics = _network_symbolics(annotated)
+    precondition, symbolics = _network_symbolics(annotated)
 
     time_variable = _query_time(node, width)
     route = _query_route(network, node, naming=naming)
-    assumptions = assumptions & network.route_shape.constraint(route)
-    assumptions = assumptions & annotated.interface(node)(route, time_variable)
+    assumptions = all_of(
+        [
+            precondition,
+            network.route_shape.constraint(route),
+            annotated.interface(node)(route, time_variable),
+        ]
+    )
     goal = annotated.node_property(node)(route, time_variable)
 
     return VerificationCondition(

@@ -262,20 +262,26 @@ def node_condition_fingerprints(
     return {vc.kind: condition_fingerprint(vc) for vc in node_vcs if vc.kind in requested}
 
 
-def _network_level_parts(annotated: AnnotatedNetwork, delay: int) -> tuple[bytes, ...]:
-    """The digest parts shared by every node's dependency fingerprint.
+def _shared_dependency_parts(
+    annotated: AnnotatedNetwork, delay: int, conditions: Sequence[str]
+) -> tuple[bytes, ...]:
+    """The leading digest parts shared by every node's dependency fingerprint.
 
     The time widths are annotation-*global* (they depend on the largest
     witness time over all interfaces and properties), so an edit anywhere
     that changes the width correctly invalidates every node.
     """
     network = annotated.network
+    requested = set(conditions)
     return (
+        FINGERPRINT_VERSION.encode("ascii"),
+        b"dep",
         b"w%d" % annotated.time_width(),
         b"wd%d" % annotated.time_width(delay),
         b"d%d" % delay,
         fingerprint_term(network.symbolic_constraints().term).encode("ascii"),
         _encode_payload(",".join(symbolic.name for symbolic in network.symbolics)),
+        _encode_payload(",".join(k for k in CONDITION_KINDS if k in requested)),
     )
 
 
@@ -299,6 +305,14 @@ def node_dependency_fingerprint(
     the destination is used outside the eligible shapes), so the dependency
     equivalence matches the destination quotient too.
     """
+    return _node_dependency_fingerprint(
+        annotated, node, delay, _shared_dependency_parts(annotated, delay, conditions)
+    )
+
+
+def _node_dependency_fingerprint(
+    annotated: AnnotatedNetwork, node: str, delay: int, shared_parts: tuple[bytes, ...]
+) -> str:
     destination = destination_variable(annotated)
     if destination is not None:
         canonicalizer = DestinationCanonicalizer(
@@ -306,18 +320,18 @@ def node_dependency_fingerprint(
         )
         try:
             return _dependency_digest(
-                annotated, node, delay, conditions, canonicalizer.rewrite_term
+                annotated, node, delay, shared_parts, canonicalizer.rewrite_term
             )
         except IneligibleDestination:
             pass
-    return _dependency_digest(annotated, node, delay, conditions, None)
+    return _dependency_digest(annotated, node, delay, shared_parts, None)
 
 
 def _dependency_digest(
     annotated: AnnotatedNetwork,
     node: str,
     delay: int,
-    conditions: Sequence[str],
+    shared_parts: tuple[bytes, ...],
     rewrite: Any,
 ) -> str:
     def term_digest(term: Term) -> bytes:
@@ -335,9 +349,7 @@ def _dependency_digest(
     interface = annotated.interface(node)
     node_property = annotated.node_property(node)
 
-    parts: list[bytes] = [FINGERPRINT_VERSION.encode("ascii"), b"dep"]
-    parts.extend(_network_level_parts(annotated, delay))
-    parts.append(_encode_payload(",".join(k for k in CONDITION_KINDS if k in set(conditions))))
+    parts: list[bytes] = list(shared_parts)
     # The node's own annotation, applied extensionally at both widths the
     # conditions use (initial/safety run at the base width, inductive at the
     # delay-extended width).
@@ -369,8 +381,9 @@ def dependency_fingerprints(
     conditions: Sequence[str] = CONDITION_KINDS,
 ) -> dict[str, str]:
     """Dependency fingerprints for a node selection (one pass, shared terms)."""
+    shared_parts = _shared_dependency_parts(annotated, delay, conditions)
     return {
-        node: node_dependency_fingerprint(annotated, node, delay=delay, conditions=conditions)
+        node: _node_dependency_fingerprint(annotated, node, delay, shared_parts)
         for node in nodes
     }
 

@@ -23,7 +23,7 @@ from typing import Any
 from repro import smt
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.results import MonolithicReport
-from repro.symbolic import SymBV, SymBool, values_equal
+from repro.symbolic import SymBV, SymBool, all_of, values_equal
 
 
 def stable_state_constraints(
@@ -38,16 +38,16 @@ def stable_state_constraints(
     routes: dict[str, Any] = {
         node: network.route_shape.fresh(f"stable.{node}") for node in network.topology.nodes
     }
-    constraints = network.symbolic_constraints()
+    conjuncts = [network.symbolic_constraints()]
     for node in network.topology.nodes:
-        constraints = constraints & network.route_shape.constraint(routes[node])
+        conjuncts.append(network.route_shape.constraint(routes[node]))
     for node in network.topology.nodes:
         neighbor_routes = {
             neighbor: routes[neighbor] for neighbor in network.topology.predecessors(node)
         }
         computed = network.updated_route(node, neighbor_routes)
-        constraints = constraints & values_equal(routes[node], computed)
-    return constraints, routes
+        conjuncts.append(values_equal(routes[node], computed))
+    return all_of(conjuncts), routes
 
 
 def erased_property(annotated: AnnotatedNetwork, node: str, route: Any) -> SymBool:
@@ -65,9 +65,9 @@ def run_monolithic(
     started = _time.perf_counter()
     constraints, routes = stable_state_constraints(annotated)
 
-    network_property = SymBool.true()
-    for node in annotated.nodes:
-        network_property = network_property & erased_property(annotated, node, routes[node])
+    network_property = all_of(
+        erased_property(annotated, node, routes[node]) for node in annotated.nodes
+    )
 
     proof = smt.prove(network_property.term, constraints.term, timeout=timeout)
     elapsed = _time.perf_counter() - started

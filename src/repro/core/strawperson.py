@@ -21,7 +21,7 @@ from repro import smt
 from repro.core.counterexample import Counterexample
 from repro.errors import VerificationError
 from repro.routing.algebra import Network
-from repro.symbolic import SymBV, SymBool
+from repro.symbolic import SymBV, SymBool, all_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.annotations import AnnotatedNetwork
@@ -100,13 +100,14 @@ def run_strawperson(
     counterexamples: list[Counterexample] = []
 
     for node in network.topology.nodes:
-        assumptions = network.symbolic_constraints()
+        conjuncts = [network.symbolic_constraints()]
         neighbor_routes: dict[str, Any] = {}
         for neighbor in network.topology.predecessors(node):
             route = network.route_shape.fresh(f"stable.{neighbor}.to.{node}")
             neighbor_routes[neighbor] = route
-            assumptions = assumptions & network.route_shape.constraint(route)
-            assumptions = assumptions & SymBool.lift(interfaces[neighbor](route))
+            conjuncts.append(network.route_shape.constraint(route))
+            conjuncts.append(interfaces[neighbor](route))
+        assumptions = all_of(conjuncts)
         computed = network.updated_route(node, neighbor_routes)
         goal = SymBool.lift(interfaces[node](computed))
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping
 from repro.errors import RoutingError
 from repro.routing.topology import Edge, Topology
 from repro.symbolic.shapes import Shape
-from repro.symbolic.values import SymBool
+from repro.symbolic.values import SymBool, all_of
 
 TransferFunction = Callable[[Any], Any]
 MergeFunction = Callable[[Any, Any], Any]
@@ -67,6 +67,10 @@ class Network:
         self._transfer_functions = transfer_functions
         self.merge = merge
         self.symbolics = tuple(symbolics)
+        # Symbolics are fixed from here on (``with_symbolics`` returns a new
+        # instance) and every condition of every node assumes their
+        # conjunction, so it is built once, with one n-ary call.
+        self._symbolic_constraints = all_of(symbolic.constraint for symbolic in self.symbolics)
         self._validate()
 
     # -- accessors ----------------------------------------------------------------
@@ -125,10 +129,7 @@ class Network:
 
     def symbolic_constraints(self) -> SymBool:
         """The conjunction of all symbolic-variable preconditions."""
-        constraint = SymBool.true()
-        for symbolic in self.symbolics:
-            constraint = constraint & symbolic.constraint
-        return constraint
+        return self._symbolic_constraints
 
     @property
     def is_closed(self) -> bool:

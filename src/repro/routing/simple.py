@@ -28,6 +28,7 @@ from repro.symbolic import (
     OptionShape,
     RecordShape,
     SymOption,
+    all_of,
     ite_value,
 )
 
@@ -163,13 +164,15 @@ def build_running_example(
     symbolics: tuple[SymbolicVariable, ...] = ()
     if external_announcement == "symbolic":
         external_route = route_shape.fresh("external_n")
-        constraint = route_shape.constraint(external_route)
+        conjuncts = [route_shape.constraint(external_route)]
         if with_fromw_ghost:
             # The ghost bit marks routes originating at w; an external
             # announcement can never carry it (Figure 10's assumption).
-            constraint = constraint & (external_route.is_none | ~external_route.payload.fromw)
+            conjuncts.append(external_route.is_none | ~external_route.payload.fromw)
         symbolics = (
-            SymbolicVariable(name="external_n", value=external_route, constraint=constraint),
+            SymbolicVariable(
+                name="external_n", value=external_route, constraint=all_of(conjuncts)
+            ),
         )
 
     w_fields: dict[str, Any] = {"lp": DEFAULT_LOCAL_PREFERENCE, "len": 0, "tag": False}

@@ -127,7 +127,12 @@ class SymBool:
 
 
 def all_of(values: Iterable["SymBool | bool"]) -> SymBool:
-    """Conjunction of an iterable of symbolic booleans."""
+    """Conjunction of an iterable of symbolic booleans.
+
+    One n-ary call visits each operand once and yields the same term as the
+    left fold ``acc = acc & value``, which re-flattens ``acc`` at every step;
+    over anything that grows with the network, collect and call this.
+    """
     return SymBool(builder.and_(*[SymBool.lift(v).term for v in values]))
 
 

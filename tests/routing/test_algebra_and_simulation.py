@@ -80,9 +80,14 @@ class TestNetworkConstruction:
             symbolics=(SymbolicVariable("ann", announcement, announcement.is_some),),
         )
         assert not network.is_closed
-        assert not network.symbolic_constraints().is_concrete() or True
-        extended = network.with_symbolics(SymbolicVariable("extra", shape.fresh("extra")))
+        assert network.symbolic_constraints().term is announcement.is_some.term
+        extra = shape.fresh("extra")
+        extended = network.with_symbolics(SymbolicVariable("extra", extra, extra.is_none))
         assert len(extended.symbolics) == 2
+        assert (
+            extended.symbolic_constraints().term
+            is (announcement.is_some & extra.is_none).term
+        )
 
     def test_symbolic_variable_needs_name(self):
         with pytest.raises(RoutingError):
