@@ -9,6 +9,12 @@ neighbourhood (at most ``1 + max-degree`` nodes)::
 
     PYTHONPATH=src python benchmarks/delta_smoke.py --pods 4 --out delta-ablation.json
 
+Then a stream of three one-node edits in this same process, the store
+restored before each (the ``sp_reach_edit_stream`` shape): by now the process
+has memoised every node's policy and every interface application of the base
+network, so each edit's verdicts being the full engine's guards the memo keys
+— a part served for an object it was not computed from would show here.
+
 Exits non-zero on any violated property, so a fingerprint scheme that
 over-invalidates (no reuse), under-invalidates (stale verdicts) or diverges
 from the full engine (verdict mismatch) fails the job.
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -47,6 +54,8 @@ def run_delta_smoke(pods: int, store: str) -> tuple[bool, dict]:
 
     cold, cold_seconds = _timed(annotated, Modular(delta="reuse", store=store))
     warm, warm_seconds = _timed(annotated, Modular(delta="reuse", store=store))
+    base_store = store + ".base"
+    shutil.copyfile(store, base_store)
     edited, poisoned = inject_interface_failure(annotated)
     delta, delta_seconds = _timed(edited, Modular(delta="reuse", store=store))
     full, full_seconds = _timed(edited, Modular())
@@ -62,6 +71,24 @@ def run_delta_smoke(pods: int, store: str) -> tuple[bool, dict]:
         }
     )
 
+    # The in-process edit stream, every edit against the base network's store.
+    step = max(1, len(annotated.nodes) // 4)
+    stream = []
+    for node in annotated.nodes[step::step][:3]:
+        shutil.copyfile(base_store, store)
+        target, _ = inject_interface_failure(annotated, node)
+        streamed = verify(target, Modular(delta="reuse", store=store))
+        stream.append(
+            {
+                "node": node,
+                "reused": streamed.conditions_reused,
+                "rechecked": streamed.conditions_recheck,
+                "identical_to_full": condition_verdicts(streamed)
+                == condition_verdicts(verify(target, Modular())),
+            }
+        )
+    stream_identical = all(edit["identical_to_full"] and edit["reused"] > 0 for edit in stream)
+
     warm_full_reuse = warm.conditions_reused == warm.conditions_checked > 0
     warm_identical = condition_verdicts(warm) == condition_verdicts(cold)
     delta_identical = condition_verdicts(delta) == condition_verdicts(full)
@@ -75,6 +102,7 @@ def run_delta_smoke(pods: int, store: str) -> tuple[bool, dict]:
         and delta_identical
         and delta_reused_some
         and neighbourhood_bounded
+        and stream_identical
     )
 
     payload = {
@@ -95,13 +123,16 @@ def run_delta_smoke(pods: int, store: str) -> tuple[bool, dict]:
         "warm_verdicts_identical": warm_identical,
         "delta_verdicts_identical_to_full": delta_identical,
         "neighbourhood_bounded": neighbourhood_bounded,
+        "edit_stream": stream,
+        "edit_stream_verdicts_identical_to_full": stream_identical,
         "ok": ok,
     }
     print(
         f"{instance.name}: cold {cold_seconds:.3f}s, warm {warm_seconds:.3f}s "
         f"({warm.conditions_reused}/{warm.conditions_checked} reused), "
         f"edit of {poisoned!r}: delta {delta_seconds:.3f}s re-checked "
-        f"{len(rechecked_nodes)} nodes (bound {1 + max_degree}) vs full {full_seconds:.3f}s — "
+        f"{len(rechecked_nodes)} nodes (bound {1 + max_degree}) vs full {full_seconds:.3f}s, "
+        f"{len(stream)}-edit in-process stream {'identical' if stream_identical else 'DIVERGED'} — "
         f"{'ok' if ok else 'VIOLATION'}"
     )
     return ok, payload

@@ -115,10 +115,16 @@ def _query_time(node: str, width: int) -> SymBV:
         return SymBV.fresh(width, f"{VC_PREFIX}time")
 
 
+#: Route shape → variable name → the one query route of that name: interning
+#: bounds ``naming="class"`` to max-in-degree + 1 routes however many nodes
+#: read them, and gives the memos below an identity to key on.
+_QUERY_ROUTES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _query_route(
     network: Any, owner: str, naming: str = "sender", position: int | None = None
 ) -> Any:
-    """A symbolic route for one query, named per the ``naming`` scheme.
+    """The symbolic route of one query, named per the ``naming`` scheme.
 
     With ``naming="sender"`` the route is named after the node that
     (conceptually) sends it — not the (sender, receiver) edge — which makes
@@ -136,8 +142,82 @@ def _query_route(
         suffix = "%self" if position is None else f"%{position}"
     else:
         raise VerificationError(f"unknown naming scheme {naming!r}; choose one of {NAMING_SCHEMES}")
-    with exact_names():
-        return network.route_shape.fresh(f"{VC_PREFIX}route.{suffix}")
+    routes = _QUERY_ROUTES.setdefault(network.route_shape, {})
+    route = routes.get(suffix)
+    if route is None:
+        with exact_names():
+            route = routes[suffix] = network.route_shape.fresh(f"{VC_PREFIX}route.{suffix}")
+    return route
+
+
+@dataclass(frozen=True, eq=False)
+class NodePolicy:
+    """Everything in one node's conditions that does not depend on annotations."""
+
+    initial: Any
+    own_route: Any
+    own_shape: SymBool
+    #: In-neighbour → its query route, in predecessor order.
+    neighbor_routes: dict[str, Any]
+    neighbor_shapes: tuple[SymBool, ...]
+    #: ``network.updated_route`` over ``neighbor_routes``.
+    updated: Any
+    #: The fingerprint layer's digests of ``initial`` and ``updated``.
+    digests: dict[str, bytes] = field(default_factory=dict)
+
+
+#: ``Network`` → ``(node, naming)`` → :class:`NodePolicy`.  A network's policy
+#: is fixed at construction (an edited policy is a new ``Network``), so each
+#: node's is evaluated once per naming and shared by its conditions, its
+#: dependency fingerprint and every later run over the same network object.
+_NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Annotation object → ``(id(route), time term_id)`` → ``(route, application)``.
+#: The entry holds ``route``, so the ``id`` cannot be reused while it lives.
+_APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Hit counts of the two memos above (``fingerprint_statistics`` reports them).
+_MEMO_HITS = {"node_policies": 0, "applications": 0}
+
+
+def node_policy(network: Any, node: str, naming: str = "sender") -> NodePolicy:
+    """The memoised :class:`NodePolicy` of ``node`` under ``naming``."""
+    policies = _NODE_POLICIES.setdefault(network, {})
+    policy = policies.get((node, naming))
+    if policy is not None:
+        _MEMO_HITS["node_policies"] += 1
+        return policy
+    shape = network.route_shape
+    own_route = _query_route(network, node, naming=naming)
+    routes = {
+        neighbor: _query_route(network, neighbor, naming=naming, position=position)
+        for position, neighbor in enumerate(network.topology.predecessors(node))
+    }
+    policy = policies[node, naming] = NodePolicy(
+        initial=network.initial_route(node),
+        own_route=own_route,
+        own_shape=shape.constraint(own_route),
+        neighbor_routes=routes,
+        neighbor_shapes=tuple(shape.constraint(route) for route in routes.values()),
+        updated=network.updated_route(node, routes),
+    )
+    return policy
+
+
+def apply_annotation(predicate: Any, route: Any, time: SymBV) -> SymBool:
+    """``predicate(route, time)``, evaluated once per annotation *object*.
+
+    ``route`` must be long-lived (an interned query route or a memoised
+    policy's route): the memo keeps it alive.
+    """
+    applications = _APPLICATIONS.setdefault(predicate, {})
+    key = (id(route), time.term.term_id)
+    cached = applications.get(key)
+    if cached is None:
+        cached = applications[key] = (route, predicate(route, time))
+    else:
+        _MEMO_HITS["applications"] += 1
+    return cached[1]
 
 
 @dataclass
@@ -241,14 +321,15 @@ def _network_symbolics(annotated: AnnotatedNetwork) -> tuple[SymBool, dict[str, 
     return assumptions, values
 
 
-def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
-    """``I_v ∈ A(v)(0)`` (equation 5)."""
-    network = annotated.network
+def initial_condition(
+    annotated: AnnotatedNetwork, node: str, naming: str = "sender"
+) -> VerificationCondition:
+    """``I_v ∈ A(v)(0)`` (equation 5); ``naming`` only selects the policy memo."""
     width = annotated.time_width()
     assumptions, symbolics = _network_symbolics(annotated)
-    initial_route = network.initial_route(node)
+    initial_route = node_policy(annotated.network, node, naming).initial
     zero = SymBV.constant(0, width)
-    goal = annotated.interface(node)(initial_route, zero)
+    goal = apply_annotation(annotated.interface(node), initial_route, zero)
     return VerificationCondition(
         node=node,
         kind=INITIAL,
@@ -265,7 +346,6 @@ def inductive_condition(
     """The inductive condition (equation 6), optionally with bounded delay."""
     if delay < 0:
         raise VerificationError(f"delay must be non-negative, got {delay}")
-    network = annotated.network
     width = annotated.time_width(delay)
     precondition, symbolics = _network_symbolics(annotated)
 
@@ -278,20 +358,22 @@ def inductive_condition(
     # conjunct per symbolic, and `acc & part` would re-flatten it per part.
     conjuncts = [precondition, time_variable <= max_time - delay - 1]
 
-    neighbor_routes: dict[str, Any] = {}
-    for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, neighbor, naming=naming, position=position)
-        neighbor_routes[neighbor] = route
-        conjuncts.append(network.route_shape.constraint(route))
+    policy = node_policy(annotated.network, node, naming)
+    neighbor_routes = policy.neighbor_routes
+    for (neighbor, route), shape in zip(neighbor_routes.items(), policy.neighbor_shapes):
+        conjuncts.append(shape)
         interface = annotated.interface(neighbor)
         # With delay d, the route may have been sent at any of t, t+1, ..., t+d.
         conjuncts.append(
-            any_of(interface(route, time_variable + step) for step in range(delay + 1))
+            any_of(
+                apply_annotation(interface, route, time_variable + step)
+                for step in range(delay + 1)
+            )
         )
     assumptions = all_of(conjuncts)
 
-    new_route = network.updated_route(node, neighbor_routes)
-    goal = annotated.interface(node)(new_route, time_variable + (delay + 1))
+    new_route = policy.updated
+    goal = apply_annotation(annotated.interface(node), new_route, time_variable + (delay + 1))
 
     return VerificationCondition(
         node=node,
@@ -310,20 +392,20 @@ def safety_condition(
     annotated: AnnotatedNetwork, node: str, naming: str = "sender"
 ) -> VerificationCondition:
     """``A(v)(t) ⊆ P(v)(t)`` for all times ``t`` (equation 7)."""
-    network = annotated.network
     width = annotated.time_width()
     precondition, symbolics = _network_symbolics(annotated)
 
     time_variable = _query_time(node, width)
-    route = _query_route(network, node, naming=naming)
+    policy = node_policy(annotated.network, node, naming)
+    route = policy.own_route
     assumptions = all_of(
         [
             precondition,
-            network.route_shape.constraint(route),
-            annotated.interface(node)(route, time_variable),
+            policy.own_shape,
+            apply_annotation(annotated.interface(node), route, time_variable),
         ]
     )
-    goal = annotated.node_property(node)(route, time_variable)
+    goal = apply_annotation(annotated.node_property(node), route, time_variable)
 
     return VerificationCondition(
         node=node,
@@ -343,7 +425,7 @@ def node_conditions(
     if naming not in NAMING_SCHEMES:
         raise VerificationError(f"unknown naming scheme {naming!r}; choose one of {NAMING_SCHEMES}")
     return [
-        initial_condition(annotated, node),
+        initial_condition(annotated, node, naming=naming),
         inductive_condition(annotated, node, delay=delay, naming=naming),
         safety_condition(annotated, node, naming=naming),
     ]

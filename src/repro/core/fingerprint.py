@@ -41,6 +41,23 @@ and the resulting term is digested.  This assumes annotations are pure term
 builders — the same assumption the rest of the pipeline already makes, since
 conditions are rebuilt from the same callables on every run and compared by
 term identity in the symmetry layer.
+
+**Memoised parts, and why they cannot produce a stale pass.**  A dependency
+fingerprint is Merkle-shaped — shared header ‖ own-annotation parts ‖ policy
+parts ‖ one part per in-edge — and every part is read from the memos of
+:mod:`repro.core.conditions` (``node_policy``, ``apply_annotation``), the very
+objects the condition builders read.  A warm in-process run therefore
+evaluates only parts whose key *object* is new — O(edited nodes + their
+successors) — and stays sound because: (i) keys are live objects in weak-key
+maps (the ``Network``, the annotation, the route shape), and a route keyed by
+``id`` is held by its own entry, so no key can be recycled while an entry
+exists; (ii) no value references its key, so an entry dies with it; (iii) a
+value is a function of its key object and of query variables fixed by
+``(route_shape, naming, position, width)``, under the pure-term-builder
+assumption above; (iv) every edit is a new key — a replaced interface is a
+new annotation object, an edited policy a new ``Network`` — and misses.
+Nothing is shared across processes: a closure has no identity cheaper than
+evaluating it, so a fresh process pays one evaluation per node and naming.
 """
 
 from __future__ import annotations
@@ -53,11 +70,17 @@ from repro.core.conditions import (
     CONDITION_KINDS,
     DestinationCanonicalizer,
     IneligibleDestination,
+    NodePolicy,
     VerificationCondition,
-    _query_route,
+    _APPLICATIONS,
+    _MEMO_HITS,
+    _NODE_POLICIES,
+    _QUERY_ROUTES,
     _query_time,
+    apply_annotation,
     canonical_node_conditions,
     destination_variable,
+    node_policy,
 )
 from repro.errors import VerificationError
 from repro.smt.sorts import BitVecSort, BoolSort, Sort
@@ -339,13 +362,11 @@ def _dependency_digest(
             term = rewrite(term)
         return fingerprint_term(term).encode("ascii")
 
-    network = annotated.network
     width = annotated.time_width(delay)
-    base_width = annotated.time_width()
-
     time_variable = _query_time(node, width)
-    base_time = _query_time(node, base_width)
-    own_route = _query_route(network, node, naming="class")
+    base_time = _query_time(node, annotated.time_width())
+    policy = node_policy(annotated.network, node, "class")
+    own_route = policy.own_route
     interface = annotated.interface(node)
     node_property = annotated.node_property(node)
 
@@ -353,25 +374,30 @@ def _dependency_digest(
     # The node's own annotation, applied extensionally at both widths the
     # conditions use (initial/safety run at the base width, inductive at the
     # delay-extended width).
-    parts.append(term_digest(interface(own_route, base_time).term))
-    parts.append(term_digest(interface(own_route, time_variable).term))
-    parts.append(term_digest(node_property(own_route, base_time).term))
+    parts.append(term_digest(apply_annotation(interface, own_route, base_time).term))
+    parts.append(term_digest(apply_annotation(interface, own_route, time_variable).term))
+    parts.append(term_digest(apply_annotation(node_property, own_route, base_time).term))
     # The policy: initial route, route well-formedness, and the route update
     # over canonical per-position neighbour routes.
-    parts.append(fingerprint_value(network.initial_route(node), rewrite).encode("ascii"))
-    parts.append(term_digest(network.route_shape.constraint(own_route).term))
-    neighbor_routes: dict[str, Any] = {}
-    for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, neighbor, naming="class", position=position)
-        neighbor_routes[neighbor] = route
-        # The neighbour's interface is what the inductive condition assumes;
-        # its *name* is deliberately not part of the digest (positional
-        # canonicalization, exactly as in the conditions themselves).
-        parts.append(term_digest(annotated.interface(neighbor)(route, time_variable).term))
-    parts.append(
-        fingerprint_value(network.updated_route(node, neighbor_routes), rewrite).encode("ascii")
-    )
+    parts.append(_policy_part(policy, "initial", rewrite))
+    parts.append(term_digest(policy.own_shape.term))
+    # One part per in-edge: the neighbour's interface is what the inductive
+    # condition assumes; its *name* is deliberately not part of the digest
+    # (positional canonicalization, exactly as in the conditions themselves).
+    for neighbor, route in policy.neighbor_routes.items():
+        sent = apply_annotation(annotated.interface(neighbor), route, time_variable)
+        parts.append(term_digest(sent.term))
+    parts.append(_policy_part(policy, "updated", rewrite))
     return _digest(parts)
+
+
+def _policy_part(policy: NodePolicy, name: str, rewrite: Any) -> bytes:
+    """The digest of ``policy.<name>``, memoised on the policy in unrewritten form."""
+    if rewrite is not None:
+        return fingerprint_value(getattr(policy, name), rewrite).encode("ascii")
+    if name not in policy.digests:
+        policy.digests[name] = fingerprint_value(getattr(policy, name)).encode("ascii")
+    return policy.digests[name]
 
 
 def dependency_fingerprints(
@@ -424,10 +450,25 @@ def strategy_signature(delay: int, conditions: Sequence[str]) -> str:
 
 
 def clear_fingerprint_cache() -> None:
-    """Drop the process-local term-digest memo (for tests and benchmarks)."""
-    _TERM_DIGESTS.clear()
+    """Drop every process-local memo a fingerprint reads (for tests and benchmarks)."""
+    for memo in (_TERM_DIGESTS, _NODE_POLICIES, _APPLICATIONS, _QUERY_ROUTES):
+        memo.clear()
+    for name in _MEMO_HITS:
+        _MEMO_HITS[name] = 0
 
 
 def fingerprint_statistics() -> Mapping[str, int]:
-    """Size of the process-local digest memo (observability hook)."""
-    return {"memoised_terms": len(_TERM_DIGESTS)}
+    """Sizes and hit counts of the process-local memos (observability hook).
+
+    A dependency fingerprint assembled without evaluating anything is one
+    policy hit and in-degree + 3 application hits; a replaced interface or a
+    new ``Network`` shows as new entries instead.
+    """
+    return {
+        "memoised_terms": len(_TERM_DIGESTS),
+        "query_routes": sum(len(routes) for routes in _QUERY_ROUTES.values()),
+        "node_policies": sum(len(policies) for policies in _NODE_POLICIES.values()),
+        "node_policy_hits": _MEMO_HITS["node_policies"],
+        "applications": sum(len(entries) for entries in _APPLICATIONS.values()),
+        "application_hits": _MEMO_HITS["applications"],
+    }

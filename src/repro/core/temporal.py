@@ -161,9 +161,14 @@ def until_dynamic(
     if max_witness < 0:
         raise VerificationError(f"max_witness must be non-negative, got {max_witness}")
     after_predicate = lift(after)
+    # The witness is a function of the time term alone (in practice of its
+    # width), and can be a long ITE ladder: build it once per time term.
+    witnesses: dict[int, SymBV] = {}
 
     def evaluate(route: Any, time: SymBV) -> SymBool:
-        witness_value = witness(time)
+        witness_value = witnesses.get(time.term.term_id)
+        if witness_value is None:
+            witness_value = witnesses[time.term.term_id] = witness(time)
         before_holds = SymBool.lift(before(route))
         after_holds = after_predicate(route, time)
         return (time < witness_value).ite(before_holds, after_holds)

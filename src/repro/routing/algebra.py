@@ -50,7 +50,11 @@ class SymbolicVariable:
 
 
 class Network:
-    """A routing-algebra network instance."""
+    """A routing-algebra network instance, fixed at construction.
+
+    The verifier memoises what it derives from the policy per ``Network``
+    object: an edited policy is a new ``Network`` (as :meth:`with_symbolics` is).
+    """
 
     def __init__(
         self,
@@ -65,7 +69,7 @@ class Network:
         self.route_shape = route_shape
         self._initial_routes = initial_routes
         self._transfer_functions = transfer_functions
-        self.merge = merge
+        self._merge = merge
         self.symbolics = tuple(symbolics)
         # Symbolics are fixed from here on (``with_symbolics`` returns a new
         # instance) and every condition of every node assumes their
@@ -74,6 +78,11 @@ class Network:
         self._validate()
 
     # -- accessors ----------------------------------------------------------------
+
+    @property
+    def merge(self) -> MergeFunction:
+        """The selection function ``⊕`` (read-only)."""
+        return self._merge
 
     def initial_route(self, node: str) -> Any:
         """The initial route ``I_v`` of ``node``."""
@@ -101,7 +110,7 @@ class Network:
 
     def merge_routes(self, left: Any, right: Any) -> Any:
         """Apply the selection function ``⊕``."""
-        return self.merge(left, right)
+        return self._merge(left, right)
 
     def merge_all(self, routes: list[Any]) -> Any:
         """Fold ``⊕`` over a non-empty list of routes."""
@@ -109,7 +118,7 @@ class Network:
             raise RoutingError("merge_all needs at least one route")
         merged = routes[0]
         for route in routes[1:]:
-            merged = self.merge(merged, route)
+            merged = self._merge(merged, route)
         return merged
 
     def updated_route(self, node: str, neighbor_routes: Mapping[str, Any]) -> Any:
@@ -143,7 +152,7 @@ class Network:
             route_shape=self.route_shape,
             initial_routes=self._initial_routes,
             transfer_functions=self._transfer_functions,
-            merge=self.merge,
+            merge=self._merge,
             symbolics=self.symbolics + tuple(symbolics),
         )
 
@@ -158,7 +167,7 @@ class Network:
     def _validate(self) -> None:
         if self.topology.node_count == 0:
             raise RoutingError("networks need at least one node")
-        if not callable(self.merge):
+        if not callable(self._merge):
             raise RoutingError("merge must be callable")
         if not callable(self._initial_routes):
             missing = [v for v in self.topology.nodes if v not in self._initial_routes]

@@ -389,6 +389,7 @@ def _store_reuses(
     node: str,
     dependency: str,
     kinds: Sequence[str],
+    fingerprints: dict[str, dict[str, str]],
 ) -> bool:
     """Whether the store can supply all of ``node``'s verdicts.
 
@@ -398,15 +399,16 @@ def _store_reuses(
     recorded as proved — a reverted config edit, or a node isomorphic to one
     proved under another name — in which case the node entry is refreshed so
     the next run takes the fast path again.  A slow-path hit is reuse at its
-    soundest: the content hash *is* the query.
+    soundest: the content hash *is* the query.  The slow path leaves the
+    node's condition fingerprints in ``fingerprints`` for ``_record_delta_run``.
     """
     if store.reusable(node, dependency, kinds):
         return True
-    fingerprints = node_condition_fingerprints(
+    fingerprints[node] = node_condition_fingerprints(
         annotated, node, delay=strategy.delay, conditions=kinds
     )
-    if store.has_conditions(fingerprints, kinds):
-        store.record(node, dependency, fingerprints)
+    if store.has_conditions(fingerprints[node], kinds):
+        store.record(node, dependency, fingerprints[node])
         return True
     return False
 
@@ -418,6 +420,7 @@ def _record_delta_run(
     reports: Sequence[NodeReport],
     dependencies: Mapping[str, str],
     kinds: Sequence[str],
+    fingerprints: Mapping[str, Mapping[str, str]],
 ) -> None:
     """Record this run's fully-passing freshly-checked nodes into the store.
 
@@ -433,10 +436,10 @@ def _record_delta_run(
         observed = {result.condition for result in report.results if result.holds}
         if not report.passed or not all(kind in observed for kind in kinds):
             continue
-        fingerprints = node_condition_fingerprints(
+        recorded = fingerprints.get(report.node) or node_condition_fingerprints(
             annotated, report.node, delay=strategy.delay, conditions=kinds
         )
-        store.record(report.node, dependencies[report.node], fingerprints)
+        store.record(report.node, dependencies[report.node], recorded)
 
 
 def modular_events(
@@ -484,6 +487,8 @@ def modular_events(
 
     store: DeltaStore | None = None
     dependencies: dict[str, str] = {}
+    #: Condition fingerprints of the nodes the store's slow path looked at.
+    fingerprints: dict[str, dict[str, str]] = {}
     kinds = _delta_kinds(strategy)
     if strategy.delta == "reuse":
         # Store load and fingerprinting are part of the run (inside the wall
@@ -520,7 +525,7 @@ def modular_events(
                 representative = symmetry_class.representative
                 if not _store_reuses(
                     store, annotated, strategy, representative,
-                    dependencies[representative], kinds,
+                    dependencies[representative], kinds, fingerprints,
                 ):
                     recheck.append(symmetry_class)
                     continue
@@ -566,7 +571,7 @@ def modular_events(
     if store is not None:
         # Only on normal completion: an abandoned stream never reaches here,
         # so a half-observed run can't overwrite a good store.
-        _record_delta_run(store, annotated, strategy, reports, dependencies, kinds)
+        _record_delta_run(store, annotated, strategy, reports, dependencies, kinds, fingerprints)
         store.save()
     checked_nodes = {report.node for report in reports}
     conditions_skipped = (

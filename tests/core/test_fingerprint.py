@@ -181,6 +181,36 @@ print(json.dumps({
 """
 
 
+#: The same for a one-node edit, fingerprinted *first* in a fresh process: no
+#: memoised part of the base network exists yet.
+_EDITED_SUBPROCESS_SCRIPT = """
+import json
+from repro.core.fingerprint import dependency_fingerprints, node_condition_fingerprints
+from repro.networks import registry
+from repro.networks.benchmarks import inject_interface_failure
+
+edited, _ = inject_interface_failure(registry.build("fattree/reach", pods=4).annotated)
+print(json.dumps({
+    "conditions": {n: node_condition_fingerprints(edited, n) for n in edited.nodes},
+    "dependencies": dependency_fingerprints(edited, edited.nodes),
+}, sort_keys=True))
+"""
+
+
+def _fingerprints_from_subprocess(script: str, hash_seed: str) -> dict:
+    environment = dict(os.environ)
+    environment["PYTHONHASHSEED"] = hash_seed
+    environment["PYTHONPATH"] = (
+        str(Path(repro.__file__).resolve().parents[1])
+        + os.pathsep
+        + environment.get("PYTHONPATH", "")
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=environment, check=True
+    )
+    return json.loads(completed.stdout)
+
+
 class TestProcessIndependence:
     def test_fingerprints_identical_across_hash_seeds(self):
         """The store's keys must never depend on ``PYTHONHASHSEED``.
@@ -189,22 +219,9 @@ class TestProcessIndependence:
         different ``id()``s, dict orders and ``hash()`` values) must print
         byte-identical fingerprints — and agree with this process's own.
         """
-        source_root = str(Path(repro.__file__).resolve().parents[1])
-        outputs = []
-        for seed in ("0", "424242"):
-            environment = dict(os.environ)
-            environment["PYTHONHASHSEED"] = seed
-            environment["PYTHONPATH"] = source_root + os.pathsep + environment.get(
-                "PYTHONPATH", ""
-            )
-            completed = subprocess.run(
-                [sys.executable, "-c", _SUBPROCESS_SCRIPT],
-                capture_output=True,
-                text=True,
-                env=environment,
-                check=True,
-            )
-            outputs.append(json.loads(completed.stdout))
+        outputs = [
+            _fingerprints_from_subprocess(_SUBPROCESS_SCRIPT, seed) for seed in ("0", "424242")
+        ]
         assert outputs[0] == outputs[1]
 
         annotated = registry.build("fattree/reach", pods=4).annotated
@@ -219,3 +236,21 @@ class TestProcessIndependence:
             },
         }
         assert local == outputs[0]
+
+    def test_warm_edited_digests_equal_a_fresh_process(self):
+        """Parts memoised for the base network never leak into an edit's digest.
+
+        Here the edit is fingerprinted after the base network, sharing its
+        ``Network`` and all but one interface object (every shared part is a
+        memo hit); the subprocess fingerprints the same edit with no memo at all.
+        """
+        annotated = registry.build("fattree/reach", pods=4).annotated
+        dependency_fingerprints(annotated, annotated.nodes)
+        for node in annotated.nodes:
+            node_condition_fingerprints(annotated, node)
+        edited, _ = inject_interface_failure(annotated)
+        local = {
+            "conditions": {n: node_condition_fingerprints(edited, n) for n in edited.nodes},
+            "dependencies": dependency_fingerprints(edited, edited.nodes),
+        }
+        assert local == _fingerprints_from_subprocess(_EDITED_SUBPROCESS_SCRIPT, "7")

@@ -146,3 +146,22 @@ class TestDynamicWitness:
         assert predicate.max_witness == 4
         assert at(predicate, SHAPE.none(), 0) is True
         assert at(predicate, SHAPE.none(), 1) is False
+
+    def test_witness_is_built_once_per_time_term(self):
+        """The witness may be a long ITE ladder: one build per distinct time."""
+        widths = []
+
+        def witness(time):
+            widths.append(time.width)
+            return SymBV.constant(2, time.width)
+
+        predicate = core.until_dynamic(
+            witness, lambda r: r.is_none, core.globally(has_route), max_witness=2
+        )
+        time = SymBV.fresh(WIDTH, "t")
+        for route in (SHAPE.none(), SHAPE.some(1), SHAPE.fresh("r")):
+            predicate(route, time)
+            predicate(route, time + 1)
+        assert widths == [WIDTH, WIDTH]
+        predicate(SHAPE.none(), SymBV.fresh(WIDTH + 1, "t"))
+        assert widths == [WIDTH, WIDTH, WIDTH + 1]

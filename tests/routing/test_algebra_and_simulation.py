@@ -89,6 +89,15 @@ class TestNetworkConstruction:
             is (announcement.is_some & extra.is_none).term
         )
 
+    def test_merge_is_read_only(self):
+        """An edited policy is a new ``Network``: per-network memos rely on it."""
+        topology, shape = self._tiny()
+        network = Network(topology, shape, lambda node: shape.none(), lambda edge: (lambda r: r),
+                          merge=lambda x, y: x)
+        with pytest.raises(AttributeError):
+            network.merge = lambda x, y: y
+        assert network.with_symbolics().merge is network.merge
+
     def test_symbolic_variable_needs_name(self):
         with pytest.raises(RoutingError):
             SymbolicVariable("", SymBool.true())
