@@ -24,10 +24,11 @@ equivalence classes — via benchmark-supplied metadata hints or a generic
 canonical-form hash of each node's conditions; :func:`check_class` then
 discharges the conditions of one representative per class and propagates the
 verdict (with a positionally translated counterexample) to the remaining
-members.  All of a class is discharged in one SAT scope, so encoded clauses
-and learned clauses are shared across the entire class.  A class carrying a
-``spot_member`` additionally re-verifies that member and raises if its
-verdict disagrees with the representative's — the guard against a wrong
+members.  A class is discharged on the backend's current SAT scope, so encoded
+clauses and learned clauses are shared across the class (and with its
+neighbours in batch order, until the scope outgrows its size bound).  A class
+carrying a ``spot_member`` additionally re-verifies that member and raises if
+its verdict disagrees with the representative's — the guard against a wrong
 canonicalization or hint.  Verdicts are identical across all symmetry modes;
 only the number of discharged conditions (and the wall time) differs.
 """
@@ -69,19 +70,17 @@ def _discharge(
 
 
 def _acquire_solver(solver: Any | None, incremental: bool) -> tuple[Any | None, bool]:
-    """The backend for one node/class batch, opening a fresh SAT scope.
+    """The backend for one node/class batch.
 
     When the caller pinned no solver and asked for the incremental backend,
-    the shared per-process solver is used with a new scope: the batch's
-    conditions share the scope's clause database and learned clauses, while
-    the process solver's encoding caches persist across batches (and whole
-    runs).  The second element reports whether the checker *owns* the
-    returned backend (acquired it here rather than receiving it pinned).
+    the shared per-process solver is used as it stands: its encoding caches
+    and its current SAT scope persist across batches (and whole runs), and
+    the solver alone decides when a scope has grown enough to rotate.  The
+    second element reports whether the checker *owns* the returned backend
+    (acquired it here rather than receiving it pinned).
     """
     if solver is None and incremental:
-        solver = process_solver()
-        solver.new_scope()
-        return solver, True
+        return process_solver(), True
     return solver, False
 
 

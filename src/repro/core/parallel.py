@@ -13,9 +13,9 @@ up — the last with a :class:`RuntimeWarning`) the items run in the calling
 process, in submission order, through the very function the pool workers run
 (:func:`_check_item`).  That is the engine's sequential path, not a fallback
 beside it: it takes the caller's pinned solver (or ``None`` for the shared
-per-process one), opens a SAT scope per item on it and recovers it if the
-item raises.  Failures inside a check propagate on either schedule; masking
-them behind a silent rerun would hide real bugs.
+per-process one) and recovers it if the item raises; SAT scopes belong to the
+solver and outlive the item.  Failures inside a check propagate on either
+schedule; masking them behind a silent rerun would hide real bugs.
 
 **The pool.**  Annotated networks hold closures that do not pickle, so the
 network, the classes and the options are stashed in a module-level slot
@@ -142,11 +142,11 @@ def _check_item(
     """Check one work item in this process and measure its cache-counter delta.
 
     The single definition of a unit of engine work, run verbatim by pool
-    workers and by the one-worker schedule.  A pinned ``solver`` gets a fresh
-    SAT scope for the item and is recovered if the check raises (the checker
-    only restores backends it acquired itself, and a poisoned trail must not
-    leak into later items and runs); the delta is read off that solver, or
-    off the shared per-process one when none is pinned.
+    workers and by the one-worker schedule.  A pinned ``solver`` is recovered
+    if the check raises (the checker only restores backends it acquired
+    itself, and a poisoned trail must not leak into later items and runs);
+    the delta is read off that solver, or off the shared per-process one when
+    none is pinned.
     """
     index, kinds = item
     incremental = options["incremental"]
@@ -154,8 +154,6 @@ def _check_item(
     before = statistics() if incremental else {}
     if kinds is not None:
         options = {**options, "conditions": kinds}
-    if solver is not None:
-        solver.new_scope()
     try:
         reports = check_class(annotated, classes[index], solver=solver, **options)
     except BaseException:

@@ -206,16 +206,22 @@ def cache_statistics_table(results: Sequence[ExperimentResult]) -> str:
     reused assertion guards, SAT scopes, clauses shipped and variables
     mapped into them, learned clauses retained), so ablation claims about
     encoding reuse and shipping volume are measurable straight from the
-    CLI.  Points without counters (fresh backend, per-node parallel runs)
-    render as ``-``.
+    CLI.  ``searched`` is ``branch_variables / scope_variables``: the share
+    of the SAT instances' variables the searches could branch on, i.e. how
+    much of a shared scope a check actually saw.  Points without counters
+    (fresh backend, per-node parallel runs) render as ``-``.
     """
-    headers = ("benchmark", "nodes") + CACHE_STATISTIC_KEYS
+    headers = ("benchmark", "nodes") + CACHE_STATISTIC_KEYS + ("searched",)
     rows = []
     for result in results:
         cache = result.modular.backend_cache if result.modular is not None else None
+        searched = None
+        if cache is not None and cache.get("scope_variables"):
+            searched = cache["branch_variables"] / cache["scope_variables"]
         rows.append(
             (result.benchmark, result.nodes)
             + tuple(None if cache is None else cache.get(key, 0) for key in CACHE_STATISTIC_KEYS)
+            + (searched,)
         )
     return format_table(headers, rows)
 

@@ -14,6 +14,7 @@ one Python list per clause.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
 from repro.errors import SolverError
@@ -66,6 +67,10 @@ class Cnf:
         #: ``offsets[i]`` is where clause ``i`` starts in :attr:`literals`;
         #: the final entry is ``len(literals)``.
         self.offsets = array("i", [0])
+        #: ``var_marks[v]`` is :attr:`num_clauses` when variable ``v`` was
+        #: allocated (nondecreasing; entry 0 pads the 1-based numbering), see
+        #: :meth:`span_variables`.
+        self.var_marks = array("i", [0])
         #: Maps the original boolean variable name to its CNF variable index.
         self.name_to_var: dict[str, int] = {}
         #: Inverse of :attr:`name_to_var`.
@@ -75,6 +80,7 @@ class Cnf:
         """Allocate a fresh variable, optionally registering a source name."""
         self.num_vars += 1
         index = self.num_vars
+        self.var_marks.append(self.num_clauses)
         if name is not None:
             if name in self.name_to_var:
                 raise SolverError(f"variable name {name!r} already allocated")
@@ -125,6 +131,17 @@ class Cnf:
         base = offsets[start]
         ends = [offset - base for offset in offsets[start + 1 : end + 1]]
         return self.literals[base : offsets[end]], ends
+
+    def span_variables(self, start: int, end: int) -> range:
+        """The variables allocated after clause ``start - 1`` and before clause ``end - 1``.
+
+        An encoder that allocates a gate's variable right before the gate's
+        defining clauses gets, for the clause range a term's encoding emitted,
+        the gate variables of that term and its first-encoded subterms (plus
+        any input variables first named in between).
+        """
+        marks = self.var_marks
+        return range(bisect_left(marks, start, 1), bisect_left(marks, end, 1))
 
     def to_dimacs(self) -> str:
         """Render the formula in DIMACS CNF format (useful for debugging)."""

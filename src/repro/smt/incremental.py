@@ -20,25 +20,55 @@ natural lifetimes and persists each part as long as it stays valid:
   clause ``¬a ∨ lit(t)`` — permanently.  A ``check`` assumes the activation
   literals of the currently active frames; ``pop`` simply stops assuming
   them, and re-asserting the same term later reuses the same guard for free.
-* **SAT instances are scoped, and cones ship as ranges.**  Clauses are fed
-  to the CDCL core on demand.  A cone is a sorted list of disjoint
-  ``[start, end)`` clause-index ranges over the flat CNF
-  (:class:`~repro.smt.cnf.Cnf`), and a scope remembers what it has received
-  in the same shape, so each ``check`` finds the not-yet-shipped part of its
-  active assertions' cones by interval subtraction.  Every such gap is one
-  slice of the CNF's literal array: it is renumbered densely for the scope
-  in one pass (new variables numbered in first-occurrence order, the whole
-  slice turned over through a signed literal map) and handed to
-  :meth:`CdclSolver.add_clauses <repro.smt.sat.solver.CdclSolver.add_clauses>`
-  in one call — no per-clause Python call chain.  Within a scope the solver
-  object, its clause database and its learned clauses persist across checks
-  — that is what amortises the three verification conditions of a node.
-  :meth:`new_scope` rotates in a fresh, empty SAT instance; the encoding
-  caches are untouched, so the next check pays only the clause shipping,
-  never re-encoding.  Scoping is what keeps a long-lived backend healthy: a
-  single ever-growing SAT database would drag every historical query's
-  clauses through propagation forever, which is measurably *slower* than
-  fresh instances.
+* **A SAT scope is a size-bounded window over the batch order, and cones
+  ship as ranges.**  Clauses are fed to the CDCL core on demand.  A cone is
+  a sorted list of disjoint ``[start, end)`` clause-index ranges over the
+  flat CNF (:class:`~repro.smt.cnf.Cnf`); a scope keeps one flag per CNF
+  clause, so each ``check`` finds the not-yet-shipped part of its active
+  assertions' cones as the runs of clear flags inside those ranges.  Every
+  such gap is one slice of the CNF's literal array: it is renumbered densely
+  for the scope in one pass (new variables numbered in first-occurrence
+  order, the whole slice turned over through a signed literal map) and
+  handed to :meth:`CdclSolver.add_clauses
+  <repro.smt.sat.solver.CdclSolver.add_clauses>` in one call.  The scope —
+  solver object, clause database, learned clauses — belongs to the solver,
+  not to a work item: it outlives the node, the class and the ``verify``
+  call that opened it, so a neighbour's check (and the next edit's) finds
+  most of its cone already there.  One rule retires it: a ``check`` that
+  finds more than ``max_scope_clauses`` problem clauses in the instance
+  starts a fresh one.  :meth:`new_scope` is the same rotation on demand
+  (:meth:`recover`, compaction, an abandoned stream); the encoding caches
+  are untouched either way, so the next check pays only the shipping.
+* **A search branches only inside the active cone.**  Sharing a scope
+  naively loses: the search wanders over what earlier checks left behind.
+  Measured on one 50,000-clause scope against a fresh instance per node
+  (``sat.decisions`` / run time): ``wan/reach`` 10+120 360 → 90,070
+  (1.9 → 2.6 s), ``fattree/length`` k=8 34,070 → 90,998 (5.2 → 10.1 s).
+  So ``check`` hands :meth:`CdclSolver.solve
+  <repro.smt.sat.solver.CdclSolver.solve>` the variables of the active
+  guards' cones — gate and guard variables from the clause ranges
+  (:meth:`Cnf.span_variables <repro.smt.cnf.Cnf.span_variables>`), inputs
+  recorded with the guard — as the only ones it may decide, and every
+  search starts from zero VSIDS activity; with both, the same two runs take
+  360 and 22,489 decisions (1.4 and 3.4 s; the cone alone, stale activities
+  kept: 13,599 and 23,345).  What a search inherits from the scope is
+  clauses — shipped and learned — and saved phases, nothing else.
+
+Restricting the branching is sound.  An UNSAT answer never depended on which
+variables are decided — it is a derivation from the clause database — so a
+"pass" verdict is untouched by construction.  A SAT answer is given when
+every cone variable is assigned and propagation has found no conflict.  The
+database holds Tseitin definitions, guard clauses ``¬a ∨ lit(t)`` and
+clauses entailed by those (learned, carried).  The active cone is closed
+under subterms, so each definition and active guard clause lies wholly
+inside the assigned variables and is satisfied; the assignment extends to
+the whole scope by evaluating every stale gate bottom-up from its inputs
+(unassigned stale inputs take any value) and setting every stale guard
+false, which satisfies the stale definitions and guard clauses, hence every
+entailed clause too.  Literals that propagation assigned outside the cone
+are consequences of the cone assignment, so they agree with that extension,
+and :meth:`IncrementalSolver._reconstruct_model` reads only the active
+terms' free variables, all of them cone inputs.
 
 Learned clauses within a scope survive across checks: conflict analysis
 resolves only on reason clauses (assumptions are decisions), so every
@@ -56,22 +86,27 @@ mentioning ``¬a`` are entailed by the database and simply become inert once
 (:mod:`repro.core.symmetry`) builds verification conditions with
 ``naming="class"`` (:mod:`repro.core.conditions`): query routes are named by
 predecessor *position*, so every member of a symmetry class produces the
-*identical* hash-consed terms.  For this backend that means one SAT scope
-serves the whole class — the representative's check encodes and ships the
-clause cone once, and any further member query (the ``spot-check`` mode)
-re-assumes the same activation literals against the same scope, reusing its
-clause database *and* its learned clauses outright.  The clause-cone
-filtering in :meth:`IncrementalSolver._ship` is what keeps this sharing
-safe: a scope only ever receives the clauses its active assertions need,
-however many other classes the process has encoded.  ``cache_statistics``
-exposes counters (bit-blast and Tseitin cache hits, guard reuse, scopes,
-clauses shipped and variables mapped into scopes, learned-clause retention)
-so the sharing is measurable from reports.
+*identical* hash-consed terms — a further member query (the ``spot-check``
+mode) re-assumes the same activation literals, ships nothing and reuses the
+learned clauses outright.  Neighbouring classes and nodes overlap too (the
+network precondition, shared policy terms), which is why the scope is a
+window over the batch order rather than one instance per class.  The cone
+filtering in :meth:`IncrementalSolver._ship` keeps the window small — a
+scope only ever receives clauses some active assertion needed, however much
+the process has encoded — and the cone-restricted search keeps it harmless.
+``cache_statistics`` exposes counters (bit-blast and Tseitin cache hits,
+guard reuse, scopes, clauses shipped and variables mapped into scopes,
+``branch_variables`` / ``scope_variables`` summed over solves — the share
+of an instance its searches could see — and learned-clause retention) so
+the sharing is measurable from reports.
 """
 
 from __future__ import annotations
 
 import time as _time
+from array import array
+from collections.abc import Iterator
+from itertools import starmap
 from operator import neg
 
 from repro.errors import SolverError
@@ -81,12 +116,16 @@ from repro.smt.cnf import Cnf
 from repro.smt.model import Model
 from repro.smt.sat.solver import CdclSolver, SatStatus
 from repro.smt.solver import GLOBAL_STATISTICS, CheckResult, SolverStatistics
-from repro.smt.terms import Term, free_variables, iter_subterms
+from repro.smt.terms import OP_VAR, Term, free_variables, iter_subterms
 from repro.smt.tseitin import TseitinEncoder
 
 #: The process-wide bit-blaster.  Terms are hash-consed globally, so blasted
 #: results are valid in every solver instance and never need recomputing.
 _PROCESS_BLASTER = BitBlaster()
+
+#: A guard-table entry: the activation variable, the cone's clause ranges
+#: and the CNF variables of the cone's inputs.
+_Guard = tuple[int, tuple[tuple[int, int], ...], array]
 
 #: Guard-table sentinels for assertions that blast to a constant.
 _ALWAYS_SAT = "true"
@@ -98,20 +137,28 @@ class IncrementalSolver:
 
     The public protocol mirrors the stateless facade — ``add``, ``push``,
     ``pop``, ``check`` — so :func:`repro.smt.solver.prove` and
-    :func:`repro.smt.solver.check_sat` accept either backend.  Callers that
-    batch related queries (the modular checker runs a node's three
-    verification conditions back to back) bracket each batch with
-    :meth:`new_scope` so the underlying SAT instance stays small while the
-    batch shares its clause database and learned clauses.
+    :func:`repro.smt.solver.check_sat` accept either backend.  Callers never
+    manage SAT scopes: consecutive queries (a node's three conditions, the
+    next node's, the next run's) share the current instance until it has
+    outgrown ``max_scope_clauses``.
 
     ``max_variables`` bounds the retained CNF: when the solver is fully
     popped and the variable count exceeds the bound, the CNF, encoder and
     guard table are rebuilt from scratch.  The process-wide bit-blasting
     cache is unaffected, so even a compacted solver re-encodes cheaply.
-    ``max_scope_clauses`` is a safety valve for callers that never rotate
-    scopes themselves: a check whose SAT instance has outgrown the bound
-    starts a fresh scope automatically (always safe — each check re-ships
-    the cone it needs).
+    ``max_scope_clauses`` is the one rotation rule: a check whose SAT
+    instance has outgrown the bound starts a fresh scope (always safe —
+    each check re-ships the cone it needs).  The default trades shipping
+    and re-learning against the memory of a bigger live instance (~250
+    bytes per clause); spine contract calls, parent (a scope per node) →
+    15,000 / 25,000 / 50,000: ``sp_reach_edit_stream`` ``verify_s`` 1.35 →
+    0.93 / 0.76 / 0.89 s, ``sp_length_search`` 5.15 → 3.96 / 3.34 / 3.40 s,
+    ``peak_rss_mb`` on ``sp_length_search`` (53 MiB) +1.1 % / +2.9 % /
+    +13.7 % and on ``wan_reach_build`` (48 MiB) +1.2 % / +4.1 % / +14.6 %.
+    25,000 is the largest of the three that keeps every workload within
+    +8 % (the worst, ``sp_reach_parallel2``, reads +4.8 %), and the smallest
+    that holds the re-checked neighbourhood of a one-node edit on the k=12
+    fattree (~21,000 clauses).
 
     ``persist_learned`` carries learned clauses *across* scope rotations
     (they are dropped with the retiring SAT instance otherwise).  At
@@ -138,7 +185,7 @@ class IncrementalSolver:
     def __init__(
         self,
         max_variables: int = 500_000,
-        max_scope_clauses: int = 50_000,
+        max_scope_clauses: int = 25_000,
         persist_learned: bool = False,
         max_carried_clauses: int = 4096,
         max_carried_literals: int = 16,
@@ -152,8 +199,9 @@ class IncrementalSolver:
         self._frames: list[list[Term]] = [[]]
         self._cnf = Cnf()
         self._encoder = TseitinEncoder(self._cnf)
-        #: term_id -> (guard variable, cone clause spans) or a sentinel.
-        self._guards: dict[int, tuple[int, tuple[tuple[int, int], ...]] | str] = {}
+        #: term_id -> (guard variable, cone clause spans, cone input
+        #: variables) or a sentinel.
+        self._guards: dict[int, _Guard | str] = {}
         #: How often the retained encoding state was rebuilt (observability).
         self.compactions = 0
         #: Guard-table counters: a hit means an assertion's encoded clause
@@ -178,9 +226,13 @@ class IncrementalSolver:
         #: Clauses shipped / variables mapped into SAT scopes (cumulative).
         self.clauses_shipped = 0
         self.variables_mapped = 0
+        #: Variables the searches could branch on / held in the scope, summed
+        #: over solves: their ratio is the share of the instance a search saw.
+        self.branch_variables = 0
+        self.scope_variables = 0
         self._sat = CdclSolver()
-        #: Clause-index ranges the current scope holds (sorted, disjoint).
-        self._shipped: tuple[tuple[int, int], ...] = ()
+        #: One flag per CNF clause: does the current scope hold it?
+        self._shipped = bytearray()
         #: Signed CNF literal -> scope-local literal, both polarities.
         self._literal_map: dict[int, int] = {}
 
@@ -231,7 +283,7 @@ class IncrementalSolver:
         self._retired_learned += self._sat.statistics["learned"]
         self._retired_deleted += self._sat.statistics["deleted"]
         self._sat = CdclSolver()
-        self._shipped = ()
+        self._shipped = bytearray()
         self._literal_map = {}
         self._carried_injected = set()
         self._carried_checked_at = -1
@@ -335,6 +387,8 @@ class IncrementalSolver:
             "scopes": self.scopes,
             "clauses_shipped": self.clauses_shipped,
             "variables_mapped": self.variables_mapped,
+            "branch_variables": self.branch_variables,
+            "scope_variables": self.scope_variables,
             "clauses_learned": learned,
             "clauses_deleted": deleted,
             "learned_retained": learned - deleted,
@@ -387,6 +441,7 @@ class IncrementalSolver:
         sat_before = dict(self._sat.statistics)
 
         assumptions: list[int] = []
+        cone: set[int] = set()
         seen_guards: set[int] = set()
         trivially_unsat = False
         for term in terms:
@@ -396,19 +451,25 @@ class IncrementalSolver:
                 break
             if entry == _ALWAYS_SAT:
                 continue
-            guard, spans = entry
+            guard, spans, inputs = entry
             if guard in seen_guards:
                 continue
             seen_guards.add(guard)
             self._ship(spans)
             assumptions.append(self._literal_map[guard])
+            cone.update(inputs, *starmap(self._cnf.span_variables, spans))
 
         if trivially_unsat:
             status = SatStatus.UNSAT
         else:
             if self.persist_learned and self._carried:
                 self._inject_carried()
-            status = self._sat.solve(assumptions=assumptions, timeout=timeout)
+            # Ascending scope numbering is (nearly) encoding order, the
+            # order a fresh instance would try equally active variables in.
+            branch = sorted(filter(None, map(self._literal_map.get, cone)))
+            self.branch_variables += len(branch)
+            self.scope_variables += self._sat.num_vars
+            status = self._sat.solve(assumptions=assumptions, timeout=timeout, branch=branch)
 
         elapsed = _time.perf_counter() - started
         sat_after = self._sat.statistics if not trivially_unsat else sat_before
@@ -427,8 +488,8 @@ class IncrementalSolver:
 
     # -- internals ----------------------------------------------------------------
 
-    def _activate(self, term: Term) -> tuple[int, tuple[tuple[int, int], ...]] | str:
-        """The guard and clause cone of ``term``, encoding it on first use."""
+    def _activate(self, term: Term) -> _Guard | str:
+        """The guard and the cone of ``term``, encoding it on first use."""
         entry = self._guards.get(term.term_id)
         if entry is not None:
             self.guard_hits += 1
@@ -448,13 +509,18 @@ class IncrementalSolver:
             # The cone: every clause emitted for any subterm of the blasted
             # goal, whether it was first encoded just now or by an earlier
             # query.  (Spans of subterms encoded within a larger span merely
-            # overlap it; _merge_spans folds them into disjoint ranges, the
-            # shape _ship subtracts the scope's shipped ranges from.)
+            # overlap it; _merge_spans folds them into disjoint ranges.)
+            # Its variables are the gate (and guard) variables allocated
+            # along with those clauses (Cnf.span_variables) plus the inputs,
+            # which keep the number they got wherever they were first named.
+            inputs = array("i")
             for subterm in iter_subterms(blasted):
                 span = self._encoder.clause_span(subterm.term_id)
-                if span is not None and span[0] < span[1]:
+                if span is not None:
                     spans.append(span)
-            entry = (guard, _merge_spans(spans))
+                elif subterm.op == OP_VAR:
+                    inputs.append(self._cnf.name_to_var[subterm.payload])
+            entry = (guard, _merge_spans(spans), inputs)
         self._guards[term.term_id] = entry
         return entry
 
@@ -464,17 +530,12 @@ class IncrementalSolver:
         ``spans`` is a cone as :func:`_merge_spans` leaves it (sorted,
         disjoint).  CNF variables are renumbered densely per scope, in order
         of first occurrence, so the SAT instance only ever sees the variables
-        its own clauses mention — a query's cost does not grow with the
-        amount of unrelated structure the encoder has accumulated.
+        its own clauses mention.
         """
-        gaps = _subtract_spans(spans, self._shipped)
-        if not gaps:
-            return
-        self._shipped = _merge_spans([*self._shipped, *gaps])
         cnf = self._cnf
         literal_map = self._literal_map
         load = self._sat.add_clauses
-        for start, end in gaps:
+        for start, end in self._claim_gaps(spans):
             literals, ends = cnf.span(start, end)
             fresh = [v for v in dict.fromkeys(map(abs, literals)) if v not in literal_map]
             first = len(literal_map) // 2 + 1
@@ -484,6 +545,20 @@ class IncrementalSolver:
             load(list(map(literal_map.__getitem__, literals)), ends)
             self.clauses_shipped += end - start
             self.variables_mapped += len(fresh)
+
+    def _claim_gaps(self, spans: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+        """Flag and yield the runs of ``spans`` the scope does not hold yet, ascending."""
+        shipped = self._shipped
+        shipped.extend(bytes(self._cnf.num_clauses - len(shipped)))
+        for low, high in spans:
+            start = shipped.find(0, low, high)
+            while start != -1:
+                end = shipped.find(1, start, high)
+                if end == -1:
+                    end = high
+                shipped[start:end] = b"\x01" * (end - start)
+                yield start, end
+                start = shipped.find(0, end, high)
 
     def _reconstruct_model(self, terms: list[Term]) -> Model:
         """Rebuild a model over the original variable names of ``terms``.
@@ -527,31 +602,6 @@ def _merge_spans(spans: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
-def _subtract_spans(
-    spans: tuple[tuple[int, int], ...], covered: tuple[tuple[int, int], ...]
-) -> list[tuple[int, int]]:
-    """The parts of ``spans`` outside ``covered``, in ascending order.
-
-    Both arguments are sorted lists of disjoint ``[start, end)`` ranges, so
-    one forward pass over each suffices.
-    """
-    gaps: list[tuple[int, int]] = []
-    index = 0
-    for start, end in spans:
-        while index < len(covered) and covered[index][1] <= start:
-            index += 1
-        position = index
-        while start < end and position < len(covered) and covered[position][0] < end:
-            covered_start, covered_end = covered[position]
-            if covered_start > start:
-                gaps.append((start, covered_start))
-            start = covered_end
-            position += 1
-        if start < end:
-            gaps.append((start, end))
-    return gaps
-
-
 # -- the shared per-process instance ---------------------------------------------
 
 _PROCESS_SOLVER: IncrementalSolver | None = None
@@ -563,7 +613,7 @@ def process_solver() -> IncrementalSolver:
     The modular checker routes every verification condition it discharges
     through this instance (one per worker process under ``fork``-based
     parallelism), so encoding work is amortised across all nodes a worker
-    checks, and each node's three conditions share a SAT scope.
+    checks, and consecutive nodes and runs share its SAT scope.
     """
     global _PROCESS_SOLVER
     if _PROCESS_SOLVER is None:

@@ -8,6 +8,8 @@ current position inside the heap array.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 
 class ActivityHeap:
     """Max-heap of variable indices keyed by an external activity array."""
@@ -31,16 +33,14 @@ class ActivityHeap:
         self._positions[variable] = len(self._heap) - 1
         self._sift_up(len(self._heap) - 1)
 
-    def extend(self, variables: range) -> None:
-        """Insert absent variables whose activity is zero.
+    def rebuild(self, variables: Iterable[int]) -> None:
+        """Replace the contents with ``variables`` (distinct, equally active).
 
-        Activities are never negative, so a zero-activity variable cannot
-        outrank any parent: appending in order is exactly what repeated
-        :meth:`push` would do, without the per-variable sift.
+        Among equals any order is a valid heap, so the given one is kept and
+        nothing is sifted.
         """
-        start = len(self._heap)
-        self._heap.extend(variables)
-        self._positions.update(zip(variables, range(start, len(self._heap))))
+        self._heap = list(variables)
+        self._positions = dict(zip(self._heap, range(len(self._heap))))
 
     def pop(self) -> int:
         """Remove and return the variable with the highest activity."""

@@ -24,6 +24,10 @@ from repro.smt.terms import (
 )
 
 
+#: Clause indices live in ``array('i')`` offsets, so 32 bits hold any of them.
+_SPAN_BITS = 32
+
+
 class TseitinEncoder:
     """Encodes boolean terms into a shared :class:`Cnf` instance.
 
@@ -38,7 +42,9 @@ class TseitinEncoder:
     def __init__(self, cnf: Cnf | None = None) -> None:
         self.cnf = cnf if cnf is not None else Cnf()
         self._literal_cache: dict[int, int] = {}
-        self._clause_spans: dict[int, tuple[int, int]] = {}
+        #: term_id -> ``start << _SPAN_BITS | end``: one int per term, a
+        #: quarter of the memory of a tuple of two (there is an entry per gate).
+        self._clause_spans: dict[int, int] = {}
         self._true_literal: int | None = None
         #: Memoisation counters, surfaced by the incremental backend's
         #: ``cache_statistics`` (a hit means a subterm's CNF was reused).
@@ -64,7 +70,8 @@ class TseitinEncoder:
         start = self.cnf.num_clauses
         literal = self._encode(term)
         self._literal_cache[term.term_id] = literal
-        self._clause_spans[term.term_id] = (start, self.cnf.num_clauses)
+        if start < self.cnf.num_clauses:
+            self._clause_spans[term.term_id] = start << _SPAN_BITS | self.cnf.num_clauses
         return literal
 
     def clause_span(self, term_id: int) -> tuple[int, int] | None:
@@ -73,9 +80,14 @@ class TseitinEncoder:
         The range covers the defining clauses of the term and of every
         subterm that was first encoded while encoding it; subterms shared
         with earlier encodings carry their own (earlier) spans.  ``None`` for
-        terms this encoder has never seen.
+        terms whose encoding emitted no clause (variables, negations of
+        encoded terms: not worth an entry each) and for terms this encoder
+        has never seen.
         """
-        return self._clause_spans.get(term_id)
+        packed = self._clause_spans.get(term_id)
+        if packed is None:
+            return None
+        return packed >> _SPAN_BITS, packed & ((1 << _SPAN_BITS) - 1)
 
     # -- encoding ---------------------------------------------------------------
 

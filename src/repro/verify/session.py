@@ -452,8 +452,8 @@ def modular_events(
     rest to :func:`repro.core.parallel.iter_class_batches` (``parallel=1`` is
     its one-worker schedule, pinned to the session solver).  Batches are
     yielded as they complete — parallel batches arrive in completion order,
-    the moment each worker finishes — and each opens a fresh SAT scope on its
-    backend.  Final reports are re-sorted to the deterministic node selection
+    the moment each worker finishes — and share their backend's SAT scope
+    with their neighbours until it outgrows its size bound.  Final reports are re-sorted to the deterministic node selection
     order regardless of completion order, and the per-batch cache deltas are
     summed into ``backend_cache``.
 
@@ -559,11 +559,9 @@ def modular_events(
         order = {node: index for index, node in enumerate(selected)}
         reports.sort(key=lambda report: order[report.node])
     except GeneratorExit:
-        # The consumer abandoned the stream mid-run.  A completed batch
-        # leaves its SAT scope open on the pinned solver (the next batch
-        # would have rotated it); without recovery the abandoned scope —
-        # and, after a mid-batch close, possibly a dangling assertion
-        # frame — would leak into the next run on this session.
+        # The consumer abandoned the stream mid-run, possibly mid-batch:
+        # without recovery a dangling assertion frame (and a scope a check
+        # was interrupted in) would leak into the next run on this session.
         if solver is not None:
             solver.recover()
         raise

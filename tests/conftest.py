@@ -63,6 +63,24 @@ def check_classes():
 
 
 @pytest.fixture
+def assert_scopes_follow_size():
+    """The one rotation rule, as a check on a cache-statistics delta.
+
+    A SAT scope retires only once it has outgrown ``max_scope_clauses`` — never
+    at a node, class or run boundary — so the scopes a run opens are bounded
+    by the clauses it shipped, whatever the number of work items.
+    """
+    from repro.smt.incremental import IncrementalSolver
+
+    default = IncrementalSolver().max_scope_clauses
+
+    def check(cache, bound=default):
+        assert 0 <= cache["scopes"] <= cache["clauses_shipped"] // bound + 1
+
+    return check
+
+
+@pytest.fixture
 def no_process_pool(monkeypatch):
     """Simulate a platform whose ``fork`` context cannot set up a pool."""
     import multiprocessing

@@ -108,20 +108,22 @@ class TestParallelRunner:
         }
         return core.annotate(network, interfaces)
 
-    def test_parallel_runner_returns_one_report_per_node(self, check_classes):
+    def test_parallel_runner_returns_one_report_per_node(self, check_classes, assert_scopes_follow_size):
         annotated = self._annotated()
         reports, totals = check_classes(annotated, singleton_classes(annotated.nodes), jobs=2)
         # Reports come back in node order regardless of completion order,
         # and the workers' cache deltas are summed for the caller.
         assert tuple(report.node for report in reports) == annotated.nodes
         assert all(report.passed for report in reports)
-        assert totals is not None and totals["scopes"] == len(annotated.nodes)
+        assert totals is not None and totals["guard_hits"] + totals["guard_misses"] > 0
+        assert_scopes_follow_size(totals)
 
-    def test_single_job_runs_in_process(self, check_classes):
+    def test_single_job_runs_in_process(self, check_classes, assert_scopes_follow_size):
         annotated = self._annotated()
         reports, totals = check_classes(annotated, singleton_classes(("n1",)), jobs=1)
         assert len(reports) == 1 and reports[0].node == "n1"
-        assert totals is not None and totals["scopes"] == 1
+        assert totals is not None
+        assert_scopes_follow_size(totals)
         assert multiprocessing.active_children() == []
 
     def test_counterexamples_survive_the_process_boundary(self):
@@ -134,7 +136,9 @@ class TestParallelRunner:
         assert not report.passed
         assert report.counterexamples()
 
-    def test_pool_setup_failure_warns_and_degrades_to_sequential(self, no_process_pool, check_classes):
+    def test_pool_setup_failure_warns_and_degrades_to_sequential(
+        self, no_process_pool, check_classes, assert_scopes_follow_size
+    ):
         annotated = self._annotated()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             reports, totals = check_classes(
@@ -145,13 +149,15 @@ class TestParallelRunner:
         # The degraded run executed in-process, where the cache counters are
         # observable — it must report deltas exactly like the pool path.
         assert totals is not None
-        assert totals["scopes"] == len(annotated.nodes)
+        assert_scopes_follow_size(totals)
         # Guard-table lookups happen on every assertion, so a degraded run
         # always reports activity (tseitin counters can be all-hits-elsewhere
         # when an earlier run in this process already encoded the terms).
         assert totals["guard_hits"] + totals["guard_misses"] > 0
 
-    def test_degraded_parallel_run_still_reports_backend_cache(self, no_process_pool):
+    def test_degraded_parallel_run_still_reports_backend_cache(
+        self, no_process_pool, assert_scopes_follow_size
+    ):
         """A parallel>1 engine run that silently degrades to sequential must
         not lose the cache statistics the in-process run can observe."""
         annotated = self._annotated()
@@ -159,7 +165,7 @@ class TestParallelRunner:
             report = verify(annotated, Modular(parallel=2))
         assert report.passed
         assert report.backend_cache is not None
-        assert report.backend_cache["scopes"] == len(annotated.nodes)
+        assert_scopes_follow_size(report.backend_cache)
 
     def test_worker_crashes_propagate_instead_of_rerunning_sequentially(self, check_classes):
         # A crashing interface used to be swallowed by a blanket
@@ -208,13 +214,14 @@ class TestStreamingDispatcher:
             fail_fast=True,
         )
 
-    def test_batches_carry_submission_indices_and_deltas(self):
+    def test_batches_carry_submission_indices_and_deltas(self, assert_scopes_follow_size):
         annotated = self._annotated()
         batches = list(self._batches(annotated, singleton_classes(annotated.nodes)))
         assert sorted(index for index, _, _ in batches) == list(range(len(annotated.nodes)))
         for index, reports, delta in batches:
             assert [report.node for report in reports] == [annotated.nodes[index]]
-            assert delta["scopes"] == 1
+            assert delta["guard_hits"] + delta["guard_misses"] > 0
+            assert_scopes_follow_size(delta)
         _assert_no_orphaned_workers()
 
     def test_closing_the_stream_stops_dispatch_without_orphans(self):
@@ -224,7 +231,7 @@ class TestStreamingDispatcher:
         batches.close()
         _assert_no_orphaned_workers()
 
-    def test_class_batches_drain_in_class_order(self, check_classes):
+    def test_class_batches_drain_in_class_order(self, check_classes, assert_scopes_follow_size):
         """Draining class batches returns member reports in class order with
         summed worker deltas."""
         annotated = self._annotated()
@@ -232,7 +239,8 @@ class TestStreamingDispatcher:
         reports, totals = check_classes(annotated, classes, jobs=2)
         expected = [member for cls in classes for member in cls.members]
         assert [report.node for report in reports] == expected
-        assert totals is not None and totals["scopes"] == len(classes)
+        assert totals is not None
+        assert_scopes_follow_size(totals)
         _assert_no_orphaned_workers()
 
     def test_crash_propagates_from_streaming_engine_run(self):

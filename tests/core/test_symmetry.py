@@ -60,14 +60,14 @@ class TestFattreeHints:
         )
         assert reports["classes"].symmetry_classes <= 7
 
-    def test_report_metadata_and_summary(self):
+    def test_report_metadata_and_summary(self, assert_scopes_follow_size):
         instance = registry.build("fattree/reach", pods=4).raw
         report = verify(instance.annotated, Modular(symmetry="classes"))
         assert report.symmetry == "classes"
         assert report.conditions_checked == report.conditions_discharged + report.conditions_propagated
         assert "symmetry=classes" in report.summary()
         assert report.backend_cache is not None
-        assert report.backend_cache["scopes"] == report.symmetry_classes
+        assert_scopes_follow_size(report.backend_cache)
         off = verify(instance.annotated, Modular(symmetry="off", backend="fresh"))
         assert off.backend_cache is None
         assert "symmetry" not in off.summary()
@@ -196,7 +196,7 @@ class TestGenericCanonicalHash:
 
 
 class TestParallelClasses:
-    def test_parallel_matches_sequential_with_symmetry(self):
+    def test_parallel_matches_sequential_with_symmetry(self, assert_scopes_follow_size):
         instance = registry.build("fattree/reach", pods=4).raw
         sequential = verify(instance.annotated, Modular(symmetry="classes", parallel=1))
         reset_process_solver()
@@ -205,7 +205,7 @@ class TestParallelClasses:
         assert tuple(parallel.node_reports) == instance.annotated.nodes
         assert parallel.parallelism == 4
         assert parallel.backend_cache is not None
-        assert parallel.backend_cache["scopes"] == parallel.symmetry_classes
+        assert_scopes_follow_size(parallel.backend_cache)
 
 
 class TestSolverRecovery:

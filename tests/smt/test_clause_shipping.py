@@ -1,11 +1,11 @@
-"""Clause shipping: range bookkeeping, scope numbering and the search it leaves unchanged.
+"""Clause shipping: range bookkeeping, scope numbering and the recorded search.
 
 The incremental backend ships clause cones into SAT scopes as ranges of the
-flat CNF.  These tests pin the three things that makes safe: the interval
-tracker ships exactly what the per-index ``set`` of the parent commit did,
-the scope-local numbering and the loaded clause database are the ones the
-per-clause loop produced, and the CDCL search on registry benchmarks is
-count-for-count the parent's.
+flat CNF.  These tests pin the three things that makes safe: the per-clause
+flags ship exactly what a per-index ``set`` would, the scope-local numbering
+and the loaded clause database are the ones the per-clause loop produced,
+and the CDCL search and shipped volume on registry benchmarks are
+count-for-count the recorded ones.
 """
 
 import json
@@ -27,29 +27,33 @@ from repro.verify import Modular, verify
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: ``GLOBAL_STATISTICS`` deltas and clauses shipped by ``verify(..., Modular())``
-#: in a fresh process, recorded from the parent commit 599e5d8 (PR 11) — where
-#: "shipped" is the number of ``add_clause_unchecked`` calls ``_ship`` made.
-#: They depend on nothing but the code: not on the machine, not on
-#: ``PYTHONHASHSEED``.  A change here means the search or the shipped volume
-#: moved — the machine-independent gate for "clauses shipped per check".
+#: in a fresh process.  They depend on nothing but the code: not on the
+#: machine, not on ``PYTHONHASHSEED``.  A change here means the search or the
+#: shipped volume moved — the machine-independent gate for "clauses shipped
+#: per check".  Re-recorded when scopes stopped rotating per node (with a
+#: scope per node: 59/68/1121 and 27,876 shipped on ``fattree/reach``,
+#: 742/1937/52727 and 34,949 on ``fattree/length``; now every encoded
+#: clause ships exactly once); encoded clauses, variables and checks did
+#: not move, and verdicts were shown identical to the parent commit in
+#: every mode (see CHANGES.md) before re-recording.
 GOLDEN = {
     "fattree/reach": {
-        "conflicts": 59,
-        "decisions": 68,
-        "propagations": 1121,
+        "conflicts": 49,
+        "decisions": 183,
+        "propagations": 1831,
         "clauses": 16477,
         "variables": 4156,
         "checks": 60,
-        "clauses_shipped": 27876,
+        "clauses_shipped": 16477,
     },
     "fattree/length": {
-        "conflicts": 742,
-        "decisions": 1937,
-        "propagations": 52727,
+        "conflicts": 611,
+        "decisions": 1740,
+        "propagations": 52924,
         "clauses": 20789,
         "variables": 4904,
         "checks": 60,
-        "clauses_shipped": 34949,
+        "clauses_shipped": 20789,
     },
 }
 
@@ -130,12 +134,10 @@ class TestRangeShipping:
             spans = _merge_spans([s for s in cone if s[0] < s[1]])
             solver._ship(spans)
             _reference_ship(cnf, shipped, var_map, reference, spans)
-            # The scope's ranges are sorted, disjoint and cover exactly the
-            # indices the per-index set holds.
-            ranges = solver._shipped
-            assert all(a < b for a, b in ranges)
-            assert all(ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1))
-            assert {index for a, b in ranges for index in range(a, b)} == shipped
+            # The scope's per-clause flags mark exactly the indices the
+            # per-index set holds.
+            assert len(solver._shipped) == count
+            assert {index for index, flag in enumerate(solver._shipped) if flag} == shipped
 
         # Every clause index shipped exactly once, with the same numbering...
         assert solver.clauses_shipped == len(shipped)

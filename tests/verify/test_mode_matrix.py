@@ -162,24 +162,30 @@ def test_every_mode_matches_the_reference(case, options, tmp_path):
 # Golden digests
 # ---------------------------------------------------------------------------
 
-#: sha256 of the timing-free ``to_json()`` of one sequential run, recorded
-#: from parent commit 0887dbe (the last one with separate node and class
-#: loops), one fresh subprocess per digest: hash-consed term ids — and with
-#: them the cache counters in ``backend_cache`` — depend on what the process
-#: built before, but not on the machine or on ``PYTHONHASHSEED``.
+#: sha256 of the timing-free ``to_json()`` of one sequential run, one fresh
+#: subprocess per digest: hash-consed term ids — and with them the cache
+#: counters in ``backend_cache`` — depend on what the process built before,
+#: but not on the machine or on ``PYTHONHASHSEED``.  First recorded from
+#: commit 0887dbe (the last one with separate node and class loops);
+#: re-recorded when SAT scopes stopped rotating per work item, under this
+#: rule: against the parent commit, all twelve JSONs differ in
+#: ``backend_cache`` only (scope/shipping counters moved, two counters were
+#: added), and verdicts, failing-condition names, node order, fingerprints
+#: and delta-store bytes are identical on every registry network in every
+#: symmetry × backend × parallel mode (the comparison is in CHANGES.md).
 GOLDEN = {
-    ("fattree/reach", "off"): "379607335e54a6d9ba8f74080d5a0b9819b4ed1667ee54c146076bd0d5f7722e",
-    ("fattree/reach", "classes"): "3a26936a0518e24291fbf32a80154b1df1df661228d197a336f8faf3922b982e",
-    ("fattree/reach", "spot-check"): "42361000162e9044444fd6b784633a6f1e335d6ad60c4af90f30998677232b35",
-    ("fattree/reach[all_pairs]", "off"): "660960e83bea8db2bcbbfb6f2fc6872fcf670cc72a197daacaa236938d91d1c6",
-    ("fattree/reach[all_pairs]", "classes"): "5cc8e56d6a72e5ec569fa42e8d208d216a3b912f5ac3faf1b4ce22aeb3515ef1",
-    ("fattree/reach[all_pairs]", "spot-check"): "988460cd86bcba486588d0f566a932ebcc87cb7d3a1aae0e1a4700b927475af4",
-    ("wan/reach", "off"): "3e268fe8004618b0096dfbf96054d2aa2a26b3e76d46c2ced12ce070457484e1",
-    ("wan/reach", "classes"): "88713cfdfe1ad8fae7371893e72472ecf94ba97064ea002bec90f18149d3338b",
-    ("wan/reach", "spot-check"): "d6b4ee3dbfc3d448144e27d49d07d34a2eee2233f67ddf6ced239d7947aa1107",
-    ("ghost/reach", "off"): "075d60f869198b0b069f75b8128ed0dae70cdd604e76b7a288360f48fbfcf0e3",
-    ("ghost/reach", "classes"): "bff07bf37847d1a3812ab11574331860378aea27a0b692768cf8eec2c1f5edfb",
-    ("ghost/reach", "spot-check"): "70b4171e010435d506db5812f1ec5124026ae2a83f1d58ac412b0a147147c73d",
+    ("fattree/reach", "off"): "0f8e7368b0fa71afd39fa0b8ccf6497b7a088a5a1f521fc751338a59a49c6175",
+    ("fattree/reach", "classes"): "e936c724886d45065049f0ca649acbf5d16814ea42ee33c19cdf0c5398baa196",
+    ("fattree/reach", "spot-check"): "1dadf12ba23cbff2ba5b596095ddfe6853dff036ae1e5acae0f19c48d46911e8",
+    ("fattree/reach[all_pairs]", "off"): "d2f3561450a4047ac2f1b81f71aa1405b74625c707427da4ae4f459efa53f929",
+    ("fattree/reach[all_pairs]", "classes"): "b6ab65a3ff3ae4d98bf0be7f7b14a1a6a3bf8394cd6e151db9988ffa8e7a830c",
+    ("fattree/reach[all_pairs]", "spot-check"): "63735f3ae025191f1fadcaea85d2782548f8988be008f989642e5ae44eb52950",
+    ("wan/reach", "off"): "164108f1ae358a867f4b89a70974c4da9ef6ee8d9443882bc42dcc0dbf8dbb02",
+    ("wan/reach", "classes"): "52efa2b3dd22b321ddfd8bea046c859b27e443bc2c10fd792b7aa7aab929af0b",
+    ("wan/reach", "spot-check"): "bfd803bac7b8f284d73b97b68903ba5c371ca4744b9e1d13c74f304643fa777f",
+    ("ghost/reach", "off"): "334581c6bcb9858d10235bc07c0be5775d42a0c7b1307897f9841d5af087a5fb",
+    ("ghost/reach", "classes"): "0c054c224f3fda289d2c347107022573b52553b088523665446e32ed21298eca",
+    ("ghost/reach", "spot-check"): "090c37a5a3830e865420e8f4e4b54f5a1c6744bd4566f79c829319a96300e3db",
 }
 
 GOLDEN_NETWORKS = {

@@ -65,11 +65,20 @@ class TestByteIdenticalVerdicts:
         assert condition_verdicts(report) == condition_verdicts(baseline)
 
 
+def _small_scope_solver():
+    """A persistent backend whose scopes rotate (by size) every few nodes of a k=4 fattree."""
+    from repro.smt.incremental import IncrementalSolver
+
+    return IncrementalSolver(persist_learned=True, max_scope_clauses=2000)
+
+
 class TestPersistentSessions:
     def test_learned_clauses_carry_across_scopes_and_runs(self):
         """Acceptance: a reused persistent session retains learned clauses."""
         benchmark = registry.build("fattree/reach", pods=4)
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(
+            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
+        ) as session:
             first = session.run()
             second = session.run()
         assert first.passed and second.passed
@@ -139,7 +148,9 @@ class TestPersistentSessions:
 
     def test_carry_size_gauge_is_not_differenced(self):
         benchmark = registry.build("fattree/reach", pods=4)
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(
+            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
+        ) as session:
             session.run()
             second = session.run()
         # The gauge reports the live carry-set size, not a per-run delta —
@@ -255,14 +266,19 @@ class TestStreaming:
         benchmark = registry.build("fattree/reach", pods=4)
         with Session(benchmark.annotated, Modular(backend="persistent")) as clean:
             expected = condition_verdicts(clean.run())
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(
+            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
+        ) as session:
             stream = session.stream()
             for _ in range(4):
                 next(stream)
+            scopes = session._solver.scopes
             stream.close()  # the consumer walks away mid-run
             # Abandonment recovered the pinned solver: assertion frames are
             # back at the root and a fresh scope was rotated in.
             assert len(session._solver._frames) == 1
+            assert session._solver.scopes == scopes + 1
+            assert session._solver._sat.num_clauses == 0
             first = session.run()
             second = session.run()
         assert condition_verdicts(first) == expected
@@ -312,7 +328,7 @@ class TestLiveParallelStreaming:
         assert len(events) == report.conditions_checked
         assert tuple(report.node_reports) == annotated.nodes
 
-    def test_parallel_streaming_matches_sequential_run(self):
+    def test_parallel_streaming_matches_sequential_run(self, assert_scopes_follow_size):
         """Verdicts and ordering are completion-order independent, and the
         parallel run aggregates worker cache deltas into backend_cache."""
         benchmark = registry.build("fattree/reach", pods=4)
@@ -322,8 +338,9 @@ class TestLiveParallelStreaming:
         assert condition_verdicts(sequential) == condition_verdicts(parallel)
         assert tuple(parallel.node_reports) == tuple(sequential.node_reports)
         assert parallel.backend_cache is not None
-        # One SAT scope per node batch, measured inside the workers.
-        assert parallel.backend_cache["scopes"] == len(benchmark.annotated.nodes)
+        # Measured inside the workers; scopes follow size, not node batches.
+        assert parallel.backend_cache["clauses_shipped"] > 0
+        assert_scopes_follow_size(parallel.backend_cache)
 
 
 class TestStopOnFailure:
