@@ -8,10 +8,11 @@
   bit-blasting + CDCL pipeline; the benchmark compares the CDCL core against
   the exhaustive brute-force oracle on a representative VC-sized formula, and
   measures how per-node check cost grows with route-field bit-widths.
-* **Incremental vs fresh solving.** The persistent incremental backend
+* **Incremental vs fresh solving.** The engine's incremental solver
   (:mod:`repro.smt.incremental`) amortises bit-blasting, Tseitin encoding and
   learned clauses across the verification conditions of a run; the ablation
-  compares it against fresh per-condition SAT instances on the fattree
+  compares ``verify(..., Modular())`` against a plain ``check_node`` loop on
+  the stateless facade (a fresh SAT instance per condition) on the fattree
   benchmark families and checks the verdicts are identical.
 * **Delta re-verification.** ``Modular(delta="reuse")`` keys verdicts by
   content fingerprints in an on-disk store (:mod:`repro.verify.store`); the
@@ -48,6 +49,7 @@ import pytest
 from repro import core, smt
 from repro.smt.incremental import reset_process_solver
 from repro.core.conditions import inductive_condition
+from repro.core.results import merge_reports
 from repro.networks import registry
 from repro.networks.benchmarks import COMPACT_WIDTHS
 from repro.verify import Modular, verify
@@ -134,8 +136,14 @@ ABLATION_PODS = 4
 ABLATION_ROUNDS = 3
 
 
+def _fresh_report(annotated: core.AnnotatedNetwork) -> core.ModularReport:
+    """Every node checked on the stateless facade: one SAT instance per condition."""
+    reports = [core.check_node(annotated, node, solver=smt.Solver()) for node in annotated.nodes]
+    return merge_reports(reports, wall_time=0.0, parallelism=1)
+
+
 def test_benchmark_incremental_vs_fresh_backend():
-    """Ablation row: persistent incremental backend vs fresh SAT instances.
+    """Ablation row: the incremental engine vs fresh SAT instances.
 
     Each mode runs every benchmark family ``ABLATION_ROUNDS`` times (a
     verification service re-checks the same networks as configurations
@@ -158,10 +166,10 @@ def test_benchmark_incremental_vs_fresh_backend():
         for _ in range(ABLATION_ROUNDS):
             for family, instance in instances.items():
                 started = time.perf_counter()
-                report = verify(
-                    instance.annotated,
-                    Modular(backend="incremental" if incremental else "fresh"),
-                )
+                if incremental:
+                    report = verify(instance.annotated, Modular())
+                else:
+                    report = _fresh_report(instance.annotated)
                 family_times[family].append(time.perf_counter() - started)
                 mode_verdicts[family] = core.condition_verdicts(report)
         rows[mode] = smt.GLOBAL_STATISTICS.since(before)

@@ -13,11 +13,12 @@ so the harness can report the totals, medians and 99th percentiles the paper
 plots.
 
 By default the conditions are discharged on the per-process incremental SMT
-backend (:func:`repro.smt.process_solver`): the three conditions of a class —
+solver (:func:`repro.smt.process_solver`): the three conditions of a class —
 and consecutive classes checked by the same worker — share encoded structure
-and learned clauses.  Pass ``incremental=False`` (or an explicit ``solver``)
-to fall back to a fresh SAT instance per condition; the verdicts are
-identical either way, only the cost differs (see the ablation benchmarks).
+and learned clauses.  An explicit ``solver`` pins another backend; a facade
+:class:`repro.smt.Solver` builds a fresh SAT instance per condition, which is
+how the test suite's reference run is built.  The verdicts are identical
+either way, only the cost differs (see the ablation benchmarks).
 
 **Symmetry reduction.**  :mod:`repro.core.symmetry` partitions the nodes into
 equivalence classes — via benchmark-supplied metadata hints or a generic
@@ -69,22 +70,7 @@ def _discharge(
     return results
 
 
-def _acquire_solver(solver: Any | None, incremental: bool) -> tuple[Any | None, bool]:
-    """The backend for one node/class batch.
-
-    When the caller pinned no solver and asked for the incremental backend,
-    the shared per-process solver is used as it stands: its encoding caches
-    and its current SAT scope persist across batches (and whole runs), and
-    the solver alone decides when a scope has grown enough to rotate.  The
-    second element reports whether the checker *owns* the returned backend
-    (acquired it here rather than receiving it pinned).
-    """
-    if solver is None and incremental:
-        return process_solver(), True
-    return solver, False
-
-
-def _recover_solver(solver: Any | None, owned: bool) -> None:
+def _recover_solver(solver: Any, owned: bool) -> None:
     """Reset an internally-acquired backend after an exception escaped.
 
     Without this, a crashed check (a user interface raising, an interrupted
@@ -94,11 +80,8 @@ def _recover_solver(solver: Any | None, owned: bool) -> None:
     above the root, which would destroy assertions the caller pushed for
     its own purposes — their cleanup policy is theirs to choose.
     """
-    if not owned:
-        return
-    recover = getattr(solver, "recover", None)
-    if recover is not None:
-        recover()
+    if owned:
+        solver.recover()
 
 
 def check_node(
@@ -108,7 +91,6 @@ def check_node(
     conditions: Sequence[str] = CONDITION_KINDS,
     fail_fast: bool = True,
     solver: Any | None = None,
-    incremental: bool = True,
 ) -> NodeReport:
     """Check one node's verification conditions.
 
@@ -123,7 +105,6 @@ def check_node(
         conditions=conditions,
         fail_fast=fail_fast,
         solver=solver,
-        incremental=incremental,
     )[0]
 
 
@@ -134,7 +115,6 @@ def check_class(
     conditions: Sequence[str] = CONDITION_KINDS,
     fail_fast: bool = True,
     solver: Any | None = None,
-    incremental: bool = True,
 ) -> list[NodeReport]:
     """Check one symmetry class: discharge the representative, reuse the rest.
 
@@ -144,8 +124,7 @@ def check_class(
     which returns the first counterexample it finds.
 
     ``solver`` pins the SMT backend for all of the class's conditions; when
-    omitted, the shared per-process incremental solver is used unless
-    ``incremental=False`` requests fresh per-condition SAT instances.  If a
+    omitted, the shared per-process incremental solver is used.  If a
     condition raises, the shared backend is restored to a clean state before
     the exception propagates, so subsequent checks stay sound.
 
@@ -177,7 +156,11 @@ def check_class(
     representative = symmetry_class.representative
     quotient = symmetry_class.destination
     naming = symmetry_class.naming
-    solver, owned = _acquire_solver(solver, incremental)
+    # Without a pinned solver the shared per-process one is used as it
+    # stands: its encoding caches and its current SAT scope persist across
+    # batches (and whole runs), and it alone decides when a scope rotates.
+    owned = solver is None
+    solver = solver or process_solver()
     topology = annotated.network.topology
 
     started = _time.perf_counter()

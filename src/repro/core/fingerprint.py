@@ -434,8 +434,8 @@ def strategy_signature(delay: int, conditions: Sequence[str]) -> str:
     """The store-key signature of the verdict-affecting strategy knobs.
 
     Only knobs that change *what is proved* participate: ``delay`` and the
-    requested condition kinds.  Engine knobs (symmetry, backend, parallel,
-    fail-fast) change how verdicts are computed, never the verdicts, so
+    requested condition kinds.  Engine knobs (symmetry, parallel, fail-fast)
+    change how verdicts are computed, never the verdicts, so
     stores are shared across them — a cold sequential run warms the store
     for a later parallel or symmetry-aware one.
     """

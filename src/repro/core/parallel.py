@@ -74,8 +74,7 @@ _ACTIVE: tuple[AnnotatedNetwork, Sequence[SymmetryClass], dict] | None = None
 _STOP: Any = None
 
 #: One completed class: its position in the submitted class list, the member
-#: reports, and the incremental-backend cache delta of checking it (``{}``
-#: with ``incremental=False``).
+#: reports, and the solver's cache delta of checking it.
 Batch = tuple[int, list[NodeReport], dict[str, int]]
 
 #: One work item: ``(class_index, kinds)`` where ``kinds`` is ``None`` for a
@@ -149,9 +148,8 @@ def _check_item(
     none is pinned.
     """
     index, kinds = item
-    incremental = options["incremental"]
     statistics = solver.cache_statistics if solver is not None else process_cache_statistics
-    before = statistics() if incremental else {}
+    before = statistics()
     if kinds is not None:
         options = {**options, "conditions": kinds}
     try:
@@ -160,8 +158,7 @@ def _check_item(
         if solver is not None:
             solver.recover()
         raise
-    delta = subtract_cache_statistics(statistics(), before) if incremental else {}
-    return reports, delta, os.getpid()
+    return reports, subtract_cache_statistics(statistics(), before), os.getpid()
 
 
 def _worker(item: WorkItem) -> _Outcome | None:
@@ -379,7 +376,6 @@ def iter_class_batches(
     jobs: int,
     conditions: Sequence[str],
     fail_fast: bool,
-    incremental: bool = True,
     stats: SchedulerStats | None = None,
     solver: Any | None = None,
 ) -> Iterator[Batch]:
@@ -399,7 +395,6 @@ def iter_class_batches(
         "delay": delay,
         "conditions": tuple(conditions),
         "fail_fast": fail_fast,
-        "incremental": incremental,
     }
     if stats is None:
         stats = SchedulerStats()

@@ -112,7 +112,7 @@ class ModularReport:
     #: (bit-blast and Tseitin hits/misses, SAT scopes, learned clauses —
     #: see ``IncrementalSolver.cache_statistics``).  Parallel runs sum the
     #: per-work-item deltas measured inside the workers.  ``None`` when the
-    #: run used fresh per-condition solvers.
+    #: report was merged without counters.
     backend_cache: dict[str, int] | None = None
     #: True when run-level ``stop_on_failure`` halted scheduling after the
     #: first failing batch (see :class:`repro.verify.Modular`).
@@ -389,7 +389,7 @@ def condition_verdicts(report: ModularReport) -> dict[str, list[tuple[str, bool]
     """The per-node ``(condition, holds)`` pairs of a report.
 
     A timing-free projection of the report, used to compare runs that must
-    agree on every verdict (e.g. the incremental vs fresh backend ablation).
+    agree on every verdict (e.g. every engine mode against the reference run).
     """
     return {
         node: [(result.condition, result.holds) for result in node_report.results]

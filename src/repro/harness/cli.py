@@ -49,7 +49,7 @@ from repro.harness.tables import (
     symmetry_table,
 )
 from repro.networks import registry
-from repro.verify import BACKENDS, DELTA_MODES, Modular, Monolithic, strategy
+from repro.verify import DELTA_MODES, Modular, Monolithic, strategy
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -125,12 +125,6 @@ def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
         help="seed for the spot-check member choice (with --symmetry spot-check)",
     )
     parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="incremental",
-        help="modular SMT backend (default: incremental)",
-    )
-    parser.add_argument(
         "--delta",
         choices=list(DELTA_MODES),
         default="off",
@@ -196,7 +190,6 @@ def _modular_strategy(arguments: argparse.Namespace) -> Modular:
     return strategy(
         "modular",
         symmetry=arguments.symmetry,
-        backend=arguments.backend,
         # --jobs 0 has always meant "run sequentially".
         parallel=max(1, arguments.jobs),
         stop_on_failure=arguments.stop_on_failure,
@@ -297,7 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             strategies = (_modular_strategy(arguments), _monolithic_strategy(arguments))
         except ValueError as error:
             # Strategy self-validation catches bad knob combinations argparse
-            # cannot express (e.g. --backend persistent --jobs 2); report
+            # cannot express (e.g. --delta-store without --delta reuse); report
             # them like any other usage error instead of a traceback.
             print(f"timepiece-bench: error: {error}", file=sys.stderr)
             return 2

@@ -194,7 +194,6 @@ CACHE_STATISTIC_KEYS = (
     "clauses_shipped",
     "variables_mapped",
     "learned_retained",
-    "learned_carried",
 )
 
 
@@ -208,8 +207,8 @@ def cache_statistics_table(results: Sequence[ExperimentResult]) -> str:
     encoding reuse and shipping volume are measurable straight from the
     CLI.  ``searched`` is ``branch_variables / scope_variables``: the share
     of the SAT instances' variables the searches could branch on, i.e. how
-    much of a shared scope a check actually saw.  Points without counters
-    (fresh backend, per-node parallel runs) render as ``-``.
+    much of a shared scope a check actually saw.  Points without a modular
+    report render as ``-``.
     """
     headers = ("benchmark", "nodes") + CACHE_STATISTIC_KEYS + ("searched",)
     rows = []

@@ -3,12 +3,15 @@
 This package stands in for Z3 (unavailable in this offline environment).  It
 provides a typed term language over booleans and fixed-width bitvectors,
 simplifying term constructors, an eager bit-blaster, a Tseitin CNF encoder
-and a CDCL SAT core, wrapped in a small solver facade
-(:class:`~repro.smt.solver.Solver`, :func:`~repro.smt.solver.prove`) and a
-persistent incremental backend
-(:class:`~repro.smt.incremental.IncrementalSolver`,
-:func:`~repro.smt.incremental.process_solver`) that amortises encoding and
-learned clauses across queries.
+and a CDCL SAT core, wrapped in two solvers with one protocol
+(``add``/``push``/``pop``/``check``):
+
+* :class:`~repro.smt.incremental.IncrementalSolver` (and the shared
+  :func:`~repro.smt.incremental.process_solver`) — the engine's one path; it
+  amortises encoding, SAT scopes and learned clauses across queries.
+* :class:`~repro.smt.solver.Solver` — the stateless facade, one fresh SAT
+  instance per ``check``; the monolithic and strawperson baselines use it,
+  and the test suite's reference run checks the engine against it.
 
 Typical usage::
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import SortError, TermError
-from repro.smt.sorts import BOOL, BitVecSort, Sort, check_same_sort
+from repro.smt.sorts import BOOL, BitVecSort, check_same_sort
 from repro.smt.terms import (
     FALSE,
     OP_AND,

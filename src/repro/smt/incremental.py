@@ -59,13 +59,13 @@ variables are decided — it is a derivation from the clause database — so a
 "pass" verdict is untouched by construction.  A SAT answer is given when
 every cone variable is assigned and propagation has found no conflict.  The
 database holds Tseitin definitions, guard clauses ``¬a ∨ lit(t)`` and
-clauses entailed by those (learned, carried).  The active cone is closed
-under subterms, so each definition and active guard clause lies wholly
-inside the assigned variables and is satisfied; the assignment extends to
-the whole scope by evaluating every stale gate bottom-up from its inputs
-(unassigned stale inputs take any value) and setting every stale guard
-false, which satisfies the stale definitions and guard clauses, hence every
-entailed clause too.  Literals that propagation assigned outside the cone
+clauses learned from those.  The active cone is closed under subterms, so
+each definition and active guard clause lies wholly inside the assigned
+variables and is satisfied; the assignment extends to the whole scope by
+evaluating every stale gate bottom-up from its inputs (unassigned stale
+inputs take any value) and setting every stale guard false, which
+satisfies the stale definitions and guard clauses, hence every learned
+clause too.  Literals that propagation assigned outside the cone
 are consequences of the cone assignment, so they agree with that extension,
 and :meth:`IncrementalSolver._reconstruct_model` reads only the active
 terms' free variables, all of them cone inputs.
@@ -158,43 +158,12 @@ class IncrementalSolver:
     25,000 is the largest of the three that keeps every workload within
     +8 % (the worst, ``sp_reach_parallel2``, reads +4.8 %), and the smallest
     that holds the re-checked neighbourhood of a one-node edit on the k=12
-    fattree (~21,000 clauses).
-
-    ``persist_learned`` carries learned clauses *across* scope rotations
-    (they are dropped with the retiring SAT instance otherwise).  At
-    rotation time the retiring instance's learned clauses are translated
-    from its scope-local variable numbering back to the solver's global CNF
-    variables into a bounded carry set; each later ``check`` injects, after
-    shipping its clause cone, the carried clauses whose variables all
-    appear in the scope (a clause over unmapped variables is trivially
-    satisfiable there and would be pure overhead).  This is sound because
-    every learned clause is entailed by the clauses shipped to its scope —
-    a subset of the global CNF (Tseitin definitions, which are
-    definitional, plus activation-guard clauses, which only constrain fresh
-    guard variables) — so it is entailed by the global CNF and may be added
-    to any other scope without changing any query's answer.  The carried
-    set is bounded (``max_carried_clauses``, stalest evicted first) and is
-    invalidated by compaction, which discards the CNF it is phrased over.
-    ``cache_statistics`` reports both the distinct carry set
-    (``learned_carry_size``) and cumulative injections
-    (``learned_carried``).  Verification sessions
-    (:class:`repro.verify.Session`) use this to retain conflict knowledge
-    across whole runs.
+    fattree (~21,000 clauses).  A scope's learned clauses retire with it.
     """
 
-    def __init__(
-        self,
-        max_variables: int = 500_000,
-        max_scope_clauses: int = 25_000,
-        persist_learned: bool = False,
-        max_carried_clauses: int = 4096,
-        max_carried_literals: int = 16,
-    ) -> None:
+    def __init__(self, max_variables: int = 500_000, max_scope_clauses: int = 25_000) -> None:
         self.max_variables = max_variables
         self.max_scope_clauses = max_scope_clauses
-        self.persist_learned = persist_learned
-        self.max_carried_clauses = max_carried_clauses
-        self.max_carried_literals = max_carried_literals
         self.statistics = SolverStatistics()
         self._frames: list[list[Term]] = [[]]
         self._cnf = Cnf()
@@ -213,16 +182,6 @@ class IncrementalSolver:
         # Learned-clause counters accumulated from rotated-out SAT instances.
         self._retired_learned = 0
         self._retired_deleted = 0
-        #: Learned clauses harvested from retired scopes, phrased over the
-        #: global CNF variables (only with ``persist_learned``).
-        self._carried: dict[tuple[int, ...], None] = {}
-        #: Carried clauses already injected into the current scope.
-        self._carried_injected: set[tuple[int, ...]] = set()
-        #: Scope variable count when carried clauses were last classified;
-        #: lets repeated checks skip the rescan until new structure ships.
-        self._carried_checked_at = -1
-        #: Clauses injected into scopes from the carried set (cumulative).
-        self.learned_carried = 0
         #: Clauses shipped / variables mapped into SAT scopes (cumulative).
         self.clauses_shipped = 0
         self.variables_mapped = 0
@@ -273,81 +232,18 @@ class IncrementalSolver:
 
         Safe at any time: the next ``check`` re-ships whatever cone of
         clauses its active assertions need.  The SAT-level clause database
-        of the previous scope is dropped; its learned clauses are dropped
-        too unless ``persist_learned`` is set, in which case they are
-        translated back to global CNF variables and re-shipped into the
-        fresh instance (see the class docstring for the soundness argument).
+        of the previous scope, learned clauses included, is dropped.
         """
-        if self.persist_learned:
-            self._harvest_learned()
         self._retired_learned += self._sat.statistics["learned"]
         self._retired_deleted += self._sat.statistics["deleted"]
         self._sat = CdclSolver()
         self._shipped = bytearray()
         self._literal_map = {}
-        self._carried_injected = set()
-        self._carried_checked_at = -1
         self.scopes += 1
 
     def local_variable(self, cnf_variable: int) -> int | None:
         """The current scope's number for a CNF variable (``None``: not shipped)."""
         return self._literal_map.get(cnf_variable)
-
-    def _harvest_learned(self) -> None:
-        """Translate the retiring scope's learned clauses to global CNF variables.
-
-        Root-implied literals are carried as unit clauses alongside the
-        multi-literal learned clauses: learned units are the strongest
-        conflict knowledge the scope derived (they fix a variable outright),
-        and the CDCL core stores them on the root trail rather than in its
-        learned-clause list.
-        """
-        inverse = {local: literal for literal, local in self._literal_map.items()}
-        units = [[literal] for literal in self._sat.root_implied_literals()]
-        for clause in units + self._sat.learned_clauses():
-            if len(clause) > self.max_carried_literals:
-                continue
-            try:
-                translated = tuple(inverse[literal] for literal in clause)
-            except KeyError:
-                # A literal over a variable this scope never mapped (cannot
-                # happen for clauses learned from shipped cones; defensive).
-                continue
-            # Re-inserting moves the clause to the recent end of the carry
-            # set, so the cap below evicts the stalest knowledge first.
-            self._carried.pop(translated, None)
-            self._carried[translated] = None
-        while len(self._carried) > self.max_carried_clauses:
-            self._carried.pop(next(iter(self._carried)))
-
-    def _inject_carried(self) -> None:
-        """Inject scope-relevant carried clauses into the current SAT instance.
-
-        Runs after a ``check`` has shipped its clause cone: a carried clause
-        is injected once per scope, and only if every variable it mentions
-        is already mapped there — a clause over unmapped variables is
-        trivially satisfiable in this scope and would only slow propagation.
-        Mappability can only change when the scope's variable map grows, so
-        checks that ship no new structure skip the rescan entirely.
-        """
-        literal_map = self._literal_map
-        if self._carried_checked_at == len(literal_map):
-            return
-        self._carried_checked_at = len(literal_map)
-        sat = self._sat
-        injected = self._carried_injected
-        for clause in self._carried:
-            if clause in injected:
-                continue
-            try:
-                mapped = [literal_map[literal] for literal in clause]
-            except KeyError:
-                continue
-            injected.add(clause)
-            # Count only clauses that recorded a constraint; the checked
-            # add path drops clauses already satisfied at root level.
-            if sat.add_clause_unchecked(mapped):
-                self.learned_carried += 1
 
     def recover(self) -> None:
         """Restore a known-good state after an exception escaped a check.
@@ -392,8 +288,6 @@ class IncrementalSolver:
             "clauses_learned": learned,
             "clauses_deleted": deleted,
             "learned_retained": learned - deleted,
-            "learned_carried": self.learned_carried,
-            "learned_carry_size": len(self._carried),
             "compactions": self.compactions,
         }
 
@@ -409,13 +303,6 @@ class IncrementalSolver:
         self._encoder.cache_hits = retired.cache_hits
         self._encoder.cache_misses = retired.cache_misses
         self._guards = {}
-        # Carried learned clauses are phrased over the discarded CNF's
-        # variable ids; they are meaningless against the rebuilt encoding.
-        # The variable map is cleared first so the rotation below cannot
-        # harvest the retiring scope's clauses into the new carry set.
-        self._carried = {}
-        self._carried_injected = set()
-        self._literal_map = {}
         self.compactions += 1
         self.new_scope()
 
@@ -462,8 +349,6 @@ class IncrementalSolver:
         if trivially_unsat:
             status = SatStatus.UNSAT
         else:
-            if self.persist_learned and self._carried:
-                self._inject_carried()
             # Ascending scope numbering is (nearly) encoding order, the
             # order a fresh instance would try equally active variables in.
             branch = sorted(filter(None, map(self._literal_map.get, cone)))
@@ -639,30 +524,18 @@ def process_cache_statistics() -> dict[str, int]:
     return process_solver().cache_statistics()
 
 
-#: Statistics keys that report a *current size* (gauges) rather than a
-#: cumulative count; deltas and merges keep the latest reading, since
-#: differencing or summing a gauge is meaningless.
-GAUGE_STATISTICS = ("learned_carry_size",)
-
-
 def subtract_cache_statistics(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
     """Component-wise ``after - before`` over cache-statistics dicts."""
-    return {
-        key: value if key in GAUGE_STATISTICS else value - before.get(key, 0)
-        for key, value in after.items()
-    }
+    return {key: value - before.get(key, 0) for key, value in after.items()}
 
 
 def add_cache_statistics(left: dict[str, int], right: dict[str, int]) -> dict[str, int]:
-    """Component-wise sum of statistics deltas, ``right`` being the later one.
+    """Component-wise sum of statistics deltas.
 
     Summing a solver's consecutive per-item deltas therefore equals its
-    whole-run delta on every key, gauges included.
+    whole-run delta on every key.
     """
     merged = dict(left)
     for key, value in right.items():
-        if key in GAUGE_STATISTICS:
-            merged[key] = value
-        else:
-            merged[key] = merged.get(key, 0) + value
+        merged[key] = merged.get(key, 0) + value
     return merged

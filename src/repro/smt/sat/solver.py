@@ -251,31 +251,6 @@ class CdclSolver:
             if collecting:
                 gc.enable()
 
-    def learned_clauses(self) -> list[list[int]]:
-        """The currently retained learned clauses (copies, DIMACS literals).
-
-        Every learned clause is entailed by the clause database alone
-        (conflict analysis treats assumptions as decisions and resolves only
-        on reason clauses), so callers may re-add them to any solver whose
-        database is a superset — or an equisatisfiable extension — of this
-        one.  The incremental backend uses this to carry learned clauses
-        across SAT-scope rotations.
-        """
-        return [list(clause) for clause in self._learned]
-
-    def root_implied_literals(self) -> list[int]:
-        """Literals entailed at decision level 0, plus pending learned units.
-
-        Assumptions are decisions above level 0 and every ``solve`` exit
-        path unwinds them, so each literal here — root-trail assignments
-        (original units and their propagations, learned units from earlier
-        solves) and not-yet-enqueued pending units — is a consequence of
-        the clause database alone and may be re-asserted as a unit clause
-        wherever the database extends equisatisfiably.
-        """
-        root_size = self._trail_limits[0] if self._trail_limits else len(self._trail)
-        return self._trail[:root_size] + list(self._pending_units)
-
     def _attach_clause(self, clause: list[int]) -> None:
         if isinstance(clause, LearnedClause):
             self._learned.append(clause)

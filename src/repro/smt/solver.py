@@ -7,17 +7,14 @@ Tseitin transform and hands the clauses to the CDCL solver.  When the result
 is satisfiable, the solver reassembles a :class:`~repro.smt.model.Model` over
 the original (pre-blasting) variable names.
 
-Two backends discharge queries:
-
-* :class:`Solver` — the stateless facade.  Each ``check`` builds a fresh SAT
-  instance; simple, allocation-heavy, and the natural baseline.
-* :class:`~repro.smt.incremental.IncrementalSolver` — a persistent backend
-  that keeps one CDCL solver alive across checks, caches bit-blasting and
-  Tseitin output per term, and implements ``push``/``pop`` with activation
-  literals.  Pass one to :func:`prove`/:func:`check_sat` via their ``solver``
-  argument (or use :func:`repro.smt.incremental.process_solver` for the
-  shared per-process instance) to amortise encoding and learned clauses
-  across queries.
+The facade is deliberately the simple path: each ``check`` builds a fresh
+SAT instance and shares nothing with the next.  That makes it the solver of
+the monolithic and strawperson baselines, and the independent reference the
+test suite holds the modular engine to.  The engine itself runs on
+:class:`~repro.smt.incremental.IncrementalSolver`, which speaks the same
+``add``/``push``/``pop``/``check`` protocol; :func:`prove` and
+:func:`check_sat` take either through their ``solver`` argument and query
+inside a ``push``/``pop`` frame, so one code path serves both.
 
 Two convenience entry points cover the two query shapes Timepiece needs:
 
@@ -234,10 +231,7 @@ def check_sat(term: Term, solver: "Solver | None" = None) -> CheckResult:
     in a fresh ``push``/``pop`` frame so the backend's own assertions are
     untouched.  Without one, a throwaway facade is used.
     """
-    if solver is None:
-        solver = Solver()
-        solver.add(term)
-        return solver.check()
+    solver = solver if solver is not None else Solver()
     solver.push()
     try:
         solver.add(term)
@@ -276,24 +270,15 @@ def prove(
     :class:`~repro.smt.incremental.IncrementalSolver` (or facade
     :class:`Solver`) to reuse its encoded structure and learned clauses —
     the query runs inside a ``push``/``pop`` frame so the backend is left as
-    it was found.  Without one, a throwaway facade is built (the historical
-    behaviour).
+    it was found.  Without one, a throwaway facade is built.
     """
-    if solver is None:
-        solver = Solver()
-        for assumption in assumptions:
-            solver.add(assumption)
-        solver.add(builder.not_(term))
+    solver = solver if solver is not None else Solver()
+    solver.push()
+    try:
+        solver.add(*assumptions, builder.not_(term))
         outcome = solver.check(timeout=timeout)
-    else:
-        solver.push()
-        try:
-            for assumption in assumptions:
-                solver.add(assumption)
-            solver.add(builder.not_(term))
-            outcome = solver.check(timeout=timeout)
-        finally:
-            solver.pop()
+    finally:
+        solver.pop()
     if outcome.is_unsat:
         return ProofResult(True, None)
     if outcome.status == SatStatus.UNKNOWN:

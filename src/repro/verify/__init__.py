@@ -6,22 +6,23 @@ One entry point for every engine the paper compares:
   :class:`Strawperson`) are frozen, self-validating dataclasses holding
   every knob of an engine, registered by name so new engines plug in
   without new call sites.
-* A :class:`Session` binds a target network to a strategy, owns the
-  incremental solver's lifecycle across runs (``backend="persistent"``
-  carries learned clauses across SAT scopes *and* runs) and streams
-  per-condition :class:`~repro.core.results.ConditionResult` events before
-  finalizing a report.
+* A :class:`Session` binds a target network to a strategy, pins the
+  incremental solver its runs share (a supplied one, or the per-process
+  one), and streams per-condition
+  :class:`~repro.core.results.ConditionResult` events before finalizing a
+  report.
 * Every report satisfies the common :class:`Report` protocol (``verdict``,
   ``wall_time``, ``backend_cache``, ``to_json()``).
 
 Quickstart::
 
+    from repro.smt import IncrementalSolver
     from repro.verify import Modular, Session, verify
 
     report = verify(annotated)                       # modular, defaults
     report = verify(annotated, Modular(symmetry="classes"))
 
-    with Session(annotated, Modular(backend="persistent")) as session:
+    with Session(annotated, solver=IncrementalSolver()) as session:
         for event in session.stream():               # streaming progress
             print(event.node, event.condition, event.holds)
         report = session.report
@@ -31,7 +32,6 @@ from repro.verify.reports import Report, VERDICTS, is_report
 from repro.verify.session import LINT_MODES, Session, verify
 from repro.verify.store import DEFAULT_STORE_DIR, DeltaStore, STORE_VERSION, default_store_path
 from repro.verify.strategies import (
-    BACKENDS,
     DELTA_MODES,
     Modular,
     Monolithic,
@@ -44,7 +44,6 @@ from repro.verify.strategies import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_STORE_DIR",
     "DELTA_MODES",
     "DeltaStore",

@@ -1,11 +1,10 @@
 """The :class:`Session`: one verification target, one strategy, many runs.
 
 A session binds an annotated network to a :class:`~repro.verify.strategies
-.Strategy` and owns the solver resources the strategy needs — most
-importantly the :class:`~repro.smt.incremental.IncrementalSolver`.  Owning
-the solver at session granularity is what enables cross-run reuse policies
-the process-global solver cannot express, e.g. the ``persistent`` backend's
-learned-clause carry-over across SAT scopes *and* across whole runs.
+.Strategy` and pins the solver the strategy runs on: a supplied
+:class:`~repro.smt.incremental.IncrementalSolver`, whose encoding caches and
+SAT scope then belong to this session's runs alone, or else the shared
+per-process one.
 
 Sessions stream: :meth:`Session.stream` is a generator of per-condition
 :class:`~repro.core.results.ConditionResult` events, yielded class by class
@@ -64,16 +63,16 @@ class Session:
     :class:`~repro.verify.strategies.Modular` with its defaults.
 
     The session is a context manager; entering it is optional for one-shot
-    use, but closing (or exiting the ``with`` block) releases the
-    session-owned solver, so long-lived processes should prefer::
+    use, but closing (or exiting the ``with`` block) cancels an in-flight
+    stream and refuses further runs::
 
         with Session(annotated, Modular(symmetry="classes")) as session:
             report = session.run()
 
     Runs may be repeated: each :meth:`run`/:meth:`stream` cycle is one full
-    verification pass, and with ``backend="persistent"`` the session-owned
-    solver retains encoded structure *and* carried learned clauses between
-    them (``report.backend_cache["learned_carried"]`` measures the latter).
+    verification pass.  With a supplied ``solver`` the encoded structure and
+    the current SAT scope carry from one run to the next, so a repeated run
+    encodes nothing new (``report.backend_cache["tseitin_misses"] == 0``).
     """
 
     def __init__(
@@ -99,7 +98,6 @@ class Session:
                 f"the {self.strategy.name!r} strategy does not use a session solver"
             )
         self._solver = solver
-        self._owns_solver = False
         self._closed = False
         self._active_stream: Iterator[ConditionResult] | None = None
 
@@ -123,54 +121,27 @@ class Session:
         return self.target
 
     def solver_for(self, strategy: Modular) -> IncrementalSolver | None:
-        """The solver this run's batches are pinned to, if any.
+        """The supplied solver this run's batches are pinned to, if any.
 
-        ``persistent`` backends get a session-owned solver (created once,
-        reused across runs, learned clauses carried across its scopes)
-        unless the caller supplied one — which must then have
-        ``persist_learned`` enabled, or the advertised carry-over would
-        silently not happen.  ``incremental`` backends use the shared
-        per-process solver when no solver was supplied, and pin batches to
-        a supplied one.  ``fresh`` uses no incremental solver at all, so
-        supplying one is an error rather than a silent no-op.
+        ``None`` means the shared per-process solver.  A supplied solver
+        cannot serve a parallel run (workers use their own per-process
+        solvers), which is an error rather than a silent no-op.
         """
         if self._closed:
             raise VerificationError("session is closed")
-        if strategy.backend == "fresh":
-            if self._solver is not None:
-                raise VerificationError(
-                    'backend="fresh" builds one SAT instance per condition and '
-                    "cannot use the supplied session solver"
-                )
-            return None
         if self._solver is not None and strategy.parallel > 1:
             raise VerificationError(
                 "parallel runs execute batches in worker processes and cannot "
                 "use the supplied session solver; drop the solver or run with "
                 "parallel=1"
             )
-        if self._solver is None:
-            if strategy.backend == "persistent":
-                self._solver = IncrementalSolver(persist_learned=True)
-                self._owns_solver = True
-                return self._solver
-            return None
-        if strategy.backend == "persistent" and not self._solver.persist_learned:
-            raise VerificationError(
-                'backend="persistent" needs a solver constructed with '
-                "persist_learned=True; the supplied solver would silently drop "
-                "learned clauses at every scope rotation"
-            )
         return self._solver
 
     def close(self) -> None:
-        """Release session-owned resources (idempotent)."""
+        """Cancel an in-flight stream and refuse further runs (idempotent)."""
         if self._active_stream is not None:
             self._active_stream.close()
             self._active_stream = None
-        if self._owns_solver:
-            self._solver = None
-            self._owns_solver = False
         self._closed = True
 
     def __enter__(self) -> "Session":
@@ -192,8 +163,8 @@ class Session:
         Exhausting the iterator finalizes :attr:`report`.  Abandoning the
         iterator early (e.g. on the first failure) leaves :attr:`report` at
         the previous run's value, stops any in-flight parallel dispatch, and
-        restores the session-owned solver to a clean scope so the next run
-        on this session starts sound.
+        restores the run's solver to a clean scope so the next run on this
+        session starts sound.
 
         ``lint`` (one of :data:`LINT_MODES`) runs the pre-solve static
         analysis passes *eagerly*, before this call returns and before any
@@ -314,25 +285,23 @@ def _batch_failed(batch_reports: Sequence[Any]) -> bool:
 
 
 def _consume_batches(
-    batches: Iterator[Any], strategy: Modular, totals: dict[str, int] | None
+    batches: Iterator[Any], strategy: Modular, totals: dict[str, int]
 ) -> Iterator[ConditionResult]:
     """Yield a batch stream's events live; return the aggregates.
 
     Events are yielded the moment a batch arrives, the batches' cache deltas
-    are added to ``totals`` (``None`` on the ``fresh`` backend, which has no
-    counters), and with ``strategy.stop_on_failure`` the stream is stopped
-    after the first failing batch.  Closing ``batches`` in all exit paths is
-    what stops dispatch and reaps the pool.  The ``yield from`` return value
-    is ``(reports, cache_delta, stopped_early)`` with reports flattened in
-    submission order.
+    are added to ``totals``, and with ``strategy.stop_on_failure`` the stream
+    is stopped after the first failing batch.  Closing ``batches`` in all
+    exit paths is what stops dispatch and reaps the pool.  The ``yield from``
+    return value is ``(reports, cache_delta, stopped_early)`` with reports
+    flattened in submission order.
     """
     indexed: dict[int, list[Any]] = {}
     stopped_early = False
     try:
         for index, batch_reports, delta in batches:
             indexed[index] = batch_reports
-            if totals is not None:
-                totals = add_cache_statistics(totals, delta)
+            totals = add_cache_statistics(totals, delta)
             for report in batch_reports:
                 yield from report.results
             if strategy.stop_on_failure and _batch_failed(batch_reports):
@@ -452,10 +421,11 @@ def modular_events(
     rest to :func:`repro.core.parallel.iter_class_batches` (``parallel=1`` is
     its one-worker schedule, pinned to the session solver).  Batches are
     yielded as they complete — parallel batches arrive in completion order,
-    the moment each worker finishes — and share their backend's SAT scope
-    with their neighbours until it outgrows its size bound.  Final reports are re-sorted to the deterministic node selection
-    order regardless of completion order, and the per-batch cache deltas are
-    summed into ``backend_cache``.
+    the moment each worker finishes — and share their solver's SAT scope
+    with their neighbours until it outgrows its size bound.  Final reports
+    are re-sorted to the deterministic node selection order regardless of
+    completion order, and the per-batch cache deltas are summed into
+    ``backend_cache``.
 
     With ``strategy.stop_on_failure`` the engine stops scheduling work after
     the first batch that reports a failing condition: queued parallel items
@@ -478,12 +448,10 @@ def modular_events(
 
     started = _time.perf_counter()
     reports = []
-    cache_delta: dict[str, int] | None = None
-    if strategy.incremental:
-        # The all-zero delta (gauges at their current reading) of the solver
-        # the run mutates: what a run that dispatches nothing reports.
-        reading = solver.cache_statistics() if solver is not None else process_cache_statistics()
-        cache_delta = subtract_cache_statistics(reading, reading)
+    # The all-zero delta of the solver the run mutates: what a run that
+    # dispatches nothing reports.
+    reading = solver.cache_statistics() if solver is not None else process_cache_statistics()
+    cache_delta = subtract_cache_statistics(reading, reading)
 
     store: DeltaStore | None = None
     dependencies: dict[str, str] = {}

@@ -31,13 +31,6 @@ from repro.core.symmetry import SYMMETRY_MODES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.verify.session import Session
 
-#: Modular-engine backends: ``incremental`` shares the per-process solver
-#: (encoding caches persist across runs in the process), ``persistent`` gives
-#: the session its own solver that additionally carries learned clauses
-#: across SAT scopes and runs, ``fresh`` builds one SAT instance per
-#: condition (the ablation baseline).
-BACKENDS = ("incremental", "persistent", "fresh")
-
 #: Delta re-verification modes: ``off`` re-discharges everything (the
 #: historical behaviour), ``reuse`` consults the on-disk fingerprint store
 #: (:mod:`repro.verify.store`) and only discharges conditions whose inputs
@@ -121,11 +114,13 @@ class Modular(Strategy):
     """The paper's modular checking procedure (Algorithm 1), fully knobbed.
 
     ``symmetry`` selects the PR 2 reduction mode (one of
-    :data:`~repro.core.symmetry.SYMMETRY_MODES`); ``backend`` the SMT
-    backend (:data:`BACKENDS`); ``parallel`` the worker-process count;
-    ``spot_check_seed`` seeds the deterministic choice of re-verified class
-    members in ``spot-check`` mode.  ``delay`` and ``conditions`` mirror the
-    per-class knobs of :func:`repro.core.check_class`.
+    :data:`~repro.core.symmetry.SYMMETRY_MODES`); ``parallel`` the
+    worker-process count; ``spot_check_seed`` seeds the deterministic choice
+    of re-verified class members in ``spot-check`` mode.  ``delay`` and
+    ``conditions`` mirror the per-class knobs of
+    :func:`repro.core.check_class`.  Every run discharges its conditions on
+    one incremental SMT solver: the session's, if one was supplied, otherwise
+    the per-process one (:func:`repro.smt.process_solver`).
 
     Two fail-fast granularities: ``fail_fast`` (per batch) skips a node's
     remaining conditions after its first failure, mirroring Algorithm 1;
@@ -145,7 +140,6 @@ class Modular(Strategy):
     uses_session_solver: ClassVar[bool] = True
 
     symmetry: str = "off"
-    backend: str = "incremental"
     parallel: int = 1
     fail_fast: bool = True
     stop_on_failure: bool = False
@@ -168,8 +162,6 @@ class Modular(Strategy):
             raise ValueError(
                 f"unknown symmetry mode {self.symmetry!r}; choose one of {SYMMETRY_MODES}"
             )
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; choose one of {BACKENDS}")
         if self.delta not in DELTA_MODES:
             raise ValueError(f"unknown delta mode {self.delta!r}; choose one of {DELTA_MODES}")
         if self.store is not None and self.delta == "off":
@@ -185,14 +177,6 @@ class Modular(Strategy):
                 # A truthy non-bool (e.g. the string "false" from a config
                 # file) would silently flip the engine's fail-fast behavior.
                 raise ValueError(f"{flag} must be a bool, got {value!r}")
-        if self.backend == "persistent" and self.parallel > 1:
-            # Worker processes own their solvers, so a session-owned
-            # persistent solver cannot serve a parallel run; rejecting the
-            # combination beats silently degrading to per-worker solvers.
-            raise ValueError(
-                'backend="persistent" requires parallel=1 (parallel workers use '
-                "their own per-process solvers and cannot share a session-owned one)"
-            )
         if self.delay < 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")
         object.__setattr__(self, "conditions", tuple(self.conditions))
@@ -206,24 +190,18 @@ class Modular(Strategy):
             # a distinct store path for the same set of queries.
             raise ValueError(f"condition kinds must be distinct, got {self.conditions}")
 
-    @property
-    def incremental(self) -> bool:
-        """Whether the engine uses an incremental backend (either flavour)."""
-        return self.backend != "fresh"
-
     def engine_options(self) -> dict[str, Any]:
         """The per-batch kwargs handed to ``check_class``.
 
         Every :class:`Modular` field must either appear here or steer the
-        engine loop itself (``symmetry``, ``backend``, ``parallel``,
-        ``stop_on_failure``, ``spot_check_seed``, ``delta``, ``store``); the
-        strategy regression test enforces that no field is silently dropped.
+        engine loop itself (``symmetry``, ``parallel``, ``stop_on_failure``,
+        ``spot_check_seed``, ``delta``, ``store``); the strategy regression
+        test enforces that no field is silently dropped.
         """
         return {
             "delay": self.delay,
             "conditions": self.conditions,
             "fail_fast": self.fail_fast,
-            "incremental": self.incremental,
         }
 
     def events(self, session: "Session", nodes: Any | None = None) -> Iterator[ConditionResult]:

@@ -42,9 +42,8 @@ def one_failing_node_annotated():
 def check_classes():
     """Drain ``iter_class_batches`` barrier-style.
 
-    Returns the member reports in class order and the summed cache deltas
-    (``None`` with ``incremental=False``); keyword arguments default to a
-    plain full check.
+    Returns the member reports in class order and the summed cache deltas;
+    keyword arguments default to a plain full check.
     """
     from repro.core import CONDITION_KINDS
     from repro.core.parallel import iter_class_batches
@@ -57,9 +56,32 @@ def check_classes():
             indexed[index] = reports
             totals = add_cache_statistics(totals, delta)
         flattened = [report for index in sorted(indexed) for report in indexed[index]]
-        return flattened, (totals if options.get("incremental", True) else None)
+        return flattened, totals
 
     return run
+
+
+def reference_report(annotated, nodes=None):
+    """The oracle every engine mode is held to: the paper's loop, nothing shared.
+
+    Each selected node's conditions are discharged by ``check_node`` on a
+    facade :class:`repro.smt.Solver` — a fresh SAT instance per condition,
+    with no engine loop, no scheduler and no incremental solver — and the
+    node reports are merged in selection order.
+    """
+    from repro import smt
+    from repro.core.checker import check_node
+    from repro.core.results import merge_reports
+
+    selected = annotated.nodes if nodes is None else tuple(nodes)
+    reports = [check_node(annotated, node, solver=smt.Solver()) for node in selected]
+    return merge_reports(reports, wall_time=0.0, parallelism=1)
+
+
+@pytest.fixture(name="reference_report")
+def _reference_report():
+    """:func:`reference_report`, for tests."""
+    return reference_report
 
 
 @pytest.fixture

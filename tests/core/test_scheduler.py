@@ -222,7 +222,7 @@ class TestSchedulerReportPlumbing:
         assert "scheduler" in report.summary()
         _assert_no_orphaned_workers()
 
-    def test_narrow_node_selection_splits_like_a_narrow_partition(self):
+    def test_narrow_node_selection_splits_like_a_narrow_partition(self, reference_report):
         """symmetry="off" is the singleton partition: fewer selected nodes
         than workers get the per-kind split, with the reference verdicts."""
         topology = path_topology(3)
@@ -232,7 +232,7 @@ class TestSchedulerReportPlumbing:
             for index, node in enumerate(topology.nodes)
         }
         annotated = core.annotate(network, interfaces)
-        reference = verify(annotated, Modular(backend="fresh"), nodes=("n1", "n2"))
+        reference = reference_report(annotated, nodes=("n1", "n2"))
         report = verify(annotated, Modular(parallel=4), nodes=("n1", "n2"))
         assert report.symmetry_classes is None
         assert report.scheduler is not None and report.scheduler["classes_stolen"] >= 1

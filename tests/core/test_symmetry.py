@@ -5,6 +5,7 @@ import pytest
 from repro import core
 from repro.errors import VerificationError
 from repro.networks import registry
+from repro.networks.benchmarks import POLICIES
 from repro.networks.fattree import Fattree, fattree_symmetry_key
 from repro.routing import build_running_example, path_topology, shortest_path_network
 from repro.smt.incremental import process_solver, reset_process_solver
@@ -44,7 +45,7 @@ class TestFattreeHints:
         with pytest.raises(Exception):
             fattree_symmetry_key(fattree, fattree.core_nodes[0])  # not an edge node
 
-    @pytest.mark.parametrize("policy", ["reach", "valley_freedom", "hijack"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_sp_benchmarks_agree_across_all_modes(self, policy):
         instance = registry.build(f"fattree/{policy}", pods=4).raw
         assert instance.annotated.symmetry_key is not None
@@ -68,8 +69,8 @@ class TestFattreeHints:
         assert "symmetry=classes" in report.summary()
         assert report.backend_cache is not None
         assert_scopes_follow_size(report.backend_cache)
-        off = verify(instance.annotated, Modular(symmetry="off", backend="fresh"))
-        assert off.backend_cache is None
+        off = verify(instance.annotated, Modular(symmetry="off"))
+        assert off.backend_cache is not None
         assert "symmetry" not in off.summary()
 
     def test_propagated_counterexamples_name_member_neighbours(self):
@@ -209,7 +210,7 @@ class TestParallelClasses:
 
 
 class TestSolverRecovery:
-    def test_crashed_check_does_not_poison_later_nodes(self, monkeypatch):
+    def test_crashed_check_does_not_poison_later_nodes(self, monkeypatch, reference_report):
         instance = registry.build("fattree/reach", pods=4).raw
         solver = process_solver()
         calls = {"n": 0}
@@ -228,8 +229,7 @@ class TestSolverRecovery:
         assert len(solver._frames) == 1
         report = verify(instance.annotated)
         assert report.passed
-        reset_process_solver()
-        fresh = verify(instance.annotated, Modular(backend="fresh"))
+        fresh = reference_report(instance.annotated)
         assert core.condition_verdicts(report) == core.condition_verdicts(fresh)
 
     def test_crash_leaves_caller_pinned_solver_untouched(self, monkeypatch):

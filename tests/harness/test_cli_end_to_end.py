@@ -2,7 +2,7 @@
 
 Each test drives ``timepiece-bench`` through :func:`repro.harness.cli.main`
 exactly as a shell would, asserting exit codes and printed table output for
-the strategy surface (``--symmetry off|classes|spot-check``, ``--backend``,
+the strategy surface (``--symmetry off|classes|spot-check``, ``--delta``,
 ``--stats``, ``--progress``, ``--json``).
 """
 
@@ -46,8 +46,6 @@ class TestParser:
                 "spot-check",
                 "--spot-check-seed",
                 "9",
-                "--backend",
-                "fresh",
                 "--jobs",
                 "2",
                 "--stop-on-failure",
@@ -56,7 +54,6 @@ class TestParser:
         assert _modular_strategy(arguments) == Modular(
             symmetry="spot-check",
             spot_check_seed=9,
-            backend="fresh",
             parallel=2,
             stop_on_failure=True,
         )
@@ -103,16 +100,14 @@ class TestParser:
                 "--pods",
                 "4",
                 "--skip-monolithic",
-                "--backend",
-                "persistent",
-                "--jobs",
-                "2",
+                "--delta-store",
+                "unused.json",
             ]
         )
         assert code == 2
         captured = capsys.readouterr()
         assert "timepiece-bench: error:" in captured.err
-        assert "persistent" in captured.err
+        assert 'store requires delta="reuse"' in captured.err
         assert "Traceback" not in captured.err
 
 

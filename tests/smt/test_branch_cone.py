@@ -21,7 +21,6 @@ from repro.core.symmetry import singleton_classes
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 from repro.smt.incremental import (
-    GAUGE_STATISTICS,
     IncrementalSolver,
     add_cache_statistics,
     reset_process_solver,
@@ -29,8 +28,6 @@ from repro.smt.incremental import (
 )
 from repro.smt.sat import CdclSolver, SatStatus
 from repro.verify import Modular, Session, verify
-
-REFERENCE = Modular(symmetry="off", backend="fresh", parallel=1)
 
 
 @pytest.fixture(autouse=True)
@@ -150,7 +147,6 @@ class TestSharedScopeAnswersLikeFreshInstances:
         assert shared.scopes == 1
 
     def test_counters_are_cumulative_not_gauges(self):
-        assert not {"branch_variables", "scope_variables"} & set(GAUGE_STATISTICS)
         delta = {"branch_variables": 3, "scope_variables": 10}
         assert add_cache_statistics(delta, delta) == {"branch_variables": 6, "scope_variables": 20}
 
@@ -196,24 +192,26 @@ def _model_checking_prove(prove):
 
 class TestFailureInASharedScope:
     @pytest.mark.parametrize("position", [-1, 0], ids=["last", "first"])
-    @pytest.mark.parametrize("backend, parallel", [("incremental", 1), ("incremental", 2), ("persistent", 1)])
+    @pytest.mark.parametrize("solver, parallel", [("process", 1), ("process", 2), ("session", 1)])
     def test_injected_failure_matches_the_reference(
-        self, monkeypatch, assert_scopes_follow_size, backend, parallel, position
+        self, monkeypatch, assert_scopes_follow_size, reference_report, solver, parallel, position
     ):
         base = registry.build("fattree/reach", pods=4).annotated
         # Singleton batches run in node order, so the last node's SAT answer
         # is found in the scope every other node's cone was shipped into.
         annotated, poisoned = inject_interface_failure(base, base.nodes[position])
-        reference = verify(annotated, REFERENCE)
+        reference = reference_report(annotated)
         assert poisoned in reference.failed_nodes
         monkeypatch.setattr(smt, "prove", _model_checking_prove(smt.prove))
-        report = verify(annotated, Modular(backend=backend, parallel=parallel))
+        pinned = IncrementalSolver(max_scope_clauses=2000) if solver == "session" else None
+        with Session(annotated, Modular(parallel=parallel), solver=pinned) as session:
+            report = session.run()
         assert condition_verdicts(report) == condition_verdicts(reference)
         assert tuple(report.node_reports) == tuple(reference.node_reports)
         assert report.failed_nodes == reference.failed_nodes
         if parallel == 1:
             cache = report.backend_cache
-            assert_scopes_follow_size(cache)
+            assert_scopes_follow_size(cache, **({"bound": 2000} if pinned else {}))
             assert cache["branch_variables"] < cache["scope_variables"]
 
     def test_a_scope_survives_from_one_run_to_the_next(self):
@@ -224,20 +222,6 @@ class TestFailureInASharedScope:
         assert second.backend_cache["clauses_shipped"] == 0
         assert second.backend_cache["scopes"] == 0
         assert condition_verdicts(first) == condition_verdicts(second)
-
-
-class TestLearnedClausesAcrossSizeTriggeredRotations:
-    def test_harvest_and_inject_round_trip(self, assert_scopes_follow_size):
-        annotated = registry.build("fattree/length", pods=4).annotated
-        solver = IncrementalSolver(persist_learned=True, max_scope_clauses=4000)
-        with Session(annotated, Modular(backend="persistent"), solver=solver) as session:
-            report = session.run()
-        cache = report.backend_cache
-        # Only size rotates a scope; what the retired ones learned came along.
-        assert cache["scopes"] > 0
-        assert_scopes_follow_size(cache, bound=solver.max_scope_clauses)
-        assert cache["learned_carry_size"] > 0 and cache["learned_carried"] > 0
-        assert condition_verdicts(report) == condition_verdicts(verify(annotated, REFERENCE))
 
 
 # -- machine-independent count gates ----------------------------------------------

@@ -200,46 +200,9 @@ class TestRangeShipping:
         assert solver.clauses_shipped > shipped  # cumulative across rebuilds
 
 
-def _conflict_heavy_query():
-    x, y, z = (smt.bv_var(f"roundtrip_{name}", 8) for name in "xyz")
-    return smt.and_(
-        smt.eq(smt.bv_add(x, y), z),
-        smt.eq(smt.bv_add(y, z), x),
-        smt.bv_ult(x, y),
-        smt.bv_ugt(z, smt.bv_const(77, 8)),
-        smt.not_(smt.eq(smt.bv_add(x, z), smt.bv_const(5, 8))),
-    )
-
-
-class TestLearnedClauseRoundTrip:
-    def test_harvest_then_inject_reproduces_the_learned_clauses(self, monkeypatch):
-        solver = IncrementalSolver(persist_learned=True)
-        solver.add(_conflict_heavy_query())
-        first = solver.check()
-        retiring = solver._sat
-        learned = [[unit] for unit in retiring.root_implied_literals()] + retiring.learned_clauses()
-        expected = {tuple(c) for c in learned if len(c) <= solver.max_carried_literals}
-        assert len(expected) > 5
-
-        injected = []
-        original = CdclSolver.add_clause_unchecked
-
-        def recording(self, literals):
-            injected.append(tuple(literals))
-            return original(self, literals)
-
-        monkeypatch.setattr(CdclSolver, "add_clause_unchecked", recording)
-        solver.new_scope()
-        second = solver.check()
-        # The new scope receives the same cone in the same order, so its
-        # local numbering equals the retired scope's: translating out through
-        # the signed literal map and back in must reproduce each clause.
-        assert set(injected) == expected
-        assert solver.cache_statistics()["learned_carried"] == len(expected)
-        assert second.status == first.status
-
+class TestRegistryVerdicts:
     @pytest.mark.parametrize("name", registry.benchmark_names())
-    def test_persistent_backend_is_byte_identical_on_the_registry(self, name):
+    def test_engine_is_byte_identical_to_the_reference_on_the_registry(self, name, reference_report):
         if name.startswith("fattree/"):
             parameters = {"pods": 4}
         elif name.startswith("wan/"):
@@ -247,11 +210,9 @@ class TestLearnedClauseRoundTrip:
         else:
             parameters = {}
         annotated = registry.build(name, **parameters).annotated
-        verdicts = {}
-        for backend in ("fresh", "incremental", "persistent"):
-            reset_process_solver()
-            verdicts[backend] = json.dumps(
-                condition_verdicts(verify(annotated, Modular(backend=backend))), sort_keys=True, default=str
-            )
-        assert verdicts["incremental"] == verdicts["fresh"]
-        assert verdicts["persistent"] == verdicts["fresh"]
+        reset_process_solver()
+
+        def verdicts(report):
+            return json.dumps(condition_verdicts(report), sort_keys=True, default=str)
+
+        assert verdicts(verify(annotated, Modular())) == verdicts(reference_report(annotated))

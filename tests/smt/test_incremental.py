@@ -178,16 +178,16 @@ _condition_verdicts = core.condition_verdicts
 class TestVerificationConditionReuse:
     """Solver reuse across each node's three conditions matches fresh solvers."""
 
-    def test_fattree_verdicts_match_fresh(self):
+    def test_fattree_verdicts_match_fresh(self, reference_report):
         from repro.networks import registry
 
         instance = registry.build("fattree/reach", pods=4)
-        fresh = verify(instance.annotated, Modular(backend="fresh"))
-        incremental = verify(instance.annotated, Modular(backend="incremental"))
+        fresh = reference_report(instance.annotated)
+        incremental = verify(instance.annotated, Modular())
         assert fresh.passed and incremental.passed
         assert _condition_verdicts(fresh) == _condition_verdicts(incremental)
 
-    def test_fattree_failing_property_matches_fresh(self):
+    def test_fattree_failing_property_matches_fresh(self, reference_report):
         from repro.networks import registry
 
         instance = registry.build("fattree/reach", pods=4)
@@ -204,32 +204,32 @@ class TestVerificationConditionReuse:
                 for index, node in enumerate(annotated.nodes)
             },
         )
-        fresh = verify(broken, Modular(backend="fresh"))
-        incremental = verify(broken, Modular(backend="incremental"))
+        fresh = reference_report(broken)
+        incremental = verify(broken, Modular())
         assert not fresh.passed and not incremental.passed
         assert fresh.failed_nodes == incremental.failed_nodes
         assert _condition_verdicts(fresh) == _condition_verdicts(incremental)
         assert incremental.counterexamples()
 
-    def test_wan_verdicts_match_fresh(self):
+    def test_wan_verdicts_match_fresh(self, reference_report):
         from repro.config import WanParameters
         from repro.networks import build_wan_benchmark
 
         params = WanParameters(internal_routers=4, external_peers=4)
         benchmark = build_wan_benchmark(params)
-        fresh = verify(benchmark.annotated, Modular(backend="fresh"))
-        incremental = verify(benchmark.annotated, Modular(backend="incremental"))
+        fresh = reference_report(benchmark.annotated)
+        incremental = verify(benchmark.annotated, Modular())
         assert fresh.passed and incremental.passed
         assert _condition_verdicts(fresh) == _condition_verdicts(incremental)
 
-    def test_buggy_wan_counterexamples_match_fresh(self):
+    def test_buggy_wan_counterexamples_match_fresh(self, reference_report):
         from repro.config import WanParameters
         from repro.networks import build_wan_benchmark
 
         params = WanParameters(internal_routers=4, external_peers=4, buggy=True)
         benchmark = build_wan_benchmark(params)
-        fresh = verify(benchmark.annotated, Modular(backend="fresh"))
-        incremental = verify(benchmark.annotated, Modular(backend="incremental"))
+        fresh = reference_report(benchmark.annotated)
+        incremental = verify(benchmark.annotated, Modular())
         assert not fresh.passed and not incremental.passed
         assert fresh.failed_nodes == incremental.failed_nodes
 
@@ -249,7 +249,7 @@ class TestVerificationConditionReuse:
         with pytest.raises(VerificationError, match="reserved prefix"):
             verify(annotated)
 
-    def test_awkward_node_names_do_not_alias_query_routes(self):
+    def test_awkward_node_names_do_not_alias_query_routes(self, reference_report):
         # Names differing only in characters the fresh-name sanitiser used to
         # collapse (and names containing the bit-separator '#') must stay
         # distinct under the deterministic vc$ naming scheme.
@@ -273,58 +273,23 @@ class TestVerificationConditionReuse:
         assert route_names == {"a:b", "a#b"}
         report = verify(annotated)
         assert report.passed
-        fresh = verify(annotated, Modular(backend="fresh"))
+        fresh = reference_report(annotated)
         assert _condition_verdicts(fresh) == _condition_verdicts(report)
 
-    def test_incremental_encodes_fewer_variables(self):
+    def test_incremental_encodes_fewer_variables(self, reference_report):
         from repro.networks import registry
 
         instance = registry.build("fattree/reach", pods=4)
         fresh_before = smt.GLOBAL_STATISTICS.snapshot()
-        verify(instance.annotated, Modular(backend="fresh"))
+        reference_report(instance.annotated)
         fresh_stats = smt.GLOBAL_STATISTICS.since(fresh_before)
 
         incremental_before = smt.GLOBAL_STATISTICS.snapshot()
-        verify(instance.annotated, Modular(backend="incremental"))
-        verify(instance.annotated, Modular(backend="incremental"))
+        verify(instance.annotated, Modular())
+        verify(instance.annotated, Modular())
         incremental_stats = smt.GLOBAL_STATISTICS.since(incremental_before)
 
         # Two full incremental runs encode fewer CNF variables than one
         # fresh run: the second run is pure cache hits.
         assert 0 < incremental_stats.variables < fresh_stats.variables
 
-
-class TestLearnedClausePersistence:
-    def test_learned_units_carry_across_scopes(self):
-        solver = IncrementalSolver(persist_learned=True)
-        a = smt.bool_var("carry_a")
-        solver.add(a)
-        assert solver.check().is_sat
-        # Conflict analysis stores length-1 resolvents in the CDCL core's
-        # pending-units list (assertions themselves are guarded decisions,
-        # so nothing else reaches the root trail); plant one to pin down
-        # the harvest path deterministically.
-        # ``carry_a`` is the first variable a new solver's CNF allocates.
-        local = solver.local_variable(1)
-        assert local is not None
-        solver._sat._pending_units.append(local)
-        solver.new_scope()
-        assert solver.cache_statistics()["learned_carry_size"] > 0
-        # Re-checking the same structure maps the variable again, so the
-        # carried unit becomes relevant and is injected into the new scope.
-        assert solver.check().is_sat
-        assert solver.cache_statistics()["learned_carried"] > 0
-
-    def test_carried_clauses_never_change_answers(self):
-        plain = IncrementalSolver()
-        persistent = IncrementalSolver(persist_learned=True)
-        x = smt.bv_var("carry_x", 5)
-        queries = [
-            smt.bv_ult(x, smt.bv_const(9, 5)),
-            smt.and_(smt.bv_ult(x, smt.bv_const(9, 5)), smt.bv_ugt(x, smt.bv_const(20, 5))),
-            smt.bv_ugt(x, smt.bv_const(3, 5)),
-        ]
-        for query in queries:
-            for solver in (plain, persistent):
-                solver.new_scope()
-            assert plain.check(query).status == persistent.check(query).status

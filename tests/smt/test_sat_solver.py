@@ -313,17 +313,6 @@ class TestAgainstBruteForce:
         assert cdcl.solve() == brute.solve()
 
 
-class TestRootImpliedLiterals:
-    def test_units_and_their_propagations_are_reported(self):
-        from repro.smt.sat.solver import CdclSolver
-
-        solver = CdclSolver()
-        solver.add_clause([1])
-        solver.add_clause([-1, 2])
-        assert solver.solve().name == "SAT"
-        assert {1, 2} <= set(solver.root_implied_literals())
-
-
 def _flat(clauses):
     """``clauses`` in the back-to-back layout :meth:`CdclSolver.add_clauses` loads."""
     literals, ends = [], []

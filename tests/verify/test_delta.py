@@ -2,8 +2,8 @@
 
 The delta contract: a warm re-run reuses every recorded verdict with
 byte-identical results, a one-node config edit re-checks only the edited
-neighbourhood, and the layer composes with symmetry, parallel dispatch,
-stop-on-failure and the persistent backend without changing any verdict.
+neighbourhood, and the layer composes with symmetry, parallel dispatch and
+stop-on-failure without changing any verdict.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 from repro.core.results import condition_verdicts
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
-from repro.verify import DEFAULT_STORE_DIR, Modular, Session, verify
+from repro.verify import DEFAULT_STORE_DIR, Modular, verify
 
 
 @pytest.fixture(scope="module")
@@ -178,18 +178,6 @@ class TestComposition:
         assert warm.conditions_reused == warm.conditions_checked
         assert condition_verdicts(warm) == condition_verdicts(cold)
         assert warm.parallelism == 2
-
-    def test_with_persistent_backend(self, tmp_path):
-        benchmark = registry.build("ghost/reach")
-        store = _store(tmp_path)
-        with Session(
-            benchmark.annotated, Modular(delta="reuse", store=store, backend="persistent")
-        ) as session:
-            cold = session.run()
-            warm = session.run()
-        assert cold.passed and cold.conditions_reused == 0
-        assert warm.conditions_reused == warm.conditions_checked
-        assert condition_verdicts(warm) == condition_verdicts(cold)
 
     def test_stopped_run_records_nothing_unproved(
         self, one_failing_node_annotated, tmp_path

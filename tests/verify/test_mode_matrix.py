@@ -1,12 +1,15 @@
 """One oracle for every engine mode, plus golden report digests.
 
-Every combination of ``symmetry`` × ``backend`` × ``parallel`` × ``delta`` ×
-``stop_on_failure`` that :class:`Modular` accepts must agree with the plain
-reference run ``Modular(symmetry="off", backend="fresh", parallel=1)`` on
-verdicts, node order and counterexample validity — on every registry network
-at its smallest size and on failure-injected networks.  The golden digests
-additionally pin the full timing-free report JSON of the sequential modes to
-what the pre-merge engine (four loops, two work-item types) produced.
+Every combination of ``symmetry`` × ``parallel`` × ``delta`` ×
+``stop_on_failure`` that :class:`Modular` accepts, over every node or a
+reordered subset, on the per-process solver or a supplied one (also one small
+enough to rotate mid-run), must agree with the reference
+(``reference_report`` in ``tests/conftest.py``: ``check_node`` on a fresh SAT
+instance per condition, outside the engine) on verdicts, node order and
+counterexample validity — on every registry network at its smallest size and
+on failure-injected networks.  The golden digests additionally pin the
+full timing-free report JSON of the sequential modes to what the pre-merge
+engine (four loops, two work-item types) produced.
 """
 
 import hashlib
@@ -23,9 +26,8 @@ from repro.core.results import condition_verdicts
 from repro.core.symmetry import SYMMETRY_MODES
 from repro.networks import registry
 from repro.routing import path_topology, shortest_path_network
-from repro.verify import BACKENDS, Modular, verify
-
-REFERENCE = Modular(symmetry="off", backend="fresh", parallel=1)
+from repro.smt.incremental import IncrementalSolver
+from repro.verify import Modular, Session, verify
 
 #: The smallest parameters each registry family accepts.
 SMALLEST = {
@@ -61,17 +63,36 @@ NETWORKS = {
 #: Runs that contain failing conditions (``stop_on_failure`` then cuts them short).
 FAILING = ("path[symmetric_failure]", "path[one_failing_node]")
 
+#: How a run picks its nodes: every node in network order, or every other
+#: node in reverse order (a proper subset whose selection order differs from
+#: the network's, still holding each failing network's failing nodes).
+SELECTIONS = {
+    "all": lambda annotated: None,
+    "subset": lambda annotated: tuple(reversed(annotated.nodes[::2])),
+}
+
+#: Where a run's solver comes from: the per-process one (``verify``), or one
+#: supplied ``IncrementalSolver`` pinned to every phase's session — with the
+#: default bounds, or bounds small enough to rotate the SAT scope and compact
+#: the encoding mid-run.  A supplied solver cannot serve a parallel run.
+SOLVERS = {
+    "process": None,
+    "pinned": lambda: IncrementalSolver(),
+    "rotating": lambda: IncrementalSolver(max_scope_clauses=10, max_variables=10),
+}
+
 _CACHE: dict = {}
 
 
 @pytest.fixture
-def case(request, one_failing_node_annotated):
-    """``(name, annotated, reference report)`` of the named network, memoised."""
-    name = request.param
-    if name not in _CACHE:
+def case(request, one_failing_node_annotated, reference_report):
+    """``(name, annotated, selected nodes, reference report)``, memoised."""
+    name, selection = request.param
+    if (name, selection) not in _CACHE:
         annotated = (NETWORKS[name] or one_failing_node_annotated)()
-        _CACHE[name] = (name, annotated, verify(annotated, REFERENCE))
-    return _CACHE[name]
+        nodes = SELECTIONS[selection](annotated)
+        _CACHE[name, selection] = (name, annotated, nodes, reference_report(annotated, nodes))
+    return _CACHE[name, selection]
 
 
 def _counterexamples(report, annotated):
@@ -113,49 +134,47 @@ def _assert_matches_reference(report, reference, annotated, strategy):
     assert report.conditions_skipped == len(strategy.conditions) * (len(expected) - len(observed))
 
 
-def _accepted(**options):
-    try:
-        Modular(**options)
-    except ValueError:
-        return False
-    return True
-
-
-#: Every mode :class:`Modular` accepts, per network; ``stop_on_failure`` is
-#: inert without a failing condition, so passing networks run it off only.
+#: Every mode :class:`Modular` accepts, per network, selection and solver;
+#: ``stop_on_failure`` is inert without a failing condition, so passing
+#: networks run it off only.
 MODES = [
     pytest.param(
-        name,
-        dict(symmetry=symmetry, backend=backend, parallel=parallel, stop_on_failure=stop),
-        id=f"{name}-{symmetry}-{backend}-{parallel}" + ("-stop" if stop else ""),
+        (name, selection),
+        dict(symmetry=symmetry, parallel=parallel, stop_on_failure=stop),
+        solver,
+        id=f"{name}-{symmetry}-{parallel}" + ("-stop" if stop else "") + f"-{solver}-{selection}",
     )
     for name in NETWORKS
+    for selection in SELECTIONS
     for symmetry in SYMMETRY_MODES
-    for backend in BACKENDS
     for parallel in (1, 2)
+    for solver in (SOLVERS if parallel == 1 else ("process",))
     for stop in ((False, True) if name in FAILING else (False,))
-    if _accepted(backend=backend, parallel=parallel)
 ]
 
 
-@pytest.mark.parametrize("case, options", MODES, indirect=["case"])
-def test_every_mode_matches_the_reference(case, options, tmp_path):
-    name, annotated, reference = case
+@pytest.mark.parametrize("case, options, solver", MODES, indirect=["case"])
+def test_every_mode_matches_the_reference(case, options, solver, tmp_path):
+    name, annotated, nodes, reference = case
     failing = name in FAILING
     assert reference.passed is not failing
+    supplied = SOLVERS[solver]() if SOLVERS[solver] is not None else None
     store = str(tmp_path / "store.json")
     # delta: off, then reuse over a cold store, then reuse over the store
-    # the cold run wrote.
+    # the cold run wrote; a supplied solver carries its scope across all three.
     for phase, delta in (("off", {}), ("cold", {"delta": "reuse", "store": store}),
                          ("warm", {"delta": "reuse", "store": store})):
         strategy = Modular(**options, **delta)
-        report = verify(annotated, strategy)
+        with Session(annotated, strategy, solver=supplied) as session:
+            report = session.run(nodes)
         _assert_matches_reference(report, reference, annotated, strategy)
         assert report.stopped_early is (failing and options["stop_on_failure"]), phase
         if phase == "cold":
             assert report.conditions_reused == 0
         if phase == "warm" and not failing:
             assert report.conditions_recheck == 0
+    if solver == "rotating":
+        assert supplied.scopes > 1 and supplied.compactions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +192,23 @@ def test_every_mode_matches_the_reference(case, options, tmp_path):
 #: added), and verdicts, failing-condition names, node order, fingerprints
 #: and delta-store bytes are identical on every registry network in every
 #: symmetry × backend × parallel mode (the comparison is in CHANGES.md).
+#: Re-recorded again when the learned-clause carry was removed: each parent
+#: JSON minus ``backend_cache["learned_carried"]`` and
+#: ``backend_cache["learned_carry_size"]`` (both 0 on this path) hashes to
+#: the new digest, in all twelve cases (the output is in CHANGES.md).
 GOLDEN = {
-    ("fattree/reach", "off"): "0f8e7368b0fa71afd39fa0b8ccf6497b7a088a5a1f521fc751338a59a49c6175",
-    ("fattree/reach", "classes"): "e936c724886d45065049f0ca649acbf5d16814ea42ee33c19cdf0c5398baa196",
-    ("fattree/reach", "spot-check"): "1dadf12ba23cbff2ba5b596095ddfe6853dff036ae1e5acae0f19c48d46911e8",
-    ("fattree/reach[all_pairs]", "off"): "d2f3561450a4047ac2f1b81f71aa1405b74625c707427da4ae4f459efa53f929",
-    ("fattree/reach[all_pairs]", "classes"): "b6ab65a3ff3ae4d98bf0be7f7b14a1a6a3bf8394cd6e151db9988ffa8e7a830c",
-    ("fattree/reach[all_pairs]", "spot-check"): "63735f3ae025191f1fadcaea85d2782548f8988be008f989642e5ae44eb52950",
-    ("wan/reach", "off"): "164108f1ae358a867f4b89a70974c4da9ef6ee8d9443882bc42dcc0dbf8dbb02",
-    ("wan/reach", "classes"): "52efa2b3dd22b321ddfd8bea046c859b27e443bc2c10fd792b7aa7aab929af0b",
-    ("wan/reach", "spot-check"): "bfd803bac7b8f284d73b97b68903ba5c371ca4744b9e1d13c74f304643fa777f",
-    ("ghost/reach", "off"): "334581c6bcb9858d10235bc07c0be5775d42a0c7b1307897f9841d5af087a5fb",
-    ("ghost/reach", "classes"): "0c054c224f3fda289d2c347107022573b52553b088523665446e32ed21298eca",
-    ("ghost/reach", "spot-check"): "090c37a5a3830e865420e8f4e4b54f5a1c6744bd4566f79c829319a96300e3db",
+    ("fattree/reach", "off"): "9c733beabd8c3fc8ac52a5cc93661e73a334174dcd2083e31a0674320dd9dfa7",
+    ("fattree/reach", "classes"): "e78e5bd0652c196549c7c92114c0058b8b69e7209464ed25f2c3fee9322793f5",
+    ("fattree/reach", "spot-check"): "32adc2f69ced9bc13a521f487930c2801aa3b6ea0b5f3987e956a99af5a7cb39",
+    ("fattree/reach[all_pairs]", "off"): "18b35fa8d64dfb000e0c5a1f3f33117a33b08fc7d95a7447bac3eec9cd5899c6",
+    ("fattree/reach[all_pairs]", "classes"): "4ca3d7a27e366713651484616c6a2488d8ed171d0f88e8611c8765dbb3a71a03",
+    ("fattree/reach[all_pairs]", "spot-check"): "ce2ab0c165ca2cbb01d53c37f6acdc49bb12c31b2448c1d7ecd7234d1417f281",
+    ("wan/reach", "off"): "47ec37fb1f56331d816329ab95ebdd4d558fbb5417a207dc10f1c19ab6cd9257",
+    ("wan/reach", "classes"): "77e2ffbdeddea58968a2b78741b6028cf61a5d19c1f4a069515db692f3b8c2b8",
+    ("wan/reach", "spot-check"): "2aa96a225c377f22fa0821dd73d028d88102dcb620fb625aa7f27e1dda7499c6",
+    ("ghost/reach", "off"): "44326e0fece5d840199c9119b8b3fdad2908575429193f693b34e01e82a2e039",
+    ("ghost/reach", "classes"): "2e48285191eda30ce2056f0ff0f1891473e9b61635425b61716b1488d0cea790",
+    ("ghost/reach", "spot-check"): "da57e074fcb9cdc6ba09ab281b6db7b7288f2b379e9015a836c13c03cc1eb394",
 }
 
 GOLDEN_NETWORKS = {

@@ -43,12 +43,10 @@ def _figure8_annotated():
 
 
 class TestByteIdenticalVerdicts:
-    def test_session_matches_reference_mode_on_k4_spreach(self):
-        """Acceptance: Session(Modular(symmetry="classes")) ≡ the reference mode."""
+    def test_session_matches_reference_mode_on_k4_spreach(self, reference_report):
+        """Acceptance: Session(Modular(symmetry="classes")) ≡ the reference."""
         benchmark = registry.build("fattree/reach", pods=4)
-        reference = verify(
-            benchmark.annotated, Modular(symmetry="off", backend="fresh", parallel=1)
-        )
+        reference = reference_report(benchmark.annotated)
         with Session(benchmark.annotated, Modular(symmetry="classes")) as session:
             modern = session.run()
         assert condition_verdicts(reference) == condition_verdicts(modern)
@@ -56,64 +54,31 @@ class TestByteIdenticalVerdicts:
         assert reference.symmetry_classes is None and modern.symmetry_classes == 6
         assert tuple(modern.node_reports) == tuple(reference.node_reports)
 
-    @pytest.mark.parametrize("backend", ["incremental", "persistent", "fresh"])
-    def test_backends_agree_on_verdicts(self, backend):
+    @pytest.mark.parametrize("pinned", [False, True], ids=["process", "session"])
+    def test_solvers_agree_with_the_reference(self, reference_report, pinned):
         benchmark = registry.build("fattree/reach", pods=4)
-        baseline = verify(benchmark.annotated, Modular(backend="fresh"))
-        reset_process_solver()
-        report = verify(benchmark.annotated, Modular(backend=backend))
-        assert condition_verdicts(report) == condition_verdicts(baseline)
+        solver = _small_scope_solver() if pinned else None
+        with Session(benchmark.annotated, Modular(), solver=solver) as session:
+            report = session.run()
+        assert condition_verdicts(report) == condition_verdicts(reference_report(benchmark.annotated))
 
 
 def _small_scope_solver():
-    """A persistent backend whose scopes rotate (by size) every few nodes of a k=4 fattree."""
+    """A session solver whose scopes rotate (by size) every few nodes of a k=4 fattree."""
     from repro.smt.incremental import IncrementalSolver
 
-    return IncrementalSolver(persist_learned=True, max_scope_clauses=2000)
+    return IncrementalSolver(max_scope_clauses=2000)
 
 
 class TestPersistentSessions:
-    def test_learned_clauses_carry_across_scopes_and_runs(self):
-        """Acceptance: a reused persistent session retains learned clauses."""
-        benchmark = registry.build("fattree/reach", pods=4)
-        with Session(
-            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
-        ) as session:
-            first = session.run()
-            second = session.run()
-        assert first.passed and second.passed
-        assert condition_verdicts(first) == condition_verdicts(second)
-        # Cross-scope learned-clause retention is visible in the cache
-        # counters of both runs, and the second run starts from the carry
-        # set the first run built up.
-        assert first.backend_cache["learned_carried"] > 0
-        assert second.backend_cache["learned_carried"] > 0
-
     def test_persistent_second_run_encodes_nothing_new(self):
         benchmark = registry.build("fattree/reach", pods=4)
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(benchmark.annotated, Modular(), solver=_small_scope_solver()) as session:
             session.run()
             second = session.run()
         # All encoding work was done in run 1; run 2 is pure cache hits.
         assert second.backend_cache["tseitin_misses"] == 0
         assert second.backend_cache["guard_misses"] == 0
-
-    def test_supplied_solver_must_match_backend(self):
-        from repro.smt.incremental import IncrementalSolver
-
-        benchmark = registry.build("ghost/reach")
-        # fresh cannot use a solver at all.
-        with pytest.raises(VerificationError, match="fresh"):
-            Session(
-                benchmark.annotated, Modular(backend="fresh"), solver=IncrementalSolver()
-            ).run()
-        # persistent needs persist_learned=True or the carry silently dies.
-        with pytest.raises(VerificationError, match="persist_learned"):
-            Session(
-                benchmark.annotated,
-                Modular(backend="persistent"),
-                solver=IncrementalSolver(),
-            ).run()
 
     def test_supplied_solver_rejected_for_facade_engines(self):
         from repro.smt.incremental import IncrementalSolver
@@ -146,26 +111,14 @@ class TestPersistentSessions:
         assert statistics["tseitin_misses"] > 0
         assert report.backend_cache["tseitin_misses"] == statistics["tseitin_misses"]
 
-    def test_carry_size_gauge_is_not_differenced(self):
-        benchmark = registry.build("fattree/reach", pods=4)
-        with Session(
-            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
-        ) as session:
-            session.run()
-            second = session.run()
-        # The gauge reports the live carry-set size, not a per-run delta —
-        # a second run with a full, stable carry set must not read as zero.
-        assert second.backend_cache["learned_carry_size"] > 0
-
     def test_backend_cache_is_the_whole_run_delta_of_the_pinned_solver(self):
-        """Summed per-item deltas equal after-minus-before on every key, and
-        the gauge carries the last reading (not the largest) — compaction
-        empties the carry set mid-run, so the two differ here."""
+        """Summed per-item deltas equal after-minus-before on every key, across
+        size-triggered rotations and compactions of the encoding mid-run."""
         from repro.smt.incremental import IncrementalSolver, subtract_cache_statistics
 
         benchmark = registry.build("fattree/reach", pods=4)
-        solver = IncrementalSolver(persist_learned=True, max_variables=2000)
-        with Session(benchmark.annotated, Modular(backend="persistent"), solver=solver) as session:
+        solver = IncrementalSolver(max_scope_clauses=2000, max_variables=2000)
+        with Session(benchmark.annotated, Modular(), solver=solver) as session:
             for _ in range(2):
                 before = solver.cache_statistics()
                 report = session.run()
@@ -175,17 +128,17 @@ class TestPersistentSessions:
 
     def test_closed_session_rejects_runs(self):
         benchmark = registry.build("ghost/reach")
-        session = Session(benchmark.annotated, Modular(backend="persistent"))
+        session = Session(benchmark.annotated, Modular(), solver=_small_scope_solver())
         session.run()
         session.close()
         with pytest.raises(VerificationError, match="closed"):
             session.run()
 
-    def test_crash_recovery_keeps_later_runs_sound(self, monkeypatch):
+    def test_crash_recovery_keeps_later_runs_sound(self, monkeypatch, reference_report):
         from repro.smt.sat.solver import CdclSolver
 
         benchmark = registry.build("fattree/reach", pods=4)
-        baseline = verify(benchmark.annotated, Modular(backend="fresh"))
+        baseline = reference_report(benchmark.annotated)
         calls = {"n": 0}
         original = CdclSolver.solve
 
@@ -196,7 +149,7 @@ class TestPersistentSessions:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(CdclSolver, "solve", explode_once)
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(benchmark.annotated, Modular(), solver=_small_scope_solver()) as session:
             with pytest.raises(RuntimeError, match="interrupted mid-solve"):
                 session.run()
             report = session.run()
@@ -238,7 +191,7 @@ class TestStreaming:
 
     def test_new_run_cancels_an_abandoned_stream(self):
         benchmark = registry.build("ghost/reach")
-        with Session(benchmark.annotated, Modular(backend="persistent")) as session:
+        with Session(benchmark.annotated, Modular(), solver=_small_scope_solver()) as session:
             abandoned = session.stream()
             next(abandoned)
             # Starting a new run cancels the in-flight one deterministically
@@ -258,17 +211,14 @@ class TestStreaming:
             session.run()
             assert session.runs == 2
 
-    def test_abandoned_stream_recovers_the_pinned_solver(self):
+    def test_abandoned_stream_recovers_the_pinned_solver(self, reference_report):
         """Regression: abandoning a stream (GeneratorExit) used to leave the
-        session-owned persistent solver with the abandoned batch's SAT scope
-        open; the next run on the same session must start from a clean scope
-        with byte-identical verdicts and sane learned-clause counters."""
+        session's pinned solver with the abandoned batch's SAT scope open;
+        the next run on the same session must start from a clean scope with
+        byte-identical verdicts."""
         benchmark = registry.build("fattree/reach", pods=4)
-        with Session(benchmark.annotated, Modular(backend="persistent")) as clean:
-            expected = condition_verdicts(clean.run())
-        with Session(
-            benchmark.annotated, Modular(backend="persistent"), solver=_small_scope_solver()
-        ) as session:
+        expected = condition_verdicts(reference_report(benchmark.annotated))
+        with Session(benchmark.annotated, Modular(), solver=_small_scope_solver()) as session:
             stream = session.stream()
             for _ in range(4):
                 next(stream)
@@ -283,8 +233,6 @@ class TestStreaming:
             second = session.run()
         assert condition_verdicts(first) == expected
         assert condition_verdicts(second) == expected
-        assert first.backend_cache["learned_carried"] > 0
-        assert second.backend_cache["learned_carried"] > 0
 
 
 class TestLiveParallelStreaming:

@@ -4,10 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core.conditions import CONDITION_KINDS
 from repro.networks import registry
 from repro.verify import (
-    BACKENDS,
     DELTA_MODES,
     Modular,
     Monolithic,
@@ -30,11 +28,10 @@ class TestValidation:
             Modular(symmetry="sideways")
         assert "off" in str(excinfo.value) and "classes" in str(excinfo.value)
 
-    def test_unknown_backend_names_the_backends(self):
-        with pytest.raises(ValueError) as excinfo:
-            Modular(backend="z3")
-        for backend in BACKENDS:
-            assert backend in str(excinfo.value)
+    def test_backend_is_not_a_knob(self):
+        # One engine path: the solver is the session's, not a strategy field.
+        with pytest.raises(TypeError, match="backend"):
+            Modular(backend="fresh")
 
     def test_bad_parallel_delay_and_conditions(self):
         with pytest.raises(ValueError, match="parallel"):
@@ -69,10 +66,6 @@ class TestValidation:
         # __getitem__ alone is not enough: node→predicate mappings only.
         with pytest.raises(ValueError, match="mapping"):
             Strawperson(interfaces=["a", "b"])
-
-    def test_persistent_backend_is_sequential_only(self):
-        with pytest.raises(ValueError, match="parallel workers"):
-            Modular(backend="persistent", parallel=2)
 
     def test_unknown_delta_mode_names_the_modes(self):
         with pytest.raises(ValueError) as excinfo:
@@ -154,7 +147,6 @@ class TestEveryFieldReachesTheEngine:
     OPTION_FIELDS = {"delay": 3, "conditions": ("initial",), "fail_fast": False}
     LOOP_FIELDS = {
         "symmetry",
-        "backend",
         "parallel",
         "stop_on_failure",
         "spot_check_seed",
@@ -186,12 +178,6 @@ class TestEveryFieldReachesTheEngine:
         captured = self._captured_check_kwargs(monkeypatch, Modular(**self.OPTION_FIELDS))
         for name, value in self.OPTION_FIELDS.items():
             assert captured[name] == value, f"field {name!r} did not reach the engine"
-        # backend="incremental" arrives as incremental=True.
-        assert captured["incremental"] is True
-
-    def test_backend_fresh_reaches_the_engine(self, monkeypatch):
-        captured = self._captured_check_kwargs(monkeypatch, Modular(backend="fresh"))
-        assert captured["incremental"] is False
 
     def test_parallel_reaches_the_engine(self, monkeypatch):
         benchmark = registry.build("fattree/reach", pods=4)
