@@ -16,8 +16,8 @@ work, by pure term construction and constant folding::
 The same passes run inside a verification session
 (``Session.run(lint="warn")`` attaches diagnostics to the report,
 ``lint="strict"`` raises :class:`~repro.errors.AnalysisError` before
-dispatch), from the CLI (``timepiece-bench lint``), and in CI (the
-self-lint smoke keeps every registry benchmark clean).  See
+dispatch), from the CLI (``timepiece-bench lint``), and in the test suite
+(every registry benchmark lints clean).  See
 ``docs/DIAGNOSTICS.md`` for the code reference.
 """
 

@@ -1,6 +1,6 @@
 """Seeded annotation/config mutations for lint self-tests.
 
-The CI self-lint job proves two directions: every registry benchmark lints
+The lint self-tests prove two directions: every registry benchmark lints
 *clean*, and lint actually *detects* the classic mistakes — which needs
 networks with the mistakes planted.  These helpers plant exactly the three
 documented mutations (see ``docs/DIAGNOSTICS.md``):
@@ -14,7 +14,10 @@ documented mutations (see ``docs/DIAGNOSTICS.md``):
 
 Each mutation leaves the rest of the network untouched, so a full SAT run
 on the mutated network corroborates the lint verdict (the first two fail,
-the third still passes — it is hygiene, not correctness).
+the third still passes — it is hygiene, not correctness).  The annotation
+mutations copy through :meth:`AnnotatedNetwork.with_interface`, which drops
+the builder's symmetry markers: the mutated node no longer belongs to the
+class a role hint would file it under.
 """
 
 from __future__ import annotations
@@ -23,22 +26,6 @@ from repro.analysis.distance import origin_distances
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.temporal import always_true, finally_, globally
 from repro.errors import AnalysisError
-
-
-def _reannotate(
-    annotated: AnnotatedNetwork, node: str, interface
-) -> AnnotatedNetwork:
-    """A copy of ``annotated`` with one node's interface replaced."""
-    interfaces = {name: annotated.interface(name) for name in annotated.nodes}
-    interfaces[node] = interface
-    properties = {name: annotated.node_property(name) for name in annotated.nodes}
-    return AnnotatedNetwork(
-        annotated.network,
-        interfaces,
-        properties,
-        minimum_time_width=annotated.minimum_time_width,
-        symmetry_key=annotated.symmetry_key,
-    )
 
 
 def lower_witness_time(
@@ -77,7 +64,7 @@ def lower_witness_time(
         globally(lambda route: route.is_some, description="G(has route)"),
         description=f"F^{distance - 1}(G(has route)) [mutated: true distance {distance}]",
     )
-    return _reannotate(annotated, node, bad_interface), node, distance
+    return annotated.with_interface(node, bad_interface), node, distance
 
 
 def make_interface_vacuous(
@@ -103,7 +90,7 @@ def make_interface_vacuous(
                 "cannot place a vacuous-interface mutation: every node's "
                 "property is already trivially true"
             )
-    return _reannotate(annotated, node, always_true()), node
+    return annotated.with_interface(node, always_true()), node
 
 
 def add_unused_community(

@@ -157,6 +157,22 @@ class AnnotatedNetwork:
             destination_symmetry=self.destination_symmetry,
         )
 
+    def with_interface(self, node: str, interface: TemporalLike) -> "AnnotatedNetwork":
+        """A copy with ``node``'s interface replaced: the one edit helper.
+
+        Both symmetry markers are dropped.  They describe the annotations the
+        builder wrote; a kept role hint would file the edited node under its
+        old class and never build its own conditions.
+        """
+        interfaces = dict(self._interfaces)
+        interfaces[node] = interface
+        return AnnotatedNetwork(
+            self.network,
+            interfaces,
+            dict(self._properties),
+            minimum_time_width=self.minimum_time_width,
+        )
+
     def __repr__(self) -> str:
         return (
             f"AnnotatedNetwork(nodes={self.network.topology.node_count}, "

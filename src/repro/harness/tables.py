@@ -257,31 +257,35 @@ def lines_of_code_table() -> str:
     the *relative* effort — interfaces and properties are an order of
     magnitude smaller than the network definitions they annotate.
     """
-    from repro.networks import benchmarks as fattree_benchmarks
+    from repro.networks import benchmarks as fattree
     from repro.networks import wan as wan_benchmark
 
-    def total(module: object, names: Sequence[str]) -> int:
-        return sum(count_callable_lines(getattr(module, name)) for name in names if hasattr(module, name))
+    def total(*targets: object) -> int:
+        return sum(count_callable_lines(target) for target in targets)
 
+    # Named directly, so a rename raises instead of silently counting nothing.
     shared_network = total(
-        fattree_benchmarks,
-        (
-            "_identity_transfer",
-            "_destination_announcement",
-            "_sp_initial",
-            "_ap_destination",
-            "_bgp_option_merge",
-        ),
+        fattree.build_fattree,
+        fattree._Destination,
+        fattree.FixedDestination.__init__,
+        fattree.FixedDestination.initial,
+        fattree.SymbolicDestination.__init__,
+        fattree.SymbolicDestination.initial,
+        fattree._bgp_option_merge,
     )
     shared_interface = total(
-        fattree_benchmarks, ("_symbolic_distance", "_symbolic_adjacency", "_length_within_distance")
+        fattree.FixedDestination.until,
+        fattree.FixedDestination.adjacent,
+        fattree.SymbolicDestination.until,
+        fattree.SymbolicDestination.adjacent,
+        fattree._path_length,
     )
 
     rows = [
-        ("Reach", shared_network + count_callable_lines(fattree_benchmarks.build_reach), shared_interface + 4, 2),
-        ("Len", shared_network + count_callable_lines(fattree_benchmarks.build_length), shared_interface + 10, 4),
-        ("Vf", shared_network + count_callable_lines(fattree_benchmarks.build_valley_freedom), shared_interface + 16, 2),
-        ("Hijack", shared_network + count_callable_lines(fattree_benchmarks.build_hijack), shared_interface + 8, 4),
+        ("Reach", shared_network + total(fattree._reach), shared_interface + 4, 2),
+        ("Len", shared_network + total(fattree._length), shared_interface + 10, 4),
+        ("Vf", shared_network + total(fattree._valley_freedom), shared_interface + 16, 2),
+        ("Hijack", shared_network + total(fattree._hijack), shared_interface + 8, 4),
         (
             "BlockToExternal",
             count_callable_lines(wan_benchmark.build_wan_benchmark),

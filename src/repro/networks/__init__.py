@@ -4,7 +4,9 @@ ghost-state constructions.
 These are the networks of the paper's evaluation (§6).  Each builder returns
 an :class:`~repro.core.annotations.AnnotatedNetwork` complete with the
 interfaces and properties described in the paper, ready for a
-:class:`repro.verify.Session` under any strategy.
+:class:`repro.verify.Session` under any strategy.  Each fattree policy is
+written once, against a destination object that alone makes it ``Sp`` (a
+fixed edge node) or ``Ap`` (a symbolic one); :func:`build_fattree` picks both.
 
 Construct networks by name through :mod:`repro.networks.registry`
 (``registry.build("fattree/reach", pods=4)``) — the single validated path
@@ -21,10 +23,7 @@ from repro.networks.benchmarks import (
     HIJACKER,
     POLICIES,
     FattreeBenchmark,
-    build_hijack,
-    build_length,
-    build_reach,
-    build_valley_freedom,
+    build_fattree,
 )
 from repro.networks.fattree import (
     AGGREGATION,
@@ -57,10 +56,7 @@ __all__ = [
     "AGGREGATION",
     "EDGE",
     "FattreeBenchmark",
-    "build_reach",
-    "build_length",
-    "build_valley_freedom",
-    "build_hijack",
+    "build_fattree",
     "POLICIES",
     "COMPACT_WIDTHS",
     "FATTREE_DIAMETER",

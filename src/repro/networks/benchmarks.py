@@ -15,15 +15,21 @@ Hijack     every internal node eventually has an internal route for the symbolic
 ========== ==========================================================================
 
 Every benchmark comes in two flavours, following the paper: ``Sp`` (a fixed
-destination edge node) and ``Ap`` (an *all-pairs* variant where the
-destination is a symbolic variable ranging over all edge nodes).  Witness
-times are derived from each node's role via ``dist(v)``
-(:meth:`repro.networks.fattree.Fattree.distance_to_destination`), exactly as
-described in §6.
+destination edge node) and ``Ap`` (*all pairs*: the destination is a symbolic
+index ranging over every edge node).  The destination is the only thing the
+flavours differ in, so it is one object — :class:`FixedDestination` or
+:class:`SymbolicDestination` — and each policy is one function written
+against it.  The destination supplies the initial routes, the network
+symbolics, the symmetry marker, ``adj(v)``, and ``until(node, before,
+after)``: ``before U^{dist(v)} after(dist(v))``, where the witness time
+``dist(v)`` (:meth:`repro.networks.fattree.Fattree.distance_to_destination`)
+is a constant for ``Sp`` and an ITE ladder over the symbolic destination for
+``Ap``, exactly as described in §6.  :func:`build_fattree` is the one builder.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -33,8 +39,8 @@ from repro.core import (
     TemporalPredicate,
     always_true,
     finally_,
-    finally_dynamic,
     globally,
+    lift,
     until,
     until_dynamic,
 )
@@ -98,144 +104,157 @@ class FattreeBenchmark:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# The destination: the one thing Sp and Ap differ in
 # ---------------------------------------------------------------------------
 
 
-def _identity_transfer(family: BgpRouteFamily) -> Callable[[Edge], Callable[[SymOption], SymOption]]:
-    policy = BgpPolicy()
+class _Destination:
+    """What both flavours share: the fattree, the route family, the network."""
 
-    def for_edge(edge: Edge) -> Callable[[SymOption], SymOption]:
-        return policy.apply
+    #: The concrete destination edge node, or ``None`` when it is symbolic.
+    name: str | None
+    symbolics: tuple[SymbolicVariable, ...]
+    #: The symmetry marker, as :class:`AnnotatedNetwork` keyword arguments.
+    symmetry: dict[str, Any]
 
-    return for_edge
+    def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
+        self.fattree = fattree
+        self.family = family
 
-
-def _destination_announcement(family: BgpRouteFamily, prefix: Any = 0, **ghost: Any) -> dict[str, Any]:
-    return family.default_announcement(prefix=0, lp=DEFAULT_LOCAL_PREFERENCE, **ghost)
-
-
-def _sp_initial(
-    family: BgpRouteFamily, destination: str, announcement: dict[str, Any]
-) -> Callable[[str], SymOption]:
-    def initial(node: str) -> SymOption:
-        if node == destination:
-            return family.route.some(announcement)
-        return family.route.none()
-
-    return initial
-
-
-def _ap_destination(
-    fattree: Fattree, family: BgpRouteFamily, announcement: dict[str, Any]
-) -> tuple[SymbolicVariable, Callable[[str], SymOption], dict[str, SymBV]]:
-    """Build the symbolic destination choice for all-pairs benchmarks.
-
-    Returns the symbolic variable, the initial-route function, and a map from
-    edge-node name to its index constant (used to compare against the symbolic
-    index when computing distances).
-    """
-    edge_nodes = fattree.edge_nodes
-    # One extra bit so the bound ``len(edge_nodes)`` itself is representable —
-    # otherwise the range constraint below would wrap around and become false,
-    # making every all-pairs check vacuous.
-    index_width = max(1, len(edge_nodes).bit_length())
-    destination_index = SymBV.fresh(index_width, "dest")
-    symbolic = SymbolicVariable(
-        name="dest",
-        value=destination_index,
-        constraint=destination_index < len(edge_nodes),
-    )
-    index_of = {name: position for position, name in enumerate(edge_nodes)}
-
-    concrete_route = family.route.some(announcement)
-    absent = family.route.none()
-
-    def initial(node: str) -> SymOption:
-        if node not in index_of:
-            return absent
-        is_destination = destination_index == index_of[node]
-        return ite_value(is_destination, concrete_route, absent)
-
-    return symbolic, initial, {name: index_of[name] for name in edge_nodes}
+    def network(self, transfer=None, merge=None, initial=None, symbolics=()) -> Network:
+        """The network; by default plain eBGP on every edge from this destination."""
+        plain = BgpPolicy().apply
+        return Network(
+            topology=self.fattree.topology,
+            route_shape=self.family.route,
+            initial_routes=initial or self.initial,
+            transfer_functions=transfer or (lambda edge: plain),
+            merge=merge or _bgp_option_merge,
+            symbolics=self.symbolics + symbolics,
+        )
 
 
-def _symbolic_distance(
-    fattree: Fattree,
-    node: str,
-    destination_index: SymBV,
-    index_of: dict[str, int],
-) -> Callable[[SymBV], SymBV]:
-    """``dist(node)`` as a function of the symbolic destination.
+class FixedDestination(_Destination):
+    """``Sp``: the destination is the fattree's default edge node.
 
-    Returns a callable usable as the witness of :func:`until_dynamic`: given
-    the symbolic time variable (for its width), it builds the ite-chain that
-    selects the concrete distance matching the chosen destination.
+    Witness times and hence interfaces depend only on a node's role, whether
+    it shares the destination's pod and whether it is the destination, so the
+    network carries the fattree role hint and the symmetry-aware checker
+    partitions nodes without hashing their conditions.
     """
 
-    def witness(time: SymBV) -> SymBV:
-        width = time.width
-        result = SymBV.constant(FATTREE_DIAMETER, width)
-        for edge_node, position in index_of.items():
-            distance = fattree.distance_to_destination(node, edge_node)
-            result = ite_value(destination_index == position, SymBV.constant(distance, width), result)
-        return result
+    def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
+        super().__init__(fattree, family)
+        self.name = fattree.default_destination()
+        self.symbolics = ()
+        self.symmetry = {"symmetry_key": fattree_symmetry_key(fattree, self.name)}
+        self._announcement = family.default_announcement()
 
-    return witness
+    def initial(self, node: str) -> SymOption:
+        if node == self.name:
+            return self.family.route.some(self._announcement)
+        return self.family.route.none()
 
+    def until(self, node: str, before: Callable, after: Callable) -> TemporalPredicate:
+        distance = self.fattree.distance_to_destination(node, self.name)
+        return until(distance, before, after(distance))
 
-def _symbolic_adjacency(
-    fattree: Fattree,
-    node: str,
-    destination_index: SymBV,
-    index_of: dict[str, int],
-) -> SymBool:
-    """``adj(node)`` as a predicate over the symbolic destination."""
-    matches = [
-        destination_index == position
-        for edge_node, position in index_of.items()
-        if fattree.adjacent_to_destination(node, edge_node)
-    ]
-    if not matches:
-        return SymBool.false()
-    return any_of(matches)
+    def adjacent(self, node: str) -> SymBool:
+        return SymBool.constant(self.fattree.adjacent_to_destination(node, self.name))
 
 
-def _ap_symmetry(fattree: Fattree) -> DestinationSymmetry:
-    """The destination-permutation marker shared by every ``Ap`` builder."""
-    return DestinationSymmetry(variable="dest", size=len(fattree.edge_nodes))
+class SymbolicDestination(_Destination):
+    """``Ap``: the destination is a symbolic index ``dest`` over the edge nodes.
+
+    Every node's interface bakes in its own ``dest == k`` constants, so no two
+    nodes are term-identical; the network carries a
+    :class:`DestinationSymmetry` marker instead, and the symmetry layer
+    quotients nodes up to a simultaneous permutation of those constants.
+    """
+
+    name = None
+
+    def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
+        super().__init__(fattree, family)
+        edge_nodes = fattree.edge_nodes
+        # One extra bit so the bound ``len(edge_nodes)`` itself is
+        # representable — otherwise the range constraint would wrap around
+        # and become false, making every all-pairs check vacuous.
+        self.index = SymBV.fresh(max(1, len(edge_nodes).bit_length()), "dest")
+        self.symbolics = (
+            SymbolicVariable("dest", self.index, constraint=self.index < len(edge_nodes)),
+        )
+        self.symmetry = {"destination_symmetry": DestinationSymmetry("dest", len(edge_nodes))}
+        self._position = {name: position for position, name in enumerate(edge_nodes)}
+        self._present = family.route.some(family.default_announcement())
+        self._absent = family.route.none()
+
+    def initial(self, node: str) -> SymOption:
+        if node not in self._position:
+            return self._absent
+        return ite_value(self.index == self._position[node], self._present, self._absent)
+
+    def until(self, node: str, before: Callable, after: Callable) -> TemporalPredicate:
+        ladders: dict[int, SymBV] = {}
+
+        def distance(time: SymBV) -> SymBV:
+            # ``dist(node)`` selected by the symbolic destination, at the time
+            # term's width: one ITE per edge node, built once per time term
+            # however often the interface reads it.
+            ladder = ladders.get(time.term.term_id)
+            if ladder is None:
+                ladder = SymBV.constant(FATTREE_DIAMETER, time.width)
+                for edge_node, position in self._position.items():
+                    hops = self.fattree.distance_to_destination(node, edge_node)
+                    ladder = ite_value(self.index == position, SymBV.constant(hops, time.width), ladder)
+                ladders[time.term.term_id] = ladder
+            return ladder
+
+        later = TemporalPredicate(
+            lambda route, time: lift(after(distance(time)))(route, time),
+            max_witness=FATTREE_DIAMETER,
+        )
+        return until_dynamic(distance, before, later, max_witness=FATTREE_DIAMETER)
+
+    def adjacent(self, node: str) -> SymBool:
+        matches = [
+            self.index == position
+            for edge_node, position in self._position.items()
+            if self.fattree.adjacent_to_destination(node, edge_node)
+        ]
+        return any_of(matches) if matches else SymBool.false()
 
 
-def _standard_annotated(
-    fattree: Fattree,
-    family: BgpRouteFamily,
-    network: Network,
-    interfaces: dict[str, TemporalPredicate],
-    properties: dict[str, TemporalPredicate],
-    destination: str | None = None,
-) -> AnnotatedNetwork:
-    # Single-destination benchmarks carry a fattree symmetry hint: witness
-    # times (and hence interfaces) depend only on (role, same pod as the
-    # destination, is the destination), so the symmetry-aware checker can
-    # partition nodes without hashing their conditions.  All-pairs variants
-    # bake per-node destination-index constants into every interface, so no
-    # two nodes are isomorphic term-for-term — they carry a
-    # DestinationSymmetry marker instead, and the symmetry layer quotients
-    # them up to simultaneous destination-index permutation.
-    symmetry_key = None if destination is None else fattree_symmetry_key(fattree, destination)
-    destination_symmetry = _ap_symmetry(fattree) if destination is None else None
-    return AnnotatedNetwork(
-        network,
-        interfaces,
-        properties,
-        symmetry_key=symmetry_key,
-        destination_symmetry=destination_symmetry,
-    )
+def _path_length(path_length: SymBV, distance: int | SymBV, compare: Callable) -> SymBool:
+    """``compare(path_length, distance)``, by cases when the distance is a
+    symbolic ladder of another width (its value is at most the diameter)."""
+    if isinstance(distance, int) or path_length.width == distance.width:
+        return compare(path_length, distance)
+    result = SymBool.false()
+    for value in range(FATTREE_DIAMETER + 1):
+        result = result | ((distance == value) & compare(path_length, value))
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Reach
+# Shared policy parts
 # ---------------------------------------------------------------------------
+
+
+def _bgp_option_merge(left: SymOption, right: SymOption) -> SymOption:
+    return option_min_merge(left, right, bgp_better)
+
+
+def _anything(route: SymOption) -> SymBool:
+    return SymBool.true()
+
+
+def _has_route(route: SymOption) -> SymBool:
+    return route.is_some
+
+
+def _everywhere(fattree: Fattree, predicate: TemporalPredicate) -> dict[str, TemporalPredicate]:
+    return {node: predicate for node in fattree.nodes}
 
 
 def inject_interface_failure(
@@ -250,84 +269,32 @@ def inject_interface_failure(
     poisoned network and the chosen node.
     """
     poisoned = node if node is not None else annotated.nodes[len(annotated.nodes) // 2]
-    interfaces = {name: annotated.interface(name) for name in annotated.nodes}
-    interfaces[poisoned] = globally(lambda r: r.is_none)
-    properties = {name: annotated.node_property(name) for name in annotated.nodes}
-    injected = AnnotatedNetwork(
-        annotated.network,
-        interfaces,
-        properties,
-        minimum_time_width=annotated.minimum_time_width,
-    )
-    return injected, poisoned
+    return annotated.with_interface(poisoned, globally(lambda r: r.is_none)), poisoned
 
 
-def build_reach(pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None) -> FattreeBenchmark:
-    """The Reach benchmark: plain shortest-path-style eBGP, reachability."""
-    fattree = Fattree(pods)
-    family = bgp_route_family(**(widths or COMPACT_WIDTHS))
-    has_route = lambda route: route.is_some  # noqa: E731 - tiny predicate
+# ---------------------------------------------------------------------------
+# The policies: one function each, written against the destination
+# ---------------------------------------------------------------------------
 
-    reach_property = finally_(FATTREE_DIAMETER, globally(has_route))
-    properties = {node: reach_property for node in fattree.nodes}
 
-    if not all_pairs:
-        destination = fattree.default_destination()
-        network = Network(
-            topology=fattree.topology,
-            route_shape=family.route,
-            initial_routes=_sp_initial(family, destination, _destination_announcement(family)),
-            transfer_functions=_identity_transfer(family),
-            merge=_bgp_option_merge(),
-        )
-        interfaces = {
-            node: finally_(
-                fattree.distance_to_destination(node, destination), globally(has_route)
-            )
-            for node in fattree.nodes
-        }
-        annotated = _standard_annotated(
-            fattree, family, network, interfaces, properties, destination=destination
-        )
-        return FattreeBenchmark("SpReach", "reach", False, fattree, family, annotated, destination)
-
-    symbolic, initial, index_of = _ap_destination(fattree, family, _destination_announcement(family))
-    network = Network(
-        topology=fattree.topology,
-        route_shape=family.route,
-        initial_routes=initial,
-        transfer_functions=_identity_transfer(family),
-        merge=_bgp_option_merge(),
-        symbolics=(symbolic,),
-    )
+def _reach(fattree: Fattree, place: type[_Destination], widths: dict[str, int]) -> tuple:
+    """Reach: plain shortest-path-style eBGP, reachability."""
+    family = bgp_route_family(**widths)
+    destination = place(fattree, family)
+    network = destination.network()
     interfaces = {
-        node: finally_dynamic(
-            _symbolic_distance(fattree, node, symbolic.value, index_of),
-            globally(has_route),
-            max_witness=FATTREE_DIAMETER,
-        )
+        node: destination.until(node, _anything, lambda distance: globally(_has_route))
         for node in fattree.nodes
     }
-    annotated = _standard_annotated(fattree, family, network, interfaces, properties)
-    return FattreeBenchmark("ApReach", "reach", True, fattree, family, annotated, None)
+    properties = _everywhere(fattree, finally_(FATTREE_DIAMETER, globally(_has_route)))
+    return destination, network, interfaces, properties
 
 
-def _bgp_option_merge() -> Callable[[SymOption, SymOption], SymOption]:
-    def merge(left: SymOption, right: SymOption) -> SymOption:
-        return option_min_merge(left, right, bgp_better)
-
-    return merge
-
-
-# ---------------------------------------------------------------------------
-# Len
-# ---------------------------------------------------------------------------
-
-
-def build_length(pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None) -> FattreeBenchmark:
-    """The Len benchmark: bounded path length to the destination."""
-    fattree = Fattree(pods)
-    family = bgp_route_family(**(widths or COMPACT_WIDTHS))
+def _length(fattree: Fattree, place: type[_Destination], widths: dict[str, int]) -> tuple:
+    """Len: bounded path length to the destination."""
+    family = bgp_route_family(**widths)
+    destination = place(fattree, family)
+    network = destination.network()
 
     def no_better_routes(route: SymOption) -> SymBool:
         payload = route.payload
@@ -335,89 +302,24 @@ def build_length(pods: int, all_pairs: bool = False, widths: dict[str, int] | No
             (payload.lp == DEFAULT_LOCAL_PREFERENCE) & (payload.ad == DEFAULT_ADMIN_DISTANCE)
         )
 
-    def length_at_most(bound: int) -> Callable[[SymOption], SymBool]:
-        return lambda route: route.is_some & (route.payload.as_path_length <= bound)
-
-    length_property = finally_(FATTREE_DIAMETER, globally(length_at_most(FATTREE_DIAMETER)))
-    properties = {node: length_property for node in fattree.nodes}
-
-    if not all_pairs:
-        destination = fattree.default_destination()
-        network = Network(
-            topology=fattree.topology,
-            route_shape=family.route,
-            initial_routes=_sp_initial(family, destination, _destination_announcement(family)),
-            transfer_functions=_identity_transfer(family),
-            merge=_bgp_option_merge(),
+    def length_at_most(bound: int | SymBV) -> TemporalPredicate:
+        return globally(
+            lambda route: route.is_some
+            & _path_length(route.payload.as_path_length, bound, operator.le)
         )
-        interfaces = {
-            node: globally(no_better_routes).intersect(
-                finally_(
-                    fattree.distance_to_destination(node, destination),
-                    globally(length_at_most(fattree.distance_to_destination(node, destination))),
-                )
-            )
-            for node in fattree.nodes
-        }
-        annotated = _standard_annotated(
-            fattree, family, network, interfaces, properties, destination=destination
-        )
-        return FattreeBenchmark("SpLen", "length", False, fattree, family, annotated, destination)
 
-    symbolic, initial, index_of = _ap_destination(fattree, family, _destination_announcement(family))
-    network = Network(
-        topology=fattree.topology,
-        route_shape=family.route,
-        initial_routes=initial,
-        transfer_functions=_identity_transfer(family),
-        merge=_bgp_option_merge(),
-        symbolics=(symbolic,),
-    )
-
-    def ap_interface(node: str) -> TemporalPredicate:
-        distance_of = _symbolic_distance(fattree, node, symbolic.value, index_of)
-
-        def bounded_length(route: SymOption, time: SymBV) -> SymBool:
-            # path_length ≤ dist(node), where the distance depends on the
-            # symbolic destination; compare by cases since the two bitvectors
-            # have different widths and the distance is at most the diameter.
-            distance = distance_of(time)
-            return route.is_some & _length_within_distance(route.payload.as_path_length, distance)
-
-        eventually_short = until_dynamic(
-            distance_of,
-            lambda route: SymBool.true(),
-            TemporalPredicate(bounded_length, max_witness=FATTREE_DIAMETER),
-            max_witness=FATTREE_DIAMETER,
-        )
-        return globally(no_better_routes).intersect(eventually_short)
-
-    interfaces = {node: ap_interface(node) for node in fattree.nodes}
-    annotated = _standard_annotated(fattree, family, network, interfaces, properties)
-    return FattreeBenchmark("ApLen", "length", True, fattree, family, annotated, None)
+    interfaces = {
+        node: globally(no_better_routes).intersect(destination.until(node, _anything, length_at_most))
+        for node in fattree.nodes
+    }
+    properties = _everywhere(fattree, finally_(FATTREE_DIAMETER, length_at_most(FATTREE_DIAMETER)))
+    return destination, network, interfaces, properties
 
 
-def _length_within_distance(path_length: SymBV, distance: SymBV) -> SymBool:
-    """``path_length ≤ distance`` across differing widths (distance ≤ diameter)."""
-    result = SymBool.false()
-    for value in range(FATTREE_DIAMETER + 1):
-        result = result | ((distance == value) & (path_length <= value))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Vf (valley freedom)
-# ---------------------------------------------------------------------------
-
-
-def build_valley_freedom(
-    pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None
-) -> FattreeBenchmark:
-    """The Vf benchmark: reachability under a valley-freedom tagging policy."""
-    fattree = Fattree(pods)
-    parameters = dict(widths or COMPACT_WIDTHS)
-    family = bgp_route_family(communities=(DOWN_COMMUNITY,), **parameters)
-    has_route = lambda route: route.is_some  # noqa: E731
+def _valley_freedom(fattree: Fattree, place: type[_Destination], widths: dict[str, int]) -> tuple:
+    """Vf: reachability under a valley-freedom tagging policy."""
+    family = bgp_route_family(communities=(DOWN_COMMUNITY,), **widths)
+    destination = place(fattree, family)
 
     def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
         source, target = edge
@@ -429,103 +331,34 @@ def build_valley_freedom(
             policy = BgpPolicy()
         return policy.apply
 
-    reach_property = finally_(FATTREE_DIAMETER, globally(has_route))
-    properties = {node: reach_property for node in fattree.nodes}
+    network = destination.network(transfer_for)
 
-    def stable_payload(node_distance: int, must_be_clean: SymBool) -> Callable[[SymOption], SymBool]:
-        def predicate(route: SymOption) -> SymBool:
-            payload = route.payload
-            clean = ~payload.communities.contains(DOWN_COMMUNITY)
-            return (
-                route.is_some
-                & (payload.lp == DEFAULT_LOCAL_PREFERENCE)
-                & (payload.ad == DEFAULT_ADMIN_DISTANCE)
-                & (payload.as_path_length == node_distance)
-                & (must_be_clean.implies(clean))
-            )
+    def interface(node: str) -> TemporalPredicate:
+        adjacent = destination.adjacent(node)
 
-        return predicate
+        def stable(distance: int | SymBV) -> TemporalPredicate:
+            def predicate(route: SymOption) -> SymBool:
+                payload = route.payload
+                clean = ~payload.communities.contains(DOWN_COMMUNITY)
+                return (
+                    route.is_some
+                    & (payload.lp == DEFAULT_LOCAL_PREFERENCE)
+                    & (payload.ad == DEFAULT_ADMIN_DISTANCE)
+                    & _path_length(payload.as_path_length, distance, operator.eq)
+                    & (adjacent.implies(clean))
+                )
 
-    if not all_pairs:
-        destination = fattree.default_destination()
-        network = Network(
-            topology=fattree.topology,
-            route_shape=family.route,
-            initial_routes=_sp_initial(family, destination, _destination_announcement(family)),
-            transfer_functions=transfer_for,
-            merge=_bgp_option_merge(),
-        )
-        interfaces = {}
-        for node in fattree.nodes:
-            distance = fattree.distance_to_destination(node, destination)
-            adjacent = SymBool.constant(fattree.adjacent_to_destination(node, destination))
-            interfaces[node] = until(
-                distance,
-                lambda route: route.is_none,
-                globally(stable_payload(distance, adjacent)),
-            )
-        annotated = _standard_annotated(
-            fattree, family, network, interfaces, properties, destination=destination
-        )
-        return FattreeBenchmark("SpVf", "valley_freedom", False, fattree, family, annotated, destination)
+            return globally(predicate)
 
-    symbolic, initial, index_of = _ap_destination(fattree, family, _destination_announcement(family))
-    network = Network(
-        topology=fattree.topology,
-        route_shape=family.route,
-        initial_routes=initial,
-        transfer_functions=transfer_for,
-        merge=_bgp_option_merge(),
-        symbolics=(symbolic,),
-    )
+        return destination.until(node, lambda route: route.is_none, stable)
 
-    def ap_interface(node: str) -> TemporalPredicate:
-        distance_of = _symbolic_distance(fattree, node, symbolic.value, index_of)
-        adjacent = _symbolic_adjacency(fattree, node, symbolic.value, index_of)
-
-        def after(route: SymOption, time: SymBV) -> SymBool:
-            payload = route.payload
-            clean = ~payload.communities.contains(DOWN_COMMUNITY)
-            distance = distance_of(time)
-            length_matches = _compare_path_length(payload.as_path_length, distance)
-            return (
-                route.is_some
-                & (payload.lp == DEFAULT_LOCAL_PREFERENCE)
-                & (payload.ad == DEFAULT_ADMIN_DISTANCE)
-                & length_matches
-                & (adjacent.implies(clean))
-            )
-
-        return until_dynamic(
-            distance_of,
-            lambda route: route.is_none,
-            TemporalPredicate(after, max_witness=FATTREE_DIAMETER),
-            max_witness=FATTREE_DIAMETER,
-        )
-
-    interfaces = {node: ap_interface(node) for node in fattree.nodes}
-    annotated = _standard_annotated(fattree, family, network, interfaces, properties)
-    return FattreeBenchmark("ApVf", "valley_freedom", True, fattree, family, annotated, None)
+    interfaces = {node: interface(node) for node in fattree.nodes}
+    properties = _everywhere(fattree, finally_(FATTREE_DIAMETER, globally(_has_route)))
+    return destination, network, interfaces, properties
 
 
-def _compare_path_length(path_length: SymBV, distance: SymBV) -> SymBool:
-    """``path_length == distance`` across differing widths (distance ≤ diameter)."""
-    if path_length.width == distance.width:
-        return path_length == distance
-    # The distance is at most the fattree diameter (4), so compare by case.
-    result = SymBool.false()
-    for value in range(FATTREE_DIAMETER + 1):
-        result = result | ((distance == value) & (path_length == value))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Hijack
-# ---------------------------------------------------------------------------
-
-
-def build_hijack(pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None) -> FattreeBenchmark:
-    """The Hijack benchmark: route filtering against an adversarial peer.
+def _hijack(fattree: Fattree, place: type[_Destination], widths: dict[str, int]) -> tuple:
+    """Hijack: route filtering against an adversarial peer.
 
     A ``hijacker`` node is attached to every core switch and may announce any
     route (its initial route is symbolic, marked with the ``external`` ghost
@@ -534,34 +367,29 @@ def build_hijack(pods: int, all_pairs: bool = False, widths: dict[str, int] | No
     every internal node eventually holds a route for ``p`` that is not via the
     hijacker.
     """
-    fattree = Fattree(pods)
-    parameters = dict(widths or COMPACT_WIDTHS)
-    family = bgp_route_family(ghost_fields={"external": BoolShape()}, **parameters)
-
-    topology = fattree.topology
+    family = bgp_route_family(ghost_fields={"external": BoolShape()}, **widths)
     for core in fattree.core_nodes:
-        topology.add_undirected_edge(HIJACKER, core)
+        fattree.topology.add_undirected_edge(HIJACKER, core)
 
-    prefix_width = parameters["prefix_width"]
-    internal_prefix = SymBV.fresh(prefix_width, "prefix")
-    prefix_symbolic = SymbolicVariable(name="prefix", value=internal_prefix)
-
+    internal_prefix = SymBV.fresh(widths["prefix_width"], "prefix")
     hijacker_route = family.route.fresh("hijack_announcement")
-    hijacker_symbolic = SymbolicVariable(
-        name="hijack_announcement",
-        value=hijacker_route,
-        constraint=family.route.constraint(hijacker_route)
-        & (hijacker_route.is_none | hijacker_route.payload.external),
+    symbolics = (
+        SymbolicVariable(name="prefix", value=internal_prefix),
+        SymbolicVariable(
+            name="hijack_announcement",
+            value=hijacker_route,
+            constraint=family.route.constraint(hijacker_route)
+            & (hijacker_route.is_none | hijacker_route.payload.external),
+        ),
     )
+    # Created after the hijack symbolics, so fresh names keep their order.
+    destination = place(fattree, family)
 
     def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
-        source, target = edge
-        if source == HIJACKER:
-            # Core switches filter hijacker routes for the internal prefix.
-            policy = BgpPolicy(guard=lambda payload: payload.prefix != internal_prefix)
-        else:
-            policy = BgpPolicy()
-        return policy.apply
+        if edge[0] != HIJACKER:
+            return BgpPolicy().apply
+        # Core switches filter hijacker routes for the internal prefix.
+        return BgpPolicy(guard=lambda payload: payload.prefix != internal_prefix).apply
 
     def merge(left: SymOption, right: SymOption) -> SymOption:
         # Routes for the internal prefix win over routes for other prefixes
@@ -573,6 +401,12 @@ def build_hijack(pods: int, all_pairs: bool = False, widths: dict[str, int] | No
 
         return option_min_merge(left, right, better)
 
+    def initial(node: str) -> SymOption:
+        if node == HIJACKER:
+            return hijacker_route
+        # The destination advertises the symbolic prefix p.
+        return destination.initial(node).map(lambda payload: payload.with_fields(prefix=internal_prefix))
+
     def internal_route(route: SymOption) -> SymBool:
         return route.is_some & (route.payload.prefix == internal_prefix) & ~route.payload.external
 
@@ -581,72 +415,43 @@ def build_hijack(pods: int, all_pairs: bool = False, widths: dict[str, int] | No
             ~route.payload.external
         )
 
-    hijack_property = finally_(FATTREE_DIAMETER, globally(internal_route))
-    properties: dict[str, TemporalPredicate] = {
-        node: hijack_property for node in fattree.nodes
+    network = destination.network(transfer_for, merge, initial, symbolics)
+    interfaces = {
+        node: destination.until(node, _anything, lambda distance: globally(internal_route)).intersect(
+            globally(no_hijack)
+        )
+        for node in fattree.nodes
     }
-    properties[HIJACKER] = always_true()
-
-    def announcement() -> dict[str, Any]:
-        values = family.default_announcement(external=False)
-        return values
-
-    def make_initial(sp_destination: str | None, ap_initial: Callable[[str], SymOption] | None):
-        concrete = dict(announcement())
-
-        def initial(node: str) -> SymOption:
-            if node == HIJACKER:
-                return hijacker_route
-            if ap_initial is not None:
-                base = ap_initial(node)
-            elif node == sp_destination:
-                base = family.route.some(concrete)
-            else:
-                base = family.route.none()
-            # The destination advertises the symbolic prefix p.
-            return base.map(lambda payload: payload.with_fields(prefix=internal_prefix))
-
-        return initial
-
-    if not all_pairs:
-        destination = fattree.default_destination()
-        network = Network(
-            topology=topology,
-            route_shape=family.route,
-            initial_routes=make_initial(destination, None),
-            transfer_functions=transfer_for,
-            merge=merge,
-            symbolics=(prefix_symbolic, hijacker_symbolic),
-        )
-        interfaces: dict[str, TemporalPredicate] = {}
-        for node in fattree.nodes:
-            distance = fattree.distance_to_destination(node, destination)
-            interfaces[node] = finally_(distance, globally(internal_route)).intersect(
-                globally(no_hijack)
-            )
-        interfaces[HIJACKER] = always_true()
-        annotated = _standard_annotated(
-            fattree, family, network, interfaces, properties, destination=destination
-        )
-        return FattreeBenchmark("SpHijack", "hijack", False, fattree, family, annotated, destination)
-
-    symbolic, ap_initial, index_of = _ap_destination(fattree, family, announcement())
-    network = Network(
-        topology=topology,
-        route_shape=family.route,
-        initial_routes=make_initial(None, ap_initial),
-        transfer_functions=transfer_for,
-        merge=merge,
-        symbolics=(symbolic, prefix_symbolic, hijacker_symbolic),
-    )
-    interfaces = {}
-    for node in fattree.nodes:
-        distance_of = _symbolic_distance(fattree, node, symbolic.value, index_of)
-        interfaces[node] = finally_dynamic(
-            distance_of, globally(internal_route), max_witness=FATTREE_DIAMETER
-        ).intersect(globally(no_hijack))
     interfaces[HIJACKER] = always_true()
-    annotated = AnnotatedNetwork(
-        network, interfaces, properties, destination_symmetry=_ap_symmetry(fattree)
+    properties = _everywhere(fattree, finally_(FATTREE_DIAMETER, globally(internal_route)))
+    properties[HIJACKER] = always_true()
+    return destination, network, interfaces, properties
+
+
+#: Policy name -> (benchmark title, policy function), in :data:`POLICIES` order.
+_POLICIES = {
+    "reach": ("Reach", _reach),
+    "length": ("Len", _length),
+    "valley_freedom": ("Vf", _valley_freedom),
+    "hijack": ("Hijack", _hijack),
+}
+
+
+def build_fattree(
+    policy: str, pods: int, all_pairs: bool = False, widths: dict[str, int] | None = None
+) -> FattreeBenchmark:
+    """One fattree benchmark: ``policy`` on a ``pods``-pod fattree, ``Ap`` if ``all_pairs``."""
+    title, build = _POLICIES[policy]
+    place = SymbolicDestination if all_pairs else FixedDestination
+    destination, network, interfaces, properties = build(
+        Fattree(pods), place, dict(widths or COMPACT_WIDTHS)
     )
-    return FattreeBenchmark("ApHijack", "hijack", True, fattree, family, annotated, None)
+    return FattreeBenchmark(
+        ("Ap" if all_pairs else "Sp") + title,
+        policy,
+        all_pairs,
+        destination.fattree,
+        destination.family,
+        AnnotatedNetwork(network, interfaces, properties, **destination.symmetry),
+        destination.name,
+    )

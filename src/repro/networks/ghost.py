@@ -33,7 +33,6 @@ from repro.symbolic import (
     OptionShape,
     RecordShape,
     SymOption,
-    ite_value,
 )
 
 

@@ -12,7 +12,8 @@ networks through a single namespace of ``family/property`` names —
 — each mapping to a builder with *declared, validated* parameters: unknown
 parameter names, wrong types and out-of-range values are rejected with a
 :class:`~repro.errors.BenchmarkError` naming the benchmark and the allowed
-values, before any network is built.
+values, before any network is built.  The catalogue is one literal table of
+:class:`BenchmarkSpec` entries at the end of this module.
 
 Every build returns an object satisfying the small
 :class:`BuiltBenchmark` contract (``name``, ``annotated``, ``node_count``,
@@ -23,10 +24,19 @@ can hand the result straight to :class:`repro.verify.Session`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping
 
+from repro.config.generator import WanParameters
 from repro.core.annotations import AnnotatedNetwork
 from repro.errors import BenchmarkError
+from repro.networks.benchmarks import build_fattree
+from repro.networks.ghost import (
+    no_transit_network,
+    reachability_from_destination,
+    unordered_waypoint_network,
+)
+from repro.networks.wan import WanBenchmark, build_wan_benchmark
 
 
 @dataclass(frozen=True)
@@ -43,18 +53,11 @@ class Parameter:
     def validate(self, benchmark: str, value: Any) -> Any:
         if self.kind is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        if self.kind is not Any:
-            # None is legal only for parameters whose declared default is
-            # None (e.g. optional overrides); elsewhere it is a type error
-            # like any other, reported before the check callback runs.
-            allows_none = self.default is None
-            if (value is None and not allows_none) or (
-                value is not None
-                and (
-                    not isinstance(value, self.kind)
-                    or (self.kind is int and isinstance(value, bool))
-                )
-            ):
+        # None is legal only for parameters whose declared default is None
+        # (e.g. optional overrides); elsewhere it is a type error like any
+        # other, reported before the check callback runs.
+        if self.kind is not Any and not (value is None and self.default is None):
+            if not isinstance(value, self.kind) or (self.kind is int and isinstance(value, bool)):
                 raise BenchmarkError(
                     f"benchmark {benchmark!r}: parameter {self.name!r} must be "
                     f"{self.kind.__name__}, got {type(value).__name__}"
@@ -92,13 +95,9 @@ class BenchmarkSpec:
             value = overrides.get(parameter.name, parameter.default)
             arguments[parameter.name] = parameter.validate(self.name, value)
         built = self.builder(**arguments)
-        if isinstance(built, AnnotatedNetwork):
-            return BuiltBenchmark(
-                name=self.name, annotated=built, parameters=dict(arguments), raw=built
-            )
         return BuiltBenchmark(
             name=getattr(built, "name", self.name),
-            annotated=built.annotated,
+            annotated=built if isinstance(built, AnnotatedNetwork) else built.annotated,
             parameters=dict(arguments),
             raw=built,
         )
@@ -122,22 +121,6 @@ class BuiltBenchmark:
     @property
     def node_count(self) -> int:
         return self.annotated.network.topology.node_count
-
-
-_REGISTRY: dict[str, BenchmarkSpec] = {}
-_ALIASES: dict[str, str] = {}
-
-
-def register(spec: BenchmarkSpec) -> BenchmarkSpec:
-    """Register a benchmark spec (and its aliases) by name."""
-    if spec.name in _REGISTRY or spec.name in _ALIASES:
-        raise BenchmarkError(f"benchmark {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    for alias in spec.aliases:
-        if alias in _REGISTRY or alias in _ALIASES:
-            raise BenchmarkError(f"benchmark alias {alias!r} is already registered")
-        _ALIASES[alias] = spec.name
-    return spec
 
 
 def benchmark_names(include_aliases: bool = False) -> tuple[str, ...]:
@@ -165,140 +148,101 @@ def build(name: str, **parameters: Any) -> BuiltBenchmark:
 
 
 # ---------------------------------------------------------------------------
-# Built-in registrations
+# The catalogue
 # ---------------------------------------------------------------------------
 
 
-def _positive(what: str) -> Callable[[Any], str | None]:
-    return lambda value: None if value > 0 else f"must be a positive {what}"
+def _even_pods(value: int) -> str | None:
+    return None if value >= 2 and value % 2 == 0 else "must be an even pod count >= 2"
 
 
-def _even_pods(value: Any) -> str | None:
-    if value < 2 or value % 2 != 0:
-        return "must be an even pod count >= 2"
-    return None
+def _positive_peers(value: int) -> str | None:
+    return None if value > 0 else "must be a positive peer count"
 
 
 def _widths_check(value: Any) -> str | None:
-    if value is None:
+    if value is None or isinstance(value, Mapping):
         return None
-    if not isinstance(value, Mapping):
-        return "must be a mapping of field-width overrides or None"
-    return None
+    return "must be a mapping of field-width overrides or None"
 
 
-def _fattree_parameters() -> tuple[Parameter, ...]:
-    return (
-        Parameter("pods", int, 4, "fattree pod count k", _even_pods),
-        Parameter("all_pairs", bool, False, "symbolic-destination (Ap) variant"),
-        Parameter("widths", Any, None, "route field-width overrides", _widths_check),
-    )
+def _build_wan(**parameters: Any) -> WanBenchmark:
+    return build_wan_benchmark(WanParameters(**parameters))
 
 
-def _register_fattree(policy: str, description: str) -> None:
-    from repro.networks import benchmarks as fattree
+_FATTREE = (
+    Parameter("pods", int, 4, "fattree pod count k", _even_pods),
+    Parameter("all_pairs", bool, False, "symbolic-destination (Ap) variant"),
+    Parameter("widths", Any, None, "route field-width overrides", _widths_check),
+)
 
-    builders = {
-        "reach": fattree.build_reach,
-        "length": fattree.build_length,
-        "valley_freedom": fattree.build_valley_freedom,
-        "hijack": fattree.build_hijack,
-    }
-    register(
-        BenchmarkSpec(
-            name=f"fattree/{policy}",
-            builder=builders[policy],
-            description=description,
-            parameters=_fattree_parameters(),
-        )
-    )
-
-
-def _build_wan(internal_routers: int, external_peers: int, buggy: bool):
-    from repro.config.generator import WanParameters
-    from repro.networks.wan import build_wan_benchmark
-
-    return build_wan_benchmark(
-        WanParameters(
-            internal_routers=internal_routers, external_peers=external_peers, buggy=buggy
-        )
-    )
-
-
-def _build_ghost_reach():
-    from repro.networks.ghost import reachability_from_destination
-
-    return reachability_from_destination()
-
-
-def _build_ghost_no_transit():
-    from repro.networks.ghost import no_transit_network
-
-    return no_transit_network()
-
-
-def _build_ghost_waypoint(waypoints: tuple[str, ...]):
-    from repro.networks.ghost import unordered_waypoint_network
-
-    return unordered_waypoint_network(waypoints=tuple(waypoints))
-
-
-def _register_builtins() -> None:
-    _register_fattree("reach", "every node eventually has a route (Reach)")
-    _register_fattree("length", "bounded path length to the destination (Len)")
-    _register_fattree("valley_freedom", "reachability under valley-freedom tagging (Vf)")
-    _register_fattree("hijack", "route filtering against an adversarial peer (Hijack)")
-    register(
-        BenchmarkSpec(
-            name="wan/block_to_external",
-            builder=_build_wan,
-            description="BlockToExternal on the synthetic Internet2 WAN",
-            parameters=(
-                Parameter(
-                    "internal_routers",
-                    int,
-                    10,
-                    "internal ring size",
-                    lambda v: None if v >= 3 else "must be at least 3",
-                ),
-                Parameter(
-                    "external_peers", int, 40, "external peer count", _positive("peer count")
-                ),
-                Parameter("buggy", bool, False, "plant the missing-export-filter bug"),
+_SPECS = (
+    BenchmarkSpec(
+        "fattree/reach",
+        partial(build_fattree, "reach"),
+        "every node eventually has a route (Reach)",
+        _FATTREE,
+    ),
+    BenchmarkSpec(
+        "fattree/length",
+        partial(build_fattree, "length"),
+        "bounded path length to the destination (Len)",
+        _FATTREE,
+    ),
+    BenchmarkSpec(
+        "fattree/valley_freedom",
+        partial(build_fattree, "valley_freedom"),
+        "reachability under valley-freedom tagging (Vf)",
+        _FATTREE,
+    ),
+    BenchmarkSpec(
+        "fattree/hijack",
+        partial(build_fattree, "hijack"),
+        "route filtering against an adversarial peer (Hijack)",
+        _FATTREE,
+    ),
+    BenchmarkSpec(
+        "wan/block_to_external",
+        _build_wan,
+        "BlockToExternal on the synthetic Internet2 WAN",
+        (
+            Parameter(
+                "internal_routers",
+                int,
+                10,
+                "internal ring size",
+                lambda v: None if v >= 3 else "must be at least 3",
             ),
-            aliases=("wan/reach",),
-        )
-    )
-    register(
-        BenchmarkSpec(
-            name="ghost/reach",
-            builder=_build_ghost_reach,
-            description="the running example with the fromw ghost bit (Figure 10)",
-        )
-    )
-    register(
-        BenchmarkSpec(
-            name="ghost/no_transit",
-            builder=_build_ghost_no_transit,
-            description="two providers and a customer that must not provide transit",
-        )
-    )
-    register(
-        BenchmarkSpec(
-            name="ghost/waypoint",
-            builder=_build_ghost_waypoint,
-            description="a service chain whose routes must traverse every waypoint",
-            parameters=(
-                Parameter(
-                    "waypoints",
-                    tuple,
-                    ("firewall", "scrubber"),
-                    "waypoint node names, in chain order",
-                    lambda v: None if len(v) >= 1 else "must name at least one waypoint",
-                ),
+            Parameter("external_peers", int, 40, "external peer count", _positive_peers),
+            Parameter("buggy", bool, False, "plant the missing-export-filter bug"),
+        ),
+        aliases=("wan/reach",),
+    ),
+    BenchmarkSpec(
+        "ghost/reach",
+        reachability_from_destination,
+        "the running example with the fromw ghost bit (Figure 10)",
+    ),
+    BenchmarkSpec(
+        "ghost/no_transit",
+        no_transit_network,
+        "two providers and a customer that must not provide transit",
+    ),
+    BenchmarkSpec(
+        "ghost/waypoint",
+        unordered_waypoint_network,
+        "a service chain whose routes must traverse every waypoint",
+        (
+            Parameter(
+                "waypoints",
+                tuple,
+                ("firewall", "scrubber"),
+                "waypoint node names, in chain order",
+                lambda v: None if len(v) >= 1 else "must name at least one waypoint",
             ),
-        )
-    )
+        ),
+    ),
+)
 
-
-_register_builtins()
+_REGISTRY = {spec.name: spec for spec in _SPECS}
+_ALIASES = {alias: spec.name for spec in _SPECS for alias in spec.aliases}

@@ -8,8 +8,9 @@ role classes.  These tests pin:
 
 * the permutation algebra (witness slots map across, the rest ascending);
 * counterexample re-concretization (:func:`reindex_destination`);
-* the partition itself (classes ≤ 25% of hash-only on a k=4 all-pairs
-  fattree, canonical conditions term-identical across class members);
+* the partition itself (coarser than hash-only for every k=4 all-pairs
+  policy, ≤ 25% of it for Reach; canonical conditions term-identical across
+  class members);
 * the headline soundness claim — verdicts are byte-identical to
   ``symmetry="off"``, on both passing and failing networks (the latter
   exercises the raw re-check + counterexample translation path);
@@ -30,13 +31,14 @@ from repro.core.symmetry import (
 )
 from repro.core.temporal import globally
 from repro.errors import VerificationError
-from repro.networks.benchmarks import build_reach
+from repro.networks import registry
+from repro.networks.benchmarks import POLICIES
 from repro.verify import Modular, verify
 
 
 @pytest.fixture(scope="module")
 def ap_bench():
-    return build_reach(4, all_pairs=True)
+    return registry.build("fattree/reach", pods=4, all_pairs=True).raw
 
 
 def _verdicts(report):
@@ -103,13 +105,17 @@ class TestReindexDestination:
 
 
 class TestQuotientPartition:
-    def test_partition_is_much_coarser_than_hash_only(self, ap_bench):
-        annotated = ap_bench.annotated
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_partition_is_much_coarser_than_hash_only(self, policy):
+        annotated = registry.build(f"fattree/{policy}", pods=4, all_pairs=True).annotated
         quotient_classes = partition_nodes(annotated, annotated.nodes)
         hash_classes = partition_nodes(_without_marker(annotated), annotated.nodes)
-        # The acceptance claim, at k=4: the quotient discharges at most 25%
-        # of the classes the hash-only partition needs.
-        assert 4 * len(quotient_classes) <= len(hash_classes)
+        # At k=4 every all-pairs policy quotients to fewer classes than the
+        # hash-only partition (3 vs 13 for Reach, Len and Vf, 4 vs 14 for
+        # Hijack); for Reach the quotient needs at most 25% of them.
+        assert len(quotient_classes) < len(hash_classes)
+        if policy == "reach":
+            assert 4 * len(quotient_classes) <= len(hash_classes)
         # Every class carries its quotient (all nodes are eligible) and a
         # witness per member.
         for cls in quotient_classes:

@@ -191,3 +191,9 @@ class TestTables:
         for benchmark in ("Reach", "Len", "Vf", "Hijack", "BlockToExternal"):
             assert benchmark in table
         assert "interface LoC" in table
+        # Each fattree network is counted from its policy function: a name
+        # the table no longer finds would show as a near-empty network.
+        rows = {line.split()[0]: line.split()[1:] for line in table.splitlines()[2:]}
+        for benchmark in ("Reach", "Len", "Vf", "Hijack"):
+            network, interface, _ = map(int, rows[benchmark])
+            assert network > interface, benchmark

@@ -5,7 +5,7 @@ import pytest
 from repro.core.annotations import AnnotatedNetwork
 from repro.errors import BenchmarkError
 from repro.networks import registry
-from repro.networks.registry import BenchmarkSpec, BuiltBenchmark, Parameter
+from repro.networks.registry import BuiltBenchmark, Parameter
 from repro.verify import verify
 
 
@@ -32,6 +32,11 @@ class TestCatalogue:
         with pytest.raises(BenchmarkError) as excinfo:
             registry.build("fattree/bogus")
         assert "fattree/reach" in str(excinfo.value)
+
+    def test_names_and_aliases_are_unique(self):
+        names = [spec.name for spec in registry._SPECS]
+        aliases = [alias for spec in registry._SPECS for alias in spec.aliases]
+        assert len(set(names + aliases)) == len(names) + len(aliases)
 
     def test_specs_carry_descriptions(self):
         for name in registry.benchmark_names():
@@ -100,27 +105,6 @@ class TestValidation:
 
 
 class TestRegistration:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(BenchmarkError, match="already registered"):
-            registry.register(
-                BenchmarkSpec(name="fattree/reach", builder=lambda: None, description="dup")
-            )
-
-    def test_custom_registration_round_trip(self):
-        spec = BenchmarkSpec(
-            name="test/tiny",
-            builder=lambda: registry.build("ghost/reach").annotated,
-            description="a test-only entry",
-            parameters=(),
-        )
-        registry.register(spec)
-        try:
-            built = registry.build("test/tiny")
-            assert built.name == "test/tiny"
-            assert isinstance(built.annotated, AnnotatedNetwork)
-        finally:
-            registry._REGISTRY.pop("test/tiny")
-
     def test_parameter_validate_reports_benchmark_and_value(self):
         parameter = Parameter("n", int, 1, check=lambda v: None if v > 0 else "must be positive")
         with pytest.raises(BenchmarkError, match=r"'bench'.*'n' must be positive.*-3"):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.mutations import _reannotate, lower_witness_time, make_interface_vacuous
+from repro.analysis.mutations import lower_witness_time, make_interface_vacuous
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.fingerprint import clear_fingerprint_cache, dependency_fingerprints
 from repro.core.results import condition_verdicts
@@ -84,8 +84,8 @@ def test_an_edit_evaluates_only_the_edited_interface(reach, tmp_path):
     topology = annotated.network.topology
     edited_node = annotated.nodes[len(annotated.nodes) // 2]
     successors = {n for n in annotated.nodes if edited_node in topology.predecessors(n)}
-    edited = _reannotate(
-        annotated, edited_node, _counting(calls, "edited", globally(lambda route: route.is_none))
+    edited = annotated.with_interface(
+        edited_node, _counting(calls, "edited", globally(lambda route: route.is_none))
     )
     calls.clear()
     report = verify(edited, Modular(delta="reuse", store=store))

@@ -6,8 +6,9 @@ reordered subset, on the per-process solver or a supplied one (also one small
 enough to rotate mid-run), must agree with the reference
 (``reference_report`` in ``tests/conftest.py``: ``check_node`` on a fresh SAT
 instance per condition, outside the engine) on verdicts, node order and
-counterexample validity — on every registry network at its smallest size and
-on failure-injected networks.  The golden digests additionally pin the
+counterexample validity — on every registry network at its smallest size
+(every all-pairs variant too), on failure-injected networks, and on one-node
+edits placed off a symmetry-class representative.  The golden digests additionally pin the
 full timing-free report JSON of the sequential modes to what the pre-merge
 engine (four loops, two work-item types) produced.
 """
@@ -22,9 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro import core
+from repro.analysis.mutations import lower_witness_time, make_interface_vacuous
 from repro.core.results import condition_verdicts
 from repro.core.symmetry import SYMMETRY_MODES
 from repro.networks import registry
+from repro.networks.benchmarks import POLICIES, inject_interface_failure
 from repro.routing import path_topology, shortest_path_network
 from repro.smt.incremental import IncrementalSolver
 from repro.verify import Modular, Session, verify
@@ -56,7 +59,10 @@ def _symmetric_failing_path():
 #: ``one_failing_node_annotated`` conftest factory).
 NETWORKS = {
     **{name: _registry_case(name) for name in registry.benchmark_names()},
-    "fattree/reach[all_pairs]": _registry_case("fattree/reach", all_pairs=True),
+    **{
+        f"fattree/{policy}[all_pairs]": _registry_case(f"fattree/{policy}", all_pairs=True)
+        for policy in POLICIES
+    },
     "path[symmetric_failure]": _symmetric_failing_path,
     "path[one_failing_node]": None,
 }
@@ -175,6 +181,31 @@ def test_every_mode_matches_the_reference(case, options, solver, tmp_path):
             assert report.conditions_recheck == 0
     if solver == "rotating":
         assert supplied.scopes > 1 and supplied.compactions > 0
+
+
+#: The one-node edits of ``analysis/mutations.py`` and the failure injector.
+EDITS = {
+    "lower_witness_time": lambda annotated, node: lower_witness_time(annotated, node)[0],
+    "make_interface_vacuous": lambda annotated, node: make_interface_vacuous(annotated, node)[0],
+    "inject_interface_failure": lambda annotated, node: inject_interface_failure(annotated, node)[0],
+}
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRY_MODES)
+@pytest.mark.parametrize("node", [None, "core-1"], ids=["default", "core-1"])
+@pytest.mark.parametrize("edit", EDITS)
+def test_an_edited_node_is_checked_whatever_its_role_class(edit, node, symmetry, reference_report):
+    """An edit outside a class representative (``core-1``) must still fail.
+
+    The fattree role hint describes the builder's annotations; were it kept
+    on the copy, the edited node would be filed under its role class and its
+    own conditions never built.
+    """
+    edited = EDITS[edit](registry.build("fattree/reach", pods=4).annotated, node)
+    reference = reference_report(edited)
+    report = verify(edited, Modular(symmetry=symmetry))
+    assert not reference.passed
+    assert condition_verdicts(report) == condition_verdicts(reference)
 
 
 # ---------------------------------------------------------------------------
