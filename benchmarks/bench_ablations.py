@@ -1,4 +1,8 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmarks: in-process rows with no equivalent in the spine.
+
+The benchmark spine (``benchmarks/spine``, ``BENCHMARK.json``) measures each
+end-to-end workload in fresh subprocesses; a row lives here only when it
+compares design alternatives the spine does not run.
 
 * **Bounded delay (§4).** The inductive condition can consider routes sent up
   to ``d`` steps late; the benchmark measures how the per-node check cost
@@ -14,23 +18,12 @@
   compares ``verify(..., Modular())`` against a plain ``check_node`` loop on
   the stateless facade (a fresh SAT instance per condition) on the fattree
   benchmark families and checks the verdicts are identical.
-* **Delta re-verification.** ``Modular(delta="reuse")`` keys verdicts by
-  content fingerprints in an on-disk store (:mod:`repro.verify.store`); the
-  ablation checks a warm no-op run reuses 100% of the verdicts and a
-  one-node config edit re-checks only the edited neighbourhood (at most
-  ``1 + max-degree`` nodes) with verdicts byte-identical to a cold run.
 * **Symmetry reduction.** The symmetry-aware checker
   (:mod:`repro.core.symmetry`) discharges one representative per node
   equivalence class and propagates the verdict; the ablation runs a ``k=8``
   single-destination fattree in all three modes and asserts that
   ``symmetry="classes"`` discharges at most 25% of the conditions that
   ``symmetry="off"`` does, with byte-identical verdicts everywhere.
-* **Destination quotient.** On *all-pairs* benchmarks every node bakes its
-  own ``dest == k`` constants into its conditions, so the hash-only
-  partition degenerates to near-singletons; the destination-permutation
-  canonicalization (:mod:`repro.core.conditions`) collapses it back to role
-  classes.  The ablation compares quotient vs hash-only vs off on the
-  ``k=8`` all-pairs Reach benchmark.
 * **Adaptive class scheduler.** When the quotient leaves fewer classes than
   workers, the unsplit one-item-per-class plan serialises the dominant
   class's condition kinds on one worker; the scheduler's work-stealing
@@ -38,6 +31,8 @@
   wall-time gap on a synthetic skewed partition whose dominant class has two
   genuinely hard condition kinds (pigeonhole instances, exponential for the
   CDCL core).
+* **Lint overhead.** The pre-solve static analysis must cost under 1% of the
+  cold modular run it precedes.
 """
 
 from __future__ import annotations
@@ -263,83 +258,6 @@ def test_benchmark_symmetry_modes():
     assert rows["classes"]["seconds"] < rows["off"]["seconds"]
 
 
-ALLPAIRS_PODS = 8
-
-
-def test_benchmark_destination_quotient():
-    """Ablation row: the destination-permutation quotient on all-pairs Reach.
-
-    The ``k=8`` all-pairs fattree routes to a symbolic ``dest`` index, and
-    every edge node bakes a different ``dest == k`` constant into its
-    conditions — the hash-only canonical form therefore shatters the
-    partition into near-singleton classes (one per destination), while the
-    destination quotient abstracts the constants into permutation slots and
-    recovers the three structural roles (core/aggregation/edge).  The row
-    asserts the acceptance claim: the quotient discharges at most 25% of the
-    conditions the hash-only partition discharges, with verdicts
-    byte-identical to ``symmetry="off"``.
-    """
-    from repro.core.annotations import AnnotatedNetwork
-
-    instance = registry.build("fattree/reach", pods=ALLPAIRS_PODS, all_pairs=True)
-    annotated = instance.annotated
-    # The same network with the DestinationSymmetry marker stripped: the
-    # partition falls back to the generic hash of each node's canonically
-    # named conditions, destination constants included.
-    hash_only = AnnotatedNetwork(
-        annotated.network,
-        {name: annotated.interface(name) for name in annotated.nodes},
-        {name: annotated.node_property(name) for name in annotated.nodes},
-        minimum_time_width=annotated.minimum_time_width,
-    )
-
-    rows = {}
-    for label, target, strategy in (
-        ("off", annotated, Modular(symmetry="off")),
-        ("hash-only", hash_only, Modular(symmetry="classes")),
-        ("quotient", annotated, Modular(symmetry="classes")),
-    ):
-        reset_process_solver()
-        started = time.perf_counter()
-        report = verify(target, strategy)
-        rows[label] = {
-            "report": report,
-            "verdicts": core.condition_verdicts(report),
-            "seconds": time.perf_counter() - started,
-        }
-        reset_process_solver()
-
-    header = (
-        f"{'partition':<12} {'total [s]':>10} {'classes':>8} "
-        f"{'discharged':>11} {'propagated':>11}"
-    )
-    print("\n" + header)
-    print("-" * len(header))
-    for label, row in rows.items():
-        report = row["report"]
-        print(
-            f"{label:<12} {row['seconds']:>10.3f} {report.symmetry_classes or '-':>8} "
-            f"{report.conditions_discharged:>11} {report.conditions_propagated:>11}"
-        )
-
-    # Soundness: the quotient changes which conditions are *discharged*,
-    # never a verdict.
-    assert rows["off"]["verdicts"] == rows["quotient"]["verdicts"] == rows["hash-only"]["verdicts"]
-    # The acceptance claim: ≤ 25% of the hash-only partition's discharges.
-    quotient_discharged = rows["quotient"]["report"].conditions_discharged
-    hash_discharged = rows["hash-only"]["report"].conditions_discharged
-    assert quotient_discharged <= 0.25 * hash_discharged, (quotient_discharged, hash_discharged)
-    # The partition itself collapses, and the wall time follows.
-    assert rows["quotient"]["report"].symmetry_classes < rows["hash-only"]["report"].symmetry_classes
-    assert rows["quotient"]["seconds"] < rows["off"]["seconds"]
-    # Every verdict in the quotient run carries its provenance.
-    assert all(
-        result.quotient == "destination"
-        for node_report in rows["quotient"]["report"].node_reports.values()
-        for result in node_report.results
-    )
-
-
 PIGEONHOLE_HOLES = 7
 
 
@@ -448,15 +366,7 @@ def test_benchmark_adaptive_scheduler():
             stats = SchedulerStats()
             started = time.perf_counter()
             batches = sorted(
-                iter_class_batches(
-                    annotated,
-                    classes,
-                    delay=0,
-                    jobs=jobs,
-                    conditions=core.CONDITION_KINDS,
-                    fail_fast=True,
-                    stats=stats,
-                ),
+                iter_class_batches(annotated, classes, delay=0, jobs=jobs, stats=stats),
                 key=lambda batch: batch[0],
             )
             times.append(time.perf_counter() - started)
@@ -496,137 +406,6 @@ def test_benchmark_adaptive_scheduler():
         rows["split"]["times"],
         rows["unsplit"]["times"],
     )
-
-
-def test_benchmark_delta_reuse(tmp_path):
-    """Ablation row: fingerprint-keyed delta re-verification under churn.
-
-    The workload a verification service actually sees: a cold full run warms
-    the store, a no-op re-run must reuse 100% of the verdicts, and after a
-    one-node config edit the delta run may re-check only the edited node's
-    neighbourhood — at most ``1 + max-degree`` nodes (the node itself plus
-    the successors whose inductive conditions assume its interface) — while
-    producing verdicts byte-identical to a cold full run on the edited
-    network.
-    """
-    from repro.networks.benchmarks import inject_interface_failure
-
-    instance = registry.build("fattree/reach", pods=SYMMETRY_PODS)
-    annotated = instance.annotated
-    store = str(tmp_path / "delta.json")
-
-    def timed(target, strategy):
-        reset_process_solver()
-        started = time.perf_counter()
-        report = verify(target, strategy)
-        elapsed = time.perf_counter() - started
-        reset_process_solver()
-        return report, elapsed
-
-    cold, cold_seconds = timed(annotated, Modular(delta="reuse", store=store))
-    warm, warm_seconds = timed(annotated, Modular(delta="reuse", store=store))
-    edited, _poisoned = inject_interface_failure(annotated)
-    delta, delta_seconds = timed(edited, Modular(delta="reuse", store=store))
-    full, full_seconds = timed(edited, Modular())
-
-    header = f"{'run':<14} {'total [s]':>10} {'checked':>8} {'reused':>8} {'rechecked':>10}"
-    print("\n" + header)
-    print("-" * len(header))
-    for label, report, seconds in (
-        ("cold", cold, cold_seconds),
-        ("warm (no-op)", warm, warm_seconds),
-        ("delta (edit)", delta, delta_seconds),
-        ("full (edit)", full, full_seconds),
-    ):
-        print(
-            f"{label:<14} {seconds:>10.3f} {report.conditions_checked:>8} "
-            f"{report.conditions_reused:>8} {report.conditions_recheck:>10}"
-        )
-
-    assert cold.passed and cold.conditions_reused == 0
-    # A no-op re-run reuses every verdict, with the verdicts unchanged.
-    assert warm.conditions_reused == warm.conditions_checked > 0
-    assert core.condition_verdicts(warm) == core.condition_verdicts(cold)
-    assert warm_seconds < cold_seconds
-    # The delta run agrees byte-for-byte with a cold full run on the edit.
-    assert core.condition_verdicts(delta) == core.condition_verdicts(full)
-    # Invalidation is neighbourhood-bounded: the edited node plus the nodes
-    # whose inductive conditions assume its interface.
-    topology = annotated.network.topology
-    max_degree = max(len(list(topology.predecessors(node))) for node in annotated.nodes)
-    rechecked_nodes = {
-        result.node
-        for node_report in delta.node_reports.values()
-        for result in node_report.results
-        if not result.reused
-    }
-    assert 0 < len(rechecked_nodes) <= 1 + max_degree, (sorted(rechecked_nodes), max_degree)
-
-
-STOP_MODES = {
-    "full": Modular(),
-    "stop": Modular(stop_on_failure=True),
-    "stop-parallel": Modular(stop_on_failure=True, parallel=2),
-}
-
-
-def test_benchmark_stop_on_failure_early_termination():
-    """Ablation row: run-level stop_on_failure on a failure-injected fattree.
-
-    One interface of the ``k=4`` Reach benchmark is replaced by an
-    unsatisfiable one; the full run keeps checking every node, while a
-    ``stop_on_failure`` run stops scheduling after the first failing batch
-    (parallel runs stop dispatching queued work and terminate the pool).
-    The stop rows must check strictly fewer conditions than the full row
-    while reporting a failing condition the full row also reports.
-    """
-    from repro.networks.benchmarks import inject_interface_failure
-
-    instance = registry.build("fattree/reach", pods=ABLATION_PODS)
-    injected, _ = inject_interface_failure(instance.annotated)
-
-    rows = {}
-    for mode, strategy in STOP_MODES.items():
-        reset_process_solver()
-        started = time.perf_counter()
-        report = verify(injected, strategy)
-        rows[mode] = {"report": report, "seconds": time.perf_counter() - started}
-        reset_process_solver()
-
-    header = (
-        f"{'mode':<14} {'total [s]':>10} {'checked':>8} {'skipped':>8} "
-        f"{'stopped':>8} {'failed nodes':>13}"
-    )
-    print("\n" + header)
-    print("-" * len(header))
-    for mode, row in rows.items():
-        report = row["report"]
-        print(
-            f"{mode:<14} {row['seconds']:>10.3f} {report.conditions_checked:>8} "
-            f"{report.conditions_skipped:>8} {str(report.stopped_early):>8} "
-            f"{len(report.failed_nodes):>13}"
-        )
-
-    full = rows["full"]["report"]
-    full_failures = {
-        (result.node, result.condition)
-        for node_report in full.node_reports.values()
-        for result in node_report.results
-        if not result.holds
-    }
-    assert not full.passed and not full.stopped_early
-    for mode in ("stop", "stop-parallel"):
-        report = rows[mode]["report"]
-        assert report.stopped_early and not report.passed, mode
-        assert report.conditions_checked < full.conditions_checked, mode
-        assert report.conditions_skipped > 0, mode
-        failing = {
-            (result.node, result.condition)
-            for node_report in report.node_reports.values()
-            for result in node_report.results
-            if not result.holds
-        }
-        assert failing and failing <= full_failures, mode
 
 
 def test_benchmark_lint_overhead():

@@ -30,14 +30,11 @@ from repro.analysis.diagnostics import (
     merge_lint_reports,
 )
 from repro.analysis.passes import (
-    PASS_REGISTRY,
     AnalysisPass,
     LintTarget,
-    available_passes,
     default_passes,
     lint_benchmark,
     lint_network,
-    register_pass,
     run_passes,
 )
 
@@ -48,13 +45,10 @@ __all__ = [
     "LintReport",
     "diagnostic",
     "merge_lint_reports",
-    "PASS_REGISTRY",
     "AnalysisPass",
     "LintTarget",
-    "available_passes",
     "default_passes",
     "lint_benchmark",
     "lint_network",
-    "register_pass",
     "run_passes",
 ]

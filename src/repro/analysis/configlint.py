@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
-from repro.analysis.passes import AnalysisPass, LintTarget, register_pass
+from repro.analysis.passes import AnalysisPass, LintTarget
 
 #: ConfigFinding.kind -> diagnostic code.
 FINDING_CODES = {
@@ -24,7 +24,6 @@ FINDING_CODES = {
 }
 
 
-@register_pass
 class ConfigLintPass(AnalysisPass):
     """Adapt :func:`repro.config.semantics.lint` findings to diagnostics."""
 

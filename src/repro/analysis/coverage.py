@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
-from repro.analysis.passes import AnalysisPass, LintTarget, register_pass
+from repro.analysis.passes import AnalysisPass, LintTarget
 from repro.errors import ReproError
 
 
@@ -45,7 +45,6 @@ def _annotation_signature(target: LintTarget, node: str) -> tuple | None:
         return None
 
 
-@register_pass
 class CoveragePass(AnalysisPass):
     """Note unconstrained nodes; flag inconsistent symmetry-hint classes."""
 

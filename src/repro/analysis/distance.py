@@ -28,7 +28,7 @@ from collections import deque
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
-from repro.analysis.passes import AnalysisPass, LintTarget, register_pass
+from repro.analysis.passes import AnalysisPass, LintTarget
 from repro.errors import ReproError
 from repro.routing.algebra import Network
 from repro.symbolic import SymBV
@@ -96,7 +96,6 @@ def earliest_route_demand(
     return None
 
 
-@register_pass
 class DistancePass(AnalysisPass):
     """Flag interfaces demanding a route before any origin can deliver one."""
 

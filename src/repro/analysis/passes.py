@@ -1,4 +1,4 @@
-"""The lint pass framework: targets, the pass registry, and the driver.
+"""The lint pass framework: targets, the built-in pass list, and the driver.
 
 A :class:`LintTarget` wraps one annotated network (plus, optionally, the
 resolved policy configuration it was compiled from) and memoises the
@@ -6,7 +6,8 @@ artifacts several passes share — each node's verification conditions, built
 once with class-canonical naming, and the constant-folded value of each
 node's interface and property.  Passes are tiny classes with a ``run``
 method yielding :class:`~repro.analysis.diagnostics.Diagnostic` objects;
-:func:`run_passes` executes a pass list over a target and assembles a
+:func:`default_passes` lists the five built-in ones, and :func:`run_passes`
+executes a pass list over a target and assembles a
 :class:`~repro.analysis.diagnostics.LintReport`.
 
 Everything here is *pre-solver*: passes build and fold terms through the
@@ -232,46 +233,28 @@ class AnalysisPass:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-#: Registry of pass classes by name, in registration (= default execution)
-#: order.  New passes register here and are immediately part of
-#: ``lint_network``, the CLI ``lint`` subcommand and the CI self-lint.
-PASS_REGISTRY: dict[str, type[AnalysisPass]] = {}
-
-
-def register_pass(cls: type[AnalysisPass]) -> type[AnalysisPass]:
-    """Class decorator: register a pass under its ``name``."""
-    if not cls.name:
-        raise AnalysisError(f"pass class {cls.__name__} must set a registry name")
-    if cls.name in PASS_REGISTRY:
-        raise AnalysisError(
-            f"pass {cls.name!r} is already registered (by {PASS_REGISTRY[cls.name].__name__})"
-        )
-    PASS_REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_passes() -> tuple[str, ...]:
-    """Registered pass names in default execution order."""
-    _ensure_builtin_passes()
-    return tuple(PASS_REGISTRY)
-
-
 def default_passes() -> list[AnalysisPass]:
-    """Fresh instances of every registered pass, in registration order."""
-    _ensure_builtin_passes()
-    return [cls() for cls in PASS_REGISTRY.values()]
+    """Fresh instances of the five built-in passes, in execution order.
 
+    These run in ``lint_network``, the CLI ``lint`` subcommand and the CI
+    self-lint.  Imported here rather than at module import: the pass modules
+    import this one.
+    """
+    from repro.analysis.configlint import ConfigLintPass
+    from repro.analysis.coverage import CoveragePass
+    from repro.analysis.distance import DistancePass
+    from repro.analysis.sortcheck import SortCheckPass
+    from repro.analysis.vacuity import VacuityPass
 
-def _ensure_builtin_passes() -> None:
-    # The pass modules self-register on import; importing them lazily here
-    # (rather than at module import) keeps passes.py free of cycles.
-    from repro.analysis import configlint, coverage, distance, sortcheck, vacuity  # noqa: F401
+    return [
+        cls() for cls in (ConfigLintPass, CoveragePass, DistancePass, SortCheckPass, VacuityPass)
+    ]
 
 
 def run_passes(
     target: LintTarget, passes: Iterable[AnalysisPass] | None = None
 ) -> LintReport:
-    """Execute ``passes`` (default: all registered) over ``target``."""
+    """Execute ``passes`` (default: the built-in ones) over ``target``."""
     chosen = list(passes) if passes is not None else default_passes()
     started = _time.perf_counter()
     diagnostics: list[Diagnostic] = []

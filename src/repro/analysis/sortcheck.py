@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
-from repro.analysis.passes import AnalysisPass, LintTarget, register_pass
+from repro.analysis.passes import AnalysisPass, LintTarget
 from repro.errors import ReproError
 from repro.smt.sorts import BOOL, BitVecSort
 from repro.smt.terms import (
@@ -202,7 +202,6 @@ def term_path(root: Term, target: Term) -> str | None:
     return None
 
 
-@register_pass
 class SortCheckPass(AnalysisPass):
     """Re-check every condition cone's sorts; turn build errors into TP001."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
-from repro.analysis.passes import AnalysisPass, LintTarget, register_pass
+from repro.analysis.passes import AnalysisPass, LintTarget
 from repro.errors import ReproError
 from repro.smt.sorts import BOOL
 from repro.smt.terms import FALSE, OP_AND, OP_EQ, OP_NOT, OP_VAR, TRUE, Term
@@ -111,7 +111,6 @@ def propagate(assumptions: Term, goal: Term) -> tuple[Term, Term]:
     return assumptions, goal
 
 
-@register_pass
 class VacuityPass(AnalysisPass):
     """Flag trivially true/false interfaces and refuted/vacuous conditions."""
 

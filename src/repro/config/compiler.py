@@ -24,7 +24,7 @@ applied to our synthetic Internet2-style configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.config.ast import Action, MatchCondition, PolicyStatement, PolicyTerm
 from repro.config.semantics import ResolvedConfig

@@ -37,7 +37,7 @@ only the number of discharged conditions (and the wall time) differs.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import (
@@ -53,19 +53,16 @@ from repro.smt.incremental import process_solver
 
 
 def _discharge(
-    conditions: Iterable[VerificationCondition],
-    kinds: Sequence[str],
-    fail_fast: bool,
-    solver: Any,
+    conditions: Iterable[VerificationCondition], kind: str | None, solver: Any
 ) -> list[ConditionResult]:
-    """Discharge ``conditions`` (restricted to ``kinds``) on ``solver``."""
+    """Discharge ``conditions`` (only ``kind``, unless ``None``) up to the first failure."""
     results: list[ConditionResult] = []
     for condition in conditions:
-        if condition.kind not in kinds:
+        if kind is not None and condition.kind != kind:
             continue
         result = condition.check(solver=solver)
         results.append(result)
-        if fail_fast and not result.holds:
+        if not result.holds:
             break
     return results
 
@@ -85,12 +82,7 @@ def _recover_solver(solver: Any, owned: bool) -> None:
 
 
 def check_node(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-    fail_fast: bool = True,
-    solver: Any | None = None,
+    annotated: AnnotatedNetwork, node: str, delay: int = 0, solver: Any | None = None
 ) -> NodeReport:
     """Check one node's verification conditions.
 
@@ -98,30 +90,24 @@ def check_node(
     the parameters) on the node's sender-named singleton class.
     """
     (singleton,) = singleton_classes((node,))
-    return check_class(
-        annotated,
-        singleton,
-        delay=delay,
-        conditions=conditions,
-        fail_fast=fail_fast,
-        solver=solver,
-    )[0]
+    return check_class(annotated, singleton, delay=delay, solver=solver)[0]
 
 
 def check_class(
     annotated: AnnotatedNetwork,
     symmetry_class: SymmetryClass,
     delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-    fail_fast: bool = True,
     solver: Any | None = None,
+    kind: str | None = None,
 ) -> list[NodeReport]:
     """Check one symmetry class: discharge the representative, reuse the rest.
 
-    ``conditions`` restricts which of the three conditions are checked (the
-    harness uses this for ablations).  With ``fail_fast`` the remaining
-    conditions are skipped after the first failure, mirroring Algorithm 1,
-    which returns the first counterexample it finds.
+    The initial, inductive and safety conditions are discharged in that
+    order, and the remaining ones are skipped after the first failure,
+    mirroring Algorithm 1, which returns the first counterexample it finds.
+    ``kind`` restricts the check to one condition kind; only the scheduler
+    passes it, when it splits a class into one work item per kind
+    (:func:`repro.core.parallel._class_work_items`).
 
     ``solver`` pins the SMT backend for all of the class's conditions; when
     omitted, the shared per-process incremental solver is used.  If a
@@ -150,9 +136,8 @@ def check_class(
     the class's slot permutation, and every result carries
     ``quotient="destination"`` provenance.
     """
-    unknown = set(conditions) - set(CONDITION_KINDS)
-    if unknown:
-        raise VerificationError(f"unknown condition kinds {sorted(unknown)}")
+    if kind is not None and kind not in CONDITION_KINDS:
+        raise VerificationError(f"unknown condition kind {kind!r}")
     representative = symmetry_class.representative
     quotient = symmetry_class.destination
     naming = symmetry_class.naming
@@ -174,7 +159,7 @@ def check_class(
                 built = tuple(built)
             else:
                 built = node_conditions(annotated, representative, delay=delay, naming=naming)
-        results = _discharge(built, conditions, fail_fast, solver)
+        results = _discharge(built, kind, solver)
         if quotient is not None and any(not result.holds for result in results):
             # The canonical instance failed; its counterexample payloads are
             # the representative's raw terms evaluated under a *canonical*
@@ -183,8 +168,7 @@ def check_class(
             # for a counterexample in the representative's own coordinates.
             results = _discharge(
                 node_conditions(annotated, representative, delay=delay, naming=naming),
-                conditions,
-                fail_fast,
+                kind,
                 solver,
             )
     except BaseException:
@@ -202,15 +186,7 @@ def check_class(
         if member == symmetry_class.spot_member:
             reports.append(
                 _spot_check_member(
-                    annotated,
-                    symmetry_class,
-                    member,
-                    results,
-                    delay,
-                    conditions,
-                    fail_fast,
-                    solver,
-                    owned,
+                    annotated, symmetry_class, member, results, delay, kind, solver, owned
                 )
             )
             continue
@@ -258,8 +234,7 @@ def _spot_check_member(
     member: str,
     representative_results: list[ConditionResult],
     delay: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
+    kind: str | None,
     solver: Any,
     owned: bool,
 ) -> NodeReport:
@@ -268,8 +243,7 @@ def _spot_check_member(
     try:
         member_results = _discharge(
             node_conditions(annotated, member, delay=delay, naming=symmetry_class.naming),
-            conditions,
-            fail_fast,
+            kind,
             solver,
         )
     except BaseException:

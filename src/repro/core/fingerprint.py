@@ -145,6 +145,11 @@ def _encode_payload(payload: Any) -> bytes:
     )
 
 
+#: The condition kinds every node is checked for, as the digest part that
+#: names them in dependency fingerprints and the strategy signature.
+_KINDS_PART = _encode_payload(",".join(CONDITION_KINDS))
+
+
 def _digest(parts: Iterable[bytes]) -> str:
     hasher = hashlib.sha256()
     for part in parts:
@@ -267,27 +272,21 @@ def condition_fingerprint(condition: VerificationCondition) -> str:
 
 
 def node_condition_fingerprints(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
+    annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
     Builds the node's conditions in class-canonical form (cheap: terms are
     hash-consed and their digests memoised) — destination-canonicalized when
     the network declares a destination symmetry, so permuted all-pairs nodes
-    share condition fingerprints — and digests each requested kind.  These
-    are the keys the delta store's verdict map is indexed by.
+    share condition fingerprints — and digests each kind.  These are the
+    keys the delta store's verdict map is indexed by.
     """
-    requested = set(conditions)
     node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
-    return {vc.kind: condition_fingerprint(vc) for vc in node_vcs if vc.kind in requested}
+    return {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
 
 
-def _shared_dependency_parts(
-    annotated: AnnotatedNetwork, delay: int, conditions: Sequence[str]
-) -> tuple[bytes, ...]:
+def _shared_dependency_parts(annotated: AnnotatedNetwork, delay: int) -> tuple[bytes, ...]:
     """The leading digest parts shared by every node's dependency fingerprint.
 
     The time widths are annotation-*global* (they depend on the largest
@@ -295,7 +294,6 @@ def _shared_dependency_parts(
     that changes the width correctly invalidates every node.
     """
     network = annotated.network
-    requested = set(conditions)
     return (
         FINGERPRINT_VERSION.encode("ascii"),
         b"dep",
@@ -304,16 +302,11 @@ def _shared_dependency_parts(
         b"d%d" % delay,
         fingerprint_term(network.symbolic_constraints().term).encode("ascii"),
         _encode_payload(",".join(symbolic.name for symbolic in network.symbolics)),
-        _encode_payload(",".join(k for k in CONDITION_KINDS if k in requested)),
+        _KINDS_PART,
     )
 
 
-def node_dependency_fingerprint(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
-) -> str:
+def node_dependency_fingerprint(annotated: AnnotatedNetwork, node: str, delay: int = 0) -> str:
     """The invalidation key of one node: everything its conditions depend on.
 
     Covers, over the same canonical ``vc$`` query variables the condition
@@ -329,7 +322,7 @@ def node_dependency_fingerprint(
     equivalence matches the destination quotient too.
     """
     return _node_dependency_fingerprint(
-        annotated, node, delay, _shared_dependency_parts(annotated, delay, conditions)
+        annotated, node, delay, _shared_dependency_parts(annotated, delay)
     )
 
 
@@ -401,13 +394,10 @@ def _policy_part(policy: NodePolicy, name: str, rewrite: Any) -> bytes:
 
 
 def dependency_fingerprints(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
+    annotated: AnnotatedNetwork, nodes: Sequence[str], delay: int = 0
 ) -> dict[str, str]:
     """Dependency fingerprints for a node selection (one pass, shared terms)."""
-    shared_parts = _shared_dependency_parts(annotated, delay, conditions)
+    shared_parts = _shared_dependency_parts(annotated, delay)
     return {
         node: _node_dependency_fingerprint(annotated, node, delay, shared_parts)
         for node in nodes
@@ -430,22 +420,18 @@ def network_fingerprint(annotated: AnnotatedNetwork) -> str:
     return _digest(parts)
 
 
-def strategy_signature(delay: int, conditions: Sequence[str]) -> str:
+def strategy_signature(delay: int) -> str:
     """The store-key signature of the verdict-affecting strategy knobs.
 
-    Only knobs that change *what is proved* participate: ``delay`` and the
-    requested condition kinds.  Engine knobs (symmetry, parallel, fail-fast)
-    change how verdicts are computed, never the verdicts, so
-    stores are shared across them — a cold sequential run warms the store
-    for a later parallel or symmetry-aware one.
+    Only a knob that changes *what is proved* participates, and ``delay`` is
+    the one such knob.  Engine knobs (symmetry, parallel, stop-on-failure)
+    change how verdicts are computed, never the verdicts, so stores are
+    shared across them — a cold sequential run warms the store for a later
+    parallel or symmetry-aware one.  The condition kinds are still digested
+    (always all three) so signatures stay those of earlier stores.
     """
     return _digest(
-        (
-            FINGERPRINT_VERSION.encode("ascii"),
-            b"strategy",
-            b"d%d" % delay,
-            _encode_payload(",".join(k for k in CONDITION_KINDS if k in set(conditions))),
-        )
+        (FINGERPRINT_VERSION.encode("ascii"), b"strategy", b"d%d" % delay, _KINDS_PART)
     )
 
 

@@ -18,7 +18,7 @@ solver and outlive the item.  Failures inside a check propagate on either
 schedule; masking them behind a silent rerun would hide real bugs.
 
 **The pool.**  Annotated networks hold closures that do not pickle, so the
-network, the classes and the options are stashed in a module-level slot
+network, the classes and the delay are stashed in a module-level slot
 before a ``fork`` pool is created; workers inherit it and only the work item
 travels over the queue.  Each worker keeps its own per-process incremental
 solver, so the items it checks share encoded structure and learned clauses.
@@ -39,10 +39,10 @@ ignore ``SIGINT`` so an interrupt is always the parent's to handle.
 
 **The split plan.**  When there are fewer classes than requested workers (the
 destination quotient's skewed partitions, or a narrow node selection), the
-largest splittable classes are split into one work item per requested
-condition kind, as a deterministic up-front plan (:func:`_class_work_items`).
-The stream re-merges a split class into a single batch with exactly the
-results an unsplit check produces (kind order, fail-fast truncation), so
+largest splittable classes are split into one work item per condition kind,
+as a deterministic up-front plan (:func:`_class_work_items`).  The stream
+re-merges a split class into a single batch with exactly the results an
+unsplit check produces (kind order, truncation at the first failure), so
 report order, verdicts and ``stop_on_failure`` semantics do not depend on
 the plan.  Splitting only happens while there are fewer items than workers,
 so ``jobs=len(classes)`` is the unsplit plan.  :class:`SchedulerStats`
@@ -68,18 +68,18 @@ from repro.smt.incremental import (
     subtract_cache_statistics,
 )
 
-#: ``(network, classes, options)`` of the current pool and its stop flag;
+#: ``(network, classes, delay)`` of the current pool and its stop flag;
 #: inherited by forked workers.
-_ACTIVE: tuple[AnnotatedNetwork, Sequence[SymmetryClass], dict] | None = None
+_ACTIVE: tuple[AnnotatedNetwork, Sequence[SymmetryClass], int] | None = None
 _STOP: Any = None
 
 #: One completed class: its position in the submitted class list, the member
 #: reports, and the solver's cache delta of checking it.
 Batch = tuple[int, list[NodeReport], dict[str, int]]
 
-#: One work item: ``(class_index, kinds)`` where ``kinds`` is ``None`` for a
-#: whole class or the single condition kind of a split.
-WorkItem = tuple[int, "tuple[str, ...] | None"]
+#: One work item: ``(class_index, kind)`` where ``kind`` is ``None`` for a
+#: whole class or the condition kind of a split.
+WorkItem = tuple[int, "str | None"]
 
 #: What checking one work item returns: the member reports, the cache delta
 #: and the pid of the process that did the work.
@@ -134,7 +134,7 @@ class SchedulerStats:
 def _check_item(
     annotated: AnnotatedNetwork,
     classes: Sequence[SymmetryClass],
-    options: dict,
+    delay: int,
     item: WorkItem,
     solver: Any | None = None,
 ) -> _Outcome:
@@ -147,13 +147,11 @@ def _check_item(
     the delta is read off that solver, or off the shared per-process one when
     none is pinned.
     """
-    index, kinds = item
+    index, kind = item
     statistics = solver.cache_statistics if solver is not None else process_cache_statistics
     before = statistics()
-    if kinds is not None:
-        options = {**options, "conditions": kinds}
     try:
-        reports = check_class(annotated, classes[index], solver=solver, **options)
+        reports = check_class(annotated, classes[index], delay=delay, solver=solver, kind=kind)
     except BaseException:
         if solver is not None:
             solver.recover()
@@ -173,26 +171,21 @@ def _worker(item: WorkItem) -> _Outcome | None:
 
 
 def _class_work_items(
-    classes: Sequence[SymmetryClass],
-    jobs: int,
-    conditions: Sequence[str],
-    stats: SchedulerStats,
+    classes: Sequence[SymmetryClass], jobs: int, stats: SchedulerStats
 ) -> list[WorkItem]:
     """The deterministic work-item plan for a run.
 
     One item per class, except when the partition is *narrower than the
     requested worker count*: then the largest still-whole classes are split
-    into one item per requested condition kind — work-stealing at the
-    granularity the engine can actually parallelise — until there are enough
-    items to keep every worker busy or nothing splittable remains.
-    Spot-check classes are never split (their extra member must be compared
-    against the representative's full verdict vector in one place).  The
-    plan depends only on ``(classes, jobs, conditions)``, so both schedules
-    run identical work items.
+    into one item per condition kind — work-stealing at the granularity the
+    engine can actually parallelise — until there are enough items to keep
+    every worker busy or nothing splittable remains.  Spot-check classes are
+    never split (their extra member must be compared against the
+    representative's full verdict vector in one place).  The plan depends
+    only on ``(classes, jobs)``, so both schedules run identical work items.
     """
     items: list[WorkItem] = [(index, None) for index in range(len(classes))]
-    kinds = tuple(kind for kind in CONDITION_KINDS if kind in set(conditions))
-    if jobs <= 1 or len(kinds) < 2:
+    if jobs <= 1:
         return items
     while len(items) < jobs:
         candidates = [
@@ -206,43 +199,38 @@ def _class_work_items(
         # is deterministic.
         position = max(candidates, key=lambda p: (len(classes[items[p][0]]), -items[p][0]))
         index = items[position][0]
-        items[position : position + 1] = [(index, (kind,)) for kind in kinds]
+        items[position : position + 1] = [(index, kind) for kind in CONDITION_KINDS]
         stats.classes_stolen += 1
     return items
 
 
 def _merge_split_class(
     per_kind: dict[str, tuple[list[NodeReport], dict[str, int]]],
-    kinds: Sequence[str],
-    fail_fast: bool,
 ) -> tuple[list[NodeReport], dict[str, int]]:
     """Re-assemble a split class's per-kind sub-results into one batch.
 
-    Results are ordered by canonical kind order and, under ``fail_fast``,
-    truncated at the first failing condition — exactly what an unsplit
-    ``check_class`` produces (each kind's verdict is independent of the
-    others, so discharging them in separate scopes changes no verdict).
-    Durations sum; cache deltas sum.
+    Results are ordered by canonical kind order and truncated at the first
+    failing condition — exactly what an unsplit ``check_class`` produces
+    (each kind's verdict is independent of the others, so discharging them
+    in separate scopes changes no verdict).  Durations sum; cache deltas sum.
     """
-    members = [report.node for report in per_kind[kinds[0]][0]]
+    members = [report.node for report in per_kind[CONDITION_KINDS[0]][0]]
     merged: list[NodeReport] = []
     for position, node in enumerate(members):
         results = []
         duration = 0.0
-        for kind in kinds:
+        for kind in CONDITION_KINDS:
             report = per_kind[kind][0][position]
             duration += report.duration
             results.extend(report.results)
-        if fail_fast:
-            truncated = []
-            for result in results:
-                truncated.append(result)
-                if not result.holds:
-                    break
-            results = truncated
-        merged.append(NodeReport(node=node, results=results, duration=duration))
+        truncated = []
+        for result in results:
+            truncated.append(result)
+            if not result.holds:
+                break
+        merged.append(NodeReport(node=node, results=truncated, duration=duration))
     totals: dict[str, int] = {}
-    for kind in kinds:
+    for kind in CONDITION_KINDS:
         totals = add_cache_statistics(totals, per_kind[kind][1])
     return merged, totals
 
@@ -279,7 +267,7 @@ def _open_pool(active: tuple, processes: int) -> Any | None:
 
 
 def _dispatch(
-    active: tuple[AnnotatedNetwork, Sequence[SymmetryClass], dict],
+    active: tuple[AnnotatedNetwork, Sequence[SymmetryClass], int],
     jobs: int,
     items: Sequence[WorkItem],
     stats: SchedulerStats,
@@ -374,8 +362,6 @@ def iter_class_batches(
     classes: Sequence[SymmetryClass],
     delay: int,
     jobs: int,
-    conditions: Sequence[str],
-    fail_fast: bool,
     stats: SchedulerStats | None = None,
     solver: Any | None = None,
 ) -> Iterator[Batch]:
@@ -391,30 +377,23 @@ def iter_class_batches(
     always use their own per-process solver).  Closing the iterator stops
     dispatching unsubmitted items and winds the pool down.
     """
-    options = {
-        "delay": delay,
-        "conditions": tuple(conditions),
-        "fail_fast": fail_fast,
-    }
     if stats is None:
         stats = SchedulerStats()
-    items = _class_work_items(classes, jobs, conditions, stats)
-    kinds = tuple(kind for kind in CONDITION_KINDS if kind in set(conditions))
+    items = _class_work_items(classes, jobs, stats)
     partial: dict[int, dict[str, tuple[list[NodeReport], dict[str, int]]]] = {}
-    outcomes = _dispatch((annotated, classes, options), jobs, items, stats, solver)
+    outcomes = _dispatch((annotated, classes, delay), jobs, items, stats, solver)
     try:
         for position, (reports, delta, pid) in outcomes:
             stats.worker_pids.add(pid)
-            class_index, sub = items[position]
-            if sub is None:
+            class_index, kind = items[position]
+            if kind is None:
                 yield class_index, reports, delta
                 continue
             bucket = partial.setdefault(class_index, {})
-            bucket[sub[0]] = (reports, delta)
-            if len(bucket) == len(kinds):
+            bucket[kind] = (reports, delta)
+            if len(bucket) == len(CONDITION_KINDS):
                 del partial[class_index]
-                merged, totals = _merge_split_class(bucket, kinds, fail_fast)
-                yield class_index, merged, totals
+                yield class_index, *_merge_split_class(bucket)
     finally:
         # Pool teardown must not depend on refcount finalization of the
         # inner generator (the documented stop-dispatch guarantee).

@@ -118,7 +118,7 @@ class ModularReport:
     #: first failing batch (see :class:`repro.verify.Modular`).
     stopped_early: bool = False
     #: Conditions without a verdict because the run stopped early: one per
-    #: requested condition kind for every selected node that received none —
+    #: condition kind for every selected node that received none —
     #: nodes never scheduled, plus (in parallel runs) nodes whose in-flight
     #: batch was discarded when the pool was stopped.  Always 0 for runs
     #: that were not stopped.

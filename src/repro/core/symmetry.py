@@ -68,7 +68,6 @@ from typing import Hashable, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import (
-    CONDITION_KINDS,
     VerificationCondition,
     canonical_node_conditions,
     node_conditions,
@@ -171,10 +170,7 @@ def singleton_classes(nodes: Sequence[str]) -> list[SymmetryClass]:
 
 
 def partition_nodes(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int = 0,
-    conditions: Sequence[str] = CONDITION_KINDS,
+    annotated: AnnotatedNetwork, nodes: Sequence[str], delay: int = 0
 ) -> list[SymmetryClass]:
     """Partition ``nodes`` into symmetry classes (deterministic order).
 
@@ -185,12 +181,10 @@ def partition_nodes(
     members keep the order of ``nodes``.
     """
     if annotated.destination_symmetry is not None:
-        return _partition_by_destination_quotient(
-            annotated, nodes, delay=delay, conditions=conditions
-        )
+        return _partition_by_destination_quotient(annotated, nodes, delay)
     if annotated.symmetry_key is not None:
         return _partition_by_hint(annotated, nodes)
-    return _partition_by_canonical_hash(annotated, nodes, delay=delay, conditions=conditions)
+    return _partition_by_canonical_hash(annotated, nodes, delay)
 
 
 def _partition_by_hint(annotated: AnnotatedNetwork, nodes: Sequence[str]) -> list[SymmetryClass]:
@@ -228,24 +222,21 @@ def _check_in_degrees(annotated: AnnotatedNetwork, classes: list[SymmetryClass])
             )
 
 
+def _term_key(conditions: Sequence[VerificationCondition]) -> tuple:
+    """The partition key of a node's conditions: equal iff term-identical."""
+    return tuple((vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id) for vc in conditions)
+
+
 def _partition_by_canonical_hash(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    conditions: Sequence[str],
+    annotated: AnnotatedNetwork, nodes: Sequence[str], delay: int
 ) -> list[SymmetryClass]:
-    requested = set(conditions)
     groups: dict[Hashable, list[str]] = {}
     built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
     for node in nodes:
         node_vcs = tuple(node_conditions(annotated, node, delay=delay, naming="class"))
         # Hash-consing makes term_id a process-stable structural fingerprint:
         # equal keys ⟺ the canonicalized conditions are the same Term objects.
-        key = tuple(
-            (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-            for vc in node_vcs
-            if vc.kind in requested
-        )
+        key = _term_key(node_vcs)
         if key not in groups:
             built[key] = node_vcs
         groups.setdefault(key, []).append(node)
@@ -258,10 +249,7 @@ def _partition_by_canonical_hash(
 
 
 def _partition_by_destination_quotient(
-    annotated: AnnotatedNetwork,
-    nodes: Sequence[str],
-    delay: int,
-    conditions: Sequence[str],
+    annotated: AnnotatedNetwork, nodes: Sequence[str], delay: int
 ) -> list[SymmetryClass]:
     """Canonical-form hashing up to destination-index permutation.
 
@@ -273,17 +261,12 @@ def _partition_by_destination_quotient(
     """
     marker = annotated.destination_symmetry
     assert marker is not None
-    requested = set(conditions)
     groups: dict[Hashable, list[str]] = {}
     built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
     witnesses: dict[Hashable, dict[str, tuple[int, ...]]] = {}
     for node in nodes:
         node_vcs, witness = canonical_node_conditions(annotated, node, delay=delay)
-        key = (witness is not None,) + tuple(
-            (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-            for vc in node_vcs
-            if vc.kind in requested
-        )
+        key = (witness is not None,) + _term_key(node_vcs)
         if key not in groups:
             built[key] = tuple(node_vcs)
         groups.setdefault(key, []).append(node)

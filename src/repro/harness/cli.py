@@ -49,7 +49,7 @@ from repro.harness.tables import (
     symmetry_table,
 )
 from repro.networks import registry
-from repro.verify import DELTA_MODES, Modular, Monolithic, strategy
+from repro.verify import DELTA_MODES, Modular, Monolithic
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -186,9 +186,8 @@ def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _modular_strategy(arguments: argparse.Namespace) -> Modular:
-    """Build the modular strategy from argv via the strategy registry."""
-    return strategy(
-        "modular",
+    """Build the modular strategy from argv."""
+    return Modular(
         symmetry=arguments.symmetry,
         # --jobs 0 has always meant "run sequentially".
         parallel=max(1, arguments.jobs),
@@ -202,7 +201,7 @@ def _modular_strategy(arguments: argparse.Namespace) -> Modular:
 def _monolithic_strategy(arguments: argparse.Namespace) -> Monolithic | None:
     if arguments.skip_monolithic:
         return None
-    return strategy("monolithic", timeout=arguments.timeout)
+    return Monolithic(timeout=arguments.timeout)
 
 
 def _observer(arguments: argparse.Namespace, modular: Modular):

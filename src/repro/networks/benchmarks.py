@@ -262,9 +262,9 @@ def inject_interface_failure(
 ) -> tuple[AnnotatedNetwork, str]:
     """A copy of ``annotated`` with one node's interface made unsatisfiable.
 
-    The failure-injection recipe shared by the stop-on-failure ablation row
-    and the CI parallel-streaming smoke: ``node`` (default: the middle node
-    of the selection order) claims it never has a route, so its inductive
+    The failure-injection recipe of the delta tests and the spine's edit
+    stream: ``node`` (default: the middle node of the selection order)
+    claims it never has a route, so its inductive
     condition — and typically its successors' — must fail.  Returns the
     poisoned network and the chosen node.
     """

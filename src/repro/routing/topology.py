@@ -122,7 +122,7 @@ class Topology:
         queue: deque[str] = deque([source])
         while queue:
             node = queue.popleft()
-            for neighbor in (self.successors(node) if not reverse else self.predecessors(node)):
+            for neighbor in step(node):
                 if neighbor not in distances:
                     distances[neighbor] = distances[node] + 1
                     queue.append(neighbor)

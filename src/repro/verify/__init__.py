@@ -4,8 +4,7 @@ One entry point for every engine the paper compares:
 
 * **Strategy objects** (:class:`Modular`, :class:`Monolithic`,
   :class:`Strawperson`) are frozen, self-validating dataclasses holding
-  every knob of an engine, registered by name so new engines plug in
-  without new call sites.
+  every knob of an engine.
 * A :class:`Session` binds a target network to a strategy, pins the
   incremental solver its runs share (a supplied one, or the per-process
   one), and streams per-condition
@@ -31,17 +30,7 @@ Quickstart::
 from repro.verify.reports import Report, VERDICTS, is_report
 from repro.verify.session import LINT_MODES, Session, verify
 from repro.verify.store import DEFAULT_STORE_DIR, DeltaStore, STORE_VERSION, default_store_path
-from repro.verify.strategies import (
-    DELTA_MODES,
-    Modular,
-    Monolithic,
-    STRATEGY_REGISTRY,
-    Strategy,
-    Strawperson,
-    available_strategies,
-    register_strategy,
-    strategy,
-)
+from repro.verify.strategies import DELTA_MODES, Modular, Monolithic, Strategy, Strawperson
 
 __all__ = [
     "DEFAULT_STORE_DIR",
@@ -52,15 +41,11 @@ __all__ = [
     "Monolithic",
     "Report",
     "STORE_VERSION",
-    "STRATEGY_REGISTRY",
     "Session",
     "Strategy",
     "Strawperson",
     "VERDICTS",
-    "available_strategies",
     "default_store_path",
     "is_report",
-    "register_strategy",
-    "strategy",
     "verify",
 ]

@@ -315,26 +315,19 @@ def _consume_batches(
     return reports, totals, stopped_early
 
 
-def _delta_kinds(strategy: Modular) -> tuple[str, ...]:
-    """The requested condition kinds, in canonical discharge order."""
-    return tuple(kind for kind in CONDITION_KINDS if kind in strategy.conditions)
-
-
 def _open_delta_store(session: Session, strategy: Modular) -> DeltaStore:
     """Load (fail-soft) the store for this session's (network, strategy) pair."""
     network = network_fingerprint(session.annotated)
-    signature = strategy_signature(strategy.delay, strategy.conditions)
+    signature = strategy_signature(strategy.delay)
     path = strategy.store or default_store_path(network, signature)
     return DeltaStore.open(path, network=network, strategy=signature)
 
 
-def _reused_report(
-    node: str, kinds: Sequence[str], propagated_from: str | None = None
-) -> NodeReport:
+def _reused_report(node: str, propagated_from: str | None = None) -> NodeReport:
     """A node report whose verdicts all come from the delta store.
 
     Reused verdicts are always passes (the store never records failures) and
-    cost no solver time; the kinds arrive in canonical discharge order so
+    cost no solver time; the kinds come in canonical discharge order so
     ``condition_verdicts`` of a warm run is byte-identical to a cold one.
     """
     results = [
@@ -346,7 +339,7 @@ def _reused_report(
             propagated_from=propagated_from,
             reused=True,
         )
-        for kind in kinds
+        for kind in CONDITION_KINDS
     ]
     return NodeReport(node=node, results=results, duration=0.0)
 
@@ -357,26 +350,23 @@ def _store_reuses(
     strategy: Modular,
     node: str,
     dependency: str,
-    kinds: Sequence[str],
     fingerprints: dict[str, dict[str, str]],
 ) -> bool:
     """Whether the store can supply all of ``node``'s verdicts.
 
     Fast path: the node's recorded dependency fingerprint matches, deciding
     reuse without building any condition.  Slow path: the invalidation key
-    changed, but every requested condition's exact content hash is still
-    recorded as proved — a reverted config edit, or a node isomorphic to one
-    proved under another name — in which case the node entry is refreshed so
-    the next run takes the fast path again.  A slow-path hit is reuse at its
+    changed, but every condition's exact content hash is still recorded as
+    proved — a reverted config edit, or a node isomorphic to one proved under
+    another name — in which case the node entry is refreshed so the next run
+    takes the fast path again.  A slow-path hit is reuse at its
     soundest: the content hash *is* the query.  The slow path leaves the
     node's condition fingerprints in ``fingerprints`` for ``_record_delta_run``.
     """
-    if store.reusable(node, dependency, kinds):
+    if store.reusable(node, dependency):
         return True
-    fingerprints[node] = node_condition_fingerprints(
-        annotated, node, delay=strategy.delay, conditions=kinds
-    )
-    if store.has_conditions(fingerprints[node], kinds):
+    fingerprints[node] = node_condition_fingerprints(annotated, node, delay=strategy.delay)
+    if store.has_conditions(fingerprints[node]):
         store.record(node, dependency, fingerprints[node])
         return True
     return False
@@ -388,25 +378,24 @@ def _record_delta_run(
     strategy: Modular,
     reports: Sequence[NodeReport],
     dependencies: Mapping[str, str],
-    kinds: Sequence[str],
     fingerprints: Mapping[str, Mapping[str, str]],
 ) -> None:
     """Record this run's fully-passing freshly-checked nodes into the store.
 
-    A node is recorded only when every requested kind received a passing
-    verdict *this run* (discharged, or propagated from its class
-    representative): fail-fast truncation, early stop and failures all leave
-    the node unrecorded, so a warm run can never reuse an unproved verdict.
-    Nodes that were themselves reused keep their existing entries.
+    A node is recorded only when every kind received a passing verdict *this
+    run* (discharged, or propagated from its class representative):
+    fail-fast truncation, early stop and failures all leave the node
+    unrecorded, so a warm run can never reuse an unproved verdict.  Nodes
+    that were themselves reused keep their existing entries.
     """
     for report in reports:
         if any(result.reused for result in report.results):
             continue
         observed = {result.condition for result in report.results if result.holds}
-        if not report.passed or not all(kind in observed for kind in kinds):
+        if not report.passed or not all(kind in observed for kind in CONDITION_KINDS):
             continue
         recorded = fingerprints.get(report.node) or node_condition_fingerprints(
-            annotated, report.node, delay=strategy.delay, conditions=kinds
+            annotated, report.node, delay=strategy.delay
         )
         store.record(report.node, dependencies[report.node], recorded)
 
@@ -457,23 +446,18 @@ def modular_events(
     dependencies: dict[str, str] = {}
     #: Condition fingerprints of the nodes the store's slow path looked at.
     fingerprints: dict[str, dict[str, str]] = {}
-    kinds = _delta_kinds(strategy)
     if strategy.delta == "reuse":
         # Store load and fingerprinting are part of the run (inside the wall
         # clock): the warm-run speedup reported by the benchmarks is net of
         # the delta layer's own overhead.
         store = _open_delta_store(session, strategy)
-        dependencies = dependency_fingerprints(
-            annotated, selected, delay=strategy.delay, conditions=strategy.conditions
-        )
+        dependencies = dependency_fingerprints(annotated, selected, delay=strategy.delay)
 
     try:
         if strategy.symmetry == "off":
             classes = singleton_classes(selected)
         else:
-            classes = partition_nodes(
-                annotated, selected, delay=strategy.delay, conditions=strategy.conditions
-            )
+            classes = partition_nodes(annotated, selected, delay=strategy.delay)
         class_count = len(classes)
         if strategy.symmetry == "spot-check":
             # Spot-member selection stays ahead of the delta filter so the
@@ -493,15 +477,13 @@ def modular_events(
                 representative = symmetry_class.representative
                 if not _store_reuses(
                     store, annotated, strategy, representative,
-                    dependencies[representative], kinds, fingerprints,
+                    dependencies[representative], fingerprints,
                 ):
                     recheck.append(symmetry_class)
                     continue
                 for member in symmetry_class.members:
                     report = _reused_report(
-                        member,
-                        kinds,
-                        propagated_from=None if member == representative else representative,
+                        member, None if member == representative else representative
                     )
                     reports.append(report)
                     yield from report.results
@@ -512,10 +494,10 @@ def modular_events(
             iter_class_batches(
                 annotated,
                 classes,
+                delay=strategy.delay,
                 jobs=strategy.parallel,
                 stats=scheduler_stats,
                 solver=solver,
-                **strategy.engine_options(),
             ),
             strategy,
             cache_delta,
@@ -537,11 +519,11 @@ def modular_events(
     if store is not None:
         # Only on normal completion: an abandoned stream never reaches here,
         # so a half-observed run can't overwrite a good store.
-        _record_delta_run(store, annotated, strategy, reports, dependencies, kinds, fingerprints)
+        _record_delta_run(store, annotated, strategy, reports, dependencies, fingerprints)
         store.save()
     checked_nodes = {report.node for report in reports}
     conditions_skipped = (
-        len(strategy.conditions) * sum(1 for node in selected if node not in checked_nodes)
+        len(CONDITION_KINDS) * sum(1 for node in selected if node not in checked_nodes)
         if stopped_early
         else 0
     )

@@ -10,14 +10,13 @@ store's format and lifecycle.
 **Format.**  One JSON document per (network topology, strategy signature)
 pair, with two tables:
 
-* ``conditions`` — the fingerprint-keyed verdict map the ISSUE of record
-  asks for: canonical condition content hash → verdict + metadata.  Only
-  *passing* verdicts are recorded; a failing condition is always
-  re-discharged so its counterexample is fresh and its verdict can never go
-  stale.
+* ``conditions`` — the fingerprint-keyed verdict map: canonical condition
+  content hash → verdict + metadata.  Only *passing* verdicts are recorded;
+  a failing condition is always re-discharged so its counterexample is fresh
+  and its verdict can never go stale.
 * ``nodes`` — the invalidation index: node name → dependency fingerprint +
   its per-kind condition fingerprints.  Reuse requires the dependency
-  fingerprint to match *and* every requested kind to resolve to a passing
+  fingerprint to match *and* each of the three kinds to resolve to a passing
   entry in ``conditions``.
 
 Because both fingerprints are computed from canonicalized (node-identity-
@@ -29,10 +28,10 @@ passes — if the operator reverts the config edit, the old entry matches
 again and is legitimately reusable.
 
 **Robustness.**  Loading is fail-soft by design: a truncated/corrupt file, a
-format-version mismatch, a different network topology or a different
-strategy signature each degrade to an empty store (i.e. a full run) with a
-:class:`RuntimeWarning` naming the reason — never a crash, never a stale
-verdict.  Saving is atomic (write-to-temp + ``os.replace``) so a crashed or
+format-version mismatch, a different network topology, a different strategy
+signature or a malformed node entry each degrade to an empty store (i.e. a
+full run) with a :class:`RuntimeWarning` naming the reason — never a crash,
+never a stale verdict.  Saving is atomic (write-to-temp + ``os.replace``) so a crashed or
 interrupted run cannot truncate a previously good store.
 """
 
@@ -43,7 +42,9 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
+
+from repro.core.conditions import CONDITION_KINDS
 
 #: Format version; bump on any incompatible schema change.  Loaders treat a
 #: mismatch as "no store" (full run), never attempt migration in place.
@@ -94,9 +95,10 @@ class DeltaStore:
 
         Every failure mode — missing file (a cold start, not warned about),
         unreadable file, malformed JSON, wrong schema version, different
-        network topology, different strategy signature — yields an empty
-        store so the session falls back to a full run; all but the cold
-        start emit a :class:`RuntimeWarning` naming the reason.
+        network topology, different strategy signature, malformed node
+        entry — yields an empty store so the session falls back to a full
+        run; all but the cold start emit a :class:`RuntimeWarning` naming
+        the reason.
         """
         store = cls(path=path, network=network, strategy=strategy)
         if not os.path.exists(path):
@@ -132,6 +134,7 @@ class DeltaStore:
                 not isinstance(entry, dict)
                 or not isinstance(entry.get("dependency"), str)
                 or not isinstance(entry.get("conditions"), dict)
+                or not all(isinstance(value, str) for value in entry["conditions"].values())
             ):
                 _warn(path, f"malformed node entry {name!r}")
                 return store
@@ -141,34 +144,29 @@ class DeltaStore:
 
     # -- queries -----------------------------------------------------------------
 
-    def reusable(self, node: str, dependency: str, kinds: Sequence[str]) -> bool:
+    def reusable(self, node: str, dependency: str) -> bool:
         """Whether ``node``'s verdicts can be reused under ``dependency``.
 
         Requires a recorded entry whose dependency fingerprint matches and
-        whose condition fingerprints for *every* requested kind resolve to
-        recorded (passing) verdicts.
+        whose condition fingerprints for *every* kind resolve to recorded
+        (passing) verdicts.
         """
         entry = self.nodes.get(node)
         if entry is None or entry.get("dependency") != dependency:
             return False
-        recorded = entry.get("conditions", {})
-        return self.has_conditions(recorded, kinds)
+        return self.has_conditions(entry.get("conditions", {}))
 
-    def has_conditions(
-        self, condition_fingerprints: Mapping[str, str], kinds: Sequence[str]
-    ) -> bool:
-        """Whether every requested kind's exact condition is recorded as proved.
+    def has_conditions(self, condition_fingerprints: Mapping[str, str]) -> bool:
+        """Whether every kind's exact condition is recorded as proved.
 
         The slow-path reuse check: condition fingerprints are content hashes
         of the (canonicalized) query itself, so a hit here is reusable even
         when the node's dependency entry points elsewhere — e.g. after a
         config edit was reverted, the old conditions are still in the table.
         """
-        for kind in kinds:
-            fingerprint = condition_fingerprints.get(kind)
-            if fingerprint is None or fingerprint not in self.conditions:
-                return False
-        return True
+        return all(
+            condition_fingerprints.get(kind) in self.conditions for kind in CONDITION_KINDS
+        )
 
     # -- updates -----------------------------------------------------------------
 
@@ -177,9 +175,9 @@ class DeltaStore:
     ) -> None:
         """Record one fully-passing node: its dependency key and verdicts.
 
-        Callers only record nodes whose every requested condition passed —
-        the store never holds failing verdicts (they must be re-discharged
-        for fresh counterexamples).
+        Callers only record nodes whose every condition passed — the store
+        never holds failing verdicts (they must be re-discharged for fresh
+        counterexamples).
         """
         entry = {"dependency": dependency, "conditions": dict(condition_fingerprints)}
         if self.nodes.get(node) != entry:

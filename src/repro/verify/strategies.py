@@ -5,12 +5,8 @@ verification engine — the paper's comparison harness runs the same annotated
 network under several of them (modular vs monolithic vs the §2.2
 strawperson).  A knob that exists on the strategy *provably* reaches the
 engine, because the engine receives the whole object (see the regression
-test in ``tests/verify/test_strategies.py``).
-
-Strategies are registered by name in :data:`STRATEGY_REGISTRY`, so the CLI
-and harness can construct them from plain strings (``strategy("modular",
-symmetry="classes")``) and new engines — e.g. a symmetry-aware monolithic
-encoding — plug in by registering a class, without touching any call site.
+test in ``tests/verify/test_strategies.py``).  There are three engines and
+callers construct them directly: ``Modular(symmetry="classes")``.
 
 Each strategy implements :meth:`Strategy.events`, the engine entry point
 used by :class:`repro.verify.Session`: a generator that yields
@@ -24,7 +20,6 @@ import time as _time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator, Mapping
 
-from repro.core.conditions import CONDITION_KINDS
 from repro.core.results import ConditionResult
 from repro.core.symmetry import SYMMETRY_MODES
 
@@ -43,8 +38,8 @@ class Strategy:
     """Base class of all verification strategies.
 
     Subclasses are frozen dataclasses; their fields are the engine's
-    complete configuration.  ``name`` is the registry key used by
-    :func:`strategy` and the CLI.
+    complete configuration.  ``name`` labels the engine in
+    :meth:`describe` and in error messages.
     """
 
     name: ClassVar[str] = ""
@@ -74,60 +69,24 @@ class Strategy:
         return f"{self.name}({parameters})"
 
 
-#: Registry of strategy classes by name.  New engines register here and are
-#: immediately constructible from the CLI and harness without new call sites.
-STRATEGY_REGISTRY: dict[str, type[Strategy]] = {}
-
-
-def register_strategy(cls: type[Strategy]) -> type[Strategy]:
-    """Class decorator: register a strategy under its ``name``."""
-    if not cls.name:
-        raise ValueError(f"strategy class {cls.__name__} must set a registry name")
-    if cls.name in STRATEGY_REGISTRY:
-        raise ValueError(
-            f"strategy {cls.name!r} is already registered "
-            f"(by {STRATEGY_REGISTRY[cls.name].__name__})"
-        )
-    STRATEGY_REGISTRY[cls.name] = cls
-    return cls
-
-
-def strategy(name: str, **parameters: Any) -> Strategy:
-    """Construct a registered strategy by name (the argv → strategy path)."""
-    try:
-        cls = STRATEGY_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; choose one of {sorted(STRATEGY_REGISTRY)}"
-        ) from None
-    return cls(**parameters)
-
-
-def available_strategies() -> tuple[str, ...]:
-    """The registered strategy names, sorted."""
-    return tuple(sorted(STRATEGY_REGISTRY))
-
-
-@register_strategy
 @dataclass(frozen=True)
 class Modular(Strategy):
     """The paper's modular checking procedure (Algorithm 1), fully knobbed.
 
-    ``symmetry`` selects the PR 2 reduction mode (one of
+    ``symmetry`` selects the symmetry reduction mode (one of
     :data:`~repro.core.symmetry.SYMMETRY_MODES`); ``parallel`` the
     worker-process count; ``spot_check_seed`` seeds the deterministic choice
-    of re-verified class members in ``spot-check`` mode.  ``delay`` and
-    ``conditions`` mirror the per-class knobs of
-    :func:`repro.core.check_class`.  Every run discharges its conditions on
-    one incremental SMT solver: the session's, if one was supplied, otherwise
-    the per-process one (:func:`repro.smt.process_solver`).
+    of re-verified class members in ``spot-check`` mode; ``delay`` is the
+    §4 bounded delay :func:`repro.core.check_class` builds conditions under.
+    Every run discharges all three condition kinds of each node on one
+    incremental SMT solver — the session's, if one was supplied, otherwise
+    the per-process one (:func:`repro.smt.process_solver`) — and, like
+    Algorithm 1, skips a node's remaining conditions after its first failure.
 
-    Two fail-fast granularities: ``fail_fast`` (per batch) skips a node's
-    remaining conditions after its first failure, mirroring Algorithm 1;
-    ``stop_on_failure`` (run level) additionally stops scheduling *further*
-    nodes/classes once any completed batch reports a failing condition —
-    parallel runs stop dispatching queued work items and wind the pool down,
-    and the report records ``stopped_early``/``conditions_skipped``.
+    ``stop_on_failure`` additionally stops scheduling *further* nodes/classes
+    once any completed batch reports a failing condition — parallel runs stop
+    dispatching queued work items and wind the pool down, and the report
+    records ``stopped_early``/``conditions_skipped``.
 
     ``delta="reuse"`` (CLI ``--delta reuse``) turns the run change-aware: a
     fingerprint store persisted between runs (``store``, defaulting to a
@@ -141,11 +100,9 @@ class Modular(Strategy):
 
     symmetry: str = "off"
     parallel: int = 1
-    fail_fast: bool = True
     stop_on_failure: bool = False
     spot_check_seed: int = 0
     delay: int = 0
-    conditions: tuple[str, ...] = CONDITION_KINDS
     #: Delta re-verification mode (:data:`DELTA_MODES`).  With ``"reuse"``
     #: the session loads the fingerprint store before the run, emits cached
     #: verdicts (``ConditionResult.reused``) for unchanged nodes/classes,
@@ -171,38 +128,12 @@ class Modular(Strategy):
             raise ValueError(f"store must be a path string or None, got {self.store!r}")
         if self.parallel < 1:
             raise ValueError(f"parallel must be a positive worker count, got {self.parallel}")
-        for flag in ("fail_fast", "stop_on_failure"):
-            value = getattr(self, flag)
-            if not isinstance(value, bool):
-                # A truthy non-bool (e.g. the string "false" from a config
-                # file) would silently flip the engine's fail-fast behavior.
-                raise ValueError(f"{flag} must be a bool, got {value!r}")
+        if not isinstance(self.stop_on_failure, bool):
+            # A truthy non-bool (e.g. the string "false" from a config file)
+            # would silently flip the engine's run-level fail-fast.
+            raise ValueError(f"stop_on_failure must be a bool, got {self.stop_on_failure!r}")
         if self.delay < 0:
             raise ValueError(f"delay must be non-negative, got {self.delay}")
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        unknown = set(self.conditions) - set(CONDITION_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown condition kinds {sorted(unknown)}; choose among {CONDITION_KINDS}"
-            )
-        if len(set(self.conditions)) != len(self.conditions):
-            # A repeated kind would over-count skipped conditions and derive
-            # a distinct store path for the same set of queries.
-            raise ValueError(f"condition kinds must be distinct, got {self.conditions}")
-
-    def engine_options(self) -> dict[str, Any]:
-        """The per-batch kwargs handed to ``check_class``.
-
-        Every :class:`Modular` field must either appear here or steer the
-        engine loop itself (``symmetry``, ``parallel``, ``stop_on_failure``,
-        ``spot_check_seed``, ``delta``, ``store``); the strategy regression
-        test enforces that no field is silently dropped.
-        """
-        return {
-            "delay": self.delay,
-            "conditions": self.conditions,
-            "fail_fast": self.fail_fast,
-        }
 
     def events(self, session: "Session", nodes: Any | None = None) -> Iterator[ConditionResult]:
         from repro.verify.session import modular_events
@@ -210,7 +141,6 @@ class Modular(Strategy):
         return modular_events(session, self, nodes)
 
 
-@register_strategy
 @dataclass(frozen=True)
 class Monolithic(Strategy):
     """The Minesweeper-style monolithic baseline (the paper's ``Ms``).
@@ -248,7 +178,6 @@ class Monolithic(Strategy):
         session._finalize(report)
 
 
-@register_strategy
 @dataclass(frozen=True)
 class Strawperson(Strategy):
     """The naïve (unsound) §2.2 stable-state procedure.

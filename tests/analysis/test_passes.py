@@ -1,21 +1,12 @@
 """Unit tests for the individual lint passes and their building blocks."""
 
-import pytest
-
 from repro import core
-from repro.analysis import (
-    AnalysisPass,
-    LintTarget,
-    available_passes,
-    lint_network,
-    register_pass,
-)
+from repro.analysis import LintTarget, default_passes, lint_network
 from repro.analysis.configlint import ConfigLintPass
 from repro.analysis.distance import DistancePass, earliest_route_demand, origin_distances
 from repro.analysis.sortcheck import check_term_sorts, term_path
 from repro.analysis.vacuity import conjuncts, propagate, unit_assignments
 from repro.config import analyze, parse_config
-from repro.errors import AnalysisError
 from repro.routing import path_topology, shortest_path_network
 from repro.smt.sorts import BOOL, BitVecSort
 from repro.smt.terms import FALSE, OP_AND, OP_BVCONST, OP_ITE, OP_NOT, TRUE, make_term
@@ -263,24 +254,16 @@ class TestLintTarget:
         assert "n1" in second.memo("conditions")
 
 
-class TestPassRegistry:
-    def test_builtin_passes_all_registered(self):
-        # Registration order follows import order, so only membership is stable.
-        assert set(available_passes()) == {"sorts", "vacuity", "distance", "coverage", "config"}
+class TestBuiltinPasses:
+    def test_pass_order_is_the_literal_list(self):
+        names = [lint_pass.name for lint_pass in default_passes()]
+        assert names == ["config", "coverage", "distance", "sorts", "vacuity"]
+        assert lint_network(reach()).passes == tuple(names)
 
-    def test_register_requires_a_name(self):
-        class Nameless(AnalysisPass):
-            name = ""
-
-        with pytest.raises(AnalysisError):
-            register_pass(Nameless)
-
-    def test_register_rejects_duplicate_names(self):
-        class Duplicate(AnalysisPass):
-            name = "sorts"
-
-        with pytest.raises(AnalysisError):
-            register_pass(Duplicate)
+    def test_an_explicit_pass_list_runs_as_given(self):
+        # Without a registry, a caller picks passes by instantiating them.
+        report = lint_network(reach(), passes=[DistancePass(), ConfigLintPass()])
+        assert report.passes == ("distance", "config")
 
 
 HYGIENE_CONFIG = """

@@ -43,16 +43,15 @@ def check_classes():
     """Drain ``iter_class_batches`` barrier-style.
 
     Returns the member reports in class order and the summed cache deltas;
-    keyword arguments default to a plain full check.
+    ``delay`` defaults to 0.
     """
-    from repro.core import CONDITION_KINDS
     from repro.core.parallel import iter_class_batches
     from repro.smt.incremental import add_cache_statistics
 
-    def run(annotated, classes, jobs, **options):
-        options = {"delay": 0, "conditions": CONDITION_KINDS, "fail_fast": True, **options}
+    def run(annotated, classes, jobs, delay=0, **options):
         indexed, totals = {}, {}
-        for index, reports, delta in iter_class_batches(annotated, classes, jobs=jobs, **options):
+        batches = iter_class_batches(annotated, classes, delay=delay, jobs=jobs, **options)
+        for index, reports, delta in batches:
             indexed[index] = reports
             totals = add_cache_statistics(totals, delta)
         flattened = [report for index in sorted(indexed) for report in indexed[index]]

@@ -205,14 +205,7 @@ class TestStreamingDispatcher:
         return core.annotate(network, interfaces)
 
     def _batches(self, annotated, classes):
-        return iter_class_batches(
-            annotated,
-            classes,
-            delay=0,
-            jobs=2,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        return iter_class_batches(annotated, classes, delay=0, jobs=2)
 
     def test_batches_carry_submission_indices_and_deltas(self, assert_scopes_follow_size):
         annotated = self._annotated()
@@ -301,14 +294,7 @@ class TestPoolTeardown:
 
     def test_early_stop_lets_workers_exit_on_their_own(self, one_failing_node_annotated):
         annotated = one_failing_node_annotated()
-        batches = iter_class_batches(
-            annotated,
-            singleton_classes(annotated.nodes),
-            delay=0,
-            jobs=2,
-            conditions=core.CONDITION_KINDS,
-            fail_fast=True,
-        )
+        batches = iter_class_batches(annotated, singleton_classes(annotated.nodes), delay=0, jobs=2)
         next(batches)
         workers = multiprocessing.active_children()
         assert len(workers) == 2

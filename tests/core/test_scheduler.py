@@ -64,26 +64,26 @@ class TestSplitPlan:
     def test_splits_largest_class_in_place_until_workers_covered(self):
         classes = _classes(("a", "b", "c", "d"), ("e",))
         stats = SchedulerStats()
-        items = _class_work_items(classes, 4, core.CONDITION_KINDS, stats)
+        items = _class_work_items(classes, 4, stats)
         # The giant class splits into one item per condition kind, at its
         # original position, so dispatch order still follows class order.
-        assert items == [(0, (kind,)) for kind in core.CONDITION_KINDS] + [(1, None)]
+        assert items == [(0, kind) for kind in core.CONDITION_KINDS] + [(1, None)]
         assert stats.classes_stolen == 1
 
     def test_plan_is_deterministic_on_ties(self):
         classes = _classes(("a", "b"), ("c", "d"), ("e", "f"))
-        first = _class_work_items(classes, 8, core.CONDITION_KINDS, SchedulerStats())
-        second = _class_work_items(classes, 8, core.CONDITION_KINDS, SchedulerStats())
+        first = _class_work_items(classes, 8, SchedulerStats())
+        second = _class_work_items(classes, 8, SchedulerStats())
         assert first == second
         # Ties break to the earliest class.
-        assert first[0] == (0, (core.CONDITION_KINDS[0],))
+        assert first[0] == (0, core.CONDITION_KINDS[0])
 
     def test_enough_classes_or_a_single_job_never_split(self):
         classes = _classes(("a", "b", "c", "d"), ("e",))
         # jobs == len(classes) is the unsplit plan; so is the one-worker schedule.
         for jobs in (len(classes), 1):
             stats = SchedulerStats()
-            items = _class_work_items(classes, jobs, core.CONDITION_KINDS, stats)
+            items = _class_work_items(classes, jobs, stats)
             assert items == [(0, None), (1, None)]
             assert stats.classes_stolen == 0
 
@@ -93,19 +93,12 @@ class TestSplitPlan:
             SymmetryClass(key=1, members=("e",)),
         ]
         stats = SchedulerStats()
-        items = _class_work_items(classes, 8, core.CONDITION_KINDS, stats)
+        items = _class_work_items(classes, 8, stats)
         # Only the splittable singleton can be stolen; the spot-check class
         # must stay whole (its extra member is compared against the full
         # verdict vector in one place).
         assert (0, None) in items
         assert all(index != 0 or sub is None for index, sub in items)
-
-    def test_single_condition_kind_cannot_split(self):
-        classes = _classes(("a", "b", "c", "d"))
-        stats = SchedulerStats()
-        items = _class_work_items(classes, 4, ("inductive",), stats)
-        assert items == [(0, None)]
-        assert stats.classes_stolen == 0
 
 
 class TestSkewedPartition:
@@ -156,6 +149,27 @@ class TestSkewedPartition:
         assert split_stats.classes_stolen >= 1
         assert whole_stats.classes_stolen == 0
         assert _verdicts(split) == _verdicts(whole)
+        _assert_no_orphaned_workers()
+
+    def test_split_plan_stops_each_node_at_its_first_failure(self, check_classes):
+        # The interior nodes claim a route at time 0, so their initial
+        # condition fails: the merged per-kind items must drop inductive and
+        # safety exactly as an unsplit check does.
+        annotated = self._annotated()
+        interfaces = {node: annotated.interface(node) for node in annotated.nodes}
+        for node in ("n1", "n2", "n3", "n4"):
+            interfaces[node] = core.globally(lambda r: r.is_some)
+        annotated = core.annotate(annotated.network, interfaces)
+        classes = self._skewed_classes(annotated)
+        split_stats = SchedulerStats()
+        split, _ = check_classes(annotated, classes, jobs=4, stats=split_stats)
+        whole, _ = check_classes(annotated, classes, jobs=len(classes))
+        assert split_stats.classes_stolen >= 1
+        assert _verdicts(split) == _verdicts(whole)
+        interior = [report for report in split if report.node in classes[0].members]
+        assert [(r.condition, r.holds) for report in interior for r in report.results] == [
+            (core.INITIAL, False)
+        ] * len(classes[0].members)
         _assert_no_orphaned_workers()
 
     def test_adaptive_runs_are_reproducible(self, check_classes):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import core
 from repro.errors import VerificationError
-from repro.symbolic import BitVecShape, OptionShape, SymBV, SymBool
+from repro.symbolic import BitVecShape, OptionShape, SymBV
 
 SHAPE = OptionShape(BitVecShape(8))
 WIDTH = 4

@@ -12,7 +12,7 @@ import pytest
 
 from repro.harness.cli import build_argument_parser, main
 from repro.smt.incremental import reset_process_solver
-from repro.verify import Modular
+from repro.verify import Modular, Monolithic
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +57,23 @@ class TestParser:
             parallel=2,
             stop_on_failure=True,
         )
+
+    def test_argv_maps_onto_the_delta_options(self):
+        from repro.harness.cli import _modular_strategy
+
+        arguments = build_argument_parser().parse_args(
+            ["figure14", "--delta", "reuse", "--delta-store", "runs.json"]
+        )
+        assert _modular_strategy(arguments) == Modular(delta="reuse", store="runs.json")
+
+    def test_argv_maps_onto_the_monolithic_strategy(self):
+        from repro.harness.cli import _monolithic_strategy
+
+        parser = build_argument_parser()
+        arguments = parser.parse_args(["figure14", "--timeout", "9"])
+        assert _monolithic_strategy(arguments) == Monolithic(timeout=9.0)
+        skipped = parser.parse_args(["figure14", "--skip-monolithic"])
+        assert _monolithic_strategy(skipped) is None
 
     def test_stop_on_failure_defaults_off(self):
         from repro.harness.cli import _modular_strategy

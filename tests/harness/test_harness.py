@@ -1,9 +1,6 @@
 """Tests for the experiment harness: sweeps, tables and result records."""
 
-import pytest
-
 from repro.harness import (
-    ExperimentResult,
     figure14_table,
     format_table,
     ghost_state_table,

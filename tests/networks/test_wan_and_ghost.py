@@ -1,7 +1,5 @@
 """Tests for the WAN BlockToExternal benchmark and the ghost-state constructions."""
 
-import pytest
-
 from repro import core
 from repro.config import BTE_COMMUNITY, WanParameters
 from repro.verify import Modular, Monolithic, verify

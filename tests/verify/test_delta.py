@@ -62,14 +62,26 @@ class TestColdWarm:
         warm = verify(reach, Modular(delta="reuse"))
         assert warm.conditions_reused == warm.conditions_checked
 
-    def test_condition_subset_keeps_its_own_store(self, reach, tmp_path, monkeypatch):
-        # A different verdict-affecting knob is a different strategy
-        # signature, hence a different default store: no cross-reuse.
+    def test_delay_keeps_its_own_store(self, reach, tmp_path, monkeypatch):
+        # The delay is the one verdict-affecting knob: a different strategy
+        # signature, hence a different default store and no cross-reuse.
         monkeypatch.chdir(tmp_path)
         verify(reach, Modular(delta="reuse"))
-        subset = verify(reach, Modular(delta="reuse", conditions=("safety",)))
-        assert subset.conditions_reused == 0
+        delayed = verify(reach, Modular(delta="reuse", delay=1))
+        assert delayed.conditions_reused == 0
         assert len(os.listdir(DEFAULT_STORE_DIR)) == 2
+
+    def test_engine_knobs_share_the_default_store(self, reach, tmp_path, monkeypatch):
+        # Symmetry and stop-on-failure change how verdicts are computed, not
+        # what is proved: a plain cold run warms the store they use.
+        monkeypatch.chdir(tmp_path)
+        cold = verify(reach, Modular(delta="reuse"))
+        warm = verify(
+            reach, Modular(delta="reuse", symmetry="classes", stop_on_failure=True)
+        )
+        assert warm.conditions_reused == warm.conditions_checked > 0
+        assert condition_verdicts(warm) == condition_verdicts(cold)
+        assert len(os.listdir(DEFAULT_STORE_DIR)) == 1
 
     def test_explicit_store_with_other_signature_degrades(self, reach, tmp_path):
         store = _store(tmp_path)

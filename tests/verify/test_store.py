@@ -25,6 +25,11 @@ NETWORK = "net-fp"
 STRATEGY = "strategy-sig"
 
 
+def _kinds(suffix=""):
+    """A full per-kind condition-fingerprint map, as the session records one."""
+    return {kind: f"fp-{kind}{suffix}" for kind in ("initial", "inductive", "safety")}
+
+
 @pytest.fixture
 def store_path(tmp_path):
     return str(tmp_path / "store.json")
@@ -91,13 +96,32 @@ class TestFailSoftLoading:
         with pytest.warns(RuntimeWarning, match="malformed condition/node tables"):
             assert DeltaStore.open(store_path, NETWORK, STRATEGY).conditions == {}
 
-    def test_malformed_node_entry_degrades(self, store_path):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"dependency": 42, "conditions": {}},
+            # A non-string condition fingerprint would be an unhashable
+            # verdict-table key at the first reuse check.
+            {"dependency": "dep", "conditions": {"initial": ["fp"]}},
+            ["dep", {}],
+            {"dependency": "dep"},
+            {"dependency": "dep", "conditions": ["fp"]},
+        ],
+        ids=[
+            "dependency",
+            "condition-fingerprint",
+            "not-an-object",
+            "no-conditions",
+            "conditions-list",
+        ],
+    )
+    def test_malformed_node_entry_degrades(self, store_path, entry):
         document = {
             "version": STORE_VERSION,
             "network": NETWORK,
             "strategy": STRATEGY,
             "conditions": {},
-            "nodes": {"a": {"dependency": 42, "conditions": {}}},
+            "nodes": {"a": entry},
         }
         with open(store_path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
@@ -126,30 +150,31 @@ class TestFailSoftLoading:
 class TestQueries:
     def test_record_then_reusable(self, store_path):
         store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
-        store.record("a", "dep-1", {"initial": "fp-i", "safety": "fp-s"})
-        assert store.reusable("a", "dep-1", ("initial", "safety"))
-        assert store.reusable("a", "dep-1", ("safety",))
-        assert not store.reusable("a", "dep-2", ("safety",))
-        assert not store.reusable("b", "dep-1", ("safety",))
-        assert not store.reusable("a", "dep-1", ("initial", "inductive"))
+        store.record("a", "dep-1", _kinds())
+        assert store.reusable("a", "dep-1")
+        assert not store.reusable("a", "dep-2")
+        assert not store.reusable("b", "dep-1")
+        # Every kind must resolve to a proved condition.
+        store.record("c", "dep-1", {"initial": "fp-initial", "safety": "fp-safety"})
+        assert not store.reusable("c", "dep-1")
 
     def test_has_conditions_matches_by_content_not_node(self, store_path):
         """The revert slow path: exact condition hits reuse regardless of the
         node entry's current dependency key."""
         store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
-        store.record("a", "dep-old", {"safety": "fp-s"})
-        store.record("a", "dep-new", {"safety": "fp-s2"})
-        assert not store.reusable("a", "dep-old", ("safety",))
-        assert store.has_conditions({"safety": "fp-s"}, ("safety",))
-        assert not store.has_conditions({"safety": "fp-other"}, ("safety",))
-        assert not store.has_conditions({}, ("safety",))
+        store.record("a", "dep-old", _kinds())
+        store.record("a", "dep-new", _kinds("-2"))
+        assert not store.reusable("a", "dep-old")
+        assert store.has_conditions(_kinds())
+        assert not store.has_conditions(_kinds("-other"))
+        assert not store.has_conditions({})
 
 
 class TestSaving:
     def test_round_trip(self, store_path):
-        _saved_store(store_path, nodes={"a": ("dep", {"safety": "fp"})})
+        _saved_store(store_path, nodes={"a": ("dep", _kinds())})
         loaded = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        assert loaded.reusable("a", "dep", ("safety",))
+        assert loaded.reusable("a", "dep")
         assert not loaded.dirty
 
     def test_clean_store_save_is_a_no_op(self, store_path):

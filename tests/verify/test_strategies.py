@@ -1,20 +1,11 @@
-"""Tests for the strategy objects and the strategy registry."""
+"""Tests for the strategy objects."""
 
 import dataclasses
 
 import pytest
 
 from repro.networks import registry
-from repro.verify import (
-    DELTA_MODES,
-    Modular,
-    Monolithic,
-    STRATEGY_REGISTRY,
-    Session,
-    Strawperson,
-    available_strategies,
-    strategy,
-)
+from repro.verify import DELTA_MODES, Modular, Monolithic, Session, Strawperson
 
 
 class TestValidation:
@@ -33,25 +24,24 @@ class TestValidation:
         with pytest.raises(TypeError, match="backend"):
             Modular(backend="fresh")
 
-    def test_bad_parallel_delay_and_conditions(self):
+    def test_condition_subsets_and_fail_fast_are_not_knobs(self):
+        # Every run checks all three kinds and stops a node at its first failure.
+        with pytest.raises(TypeError, match="conditions"):
+            Modular(conditions=("safety",))
+        with pytest.raises(TypeError, match="fail_fast"):
+            Modular(fail_fast=False)
+
+    def test_bad_parallel_and_delay(self):
         with pytest.raises(ValueError, match="parallel"):
             Modular(parallel=0)
         with pytest.raises(ValueError, match="delay"):
             Modular(delay=-1)
-        with pytest.raises(ValueError, match="condition kinds"):
-            Modular(conditions=("initial", "bogus"))
 
-    def test_duplicate_condition_kinds_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Modular(conditions=("initial", "initial"))
-
-    def test_fail_fast_flags_must_be_bools(self):
+    def test_stop_on_failure_must_be_a_bool(self):
         # A truthy string (e.g. "false" from a config file) must not
-        # silently flip either fail-fast granularity.
+        # silently flip the run-level fail-fast.
         with pytest.raises(ValueError, match="stop_on_failure"):
             Modular(stop_on_failure="false")
-        with pytest.raises(ValueError, match="fail_fast"):
-            Modular(fail_fast="false")
         assert Modular(stop_on_failure=True).stop_on_failure is True
 
     def test_bad_monolithic_timeout(self):
@@ -88,51 +78,6 @@ class TestValidation:
             modular.symmetry = "classes"
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(available_strategies()) >= {"modular", "monolithic", "strawperson"}
-
-    def test_construct_by_name(self):
-        built = strategy("modular", symmetry="classes", parallel=2)
-        assert built == Modular(symmetry="classes", parallel=2)
-        assert strategy("monolithic", timeout=9.0) == Monolithic(timeout=9.0)
-
-    def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError) as excinfo:
-            strategy("quantum")
-        assert "modular" in str(excinfo.value)
-
-    def test_duplicate_names_rejected(self):
-        from repro.verify.strategies import Strategy, register_strategy
-
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_strategy
-            class Clashing(Strategy):
-                name = "modular"
-
-    def test_new_engines_plug_in_without_new_call_sites(self):
-        """A registered strategy class is reachable from the generic path."""
-        from repro.verify.strategies import Strategy, register_strategy
-
-        @register_strategy
-        @dataclasses.dataclass(frozen=True)
-        class NullEngine(Strategy):
-            name = "null-engine"
-
-            def events(self, session, nodes=None):
-                session._finalize("null-report")
-                return iter(())
-
-        try:
-            built = strategy("null-engine")
-            benchmark = registry.build("ghost/reach")
-            with Session(benchmark.annotated, built) as session:
-                assert session.run() == "null-report"
-        finally:
-            del STRATEGY_REGISTRY["null-engine"]
-
-
 class TestEveryFieldReachesTheEngine:
     """Regression for knob-dropping: no strategy field may be lost on the way.
 
@@ -141,10 +86,10 @@ class TestEveryFieldReachesTheEngine:
     fails if a new field is added without wiring (and testing) it.
     """
 
-    #: Fields consumed per batch via ``engine_options()`` (value must arrive
-    #: in the kwargs of check_class) vs fields steering the
-    #: engine loop itself (asserted individually below).
-    OPTION_FIELDS = {"delay": 3, "conditions": ("initial",), "fail_fast": False}
+    #: Fields consumed per batch (value must arrive in the kwargs of
+    #: check_class) vs fields steering the engine loop itself (asserted
+    #: individually below).
+    OPTION_FIELDS = {"delay": 3}
     LOOP_FIELDS = {
         "symmetry",
         "parallel",
