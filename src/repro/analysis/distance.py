@@ -29,6 +29,7 @@ from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic
 from repro.analysis.passes import AnalysisPass, LintTarget
+from repro.core.conditions import node_policy
 from repro.errors import ReproError
 from repro.routing.algebra import Network
 from repro.symbolic import SymBV
@@ -49,8 +50,7 @@ def origin_distances(network: Network) -> dict[str, int | None] | None:
     sources: list[str] = []
     for node in topology.nodes:
         try:
-            route = network.initial_route(node)
-            presence = route.is_some.term
+            presence = node_policy(network, node).initial.is_some.term
         except (ReproError, AttributeError):
             return None
         if not presence.is_false():

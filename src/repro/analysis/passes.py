@@ -2,13 +2,12 @@
 
 A :class:`LintTarget` wraps one annotated network (plus, optionally, the
 resolved policy configuration it was compiled from) and memoises the
-artifacts several passes share — each node's verification conditions, built
-once with class-canonical naming, and the constant-folded value of each
-node's interface and property.  Passes are tiny classes with a ``run``
-method yielding :class:`~repro.analysis.diagnostics.Diagnostic` objects;
-:func:`default_passes` lists the five built-in ones, and :func:`run_passes`
-executes a pass list over a target and assembles a
-:class:`~repro.analysis.diagnostics.LintReport`.
+artifacts several passes share — each node's verification conditions and the
+constant-folded value of each node's interface and property.  Passes are
+tiny classes with a ``run`` method yielding
+:class:`~repro.analysis.diagnostics.Diagnostic` objects; :func:`default_passes`
+lists the five built-in ones, and :func:`run_passes` executes a pass list
+over a target and assembles a :class:`~repro.analysis.diagnostics.LintReport`.
 
 Everything here is *pre-solver*: passes build and fold terms through the
 smart constructors but never bit-blast, Tseitin-encode or call SAT — the
@@ -121,7 +120,7 @@ class LintTarget:
         return self._deep_nodes
 
     def conditions(self, node: str) -> list[VerificationCondition]:
-        """The node's three conditions, built with class-canonical naming.
+        """The node's three conditions.
 
         Raises the original :class:`ReproError` when the build fails; the
         outcome (value or error) is memoised either way.
@@ -129,7 +128,7 @@ class LintTarget:
         cached = self._conditions.get(node)
         if cached is None:
             try:
-                cached = ("ok", node_conditions(self.annotated, node, naming="class"))
+                cached = ("ok", node_conditions(self.annotated, node))
             except ReproError as error:
                 cached = ("error", error)
             self._conditions[node] = cached

@@ -225,7 +225,7 @@ class SortCheckPass(AnalysisPass):
                     )
 
         # The process-wide clean-cone set: conditions share most of their
-        # DAG (canonically-named classes share *all* of it, and repeated
+        # DAG (isomorphic nodes share *all* of it, and repeated
         # lint runs re-derive the identical interned terms), so each unique
         # term is sort-checked once per process.  Sound because terms are
         # immutable and ids are never reused; ill-sorted cones are never

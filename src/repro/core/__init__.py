@@ -22,7 +22,6 @@ from repro.core.conditions import (
     CONDITION_KINDS,
     INDUCTIVE,
     INITIAL,
-    NAMING_SCHEMES,
     SAFETY,
     VerificationCondition,
     canonical_node_conditions,
@@ -93,7 +92,6 @@ __all__ = [
     "node_conditions",
     "canonical_node_conditions",
     "CONDITION_KINDS",
-    "NAMING_SCHEMES",
     "INITIAL",
     "INDUCTIVE",
     "SAFETY",

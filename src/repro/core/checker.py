@@ -87,7 +87,7 @@ def check_node(
     """Check one node's verification conditions.
 
     A node is a class of one: this is :func:`check_class` (which documents
-    the parameters) on the node's sender-named singleton class.
+    the parameters) on the node's singleton class.
     """
     (singleton,) = singleton_classes((node,))
     return check_class(annotated, singleton, delay=delay, solver=solver)[0]
@@ -115,10 +115,10 @@ def check_class(
     the exception propagates, so subsequent checks stay sound.
 
     Returns a report per member, in member order.  The representative's
-    conditions are built with the class's naming scheme and discharged in one
-    SAT scope; every other member receives the representative's verdicts as
-    propagated :class:`ConditionResult` records (duration 0, counterexamples
-    translated by the positional neighbour correspondence).  When the class
+    conditions are discharged in one SAT scope; every other member receives
+    the representative's verdicts as propagated :class:`ConditionResult`
+    records (duration 0, counterexamples translated by the positional
+    neighbour correspondence).  When the class
     carries a ``spot_member``, that member's conditions are rebuilt from
     scratch and discharged in the *same* scope — with a correct
     canonicalization this re-assumes the identical terms (nearly free, and
@@ -140,7 +140,6 @@ def check_class(
         raise VerificationError(f"unknown condition kind {kind!r}")
     representative = symmetry_class.representative
     quotient = symmetry_class.destination
-    naming = symmetry_class.naming
     # Without a pinned solver the shared per-process one is used as it
     # stands: its encoding caches and its current SAT scope persist across
     # batches (and whole runs), and it alone decides when a scope rotates.
@@ -158,7 +157,7 @@ def check_class(
                 built, _ = canonical_node_conditions(annotated, representative, delay=delay)
                 built = tuple(built)
             else:
-                built = node_conditions(annotated, representative, delay=delay, naming=naming)
+                built = node_conditions(annotated, representative, delay=delay)
         results = _discharge(built, kind, solver)
         if quotient is not None and any(not result.holds for result in results):
             # The canonical instance failed; its counterexample payloads are
@@ -167,9 +166,7 @@ def check_class(
             # (equivalid — identical holds pattern and fail-fast truncation)
             # for a counterexample in the representative's own coordinates.
             results = _discharge(
-                node_conditions(annotated, representative, delay=delay, naming=naming),
-                kind,
-                solver,
+                node_conditions(annotated, representative, delay=delay), kind, solver
             )
     except BaseException:
         _recover_solver(solver, owned)
@@ -242,9 +239,7 @@ def _spot_check_member(
     member_started = _time.perf_counter()
     try:
         member_results = _discharge(
-            node_conditions(annotated, member, delay=delay, naming=symmetry_class.naming),
-            kind,
-            solver,
+            node_conditions(annotated, member, delay=delay), kind, solver
         )
     except BaseException:
         _recover_solver(solver, owned)

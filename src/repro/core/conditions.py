@@ -19,34 +19,23 @@ the inductive condition: neighbour routes may be drawn from any of the last
 ``delay + 1`` time steps and the computed route must satisfy the interface
 ``delay + 1`` steps later.
 
-**Deterministic query-scoped names.**  The symbolic time and route variables
-of a condition are named deterministically (``vc$time``, ``vc$route.<node>``
-— see :data:`VC_PREFIX`) instead of drawing globally fresh names.  Each
-condition is discharged as its own validity query, so names only need to be
-unique *within* one query — and deterministic names make the shared
-structure of different conditions (the per-sender interface blocks, the
-network's symbolic constraints, re-checks of the same node) hash-cons to
-*identical* terms.  That is what lets the incremental SMT backend
+**Positional route names.**  The symbolic time and route variables of a
+condition are named deterministically instead of drawing globally fresh
+names: the time is ``vc$time``, the route from the ``i``-th in-neighbour (in
+the topology's deterministic predecessor order) is ``vc$route.%i``, and the
+node's own route in the safety condition is ``vc$route.%self`` (see
+:data:`VC_PREFIX`).  Each condition is discharged as its own validity query,
+so names only need to be unique *within* one query, and a positional name is
+an injective renaming of that query's variables.  Positional names erase
+node identity, so two nodes whose conditions differ only by a node renaming
+(e.g. every edge switch of a non-destination fattree pod) produce
+*term-identical* conditions, and shared structure (the network's symbolic
+constraints, re-checks of the same node, the ``updated_route`` term)
+hash-conses across conditions and nodes.  Term identity is what the symmetry
+layer (:mod:`repro.core.symmetry`) keys equivalence classes on, what the
+delta store's fingerprints digest, and what lets the incremental SMT backend
 (:mod:`repro.smt.incremental`) bit-blast and CNF-encode every distinct
 subterm once per process instead of once per query.
-
-**Class-canonical naming.**  The ``naming`` parameter widens the scheme.
-With the default ``naming="sender"`` a neighbour's route is named after the
-node that sends it, which shares the sender's interface block across every
-receiver.  With ``naming="class"`` routes are instead named by *position*:
-the route from the ``i``-th in-neighbour (in the topology's deterministic
-predecessor order) is ``vc$route.%i``, and the node's own route in the
-safety condition is ``vc$route.%self``.  Positional names erase node
-identity from the query, so two nodes whose conditions differ only by a
-node renaming — e.g. every edge switch of a non-destination fattree pod —
-produce *term-identical* conditions (including the ``updated_route`` term,
-which now hash-conses across nodes).  Term identity is what the symmetry
-layer (:mod:`repro.core.symmetry`) keys equivalence classes on, and what
-lets the incremental backend reuse one SAT scope — encoded clauses and
-learned clauses alike — across an entire class: the members' queries are
-the same query.  The ``%`` escape character guarantees positional names can
-never collide with an escaped sender name (escapes only ever emit ``%25``,
-``%23`` or ``%2e``).
 """
 
 from __future__ import annotations
@@ -84,64 +73,27 @@ SAFETY = "safety"
 
 CONDITION_KINDS = (INITIAL, INDUCTIVE, SAFETY)
 
-#: Route-variable naming schemes (see module docstring): ``sender`` names a
-#: neighbour route after its sender, ``class`` names it by predecessor
-#: position so isomorphic nodes yield term-identical conditions.
-NAMING_SCHEMES = ("sender", "class")
-
 #: Name prefix reserved for the deterministically named per-query variables
 #: of the verification conditions.  Network models must not use it for their
 #: own symbolic variables; :func:`_network_symbolics` enforces this.
 VC_PREFIX = "vc$"
 
 
-def _escape_node_name(name: str) -> str:
-    """Injectively escape a node name for use inside a variable name.
-
-    ``%`` is the escape character (escaped first, so the mapping is
-    injective); ``#`` must not survive because the bit-blaster uses it to
-    separate a bitvector name from its bit index, and ``.`` must not survive
-    because record shapes use it to separate the route name from its field
-    path (a node literally named ``y.value`` must not alias field ``value``
-    of a node named ``y``).
-    """
-    return name.replace("%", "%25").replace("#", "%23").replace(".", "%2e")
-
-
-def _query_time(node: str, width: int) -> SymBV:
+def _query_time(width: int) -> SymBV:
     """The symbolic time variable of a condition (same name in every query)."""
-    del node  # the name is deliberately node-independent, see module docstring
     with exact_names():
         return SymBV.fresh(width, f"{VC_PREFIX}time")
 
 
 #: Route shape → variable name → the one query route of that name: interning
-#: bounds ``naming="class"`` to max-in-degree + 1 routes however many nodes
-#: read them, and gives the memos below an identity to key on.
+#: bounds the routes to max-in-degree + 1 however many nodes read them, and
+#: gives the memos below an identity to key on.
 _QUERY_ROUTES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _query_route(
-    network: Any, owner: str, naming: str = "sender", position: int | None = None
-) -> Any:
-    """The symbolic route of one query, named per the ``naming`` scheme.
-
-    With ``naming="sender"`` the route is named after the node that
-    (conceptually) sends it — not the (sender, receiver) edge — which makes
-    the assumption block ``wf(route) ∧ interface(sender)(route, t)`` an
-    identical term in the inductive condition of *every* receiver of that
-    sender, and in the sender's own safety condition.
-
-    With ``naming="class"`` the route is named by its predecessor
-    ``position`` (or ``%self`` for the node's own route), erasing node
-    identity so isomorphic nodes produce term-identical queries.
-    """
-    if naming == "sender":
-        suffix = _escape_node_name(owner)
-    elif naming == "class":
-        suffix = "%self" if position is None else f"%{position}"
-    else:
-        raise VerificationError(f"unknown naming scheme {naming!r}; choose one of {NAMING_SCHEMES}")
+def _query_route(network: Any, position: int | None = None) -> Any:
+    """The query route from predecessor ``position``, or the node's own route."""
+    suffix = "%self" if position is None else f"%{position}"
     routes = _QUERY_ROUTES.setdefault(network.route_shape, {})
     route = routes.get(suffix)
     if route is None:
@@ -166,10 +118,10 @@ class NodePolicy:
     digests: dict[str, bytes] = field(default_factory=dict)
 
 
-#: ``Network`` → ``(node, naming)`` → :class:`NodePolicy`.  A network's policy
-#: is fixed at construction (an edited policy is a new ``Network``), so each
-#: node's is evaluated once per naming and shared by its conditions, its
-#: dependency fingerprint and every later run over the same network object.
+#: ``Network`` → node → :class:`NodePolicy`.  A network's policy is fixed at
+#: construction (an edited policy is a new ``Network``), so each node's is
+#: evaluated once and shared by its conditions, its dependency fingerprint,
+#: the lint passes and every later run over the same network object.
 _NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Annotation object → ``(id(route), time term_id)`` → ``(route, application)``.
@@ -180,20 +132,20 @@ _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _MEMO_HITS = {"node_policies": 0, "applications": 0}
 
 
-def node_policy(network: Any, node: str, naming: str = "sender") -> NodePolicy:
-    """The memoised :class:`NodePolicy` of ``node`` under ``naming``."""
+def node_policy(network: Any, node: str) -> NodePolicy:
+    """The memoised :class:`NodePolicy` of ``node``."""
     policies = _NODE_POLICIES.setdefault(network, {})
-    policy = policies.get((node, naming))
+    policy = policies.get(node)
     if policy is not None:
         _MEMO_HITS["node_policies"] += 1
         return policy
     shape = network.route_shape
-    own_route = _query_route(network, node, naming=naming)
+    own_route = _query_route(network)
     routes = {
-        neighbor: _query_route(network, neighbor, naming=naming, position=position)
+        neighbor: _query_route(network, position)
         for position, neighbor in enumerate(network.topology.predecessors(node))
     }
-    policy = policies[node, naming] = NodePolicy(
+    policy = policies[node] = NodePolicy(
         initial=network.initial_route(node),
         own_route=own_route,
         own_shape=shape.constraint(own_route),
@@ -246,10 +198,9 @@ class VerificationCondition:
         Derived from the term structure of the ``(assumptions, goal)`` pair
         (see :mod:`repro.core.fingerprint`) — never from interning counters
         or Python object hashes — so the same condition built in another
-        process (any ``PYTHONHASHSEED``) fingerprints identically.  The
-        delta re-verification store keys verdicts by this hash; for
-        node-identity-erased keys, build the condition with
-        ``naming="class"``.
+        process (any ``PYTHONHASHSEED``) fingerprints identically.  Route
+        names are positional, so isomorphic nodes share the hash; the delta
+        re-verification store keys verdicts by it.
         """
         from repro.core.fingerprint import condition_fingerprint
 
@@ -321,13 +272,11 @@ def _network_symbolics(annotated: AnnotatedNetwork) -> tuple[SymBool, dict[str, 
     return assumptions, values
 
 
-def initial_condition(
-    annotated: AnnotatedNetwork, node: str, naming: str = "sender"
-) -> VerificationCondition:
-    """``I_v ∈ A(v)(0)`` (equation 5); ``naming`` only selects the policy memo."""
+def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
+    """``I_v ∈ A(v)(0)`` (equation 5)."""
     width = annotated.time_width()
     assumptions, symbolics = _network_symbolics(annotated)
-    initial_route = node_policy(annotated.network, node, naming).initial
+    initial_route = node_policy(annotated.network, node).initial
     zero = SymBV.constant(0, width)
     goal = apply_annotation(annotated.interface(node), initial_route, zero)
     return VerificationCondition(
@@ -341,7 +290,7 @@ def initial_condition(
 
 
 def inductive_condition(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0, naming: str = "sender"
+    annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> VerificationCondition:
     """The inductive condition (equation 6), optionally with bounded delay."""
     if delay < 0:
@@ -349,7 +298,7 @@ def inductive_condition(
     width = annotated.time_width(delay)
     precondition, symbolics = _network_symbolics(annotated)
 
-    time_variable = _query_time(node, width)
+    time_variable = _query_time(width)
     # Keep t small enough that t + delay + 1 cannot wrap around.  Because every
     # annotation is constant beyond its largest witness time, this bound loses
     # no generality (see DESIGN.md §5).
@@ -358,7 +307,7 @@ def inductive_condition(
     # conjunct per symbolic, and `acc & part` would re-flatten it per part.
     conjuncts = [precondition, time_variable <= max_time - delay - 1]
 
-    policy = node_policy(annotated.network, node, naming)
+    policy = node_policy(annotated.network, node)
     neighbor_routes = policy.neighbor_routes
     for (neighbor, route), shape in zip(neighbor_routes.items(), policy.neighbor_shapes):
         conjuncts.append(shape)
@@ -388,15 +337,13 @@ def inductive_condition(
     )
 
 
-def safety_condition(
-    annotated: AnnotatedNetwork, node: str, naming: str = "sender"
-) -> VerificationCondition:
+def safety_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
     """``A(v)(t) ⊆ P(v)(t)`` for all times ``t`` (equation 7)."""
     width = annotated.time_width()
     precondition, symbolics = _network_symbolics(annotated)
 
-    time_variable = _query_time(node, width)
-    policy = node_policy(annotated.network, node, naming)
+    time_variable = _query_time(width)
+    policy = node_policy(annotated.network, node)
     route = policy.own_route
     assumptions = all_of(
         [
@@ -419,15 +366,13 @@ def safety_condition(
 
 
 def node_conditions(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0, naming: str = "sender"
+    annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> list[VerificationCondition]:
     """All three verification conditions for ``node``."""
-    if naming not in NAMING_SCHEMES:
-        raise VerificationError(f"unknown naming scheme {naming!r}; choose one of {NAMING_SCHEMES}")
     return [
-        initial_condition(annotated, node, naming=naming),
-        inductive_condition(annotated, node, delay=delay, naming=naming),
-        safety_condition(annotated, node, naming=naming),
+        initial_condition(annotated, node),
+        inductive_condition(annotated, node, delay=delay),
+        safety_condition(annotated, node),
     ]
 
 
@@ -438,7 +383,7 @@ def node_conditions(
 # All-pairs benchmarks route to a symbolic destination index ``dest`` that
 # enters conditions only through equalities against concrete index constants
 # (``dest == k``, one constant per edge node) and a single range constraint
-# ``dest < size``.  Class-canonical naming alone therefore cannot merge two
+# ``dest < size``.  Positional naming alone therefore cannot merge two
 # all-pairs nodes: their conditions are isomorphic only *up to a simultaneous
 # permutation of the destination constants*.  The canonicalizer below closes
 # that gap: it rewrites every ``dest == k`` atom so the constants become
@@ -462,8 +407,8 @@ def node_conditions(
 # preserves the range — so validity transfers both ways and a canonical
 # counterexample re-concretizes by mapping its destination value through π.
 # Any occurrence of ``dest`` outside the two eligible atom shapes makes the
-# node *ineligible*: it falls back to its raw class-named conditions (a finer
-# partition — never unsound).
+# node *ineligible*: it falls back to its raw conditions (a finer partition
+# — never unsound).
 
 
 class IneligibleDestination(Exception):
@@ -729,16 +674,16 @@ class DestinationCanonicalizer:
 def canonical_node_conditions(
     annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> tuple[list[VerificationCondition], tuple[int, ...] | None]:
-    """Class-named conditions, destination-canonicalized when declared.
+    """The node's conditions, destination-canonicalized when declared.
 
     Returns ``(conditions, witness)``.  When the network declares a
     :class:`~repro.core.annotations.DestinationSymmetry` and the node's
     conditions use the destination only in the eligible atom shapes, the
     conditions come back canonicalized and ``witness`` is the node's
     destination constant per permutation slot.  Otherwise the raw
-    ``naming="class"`` conditions are returned with ``witness=None``.
+    conditions are returned with ``witness=None``.
     """
-    raw = node_conditions(annotated, node, delay=delay, naming="class")
+    raw = node_conditions(annotated, node, delay=delay)
     destination = destination_variable(annotated)
     if destination is None:
         return raw, None

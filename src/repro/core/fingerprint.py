@@ -16,11 +16,10 @@ module computes the keys that decision is made on:
 
 * :func:`condition_fingerprint` — the content hash of one
   :class:`~repro.core.conditions.VerificationCondition`: its kind plus the
-  digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions are
-  fingerprinted in their *class-canonical* form (``naming="class"``, the PR 2
-  scheme that names query variables by predecessor position), so the
-  fingerprint erases node identity: isomorphic nodes share fingerprints, and
-  a verdict cached for one is a verdict for all of them.
+  digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions name
+  their query variables by predecessor position, so the fingerprint erases
+  node identity: isomorphic nodes share fingerprints, and a verdict cached
+  for one is a verdict for all of them.
 
 * :func:`node_dependency_fingerprint` — a per-node digest covering exactly
   the inputs the node's three conditions are built from: the node's own
@@ -53,11 +52,11 @@ maps (the ``Network``, the annotation, the route shape), and a route keyed by
 ``id`` is held by its own entry, so no key can be recycled while an entry
 exists; (ii) no value references its key, so an entry dies with it; (iii) a
 value is a function of its key object and of query variables fixed by
-``(route_shape, naming, position, width)``, under the pure-term-builder
+``(route_shape, position, width)``, under the pure-term-builder
 assumption above; (iv) every edit is a new key — a replaced interface is a
 new annotation object, an edited policy a new ``Network`` — and misses.
 Nothing is shared across processes: a closure has no identity cheaper than
-evaluating it, so a fresh process pays one evaluation per node and naming.
+evaluating it, so a fresh process pays one evaluation per node.
 """
 
 from __future__ import annotations
@@ -255,10 +254,8 @@ def fingerprint_value(value: Any, rewrite: Any = None) -> str:
 def condition_fingerprint(condition: VerificationCondition) -> str:
     """The content hash of one verification condition.
 
-    Digests the ``(kind, assumptions, goal)`` triple; callers who need
-    node-identity-erased fingerprints (the delta store, the symmetry layer)
-    must pass conditions built with ``naming="class"`` — see
-    :func:`node_condition_fingerprints`.
+    Digests the ``(kind, assumptions, goal)`` triple; positional route names
+    make it node-identity-erased (see :func:`node_condition_fingerprints`).
     """
     return _digest(
         (
@@ -276,11 +273,11 @@ def node_condition_fingerprints(
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
-    Builds the node's conditions in class-canonical form (cheap: terms are
-    hash-consed and their digests memoised) — destination-canonicalized when
-    the network declares a destination symmetry, so permuted all-pairs nodes
-    share condition fingerprints — and digests each kind.  These are the
-    keys the delta store's verdict map is indexed by.
+    Builds the node's conditions (cheap: terms are hash-consed and their
+    digests memoised) — destination-canonicalized when the network declares
+    a destination symmetry, so permuted all-pairs nodes share condition
+    fingerprints — and digests each kind.  These are the keys the delta
+    store's verdict map is indexed by.
     """
     node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
     return {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
@@ -356,9 +353,9 @@ def _dependency_digest(
         return fingerprint_term(term).encode("ascii")
 
     width = annotated.time_width(delay)
-    time_variable = _query_time(node, width)
-    base_time = _query_time(node, annotated.time_width())
-    policy = node_policy(annotated.network, node, "class")
+    time_variable = _query_time(width)
+    base_time = _query_time(annotated.time_width())
+    policy = node_policy(annotated.network, node)
     own_route = policy.own_route
     interface = annotated.interface(node)
     node_property = annotated.node_property(node)

@@ -10,9 +10,8 @@ the remaining members — cutting the dominant cost from O(k²) condition
 batches to O(1) per tier.
 
 The class is the engine's only unit of work: ``symmetry="off"`` is the
-singleton partition (:func:`singleton_classes`), whose classes keep the
-per-node ``"sender"`` route naming so each discharges exactly the queries a
-plain per-node check would.
+singleton partition (:func:`singleton_classes`), whose classes discharge
+exactly the queries a plain per-node check would.
 
 Two partitioning strategies, in order of preference:
 
@@ -26,9 +25,9 @@ Two partitioning strategies, in order of preference:
   extra member per class, or rely on the in-degree sanity check below.
 
 * **Canonical-form hashing.**  For arbitrary topologies (WAN, ghost-state
-  networks) each node's conditions are built with *class-canonical* naming
-  (``naming="class"`` in :mod:`repro.core.conditions`): query routes are
-  named by predecessor position, erasing node identity.  Because terms are
+  networks) each node's conditions are built as they are checked: query
+  routes are named by predecessor position (:mod:`repro.core.conditions`),
+  which erases node identity.  Because terms are
   hash-consed process-wide, two nodes belong to the same class **iff** their
   canonicalized ``(assumptions, goal)`` pairs are the identical ``Term``
   objects — so verdict propagation is sound by construction (the members
@@ -36,7 +35,7 @@ Two partitioning strategies, in order of preference:
   degrade to singleton classes, i.e. per-node checking.
 
 * **Destination quotient.**  All-pairs networks additionally declare a
-  :class:`~repro.core.annotations.DestinationSymmetry` marker; class-named
+  :class:`~repro.core.annotations.DestinationSymmetry` marker; their
   conditions are then canonicalized *up to simultaneous destination-index
   permutation* (:func:`repro.core.conditions.canonical_node_conditions`)
   before hashing, so two edge nodes that differ only in *which* destination
@@ -130,14 +129,11 @@ class SymmetryClass:
     ``members`` is ordered deterministically (the order the nodes were given
     to :func:`partition_nodes`); the first member is the representative whose
     conditions are actually discharged.  ``conditions`` caches the
-    representative's canonically-named conditions when the generic hashing
+    representative's conditions when the generic hashing
     path already built them (``None`` under metadata hints, where conditions
     are built lazily at check time).  ``spot_member`` names the extra member
     re-verified in ``spot-check`` mode (chosen up front by the checker so the
     selection is reproducible and independent of parallel scheduling).
-    ``naming`` is the route-naming scheme the class's conditions are built
-    with: ``"class"`` for every partition that merges nodes, ``"sender"`` for
-    the singleton partition.
     """
 
     key: Hashable
@@ -151,7 +147,6 @@ class SymmetryClass:
     #: the cached ``conditions`` are the *canonical* instance and verdicts
     #: re-concretize through the quotient's per-member witnesses.
     destination: DestinationQuotient | None = None
-    naming: str = "class"
 
     @property
     def representative(self) -> str:
@@ -162,11 +157,8 @@ class SymmetryClass:
 
 
 def singleton_classes(nodes: Sequence[str]) -> list[SymmetryClass]:
-    """The trivial partition: one sender-named class per node, in ``nodes`` order."""
-    return [
-        SymmetryClass(key=("singleton", node), members=(node,), naming="sender")
-        for node in nodes
-    ]
+    """The trivial partition: one class per node, in ``nodes`` order."""
+    return [SymmetryClass(key=("singleton", node), members=(node,)) for node in nodes]
 
 
 def partition_nodes(
@@ -233,7 +225,7 @@ def _partition_by_canonical_hash(
     groups: dict[Hashable, list[str]] = {}
     built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
     for node in nodes:
-        node_vcs = tuple(node_conditions(annotated, node, delay=delay, naming="class"))
+        node_vcs = tuple(node_conditions(annotated, node, delay=delay))
         # Hash-consing makes term_id a process-stable structural fingerprint:
         # equal keys ⟺ the canonicalized conditions are the same Term objects.
         key = _term_key(node_vcs)

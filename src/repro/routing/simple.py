@@ -190,8 +190,6 @@ def build_running_example(
         return route.map(lambda p: p.with_fields(len=p.len.saturating_add(1)))
 
     def transfer(edge: Edge) -> Callable[[SymOption], SymOption]:
-        source, target = edge
-
         def apply(route: SymOption) -> SymOption:
             moved = increment(route)
             if edge == ("n", "v"):

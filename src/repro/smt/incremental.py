@@ -82,10 +82,9 @@ satisfiability of queries that do not assume ``a``; learned clauses
 mentioning ``¬a`` are entailed by the database and simply become inert once
 ``a`` is no longer assumed.
 
-**Class-canonical naming contract.**  The symmetry-aware checker
-(:mod:`repro.core.symmetry`) builds verification conditions with
-``naming="class"`` (:mod:`repro.core.conditions`): query routes are named by
-predecessor *position*, so every member of a symmetry class produces the
+**Positional naming contract.**  Verification conditions name their query
+routes by predecessor *position* (:mod:`repro.core.conditions`), so every
+member of a symmetry class (:mod:`repro.core.symmetry`) produces the
 *identical* hash-consed terms — a further member query (the ``spot-check``
 mode) re-assumes the same activation literals, ships nothing and reuses the
 learned clauses outright.  Neighbouring classes and nodes overlap too (the

@@ -266,6 +266,12 @@ def verify(
 def _selected_nodes(
     annotated: AnnotatedNetwork, nodes: Sequence[str] | None
 ) -> tuple[str, ...]:
+    if isinstance(nodes, str):
+        # tuple("nw") would silently select nodes "n" and "w".
+        raise VerificationError(
+            f"nodes must be a sequence of node names, not the string {nodes!r}; "
+            f"pass [{nodes!r}] to select one node"
+        )
     selected = tuple(nodes) if nodes is not None else annotated.nodes
     for node in selected:
         if node not in annotated.nodes:

@@ -88,19 +88,19 @@ def _oracle_initial_condition(annotated: AnnotatedNetwork, node: str) -> Verific
 
 
 def _oracle_inductive_condition(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0, naming: str = "sender"
+    annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> VerificationCondition:
     network = annotated.network
     width = annotated.time_width(delay)
     assumptions, symbolics = _oracle_network_symbolics(annotated)
 
-    time_variable = _query_time(node, width)
+    time_variable = _query_time(width)
     max_time = (1 << width) - 1
     assumptions = assumptions & (time_variable <= max_time - delay - 1)
 
     neighbor_routes: dict[str, Any] = {}
     for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, neighbor, naming=naming, position=position)
+        route = _query_route(network, position)
         neighbor_routes[neighbor] = route
         assumptions = assumptions & network.route_shape.constraint(route)
         interface = annotated.interface(neighbor)
@@ -125,15 +125,13 @@ def _oracle_inductive_condition(
     )
 
 
-def _oracle_safety_condition(
-    annotated: AnnotatedNetwork, node: str, naming: str = "sender"
-) -> VerificationCondition:
+def _oracle_safety_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
     network = annotated.network
     width = annotated.time_width()
     assumptions, symbolics = _oracle_network_symbolics(annotated)
 
-    time_variable = _query_time(node, width)
-    route = _query_route(network, node, naming=naming)
+    time_variable = _query_time(width)
+    route = _query_route(network)
     assumptions = assumptions & network.route_shape.constraint(route)
     assumptions = assumptions & annotated.interface(node)(route, time_variable)
     goal = annotated.node_property(node)(route, time_variable)
@@ -150,19 +148,19 @@ def _oracle_safety_condition(
 
 
 def _oracle_node_conditions(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0, naming: str = "sender"
+    annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> list[VerificationCondition]:
     return [
         _oracle_initial_condition(annotated, node),
-        _oracle_inductive_condition(annotated, node, delay=delay, naming=naming),
-        _oracle_safety_condition(annotated, node, naming=naming),
+        _oracle_inductive_condition(annotated, node, delay=delay),
+        _oracle_safety_condition(annotated, node),
     ]
 
 
 def _oracle_canonical_node_conditions(
     annotated: AnnotatedNetwork, node: str, delay: int = 0
 ) -> tuple[list[VerificationCondition], tuple[int, ...] | None]:
-    raw = _oracle_node_conditions(annotated, node, delay=delay, naming="class")
+    raw = _oracle_node_conditions(annotated, node, delay=delay)
     destination = destination_variable(annotated)
     if destination is None:
         return raw, None
@@ -208,11 +206,10 @@ def _assert_same_terms(built: list[VerificationCondition], oracle: list[Verifica
 def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay):
     annotated = registry.build(name, **parameters).annotated
     for node in annotated.nodes:
-        for naming in ("sender", "class"):
-            _assert_same_terms(
-                node_conditions(annotated, node, delay=delay, naming=naming),
-                _oracle_node_conditions(annotated, node, delay=delay, naming=naming),
-            )
+        _assert_same_terms(
+            node_conditions(annotated, node, delay=delay),
+            _oracle_node_conditions(annotated, node, delay=delay),
+        )
         built, witness = canonical_node_conditions(annotated, node, delay=delay)
         expected, expected_witness = _oracle_canonical_node_conditions(annotated, node, delay=delay)
         _assert_same_terms(built, expected)

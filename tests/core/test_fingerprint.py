@@ -94,11 +94,11 @@ class TestConditionFingerprints:
 
     def test_method_agrees_with_module_function(self, reach_annotated):
         node = reach_annotated.nodes[0]
-        for condition in node_conditions(reach_annotated, node, naming="class"):
+        for condition in node_conditions(reach_annotated, node):
             assert condition.fingerprint() == condition_fingerprint(condition)
 
     def test_isomorphic_nodes_share_fingerprints(self, reach_annotated):
-        """Class-canonical naming erases node identity from the digest."""
+        """Positional route names erase node identity from the digest."""
         classes = partition_nodes(reach_annotated, reach_annotated.nodes)
         largest = max(classes, key=len)
         assert len(largest) > 1

@@ -24,6 +24,7 @@ from repro.errors import AnalysisError
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 from repro.routing.algebra import Network
+from repro.verify import Modular, verify
 
 _CASES = [
     *(
@@ -74,14 +75,13 @@ def test_warm_fingerprints_equal_cold_ones(name, parameters):
     assert _fingerprints(base, delay=1) == _fingerprints(base, delay=1)
 
 
-@pytest.mark.parametrize("naming", ["sender", "class"])
-def test_node_policy_is_what_the_network_builds(naming):
+def test_node_policy_is_what_the_network_builds():
     network = registry.build("fattree/length", pods=4).annotated.network
     for node in network.topology.nodes:
-        policy = node_policy(network, node, naming)
-        assert node_policy(network, node, naming) is policy
+        policy = node_policy(network, node)
+        assert node_policy(network, node) is policy
         routes = {
-            neighbor: _query_route(network, neighbor, naming=naming, position=position)
+            neighbor: _query_route(network, position)
             for position, neighbor in enumerate(network.topology.predecessors(node))
         }
         assert all(policy.neighbor_routes[neighbor] is route for neighbor, route in routes.items())
@@ -92,16 +92,25 @@ def test_node_policy_is_what_the_network_builds(naming):
         assert policy.own_shape.term is network.route_shape.constraint(policy.own_route).term
 
 
-def test_class_naming_shares_its_routes_across_nodes():
-    """``naming="class"`` holds in-degree + 1 routes, not one set per node."""
+def test_positional_routes_are_shared_across_nodes():
+    """Query routes number max in-degree + 1, not one set per node."""
     network = registry.build("fattree/reach", pods=4).annotated.network
     clear_fingerprint_cache()
     for node in network.topology.nodes:
-        node_policy(network, node, "class")
+        node_policy(network, node)
     widest = max(network.topology.in_degree(node) for node in network.topology.nodes)
     statistics = fingerprint_statistics()
     assert statistics["query_routes"] == widest + 1
     assert statistics["node_policies"] == len(network.topology.nodes)
+
+
+def test_a_checked_and_linted_delta_run_evaluates_one_policy_per_node(tmp_path):
+    """The check, the fingerprints and the lint passes read the same policies."""
+    annotated = registry.build("fattree/reach", pods=4).annotated
+    clear_fingerprint_cache()
+    store = str(tmp_path / "delta.json")
+    assert verify(annotated, Modular(delta="reuse", store=store), lint="warn").passed
+    assert fingerprint_statistics()["node_policies"] == len(annotated.nodes)
 
 
 def test_a_new_network_or_annotation_object_misses():
@@ -125,7 +134,7 @@ def test_a_new_network_or_annotation_object_misses():
     calls = []
     interface = annotated.interface(node)
     route = node_policy(network, node).own_route
-    time = _query_time(node, annotated.time_width())
+    time = _query_time(annotated.time_width())
 
     def counted(route, time):
         calls.append(1)

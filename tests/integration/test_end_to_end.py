@@ -125,7 +125,9 @@ class TestEvaluationSmoke:
 class TestExampleScripts:
     """The runnable examples must keep working (they are part of the API surface)."""
 
-    @pytest.mark.parametrize("script", ["quickstart", "debugging_interfaces"])
+    @pytest.mark.parametrize(
+        "script", ["quickstart", "debugging_interfaces", "hijack_protection", "wan_isolation"]
+    )
     def test_script_runs_to_completion(self, script, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", [f"{script}.py"])
         runpy.run_path(f"examples/{script}.py", run_name="__main__")

@@ -2,9 +2,8 @@
 
 One golden digest per fattree variant (4 policies × ``Sp``/``Ap`` × pods
 {2, 4}) pins every term a build produces.  Each digest covers, per node in
-network order, the sender-named raw condition fingerprints and the canonical
-condition fingerprints at delay 0 and 1, the dependency fingerprints at delay
-0 and 1, and then the network fingerprint and the symmetry partition.  Fresh
+network order, the raw and the canonical condition fingerprints at delay 0
+and 1, the dependency fingerprints at delay 0 and 1, and then the network fingerprint and the symmetry partition.  Fresh
 variable names carry a process-wide counter, so every digest comes from its
 own fresh subprocess; nothing else about the process (the machine,
 ``PYTHONHASHSEED``) moves it.
@@ -24,25 +23,26 @@ from repro.networks import registry
 from repro.networks.fattree import Fattree
 from repro.verify import Modular, verify
 
-#: ``(policy, all_pairs, pods)`` -> digest, recorded from the commit whose
-#: ``networks/benchmarks.py`` still wrote every policy once per flavour.
+#: ``(policy, all_pairs, pods)`` -> digest.  Every condition now uses positional
+#: route names, so each equals the digest the sender-naming code produced with
+#: ``node_conditions(..., naming="class")``.
 GOLDEN = {
-    ("reach", False, 2): "e26e2cd626d9e593a8f35e6501913fbd1c40fcc8129b57277ab26e46373d5ce6",
-    ("reach", False, 4): "8f434e8d0f35646c7aa207b5c7f51bbba8426a646c54cd94608616c2fae1dc21",
-    ("reach", True, 2): "1bd445b8e4adad2058f3b4d9c33e6f24f6e8322f80d744cc73411f53da7c7a3d",
-    ("reach", True, 4): "8272b81435b43717cf5b00c5c19debd867a08a24a7e766832a9832682cf932e8",
-    ("length", False, 2): "1e3efbc1d3f5839237640d34f520108b94ace08d68e05b5064505b5d2646bdf2",
-    ("length", False, 4): "294187da289fff4fe28d09015a3184695db40ffd33aa5e34c785cd71d64a1813",
-    ("length", True, 2): "b169a5c4685328b1a1020a2b30c02198be07283dfb2be0458c18542987194c9c",
-    ("length", True, 4): "8616471449d4773f51b445a76b4036685889fa78f4a171b525563fe50170dc3a",
-    ("valley_freedom", False, 2): "a1dafba7fd12bf61bd071360f9401d78782acd967f703ea006656c2792f28d2d",
-    ("valley_freedom", False, 4): "9f1d0d18d81fa870e46cf5bd7fc84313fcd43cb26b8790128fe8591fc96356ce",
-    ("valley_freedom", True, 2): "4acecc1f758cf7ef0efc18099a60e191f09b4e9d94fa724ecd5516248d4982ad",
-    ("valley_freedom", True, 4): "6bf237717b2e9507c20c610c7b697640f65d29f4142926207b28978b1e46b52f",
-    ("hijack", False, 2): "882c8d54b2d7c94d4f89a806dd6e90d7594e778153db78c20111477540d5dd05",
-    ("hijack", False, 4): "adbff4abc3e3539fb30f9e1cbdab185bb62b403fbd9a6124704a0960bab9eeed",
-    ("hijack", True, 2): "3453b1e57dcb077571a0e37fcb5b176e4ced988b8bc41d2aeed494a0acd4b293",
-    ("hijack", True, 4): "ac396da034288c52bb04e46e8e588931d2de648cb68c91a5443cf2463d2068b1",
+    ("reach", False, 2): "6b8b0bd3c19c3c8f45a5ac0f981e50f2f5b4a3e2fcb895ce7bb7c9f27dc3236e",
+    ("reach", False, 4): "ce8c3aa5b16e72f370aa374029966c0eed9abc847bd5529554dba836f1c15ac0",
+    ("reach", True, 2): "5a10b7a4fd399f3cef2b7ab9531660b7e5160314eb0696eb89025ef1add79ccf",
+    ("reach", True, 4): "978fe99a96c93d5f07dcac07218fc36f37a2018387f6142bb3600b35fa9dc408",
+    ("length", False, 2): "a4c8b8dd49ed16ddcea64b7423501df244661c0b9c67c111858ffcff19950954",
+    ("length", False, 4): "7e82a81df2d05d102b6ea19c9793551ac32c57c9d5160e7929526a09fad4da35",
+    ("length", True, 2): "df5834cb9ffc181fcfff3078cdf05d128887c34f5e831dfcb927e94e90a8bd14",
+    ("length", True, 4): "2e36560c7ae8e44cdfd8d376eb6030c1f5a0272fa5247131978dc642736038f2",
+    ("valley_freedom", False, 2): "5caee0924c996bc226483908c94d2cc3e2b6ac65ca8eebecefb6a8c417ac63ac",
+    ("valley_freedom", False, 4): "b80db5d24b3554c0bda8c7a98a7a998dbbdb62e1fe498477726864b04732b192",
+    ("valley_freedom", True, 2): "4ed83c3d7427628b44dc03047ec2abbc7f1fa1b41159aa402a7339459625517d",
+    ("valley_freedom", True, 4): "16da90e6b65bac373a84b074a0f7db6cdc79a58da5e2d64ac993a83b7133c0fd",
+    ("hijack", False, 2): "91fbab318dbe011a3598cc1b882fe52d0a7262cba1db58b9b4dada4edb4fe050",
+    ("hijack", False, 4): "fc6da47692ea00087e2d80e518517aab7127292be59c1318ed326c1907784d87",
+    ("hijack", True, 2): "d4c4df6c3e68f37152ba8fc0ae915b10f91d9d479f7ef6b9e3ceb60c2b24369d",
+    ("hijack", True, 4): "3921a9da6c2ea5f1d6a27e28954249da6938e4982d3898e37cab851d5bc69969",
 }
 
 #: Digest subprocesses run at once (each holds one small build).

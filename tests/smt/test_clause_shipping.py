@@ -35,25 +35,30 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: 742/1937/52727 and 34,949 on ``fattree/length``; now every encoded
 #: clause ships exactly once); encoded clauses, variables and checks did
 #: not move, and verdicts were shown identical to the parent commit in
-#: every mode (see CHANGES.md) before re-recording.
+#: every mode (see CHANGES.md) before re-recording.  Re-recorded again when
+#: every condition came to be built with positional route names (was
+#: 49/183/1831 and 16,477 clauses over 4,156 variables on ``fattree/reach``,
+#: 611/1740/52924 and 20,789 over 4,904 on ``fattree/length``): isomorphic
+#: nodes' queries are term-identical, so each is encoded once; checks did
+#: not move.
 GOLDEN = {
     "fattree/reach": {
-        "conflicts": 49,
-        "decisions": 183,
-        "propagations": 1831,
-        "clauses": 16477,
-        "variables": 4156,
+        "conflicts": 9,
+        "decisions": 17,
+        "propagations": 777,
+        "clauses": 2069,
+        "variables": 575,
         "checks": 60,
-        "clauses_shipped": 16477,
+        "clauses_shipped": 2069,
     },
     "fattree/length": {
-        "conflicts": 611,
-        "decisions": 1740,
-        "propagations": 52924,
-        "clauses": 20789,
-        "variables": 4904,
+        "conflicts": 211,
+        "decisions": 541,
+        "propagations": 17015,
+        "clauses": 3272,
+        "variables": 821,
         "checks": 60,
-        "clauses_shipped": 20789,
+        "clauses_shipped": 3272,
     },
 }
 

@@ -84,6 +84,7 @@ def test_an_edit_evaluates_only_the_edited_interface(reach, tmp_path):
     topology = annotated.network.topology
     edited_node = annotated.nodes[len(annotated.nodes) // 2]
     successors = {n for n in annotated.nodes if edited_node in topology.predecessors(n)}
+    positions = {topology.predecessors(n).index(edited_node) for n in successors}
     edited = annotated.with_interface(
         edited_node, _counting(calls, "edited", globally(lambda route: route.is_none))
     )
@@ -96,10 +97,10 @@ def test_an_edit_evaluates_only_the_edited_interface(reach, tmp_path):
     # No policy is evaluated again — not even the re-checked nodes' (their
     # ``Network`` is the same object) — and no annotation but the new one,
     # which is applied once per distinct (route, time) it is read at: its own
-    # route, initial route and update in both namings, plus one class-named
-    # position per successor at most.
+    # route, initial route and update, plus the query route of each position
+    # it holds among its successors' predecessors.
     assert calls["merge"] == 0 and calls["initial"] == 0
-    assert 0 < calls["edited"] <= 6 + len(successors)
+    assert calls["edited"] == 3 + len(positions)
     assert set(calls) == {"edited"}
 
 

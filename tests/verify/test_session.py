@@ -117,7 +117,7 @@ class TestPersistentSessions:
         from repro.smt.incremental import IncrementalSolver, subtract_cache_statistics
 
         benchmark = registry.build("fattree/reach", pods=4)
-        solver = IncrementalSolver(max_scope_clauses=2000, max_variables=2000)
+        solver = IncrementalSolver(max_scope_clauses=2000, max_variables=500)
         with Session(benchmark.annotated, Modular(), solver=solver) as session:
             for _ in range(2):
                 before = solver.cache_statistics()
@@ -445,6 +445,12 @@ class TestSessionValidation:
         benchmark = registry.build("ghost/reach")
         with pytest.raises(VerificationError, match="unknown node"):
             verify(benchmark.annotated, nodes=["nope"])
+
+    @pytest.mark.parametrize("name, node", [("ghost/reach", "nw"), ("fattree/reach", "core-0")])
+    def test_bare_string_nodes_rejected(self, name, node):
+        benchmark = registry.build(name, **({"pods": 4} if name.startswith("fattree/") else {}))
+        with pytest.raises(VerificationError, match="sequence of node names"):
+            verify(benchmark.annotated, nodes=node)
 
     def test_duplicate_nodes_rejected(self):
         benchmark = registry.build("ghost/reach")
