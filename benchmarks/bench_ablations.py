@@ -24,13 +24,6 @@ compares design alternatives the spine does not run.
   single-destination fattree in all three modes and asserts that
   ``symmetry="classes"`` discharges at most 25% of the conditions that
   ``symmetry="off"`` does, with byte-identical verdicts everywhere.
-* **Adaptive class scheduler.** When the quotient leaves fewer classes than
-  workers, the unsplit one-item-per-class plan serialises the dominant
-  class's condition kinds on one worker; the scheduler's work-stealing
-  split runs them concurrently.  The ablation measures the
-  wall-time gap on a synthetic skewed partition whose dominant class has two
-  genuinely hard condition kinds (pigeonhole instances, exponential for the
-  CDCL core).
 * **Lint overhead.** The pre-solve static analysis must cost under 1% of the
   cold modular run it precedes.
 """
@@ -256,156 +249,6 @@ def test_benchmark_symmetry_modes():
         for row in rows.values()
     )
     assert rows["classes"]["seconds"] < rows["off"]["seconds"]
-
-
-PIGEONHOLE_HOLES = 7
-
-
-def _pigeonhole_annotation(holes: int = PIGEONHOLE_HOLES) -> core.AnnotatedNetwork:
-    """A path network whose node ``n1`` has two *hard* condition kinds.
-
-    The route payload carries a (holes+1) × holes grid of booleans — a
-    pigeon-to-hole assignment.  Node ``n1``'s inductive and safety conditions
-    each embed the pigeonhole principle (every-pigeon-placed implies
-    some-hole-collides), which is exponential for resolution-based solvers,
-    so the two kinds cost seconds *each* while every other condition in the
-    network is trivial:
-
-    * every node's interface says routes eventually arrive with every pigeon
-      placed (``lhs``); the edges into ``n1`` conjoin ``collision`` onto each
-      payload bit, so re-establishing ``lhs`` across them — ``n1``'s
-      inductive condition — is one pigeonhole instance;
-    * ``n1``'s property demands the collision outright, so its safety
-      condition is a second, independent pigeonhole instance.
-
-    This is the adversarial shape for a one-item-per-class scheduler: the
-    class's cost is the *sum* of two hard kinds on one worker, where the
-    work-stealing split pays only their *max*.
-    """
-    from repro.routing import Network
-    from repro.symbolic import BoolShape, OptionShape, RecordShape, all_of, any_of, ite_value
-
-    pigeons = holes + 1
-    fields = {f"p{i}_{j}": BoolShape() for i in range(pigeons) for j in range(holes)}
-    payload = RecordShape("Pigeonhole", fields)
-    route_shape = OptionShape(payload)
-    topology = path_topology(6)
-
-    def lhs(p):
-        return all_of(
-            any_of(p.field(f"p{i}_{j}") for j in range(holes)) for i in range(pigeons)
-        )
-
-    def collision(p):
-        return any_of(
-            p.field(f"p{i}_{j}") & p.field(f"p{k}_{j}")
-            for j in range(holes)
-            for i in range(pigeons)
-            for k in range(i + 1, pigeons)
-        )
-
-    def initial(node):
-        if node == "n0":
-            return route_shape.some(payload.constant({name: True for name in fields}))
-        return route_shape.none()
-
-    def transfer(edge):
-        if edge[1] == "n1":
-            def inject(route):
-                return route.map(
-                    lambda p: p.with_fields(
-                        **{name: p.field(name) & collision(p) for name in fields}
-                    )
-                )
-            return inject
-        return lambda route: route
-
-    def merge(left, right):
-        return ite_value(left.is_some, left, right)
-
-    network = Network(topology, route_shape, initial, transfer, merge)
-    nodes = list(topology.nodes)
-    interfaces = {}
-    for index, node in enumerate(nodes):
-        placed = core.globally(lambda r: r.is_some & lhs(r.payload))
-        interfaces[node] = placed if node == "n0" else core.finally_(index, placed)
-    properties = {node: core.always_true() for node in nodes}
-    properties["n1"] = core.finally_(1, core.globally(lambda r: collision(r.payload)))
-    return core.annotate(network, interfaces, properties)
-
-
-def test_benchmark_adaptive_scheduler():
-    """Ablation row: the split plan vs the unsplit plan on a skewed partition.
-
-    The destination quotient routinely leaves fewer classes than workers,
-    one of them dominant — here reproduced synthetically as one giant class
-    whose representative has two pigeonhole-hard condition kinds
-    (:func:`_pigeonhole_annotation`) plus two trivial singletons.  With as
-    many workers as classes the plan is unsplit: three whole-class items on
-    three workers, so the dominant class's kinds run back to back on a single
-    worker.  With four requested workers the plan splits that class into one
-    item per condition kind and runs the two hard kinds concurrently.
-    Best-of-rounds wall time must improve measurably, with verdicts and
-    report order identical.
-    """
-    from repro.core.parallel import SchedulerStats, iter_class_batches
-    from repro.core.symmetry import SymmetryClass
-
-    annotated = _pigeonhole_annotation()
-    classes = [
-        SymmetryClass(key="interior", members=("n1", "n2", "n3", "n4")),
-        SymmetryClass(key="head", members=("n0",)),
-        SymmetryClass(key="tail", members=("n5",)),
-    ]
-
-    rows = {}
-    for plan, jobs in (("unsplit", len(classes)), ("split", 4)):
-        times = []
-        verdicts = stats = None
-        for _ in range(ABLATION_ROUNDS):
-            stats = SchedulerStats()
-            started = time.perf_counter()
-            batches = sorted(
-                iter_class_batches(annotated, classes, delay=0, jobs=jobs, stats=stats),
-                key=lambda batch: batch[0],
-            )
-            times.append(time.perf_counter() - started)
-            verdicts = [
-                (report.node, [(result.condition, result.holds) for result in report.results])
-                for _index, reports, _delta in batches
-                for report in reports
-            ]
-        rows[plan] = {"times": times, "verdicts": verdicts, "stats": stats}
-
-    header = (
-        f"{'plan':<12} {'best [s]':>10} {'rounds [s]':>24} "
-        f"{'stolen':>7} {'workers':>8}"
-    )
-    print("\n" + header)
-    print("-" * len(header))
-    for plan, row in rows.items():
-        rounds = " ".join(f"{seconds:7.3f}" for seconds in row["times"])
-        stats = row["stats"]
-        print(
-            f"{plan:<12} {min(row['times']):>10.3f} {rounds:>24} "
-            f"{stats.classes_stolen:>7} {len(stats.worker_pids):>8}"
-        )
-
-    # Same verdicts, same report order — the split changes only the schedule.
-    assert rows["unsplit"]["verdicts"] == rows["split"]["verdicts"]
-    assert all(
-        holds
-        for _node, results in rows["split"]["verdicts"]
-        for _condition, holds in results
-    )
-    # The plan actually stole: the dominant class was split per kind.
-    assert rows["split"]["stats"].classes_stolen >= 1
-    assert rows["unsplit"]["stats"].classes_stolen == 0
-    # The acceptance claim: a measurable best-of-rounds wall-time win.
-    assert min(rows["split"]["times"]) < min(rows["unsplit"]["times"]), (
-        rows["split"]["times"],
-        rows["unsplit"]["times"],
-    )
 
 
 def test_benchmark_lint_overhead():

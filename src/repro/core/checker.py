@@ -40,26 +40,17 @@ import time as _time
 from typing import Any, Iterable
 
 from repro.core.annotations import AnnotatedNetwork
-from repro.core.conditions import (
-    CONDITION_KINDS,
-    VerificationCondition,
-    canonical_node_conditions,
-    node_conditions,
-)
+from repro.core.conditions import VerificationCondition, canonical_node_conditions, node_conditions
 from repro.core.results import ConditionResult, ModularReport, NodeReport
 from repro.core.symmetry import SymmetryClass, singleton_classes, translate_counterexample
 from repro.errors import VerificationError
 from repro.smt.incremental import process_solver
 
 
-def _discharge(
-    conditions: Iterable[VerificationCondition], kind: str | None, solver: Any
-) -> list[ConditionResult]:
-    """Discharge ``conditions`` (only ``kind``, unless ``None``) up to the first failure."""
+def _discharge(conditions: Iterable[VerificationCondition], solver: Any) -> list[ConditionResult]:
+    """Discharge ``conditions`` in order, up to the first failure."""
     results: list[ConditionResult] = []
     for condition in conditions:
-        if kind is not None and condition.kind != kind:
-            continue
         result = condition.check(solver=solver)
         results.append(result)
         if not result.holds:
@@ -98,16 +89,14 @@ def check_class(
     symmetry_class: SymmetryClass,
     delay: int = 0,
     solver: Any | None = None,
-    kind: str | None = None,
 ) -> list[NodeReport]:
     """Check one symmetry class: discharge the representative, reuse the rest.
 
     The initial, inductive and safety conditions are discharged in that
     order, and the remaining ones are skipped after the first failure,
     mirroring Algorithm 1, which returns the first counterexample it finds.
-    ``kind`` restricts the check to one condition kind; only the scheduler
-    passes it, when it splits a class into one work item per kind
-    (:func:`repro.core.parallel._class_work_items`).
+    A class is the scheduler's only unit of work
+    (:func:`repro.core.parallel.iter_class_batches`).
 
     ``solver`` pins the SMT backend for all of the class's conditions; when
     omitted, the shared per-process incremental solver is used.  If a
@@ -136,8 +125,6 @@ def check_class(
     the class's slot permutation, and every result carries
     ``quotient="destination"`` provenance.
     """
-    if kind is not None and kind not in CONDITION_KINDS:
-        raise VerificationError(f"unknown condition kind {kind!r}")
     representative = symmetry_class.representative
     quotient = symmetry_class.destination
     # Without a pinned solver the shared per-process one is used as it
@@ -158,16 +145,14 @@ def check_class(
                 built = tuple(built)
             else:
                 built = node_conditions(annotated, representative, delay=delay)
-        results = _discharge(built, kind, solver)
+        results = _discharge(built, solver)
         if quotient is not None and any(not result.holds for result in results):
             # The canonical instance failed; its counterexample payloads are
             # the representative's raw terms evaluated under a *canonical*
             # model, which is meaningless.  Re-discharge the raw conditions
             # (equivalid — identical holds pattern and fail-fast truncation)
             # for a counterexample in the representative's own coordinates.
-            results = _discharge(
-                node_conditions(annotated, representative, delay=delay), kind, solver
-            )
+            results = _discharge(node_conditions(annotated, representative, delay=delay), solver)
     except BaseException:
         _recover_solver(solver, owned)
         raise
@@ -182,9 +167,7 @@ def check_class(
     for member in symmetry_class.members[1:]:
         if member == symmetry_class.spot_member:
             reports.append(
-                _spot_check_member(
-                    annotated, symmetry_class, member, results, delay, kind, solver, owned
-                )
+                _spot_check_member(annotated, symmetry_class, member, results, delay, solver, owned)
             )
             continue
         member_started = _time.perf_counter()
@@ -231,16 +214,13 @@ def _spot_check_member(
     member: str,
     representative_results: list[ConditionResult],
     delay: int,
-    kind: str | None,
     solver: Any,
     owned: bool,
 ) -> NodeReport:
     """Fully re-verify one class member and compare against the representative."""
     member_started = _time.perf_counter()
     try:
-        member_results = _discharge(
-            node_conditions(annotated, member, delay=delay), kind, solver
-        )
+        member_results = _discharge(node_conditions(annotated, member, delay=delay), solver)
     except BaseException:
         _recover_solver(solver, owned)
         raise

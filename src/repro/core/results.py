@@ -133,9 +133,9 @@ class ModularReport:
     diagnostics: list = field(default_factory=list)
     #: Adaptive-scheduler statistics from the parallel dispatcher (``None``
     #: for ``parallel=1`` runs or when nothing was scheduled): ``workers``
-    #: (pool size), ``classes_stolen`` (oversized classes split across workers)
-    #: and ``window`` (histogram: prefetch-window size → number of
-    #: dispatches made at that window).  See :mod:`repro.core.parallel`.
+    #: (distinct processes that checked classes) and ``window`` (histogram:
+    #: prefetch-window size → number of class dispatches made at that
+    #: window).  See :mod:`repro.core.parallel`.
     scheduler: dict | None = None
 
     @property
@@ -284,7 +284,7 @@ class ModularReport:
             )
         if self.scheduler is not None:
             text += (
-                f"; scheduler: {self.scheduler.get('classes_stolen', 0)} classes stolen, "
+                f"; scheduler: {self.scheduler.get('workers', 1)} workers, "
                 f"windows {self.scheduler.get('window', {})}"
             )
         if self.delta != "off":

@@ -273,6 +273,9 @@ def _selected_nodes(
             f"pass [{nodes!r}] to select one node"
         )
     selected = tuple(nodes) if nodes is not None else annotated.nodes
+    if not selected:
+        # An empty selection checks nothing, which must not read as "pass".
+        raise VerificationError("no nodes selected; pass nodes=None to check every node")
     for node in selected:
         if node not in annotated.nodes:
             raise VerificationError(f"unknown node {node!r}")

@@ -126,6 +126,12 @@ class Modular(Strategy):
             raise ValueError('store requires delta="reuse"')
         if self.store is not None and not isinstance(self.store, str):
             raise ValueError(f"store must be a path string or None, got {self.store!r}")
+        for name in ("parallel", "delay"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                # A float fails late and elsewhere (inside the pool, or while
+                # building conditions); True would silently mean 1.
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.parallel < 1:
             raise ValueError(f"parallel must be a positive worker count, got {self.parallel}")
         if not isinstance(self.stop_on_failure, bool):

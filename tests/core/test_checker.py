@@ -133,27 +133,6 @@ class TestCheckerMechanics:
         report = core.check_node(annotated, "v")
         assert len(report.results) == 1
 
-    def test_check_class_kind_discharges_that_kind_only(self):
-        # The scheduler's per-kind split: a work item checks its one kind
-        # whatever the other kinds' verdicts (here: "v" fails its initial
-        # condition, so an unsplit check stops there).
-        example = build_running_example("symbolic")
-        annotated = core.annotate(example.network, figure9_interfaces())
-        singleton = core.SymmetryClass(key=0, members=("v",))
-        for kind in core.CONDITION_KINDS:
-            (report,) = core.check_class(annotated, singleton, kind=kind)
-            assert [result.condition for result in report.results] == [kind]
-        (whole,) = core.check_class(annotated, singleton)
-        assert [(r.condition, r.holds) for r in whole.results] == [(core.INITIAL, False)]
-
-    def test_check_class_rejects_an_unknown_kind(self):
-        example = build_running_example("symbolic")
-        annotated = core.annotate(example.network, figure7_interfaces())
-        with pytest.raises(VerificationError, match="unknown condition kind"):
-            core.check_class(
-                annotated, core.SymmetryClass(key=0, members=("v", "d")), kind="bogus"
-            )
-
     def test_verify_subset_of_nodes(self):
         example = build_running_example("symbolic")
         annotated = core.annotate(example.network, figure7_interfaces())

@@ -452,6 +452,12 @@ class TestSessionValidation:
         with pytest.raises(VerificationError, match="sequence of node names"):
             verify(benchmark.annotated, nodes=node)
 
+    def test_empty_selection_rejected(self):
+        # Checking nothing must not report "pass".
+        benchmark = registry.build("ghost/reach")
+        with pytest.raises(VerificationError, match="nodes=None"):
+            verify(benchmark.annotated, Modular(), nodes=[])
+
     def test_duplicate_nodes_rejected(self):
         benchmark = registry.build("ghost/reach")
         node = benchmark.annotated.nodes[0]

@@ -31,11 +31,23 @@ class TestValidation:
         with pytest.raises(TypeError, match="fail_fast"):
             Modular(fail_fast=False)
 
-    def test_bad_parallel_and_delay(self):
-        with pytest.raises(ValueError, match="parallel"):
-            Modular(parallel=0)
-        with pytest.raises(ValueError, match="delay"):
-            Modular(delay=-1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("parallel", 0),
+            ("parallel", 2.5),
+            ("parallel", "2"),
+            ("parallel", True),
+            ("delay", -1),
+            ("delay", 1.5),
+            ("delay", True),
+        ],
+    )
+    def test_bad_parallel_and_delay(self, field, value):
+        # A non-int fails here, naming the field, not later inside the pool
+        # or the condition builder; a bool is not a worker count or a delay.
+        with pytest.raises(ValueError, match=field):
+            Modular(**{field: value})
 
     def test_stop_on_failure_must_be_a_bool(self):
         # A truthy string (e.g. "false" from a config file) must not
