@@ -4,7 +4,8 @@
 Builds the SpReach and SpLen benchmarks of §6 for a chosen pod count ``k``,
 verifies them modularly (optionally in parallel) and compares against the
 Minesweeper-style monolithic baseline — a miniature version of the Figure 14
-experiment.
+experiment.  Exits with status 1 when a modular verification fails, so a
+wrong verdict fails whatever runs it.
 
 Run with::
 
@@ -30,6 +31,7 @@ def main() -> None:
     arguments = parser.parse_args()
 
     print(f"fattree k={arguments.pods}: {fattree_size(arguments.pods)} switches")
+    failed = []
     for policy in ("reach", "length"):
         benchmark = registry.build(f"fattree/{policy}", pods=arguments.pods)
         print(f"\n--- {benchmark.name} (destination {benchmark.raw.destination}) ---")
@@ -37,11 +39,15 @@ def main() -> None:
             report = session.run()
         print("modular:    ", report.summary())
         if not report.passed:
+            failed.append(benchmark.name)
             for counterexample in report.counterexamples()[:3]:
                 print(counterexample.describe())
         if not arguments.skip_monolithic:
             with Session(benchmark.annotated, Monolithic(timeout=arguments.timeout)) as session:
                 print("monolithic: ", session.run().summary())
+    if failed:
+        print(f"\nFAILED: {', '.join(failed)}")
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,24 @@ layer (:mod:`repro.core.symmetry`) keys equivalence classes on, what the
 delta store's fingerprints digest, and what lets the incremental SMT backend
 (:mod:`repro.smt.incremental`) bit-blast and CNF-encode every distinct
 subterm once per process instead of once per query.
+
+**Construction costs distinct shapes, not nodes.**  A node's conditions are
+assembled from memoised parts (:func:`node_policy`, :func:`apply_annotation`):
+the interned query routes with their well-formedness constraints, the merge
+fold of :meth:`~repro.routing.algebra.Network.updated_route`, and each
+annotation applied to a route at a time.  Each part is evaluated once per
+distinct key, so the isomorphic nodes of a fattree share one merge fold and
+one set of constraints however many of them there are.  Soundness rests on
+one assumption, the same one the delta store's fingerprints already make
+(:mod:`repro.core.fingerprint`): annotations, transfer functions and merge
+functions are *pure term builders*, whose result is a function of the
+symbolic values they are given and nothing else.  A merge fold is keyed on
+the initial route's term ids and, per in-edge, on the identities of the
+transfer callable and the interned query route; the merge callable is fixed
+by the ``Network`` the memo is weak on.  Under purity, equal keys fold to
+the same terms.  Every object whose ``id`` enters a key is held by the memo
+entry, so an ``id`` cannot be reused while its entry lives, and an edited
+policy is a new ``Network`` (or a new callable) and misses.
 """
 
 from __future__ import annotations
@@ -65,7 +83,17 @@ from repro.smt.terms import (
     OP_OR,
     Term,
 )
-from repro.symbolic import SymBV, SymBool, all_of, any_of, exact_names
+from repro.symbolic import (
+    SymBV,
+    SymBool,
+    SymEnum,
+    SymOption,
+    SymRecord,
+    SymSet,
+    all_of,
+    any_of,
+    exact_names,
+)
 
 INITIAL = "initial"
 INDUCTIVE = "inductive"
@@ -85,21 +113,24 @@ def _query_time(width: int) -> SymBV:
         return SymBV.fresh(width, f"{VC_PREFIX}time")
 
 
-#: Route shape → variable name → the one query route of that name: interning
-#: bounds the routes to max-in-degree + 1 however many nodes read them, and
-#: gives the memos below an identity to key on.
+#: Route shape → variable name → ``(route, shape.constraint(route))`` for the
+#: one query route of that name: interning bounds the routes to max-in-degree
+#: + 1 however many nodes read them, builds each well-formedness constraint
+#: once, and gives the memos below an identity to key on.
 _QUERY_ROUTES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _query_route(network: Any, position: int | None = None) -> Any:
-    """The query route from predecessor ``position``, or the node's own route."""
+def _query_part(network: Any, position: int | None = None) -> tuple[Any, SymBool]:
+    """The query route from predecessor ``position`` (or the node's own), with its shape."""
     suffix = "%self" if position is None else f"%{position}"
-    routes = _QUERY_ROUTES.setdefault(network.route_shape, {})
-    route = routes.get(suffix)
-    if route is None:
+    shape = network.route_shape
+    routes = _QUERY_ROUTES.setdefault(shape, {})
+    part = routes.get(suffix)
+    if part is None:
         with exact_names():
-            route = routes[suffix] = network.route_shape.fresh(f"{VC_PREFIX}route.{suffix}")
-    return route
+            route = shape.fresh(f"{VC_PREFIX}route.{suffix}")
+        part = routes[suffix] = (route, shape.constraint(route))
+    return part
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +143,8 @@ class NodePolicy:
     #: In-neighbour → its query route, in predecessor order.
     neighbor_routes: dict[str, Any]
     neighbor_shapes: tuple[SymBool, ...]
-    #: ``network.updated_route`` over ``neighbor_routes``.
+    #: ``network.updated_route`` over ``neighbor_routes`` (shared by every node
+    #: of the network with the same merge-fold key, see :func:`_merge_fold`).
     updated: Any
     #: The fingerprint layer's digests of ``initial`` and ``updated``.
     digests: dict[str, bytes] = field(default_factory=dict)
@@ -128,8 +160,56 @@ _NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 #: The entry holds ``route``, so the ``id`` cannot be reused while it lives.
 _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: Hit counts of the two memos above (``fingerprint_statistics`` reports them).
-_MEMO_HITS = {"node_policies": 0, "applications": 0}
+#: ``Network`` → merge-fold key → ``(held, updated)``: the merge fold of
+#: :meth:`Network.updated_route`, evaluated once per distinct key (see
+#: :func:`_merge_fold`).  ``held`` keeps every object whose ``id`` is in the
+#: key alive, so no ``id`` can be reused while the entry lives.
+_MERGE_FOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: Hit counts of the memos above (``fingerprint_statistics`` reports them).
+_MEMO_HITS = {"node_policies": 0, "applications": 0, "merge_folds": 0}
+
+
+def _term_key(value: Any) -> Any:
+    """A hashable key that two symbolic values share iff they are the same value.
+
+    Values are compared by kind, composite structure and the ``term_id`` of
+    every component term; an enum type by identity (what enum comparisons
+    test), so the caller must keep ``value`` alive alongside the key.
+    """
+    if isinstance(value, (SymBool, SymBV)):
+        return value.term.term_id
+    if isinstance(value, SymEnum):
+        return ("enum", id(value.enum_type), value.index.term.term_id)
+    if isinstance(value, SymOption):
+        return ("option", _term_key(value.is_some), _term_key(value.payload))
+    if isinstance(value, SymSet):
+        return ("set",) + tuple((name, _term_key(value.contains(name))) for name in value.universe)
+    if isinstance(value, SymRecord):
+        return ("record", value.type_name) + tuple((name, _term_key(field)) for name, field in value)
+    return ("literal", type(value), value)
+
+
+def _merge_fold(network: Any, node: str, initial: Any, routes: dict[str, Any]) -> Any:
+    """``network.updated_route(node, routes)``, evaluated once per distinct key.
+
+    ``initial`` is ``network.initial_route(node)``.  The key is its
+    :func:`_term_key` and, per in-edge in predecessor order, the identity of
+    the edge's transfer callable and of its interned query route; the merge
+    callable is the network's own.  Under the purity assumption (module
+    docstring) the fold is a function of exactly these, so two nodes with
+    equal keys fold to the same terms.
+    """
+    transfers = tuple(network.transfer_function((neighbor, node)) for neighbor in routes)
+    key = (_term_key(initial), tuple(zip(map(id, transfers), map(id, routes.values()))))
+    folds = _MERGE_FOLDS.setdefault(network, {})
+    cached = folds.get(key)
+    if cached is not None:
+        _MEMO_HITS["merge_folds"] += 1
+        return cached[1]
+    updated = network.updated_route(node, routes)
+    folds[key] = ((initial, transfers, tuple(routes.values())), updated)
+    return updated
 
 
 def node_policy(network: Any, node: str) -> NodePolicy:
@@ -139,19 +219,18 @@ def node_policy(network: Any, node: str) -> NodePolicy:
     if policy is not None:
         _MEMO_HITS["node_policies"] += 1
         return policy
-    shape = network.route_shape
-    own_route = _query_route(network)
-    routes = {
-        neighbor: _query_route(network, position)
-        for position, neighbor in enumerate(network.topology.predecessors(node))
-    }
+    own_route, own_shape = _query_part(network)
+    predecessors = network.topology.predecessors(node)
+    parts = [_query_part(network, position) for position in range(len(predecessors))]
+    routes = dict(zip(predecessors, (route for route, _ in parts)))
+    initial = network.initial_route(node)
     policy = policies[node] = NodePolicy(
-        initial=network.initial_route(node),
+        initial=initial,
         own_route=own_route,
-        own_shape=shape.constraint(own_route),
+        own_shape=own_shape,
         neighbor_routes=routes,
-        neighbor_shapes=tuple(shape.constraint(route) for route in routes.values()),
-        updated=network.updated_route(node, routes),
+        neighbor_shapes=tuple(shape for _, shape in parts),
+        updated=_merge_fold(network, node, initial, routes),
     )
     return policy
 

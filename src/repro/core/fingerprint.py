@@ -56,7 +56,8 @@ value is a function of its key object and of query variables fixed by
 assumption above; (iv) every edit is a new key — a replaced interface is a
 new annotation object, an edited policy a new ``Network`` — and misses.
 Nothing is shared across processes: a closure has no identity cheaper than
-evaluating it, so a fresh process pays one evaluation per node.
+evaluating it, so a fresh process pays one evaluation per distinct policy
+part (see :mod:`repro.core.conditions`) and per annotation object.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from repro.core.conditions import (
     VerificationCondition,
     _APPLICATIONS,
     _MEMO_HITS,
+    _MERGE_FOLDS,
     _NODE_POLICIES,
     _QUERY_ROUTES,
     _query_time,
@@ -434,7 +436,7 @@ def strategy_signature(delay: int) -> str:
 
 def clear_fingerprint_cache() -> None:
     """Drop every process-local memo a fingerprint reads (for tests and benchmarks)."""
-    for memo in (_TERM_DIGESTS, _NODE_POLICIES, _APPLICATIONS, _QUERY_ROUTES):
+    for memo in (_TERM_DIGESTS, _NODE_POLICIES, _MERGE_FOLDS, _APPLICATIONS, _QUERY_ROUTES):
         memo.clear()
     for name in _MEMO_HITS:
         _MEMO_HITS[name] = 0
@@ -445,13 +447,17 @@ def fingerprint_statistics() -> Mapping[str, int]:
 
     A dependency fingerprint assembled without evaluating anything is one
     policy hit and in-degree + 3 application hits; a replaced interface or a
-    new ``Network`` shows as new entries instead.
+    new ``Network`` shows as new entries instead.  ``merge_folds`` counts the
+    distinct merge folds a network's policies were built from, and a
+    ``merge_fold_hits`` is a node whose fold another node already evaluated.
     """
     return {
         "memoised_terms": len(_TERM_DIGESTS),
         "query_routes": sum(len(routes) for routes in _QUERY_ROUTES.values()),
         "node_policies": sum(len(policies) for policies in _NODE_POLICIES.values()),
         "node_policy_hits": _MEMO_HITS["node_policies"],
+        "merge_folds": sum(len(folds) for folds in _MERGE_FOLDS.values()),
+        "merge_fold_hits": _MEMO_HITS["merge_folds"],
         "applications": sum(len(entries) for entries in _APPLICATIONS.values()),
         "application_hits": _MEMO_HITS["applications"],
     }

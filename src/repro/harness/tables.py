@@ -190,6 +190,7 @@ CACHE_STATISTIC_KEYS = (
     "tseitin_hits",
     "tseitin_misses",
     "guard_hits",
+    "answer_hits",
     "scopes",
     "clauses_shipped",
     "variables_mapped",
@@ -202,12 +203,13 @@ def cache_statistics_table(results: Sequence[ExperimentResult]) -> str:
 
     Renders the counters :class:`~repro.core.results.ModularReport` collects
     from the incremental backend (bit-blast and Tseitin cache hits/misses,
-    reused assertion guards, SAT scopes, clauses shipped and variables
-    mapped into them, learned clauses retained), so ablation claims about
-    encoding reuse and shipping volume are measurable straight from the
-    CLI.  ``searched`` is ``branch_variables / scope_variables``: the share
-    of the SAT instances' variables the searches could branch on, i.e. how
-    much of a shared scope a check actually saw.  Points without a modular
+    reused assertion guards, queries answered from the answer memo, SAT
+    scopes, clauses shipped and variables mapped into them, learned clauses
+    retained), so ablation claims about encoding reuse and shipping volume
+    are measurable straight from the CLI.  ``searched`` is
+    ``branch_variables / scope_variables``: the share of the SAT instances'
+    variables the searches could branch on, i.e. how much of a shared scope
+    a check actually saw.  Points without a modular
     report render as ``-``.
     """
     headers = ("benchmark", "nodes") + CACHE_STATISTIC_KEYS + ("searched",)

@@ -320,16 +320,18 @@ def _valley_freedom(fattree: Fattree, place: type[_Destination], widths: dict[st
     """Vf: reachability under a valley-freedom tagging policy."""
     family = bgp_route_family(communities=(DOWN_COMMUNITY,), **widths)
     destination = place(fattree, family)
+    # One callable per edge kind, so nodes whose in-edges match share a merge fold.
+    down = BgpPolicy(add_communities=(DOWN_COMMUNITY,)).apply
+    up = BgpPolicy(deny_communities=(DOWN_COMMUNITY,)).apply
+    plain = BgpPolicy().apply
 
     def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
         source, target = edge
         if fattree.is_down_edge(source, target):
-            policy = BgpPolicy(add_communities=(DOWN_COMMUNITY,))
-        elif fattree.is_up_edge(source, target):
-            policy = BgpPolicy(deny_communities=(DOWN_COMMUNITY,))
-        else:
-            policy = BgpPolicy()
-        return policy.apply
+            return down
+        if fattree.is_up_edge(source, target):
+            return up
+        return plain
 
     network = destination.network(transfer_for)
 
@@ -385,11 +387,12 @@ def _hijack(fattree: Fattree, place: type[_Destination], widths: dict[str, int])
     # Created after the hijack symbolics, so fresh names keep their order.
     destination = place(fattree, family)
 
+    plain = BgpPolicy().apply
+    # Core switches filter hijacker routes for the internal prefix.
+    filtered = BgpPolicy(guard=lambda payload: payload.prefix != internal_prefix).apply
+
     def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
-        if edge[0] != HIJACKER:
-            return BgpPolicy().apply
-        # Core switches filter hijacker routes for the internal prefix.
-        return BgpPolicy(guard=lambda payload: payload.prefix != internal_prefix).apply
+        return filtered if edge[0] == HIJACKER else plain
 
     def merge(left: SymOption, right: SymOption) -> SymOption:
         # Routes for the internal prefix win over routes for other prefixes

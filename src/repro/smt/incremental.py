@@ -76,6 +76,20 @@ learned clause is entailed by the clause database alone and remains valid
 when the assumption set changes.  The CDCL core additionally bounds the
 retained set with activity/LBD-based deletion.
 
+**Each distinct query is answered once.**  ``check`` memoises its answer by
+the tuple of the ``term_id`` of every active assertion, all frames plus
+``extra``.  Terms are hash-consed for the life of the process and never
+freed (:class:`~repro.smt.terms.Term` interning), so a ``term_id`` names one
+formula forever, and satisfiability is a fact about the formulas alone: it
+does not depend on the SAT scope, the learned clauses or the encoding that
+produced it.  The memo therefore survives :meth:`new_scope`, :meth:`recover`
+and compaction; it holds one small entry per distinct query, which the
+term table already outgrows.  A SAT answer's model is read off the same terms' free
+variables, so it is a model of the same query whichever scope found it.  A
+timeout (UNKNOWN) is not an answer and is never stored, and nothing is
+stored when a solve raises.  A memoised answer counts in ``answer_hits``
+and in no solver counter: it ships, encodes and searches nothing.
+
 Soundness of the activation scheme: the guard clause ``¬a ∨ lit(t)`` only
 constrains the fresh variable ``a``, so its presence never changes the
 satisfiability of queries that do not assume ``a``; learned clauses
@@ -94,10 +108,10 @@ filtering in :meth:`IncrementalSolver._ship` keeps the window small — a
 scope only ever receives clauses some active assertion needed, however much
 the process has encoded — and the cone-restricted search keeps it harmless.
 ``cache_statistics`` exposes counters (bit-blast and Tseitin cache hits,
-guard reuse, scopes, clauses shipped and variables mapped into scopes,
-``branch_variables`` / ``scope_variables`` summed over solves — the share
-of an instance its searches could see — and learned-clause retention) so
-the sharing is measurable from reports.
+guard reuse, memoised answers, scopes, clauses shipped and variables mapped
+into scopes, ``branch_variables`` / ``scope_variables`` summed over solves
+— the share of an instance its searches could see — and learned-clause
+retention) so the sharing is measurable from reports.
 """
 
 from __future__ import annotations
@@ -193,6 +207,10 @@ class IncrementalSolver:
         self._shipped = bytearray()
         #: Signed CNF literal -> scope-local literal, both polarities.
         self._literal_map: dict[int, int] = {}
+        #: Term ids of a check's active assertions, in order -> its answer.
+        self._answers: dict[tuple[int, ...], CheckResult] = {}
+        #: Checks answered from ``_answers`` (no solver counter moves for them).
+        self.answer_hits = 0
 
     # -- assertion management ----------------------------------------------------
 
@@ -288,6 +306,7 @@ class IncrementalSolver:
             "clauses_deleted": deleted,
             "learned_retained": learned - deleted,
             "compactions": self.compactions,
+            "answer_hits": self.answer_hits,
         }
 
     def _maybe_compact(self) -> None:
@@ -318,6 +337,11 @@ class IncrementalSolver:
             if not term.sort.is_bool():
                 raise SolverError(f"only boolean terms can be asserted, got sort {term.sort!r}")
         terms = [term for frame in self._frames for term in frame] + list(extra)
+        query = tuple(term.term_id for term in terms)
+        answer = self._answers.get(query)
+        if answer is not None:
+            self.answer_hits += 1
+            return answer
 
         if self._sat.num_clauses > self.max_scope_clauses:
             self.new_scope()
@@ -366,9 +390,11 @@ class IncrementalSolver:
             statistics.checks += 1
             statistics.solve_seconds += elapsed
 
-        if status != SatStatus.SAT:
+        if status == SatStatus.UNKNOWN:
             return CheckResult(status, None)
-        return CheckResult(status, self._reconstruct_model(terms))
+        model = self._reconstruct_model(terms) if status == SatStatus.SAT else None
+        answer = self._answers[query] = CheckResult(status, model)
+        return answer
 
     # -- internals ----------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.core.conditions import (
     DestinationCanonicalizer,
     IneligibleDestination,
     VerificationCondition,
-    _query_route,
+    _query_part,
     _query_time,
     canonical_node_conditions,
     destination_variable,
@@ -100,7 +100,7 @@ def _oracle_inductive_condition(
 
     neighbor_routes: dict[str, Any] = {}
     for position, neighbor in enumerate(network.topology.predecessors(node)):
-        route = _query_route(network, position)
+        route = _query_part(network, position)[0]
         neighbor_routes[neighbor] = route
         assumptions = assumptions & network.route_shape.constraint(route)
         interface = annotated.interface(neighbor)
@@ -131,7 +131,7 @@ def _oracle_safety_condition(annotated: AnnotatedNetwork, node: str) -> Verifica
     assumptions, symbolics = _oracle_network_symbolics(annotated)
 
     time_variable = _query_time(width)
-    route = _query_route(network)
+    route = _query_part(network)[0]
     assumptions = assumptions & network.route_shape.constraint(route)
     assumptions = assumptions & annotated.interface(node)(route, time_variable)
     goal = annotated.node_property(node)(route, time_variable)

@@ -11,7 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.mutations import lower_witness_time, make_interface_vacuous
-from repro.core.conditions import _query_route, _query_time, apply_annotation, node_policy
+from repro.core.conditions import (
+    _query_part,
+    _query_time,
+    _term_key,
+    apply_annotation,
+    node_policy,
+)
 from repro.core.fingerprint import (
     clear_fingerprint_cache,
     dependency_fingerprints,
@@ -75,13 +81,80 @@ def test_warm_fingerprints_equal_cold_ones(name, parameters):
     assert _fingerprints(base, delay=1) == _fingerprints(base, delay=1)
 
 
+def _assert_policies_are_unmemoised_builds(network):
+    """Each memoised part equals what the network builds without any memo."""
+    shape = network.route_shape
+    for node in network.topology.nodes:
+        policy = node_policy(network, node)
+        direct = network.updated_route(node, policy.neighbor_routes)
+        assert _term_key(policy.updated) == _term_key(direct), node
+        assert policy.own_shape.term is shape.constraint(policy.own_route).term
+        for route, constraint in zip(policy.neighbor_routes.values(), policy.neighbor_shapes):
+            assert constraint.term is shape.constraint(route).term
+
+
+@pytest.mark.parametrize("name, parameters", _CASES)
+def test_memoised_policies_equal_unmemoised_builds(name, parameters):
+    base = registry.build(name, **parameters).annotated
+    clear_fingerprint_cache()
+    _assert_policies_are_unmemoised_builds(base.network)
+    for edit_name, edit in _EDITS.items():
+        try:
+            edited = edit(base)
+        except AnalysisError:
+            continue
+        _assert_policies_are_unmemoised_builds(edited.network)  # warm
+        clear_fingerprint_cache()
+        _assert_policies_are_unmemoised_builds(edited.network)  # cold
+
+
+def test_nodes_with_different_transfer_callables_never_share_a_fold():
+    """Valley-freedom's up and down edges carry different policies: an
+    aggregation switch (up and down in-edges) and a core switch (up in-edges
+    only) have equal in-degree and initial route, but never one fold."""
+    benchmark = registry.build("fattree/valley_freedom", pods=4).raw
+    network = benchmark.network
+    clear_fingerprint_cache()
+    folds = {}
+    for node in network.topology.nodes:
+        folds.setdefault(id(node_policy(network, node).updated), []).append(node)
+    assert fingerprint_statistics()["merge_folds"] == len(folds) < len(network.topology.nodes)
+    for nodes in folds.values():
+        transfers = {
+            tuple(
+                network.transfer_function((neighbor, node))
+                for neighbor in network.topology.predecessors(node)
+            )
+            for node in nodes
+        }
+        assert len(transfers) == 1, nodes
+    aggregation, core = benchmark.fattree.aggregation_nodes[0], benchmark.fattree.core_nodes[0]
+    assert network.topology.in_degree(aggregation) == network.topology.in_degree(core)
+    assert _term_key(node_policy(network, aggregation).updated) != _term_key(
+        node_policy(network, core).updated
+    )
+    _assert_policies_are_unmemoised_builds(network)
+
+
+def test_a_fresh_process_folds_once_per_distinct_shape():
+    """Construction costs distinct shapes: 3 merge folds for every SpReach size."""
+    for pods in (4, 6):
+        network = registry.build("fattree/reach", pods=pods).annotated.network
+        clear_fingerprint_cache()
+        for node in network.topology.nodes:
+            node_policy(network, node)
+        statistics = fingerprint_statistics()
+        assert statistics["merge_folds"] == 3
+        assert statistics["merge_fold_hits"] == len(network.topology.nodes) - 3
+
+
 def test_node_policy_is_what_the_network_builds():
     network = registry.build("fattree/length", pods=4).annotated.network
     for node in network.topology.nodes:
         policy = node_policy(network, node)
         assert node_policy(network, node) is policy
         routes = {
-            neighbor: _query_route(network, position)
+            neighbor: _query_part(network, position)[0]
             for position, neighbor in enumerate(network.topology.predecessors(node))
         }
         assert all(policy.neighbor_routes[neighbor] is route for neighbor, route in routes.items())

@@ -22,6 +22,7 @@ from repro.core.results import (
 from repro import core
 from repro.core.symmetry import partition_nodes, singleton_classes
 from repro.routing import path_topology, shortest_path_network
+from repro.smt.incremental import reset_process_solver
 from repro.verify import Modular, verify
 
 
@@ -109,6 +110,9 @@ class TestParallelRunner:
         return core.annotate(network, interfaces)
 
     def test_parallel_runner_returns_one_report_per_node(self, check_classes, assert_scopes_follow_size):
+        # Forked workers inherit this process's solver and its answers: start
+        # from none, so the workers really solve.
+        reset_process_solver()
         annotated = self._annotated()
         reports, totals = check_classes(annotated, singleton_classes(annotated.nodes), jobs=2)
         # Reports come back in node order regardless of completion order,
@@ -139,6 +143,7 @@ class TestParallelRunner:
     def test_pool_setup_failure_warns_and_degrades_to_sequential(
         self, no_process_pool, check_classes, assert_scopes_follow_size
     ):
+        reset_process_solver()  # no earlier answers: the degraded run really solves
         annotated = self._annotated()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             reports, totals = check_classes(
@@ -208,6 +213,7 @@ class TestStreamingDispatcher:
         return iter_class_batches(annotated, classes, delay=0, jobs=2)
 
     def test_batches_carry_submission_indices_and_deltas(self, assert_scopes_follow_size):
+        reset_process_solver()  # workers inherit no answers, so each batch solves
         annotated = self._annotated()
         batches = list(self._batches(annotated, singleton_classes(annotated.nodes)))
         assert sorted(index for index, _, _ in batches) == list(range(len(annotated.nodes)))

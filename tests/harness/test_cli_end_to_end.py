@@ -166,6 +166,7 @@ class TestSweepCommands:
         assert "discharged" in output
         assert "tseitin_hits" in output
         assert "clauses_shipped" in output and "variables_mapped" in output
+        assert "answer_hits" in output
         if symmetry != "off":
             assert symmetry in output
 

@@ -1,5 +1,6 @@
 """Integration tests: the paper's §2 narrative and the example scripts."""
 
+import dataclasses
 import runpy
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro import core
 from repro.networks import build_wan_benchmark, registry
+from repro.networks.benchmarks import inject_interface_failure
 from repro.verify import Strawperson, verify
 from repro.config import WanParameters
 from repro.routing import build_running_example, simulate
@@ -133,3 +135,20 @@ class TestExampleScripts:
         runpy.run_path(f"examples/{script}.py", run_name="__main__")
         output = capsys.readouterr().out
         assert output
+
+    def test_fattree_example_exits_1_on_a_failing_report(self, monkeypatch, capsys):
+        """The example CI smoke-runs must fail on a wrong verdict, not print and pass."""
+        build = registry.build
+
+        def poisoned(name, **parameters):
+            built = build(name, **parameters)
+            return dataclasses.replace(
+                built, annotated=inject_interface_failure(built.annotated)[0]
+            )
+
+        monkeypatch.setattr(registry, "build", poisoned)
+        monkeypatch.setattr(sys, "argv", ["fattree_reachability.py", "2", "--skip-monolithic"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path("examples/fattree_reachability.py", run_name="__main__")
+        assert exited.value.code == 1
+        assert "FAILED" in capsys.readouterr().out

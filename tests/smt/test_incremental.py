@@ -5,7 +5,7 @@ import pytest
 from repro import core, smt
 from repro.errors import SolverError
 from repro.smt.incremental import IncrementalSolver, process_solver, reset_process_solver
-from repro.smt.sat.solver import SatStatus
+from repro.smt.sat.solver import CdclSolver, SatStatus
 from repro.verify import Modular, verify
 
 
@@ -162,6 +162,116 @@ class TestIncrementalSolverBasics:
         result = smt.CheckResult(SatStatus.UNKNOWN, None)
         with pytest.raises(SolverError, match="unknown"):
             result.model()
+
+
+class TestAnswerMemo:
+    """``check`` answers each distinct query once, whatever happened in between."""
+
+    def test_a_repeat_query_is_a_hit_that_moves_no_solver_counter(self):
+        solver = IncrementalSolver()
+        x = smt.bv_var("memo", 5)
+        formula = smt.bv_ugt(x, smt.bv_const(9, 5))
+        first = solver.check(formula)
+        statistics = solver.cache_statistics()
+        checks, global_before = solver.statistics.checks, smt.GLOBAL_STATISTICS.snapshot()
+        assert solver.check(formula) is first
+        after = solver.cache_statistics()
+        assert after.pop("answer_hits") == statistics.pop("answer_hits") + 1
+        assert after == statistics
+        assert solver.statistics.checks == checks
+        assert smt.GLOBAL_STATISTICS.since(global_before) == smt.SolverStatistics()
+
+    def test_unknown_is_never_memoised(self, monkeypatch):
+        solver = IncrementalSolver()
+        x = smt.bv_var("undecided", 5)
+        formula = smt.bv_ult(x, smt.bv_const(3, 5))
+        solve = CdclSolver.solve
+        calls = []
+
+        def times_out_once(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return SatStatus.UNKNOWN
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(CdclSolver, "solve", times_out_once)
+        assert solver.check(formula).status == SatStatus.UNKNOWN
+        second = solver.check(formula)
+        assert second.is_sat and second.model()["undecided"] < 3
+        assert len(calls) == 2 and solver.answer_hits == 0
+        assert solver.check(formula) is second
+        assert len(calls) == 2 and solver.answer_hits == 1
+
+    def test_nothing_is_memoised_when_a_solve_raises(self, monkeypatch):
+        solver = IncrementalSolver()
+        formula = smt.bool_var("raising")
+
+        def raises(self, *args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CdclSolver, "solve", raises)
+            with pytest.raises(RuntimeError):
+                solver.check(formula)
+        solver.recover()
+        assert solver.check(formula).is_sat
+        assert solver.answer_hits == 0
+
+    def test_a_hit_survives_rotation_recovery_and_compaction(self):
+        solver = IncrementalSolver(max_variables=1)
+        x = smt.bv_var("durable", 6)
+        goal = smt.implies(smt.bv_ult(x, smt.bv_const(13, 6)), smt.bv_ule(x, smt.bv_const(13, 6)))
+        assert smt.prove(goal, solver=solver).valid
+        assert solver.compactions == 1
+        solved = solver.statistics.checks
+        for disturb in (lambda: None, solver.new_scope, solver.recover):
+            disturb()
+            assert smt.prove(goal, solver=solver).valid
+        assert solver.answer_hits == 3 and solver.statistics.checks == solved
+        assert solver.compactions == 1  # a hit encodes nothing, so nothing grows
+
+    def test_memoised_counterexamples_refute_their_own_conditions(self):
+        """A failing answer reached by a hit is evaluated through the hitting
+        node's own routes, and the model satisfies that node's query."""
+        from repro.core.conditions import node_conditions
+        from repro.networks import registry
+        from repro.networks.benchmarks import inject_interface_failure
+
+        benchmark = registry.build("fattree/reach", pods=4).raw
+        # Poisoned alike, the core switches pose one failing query per kind.
+        annotated = benchmark.annotated
+        for core in benchmark.fattree.core_nodes:
+            annotated, _ = inject_interface_failure(annotated, core)
+        solver = IncrementalSolver()
+        replayed = 0
+        for node in annotated.nodes:
+            for condition in node_conditions(annotated, node):
+                hits = solver.answer_hits
+                result = condition.check(solver)
+                if result.holds or solver.answer_hits == hits:
+                    continue
+                proof = smt.prove(condition.goal.term, condition.assumptions.term, solver=solver)
+                model = proof.counterexample
+                assert model.evaluate(condition.assumptions.term) is True
+                assert model.evaluate(condition.goal.term) is False
+                assert result.counterexample.node == node
+                assert set(result.counterexample.neighbor_routes) == set(condition.neighbor_routes)
+                replayed += 1
+        assert replayed > 0
+
+    def test_different_root_assertions_never_alias(self):
+        solver = IncrementalSolver()
+        x = smt.bv_var("rooted", 4)
+        query = smt.bv_ugt(x, smt.bv_const(5, 4))
+        assert solver.check(query).is_sat
+        solver.add(smt.bv_ult(x, smt.bv_const(3, 4)))
+        assert solver.check(query).is_unsat
+        solver.push()
+        solver.add(smt.bv_ult(x, smt.bv_const(3, 4)))
+        assert solver.check(query).is_unsat
+        solver.pop()
+        assert solver.answer_hits == 0
+        assert solver.check(query).is_unsat and solver.answer_hits == 1
 
 
 class TestProcessSolver:
