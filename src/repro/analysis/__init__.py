@@ -2,7 +2,7 @@
 
 The dominant Timepiece user failure mode is a *wrong annotation*: an
 interface whose witness time is inconsistent with propagation distance, a
-vacuously true/false interface, an inconsistent symmetry hint — mistakes
+vacuously true/false interface, an unprovable condition — mistakes
 that otherwise surface only as expensive SAT counterexamples after
 bit-blasting.  This package finds them in milliseconds, before any solver
 work, by pure term construction and constant folding::

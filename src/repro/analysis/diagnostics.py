@@ -25,7 +25,8 @@ SEVERITIES = ("error", "warning", "info")
 #: Codes are append-only; ``docs/DIAGNOSTICS.md`` documents each with an
 #: example and a fix.  A code's severity is fixed — callers branch on
 #: severity, so a code that changed severity between releases would silently
-#: change strict-mode behaviour.
+#: change strict-mode behaviour.  A retired code leaves this table but is
+#: never reused: TP008 (the symmetry-hint audit) is reserved.
 CODES: dict[str, tuple[str, str]] = {
     "TP001": ("error", "ill-sorted or ill-formed term in a verification condition"),
     "TP002": ("warning", "interface is trivially true (vacuous induction)"),
@@ -34,7 +35,6 @@ CODES: dict[str, tuple[str, str]] = {
     "TP005": ("warning", "condition assumptions are contradictory (vacuous condition)"),
     "TP006": ("error", "condition goal is constant false (unprovable)"),
     "TP007": ("info", "node uses the default always-true annotations"),
-    "TP008": ("warning", "symmetry-class members have non-identical canonical conditions"),
     "TP009": ("warning", "unreachable policy term"),
     "TP010": ("warning", "unused community definition"),
     "TP011": ("warning", "unused prefix-list definition"),

@@ -16,8 +16,8 @@ Each mutation leaves the rest of the network untouched, so a full SAT run
 on the mutated network corroborates the lint verdict (the first two fail,
 the third still passes — it is hygiene, not correctness).  The annotation
 mutations copy through :meth:`AnnotatedNetwork.with_interface`, which drops
-the builder's symmetry markers: the mutated node no longer belongs to the
-class a role hint would file it under.
+the builder's destination-symmetry marker: it describes the annotations the
+builder wrote, not the mutated ones.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ class LintTarget:
         )
         self._interface_values: dict[str, bool | None] = self.memo("interface_values")
         self._property_values: dict[str, bool | None] = self.memo("property_values")
-        self._deep_nodes: tuple[str, ...] | None = None
         self._probe: tuple[object, SymBV] | None = None
 
     def memo(self, name: str) -> dict:
@@ -89,35 +88,6 @@ class LintTarget:
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.annotated.nodes
-
-    def deep_nodes(self) -> tuple[str, ...]:
-        """The nodes whose full conditions the deep passes build and inspect.
-
-        Without a symmetry hint: every node.  With one: one representative
-        per hinted class (the first member in selection order) plus every
-        unhinted node.  The hint's identity claim is audited separately —
-        and cheaply — by the coverage pass, which compares every member's
-        canonical annotation applications; rebuilding each member's full
-        conditions would make lint as expensive as the verification it is
-        meant to precede.
-        """
-        if self._deep_nodes is not None:
-            return self._deep_nodes
-        key_of = self.annotated.symmetry_key
-        if key_of is None:
-            self._deep_nodes = self.nodes
-            return self._deep_nodes
-        chosen: list[str] = []
-        seen: set[object] = set()
-        for node in self.nodes:
-            key = key_of(node)
-            if key is None:
-                chosen.append(node)
-            elif key not in seen:
-                seen.add(key)
-                chosen.append(node)
-        self._deep_nodes = tuple(chosen)
-        return self._deep_nodes
 
     def conditions(self, node: str) -> list[VerificationCondition]:
         """The node's three conditions.

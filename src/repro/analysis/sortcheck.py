@@ -209,9 +209,8 @@ class SortCheckPass(AnalysisPass):
 
     def run(self, target: LintTarget) -> Iterator[Diagnostic]:
         # Every node's annotation applications are checked (cheap — the
-        # probes are shared with the coverage pass); broken annotations on
-        # symmetry-class members surface here even though only the class
-        # representatives' full condition cones are rebuilt below.
+        # probes are shared with the vacuity pass), then every node's full
+        # condition cones below.
         for node in target.nodes:
             for kind in ("interface", "property"):
                 try:
@@ -224,36 +223,43 @@ class SortCheckPass(AnalysisPass):
                         node=node,
                     )
 
-        # The process-wide clean-cone set: conditions share most of their
-        # DAG (isomorphic nodes share *all* of it, and repeated
-        # lint runs re-derive the identical interned terms), so each unique
-        # term is sort-checked once per process.  Sound because terms are
-        # immutable and ids are never reused; ill-sorted cones are never
-        # added, so findings recur on every run.
-        visited = _CLEAN_CONES
-        for node in target.deep_nodes():
-            try:
-                conditions = target.conditions(node)
-            except ReproError as error:
+        # A node's cone findings are a pure function of the network:
+        # memoised per network, so a repeated lint run pays a lookup.
+        findings = target.memo("sorts")
+        for node in target.nodes:
+            if node not in findings:
+                findings[node] = tuple(_cone_findings(target, node))
+            yield from findings[node]
+
+
+def _cone_findings(target: LintTarget, node: str) -> Iterator[Diagnostic]:
+    """TP001 for ``node``'s condition build and every operator of its cones."""
+    try:
+        conditions = target.conditions(node)
+    except ReproError as error:
+        yield diagnostic(
+            "TP001",
+            f"building the verification conditions of {node!r} failed: "
+            f"{type(error).__name__}: {error}",
+            node=node,
+        )
+        return
+    # The process-wide clean-cone set: conditions share most of their DAG
+    # (nodes of one role share *all* of it), so each unique term is
+    # sort-checked once per process.  Sound because terms are immutable and
+    # ids are never reused; ill-sorted cones are never added.
+    for condition in conditions:
+        for root_name, root in (
+            ("assumptions", condition.assumptions.term),
+            ("goal", condition.goal.term),
+        ):
+            for term, message in check_term_sorts(root, _CLEAN_CONES):
+                path = term_path(root, term)
+                located = root_name if not path else f"{root_name}/{path}"
                 yield diagnostic(
                     "TP001",
-                    f"building the verification conditions of {node!r} failed: "
-                    f"{type(error).__name__}: {error}",
+                    message,
                     node=node,
+                    condition=condition.kind,
+                    term_path=located,
                 )
-                continue
-            for condition in conditions:
-                for root_name, root in (
-                    ("assumptions", condition.assumptions.term),
-                    ("goal", condition.goal.term),
-                ):
-                    for term, message in check_term_sorts(root, visited):
-                        path = term_path(root, term)
-                        located = root_name if not path else f"{root_name}/{path}"
-                        yield diagnostic(
-                            "TP001",
-                            message,
-                            node=node,
-                            condition=condition.kind,
-                            term_path=located,
-                        )

@@ -117,13 +117,9 @@ class VacuityPass(AnalysisPass):
     name = "vacuity"
 
     def run(self, target: LintTarget) -> Iterator[Diagnostic]:
-        # Annotation probes cover every node (they are shared, memoised
-        # applications); the condition-level BCP below rebuilds full
-        # verification conditions and therefore runs only on the deep set —
-        # class representatives plus unhinted nodes (see
-        # ``LintTarget.deep_nodes``); member divergence is the coverage
-        # pass's TP008.
-        deep = set(target.deep_nodes())
+        # Annotation probes and the condition-level BCP below cover every
+        # node; both are memoised per network, and a node's conditions cost
+        # its distinct shape (the merge-fold memo of ``core.conditions``).
         for node in target.nodes:
             interface_value = target.interface_value(node)
             if interface_value is False:
@@ -148,37 +144,45 @@ class VacuityPass(AnalysisPass):
                     node=node,
                 )
 
-            if node not in deep:
-                continue
-            try:
-                conditions = target.conditions(node)
-            except ReproError:
-                continue  # reported as TP001 by the sort pass
-            # BCP is a pure function of the (interned, immutable) term pair;
-            # memoised per network so repeated lint runs skip the fixpoint.
-            bcp = target.memo("bcp")
-            for condition in conditions:
-                key = (condition.assumptions.term.term_id, condition.goal.term.term_id)
-                folded = bcp.get(key)
-                if folded is None:
-                    folded = propagate(condition.assumptions.term, condition.goal.term)
-                    bcp[key] = folded
-                assumptions, goal = folded
-                if assumptions.is_false():
-                    yield diagnostic(
-                        "TP005",
-                        f"the {condition.kind} condition of {node!r} has "
-                        "contradictory assumptions: it holds vacuously and "
-                        "verifies nothing",
-                        node=node,
-                        condition=condition.kind,
-                    )
-                elif goal.is_false():
-                    yield diagnostic(
-                        "TP006",
-                        f"the {condition.kind} condition of {node!r} has a "
-                        "constant-false goal under constraint propagation: the SAT "
-                        "check can only fail",
-                        node=node,
-                        condition=condition.kind,
-                    )
+            # A node's condition findings are a pure function of the network:
+            # memoised per network, so a repeated lint run pays a lookup.
+            findings = target.memo("vacuity")
+            if node not in findings:
+                findings[node] = tuple(_condition_findings(target, node))
+            yield from findings[node]
+
+
+def _condition_findings(target: LintTarget, node: str) -> Iterator[Diagnostic]:
+    """TP005/TP006: constraint propagation over each of ``node``'s conditions."""
+    try:
+        conditions = target.conditions(node)
+    except ReproError:
+        return  # reported as TP001 by the sort pass
+    # BCP is a pure function of the (interned, immutable) term pair; nodes of
+    # one role share it.
+    bcp = target.memo("bcp")
+    for condition in conditions:
+        key = (condition.assumptions.term.term_id, condition.goal.term.term_id)
+        folded = bcp.get(key)
+        if folded is None:
+            folded = propagate(condition.assumptions.term, condition.goal.term)
+            bcp[key] = folded
+        assumptions, goal = folded
+        if assumptions.is_false():
+            yield diagnostic(
+                "TP005",
+                f"the {condition.kind} condition of {node!r} has "
+                "contradictory assumptions: it holds vacuously and "
+                "verifies nothing",
+                node=node,
+                condition=condition.kind,
+            )
+        elif goal.is_false():
+            yield diagnostic(
+                "TP006",
+                f"the {condition.kind} condition of {node!r} has a "
+                "constant-false goal under constraint propagation: the SAT "
+                "check can only fail",
+                node=node,
+                condition=condition.kind,
+            )

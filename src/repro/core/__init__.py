@@ -32,7 +32,6 @@ from repro.core.conditions import (
 )
 from repro.core.symmetry import (
     SYMMETRY_MODES,
-    DestinationQuotient,
     SymmetryClass,
     partition_nodes,
 )
@@ -98,7 +97,6 @@ __all__ = [
     # symmetry reduction
     "SYMMETRY_MODES",
     "SymmetryClass",
-    "DestinationQuotient",
     "partition_nodes",
     # checking
     "check_node",

@@ -10,7 +10,7 @@ for the logical-time variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Mapping
 
 from repro.errors import VerificationError
 from repro.routing.algebra import Network
@@ -18,11 +18,6 @@ from repro.core.temporal import TemporalLike, TemporalPredicate, always_true, li
 
 #: Anything accepted as a per-node annotation map.
 AnnotationMap = Mapping[str, TemporalLike] | Callable[[str], TemporalLike]
-
-#: A symmetry hint: maps a node to a hashable equivalence-class key, or
-#: ``None`` to make the node a singleton class.  See :mod:`repro.core.symmetry`.
-SymmetryKey = Callable[[str], Hashable | None]
-
 
 @dataclass(frozen=True)
 class DestinationSymmetry:
@@ -45,13 +40,12 @@ class DestinationSymmetry:
 class AnnotatedNetwork:
     """A network together with its node interfaces and node properties.
 
-    ``symmetry_key`` optionally names each node's symmetry class (builders
-    that know their topology — e.g. fattree benchmarks — attach one so the
-    symmetry-aware checker can skip the generic canonical-form hashing).
     ``destination_symmetry`` optionally declares invariance under
     destination-index permutation (all-pairs benchmarks), letting the
     symmetry layer quotient nodes whose conditions differ only in which
-    concrete destination constants they mention.
+    concrete destination constants they mention.  It is the only symmetry
+    an annotated network declares; class membership is then decided by term
+    identity of the canonicalized conditions.
     """
 
     def __init__(
@@ -60,7 +54,6 @@ class AnnotatedNetwork:
         interfaces: AnnotationMap,
         properties: AnnotationMap,
         minimum_time_width: int = 2,
-        symmetry_key: SymmetryKey | None = None,
         destination_symmetry: DestinationSymmetry | None = None,
     ) -> None:
         self.network = network
@@ -78,7 +71,6 @@ class AnnotatedNetwork:
             default=0,
         )
         self.minimum_time_width = minimum_time_width
-        self.symmetry_key = symmetry_key
         self.destination_symmetry = destination_symmetry
 
     # -- construction helpers -----------------------------------------------------
@@ -153,16 +145,14 @@ class AnnotatedNetwork:
             interfaces=dict(self._properties),
             properties=dict(self._properties),
             minimum_time_width=self.minimum_time_width,
-            symmetry_key=self.symmetry_key,
             destination_symmetry=self.destination_symmetry,
         )
 
     def with_interface(self, node: str, interface: TemporalLike) -> "AnnotatedNetwork":
         """A copy with ``node``'s interface replaced: the one edit helper.
 
-        Both symmetry markers are dropped.  They describe the annotations the
-        builder wrote; a kept role hint would file the edited node under its
-        old class and never build its own conditions.
+        The destination-symmetry marker is dropped: it describes the
+        annotations the builder wrote, not the edited ones.
         """
         interfaces = dict(self._interfaces)
         interfaces[node] = interface

@@ -20,18 +20,17 @@ and learned clauses.  An explicit ``solver`` pins another backend; a facade
 how the test suite's reference run is built.  The verdicts are identical
 either way, only the cost differs (see the ablation benchmarks).
 
-**Symmetry reduction.**  :mod:`repro.core.symmetry` partitions the nodes into
-equivalence classes — via benchmark-supplied metadata hints or a generic
-canonical-form hash of each node's conditions; :func:`check_class` then
-discharges the conditions of one representative per class and propagates the
-verdict (with a positionally translated counterexample) to the remaining
-members.  A class is discharged on the backend's current SAT scope, so encoded
-clauses and learned clauses are shared across the class (and with its
-neighbours in batch order, until the scope outgrows its size bound).  A class
-carrying a ``spot_member`` additionally re-verifies that member and raises if
-its verdict disagrees with the representative's — the guard against a wrong
-canonicalization or hint.  Verdicts are identical across all symmetry modes;
-only the number of discharged conditions (and the wall time) differs.
+**Symmetry reduction.**  :mod:`repro.core.symmetry` partitions the nodes of
+a network that declares a destination symmetry into destination-quotient
+classes; :func:`check_class` then discharges the canonical conditions of one
+representative per class and propagates a passing verdict to the remaining
+members.  A failing class propagates nothing: each member re-discharges its
+own raw conditions, so every counterexample is the member's genuine one.  A
+class is discharged on the backend's current SAT scope, so encoded clauses
+and learned clauses are shared across the class (and with its neighbours in
+batch order, until the scope outgrows its size bound).  Verdicts are
+identical across all symmetry modes; only the number of discharged
+conditions (and the wall time) differs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Any, Iterable
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import VerificationCondition, canonical_node_conditions, node_conditions
 from repro.core.results import ConditionResult, ModularReport, NodeReport
-from repro.core.symmetry import SymmetryClass, singleton_classes, translate_counterexample
+from repro.core.symmetry import SymmetryClass, singleton_classes
 from repro.errors import VerificationError
 from repro.smt.incremental import process_solver
 
@@ -90,7 +89,7 @@ def check_class(
     delay: int = 0,
     solver: Any | None = None,
 ) -> list[NodeReport]:
-    """Check one symmetry class: discharge the representative, reuse the rest.
+    """Check one symmetry class: discharge the representative, reuse a pass.
 
     The initial, inductive and safety conditions are discharged in that
     order, and the remaining ones are skipped after the first failure,
@@ -104,137 +103,81 @@ def check_class(
     the exception propagates, so subsequent checks stay sound.
 
     Returns a report per member, in member order.  The representative's
-    conditions are discharged in one SAT scope; every other member receives
-    the representative's verdicts as propagated :class:`ConditionResult`
-    records (duration 0, counterexamples translated by the positional
-    neighbour correspondence).  When the class
-    carries a ``spot_member``, that member's conditions are rebuilt from
-    scratch and discharged in the *same* scope — with a correct
-    canonicalization this re-assumes the identical terms (nearly free, and
-    it exercises the scope sharing); with a wrong metadata hint the verdicts
-    can diverge, which raises :class:`VerificationError` instead of silently
-    propagating an unsound verdict.
-
-    For destination-quotient classes (``symmetry_class.destination`` set)
-    the cached conditions are the *canonical* instance: their evaluation
-    payloads belong to the representative's raw conditions and cannot be
-    trusted under a canonical model, so a failing canonical verdict is
-    discarded and the representative's raw conditions are re-discharged (an
-    equivalid query — same verdicts, genuine counterexample).  Member
-    counterexamples additionally re-concretize the destination index through
-    the class's slot permutation, and every result carries
-    ``quotient="destination"`` provenance.
+    conditions are discharged in one SAT scope.  When they all hold, every
+    other member receives them as propagated :class:`ConditionResult`
+    records (duration 0, ``propagated_from`` the representative).  When one
+    fails, the class propagates nothing: every member re-discharges its own
+    raw conditions in the same scope, so each counterexample is the member's
+    genuine one, and a member whose ``(condition, holds)`` sequence differs
+    from the class's raises :class:`VerificationError`.  Results of a
+    destination-quotient class (``symmetry_class.destination``) carry
+    ``quotient="destination"``.
     """
     representative = symmetry_class.representative
-    quotient = symmetry_class.destination
+    members = symmetry_class.members
+    quotient = "destination" if symmetry_class.destination else None
     # Without a pinned solver the shared per-process one is used as it
     # stands: its encoding caches and its current SAT scope persist across
     # batches (and whole runs), and it alone decides when a scope rotates.
     owned = solver is None
     solver = solver or process_solver()
-    topology = annotated.network.topology
 
     started = _time.perf_counter()
     try:
         built = symmetry_class.conditions
         if built is None or symmetry_class.conditions_delay != delay:
-            # No cached conditions (metadata-hint path), or the cache was
+            # No cached conditions (a singleton class), or the cache was
             # built for a different delay than this check requests.
             if quotient is not None:
                 built, _ = canonical_node_conditions(annotated, representative, delay=delay)
-                built = tuple(built)
             else:
                 built = node_conditions(annotated, representative, delay=delay)
         results = _discharge(built, solver)
-        if quotient is not None and any(not result.holds for result in results):
-            # The canonical instance failed; its counterexample payloads are
-            # the representative's raw terms evaluated under a *canonical*
-            # model, which is meaningless.  Re-discharge the raw conditions
-            # (equivalid — identical holds pattern and fail-fast truncation)
-            # for a counterexample in the representative's own coordinates.
-            results = _discharge(node_conditions(annotated, representative, delay=delay), solver)
+        failed = not all(result.holds for result in results)
+        if failed and (quotient is not None or len(members) > 1):
+            # A canonical instance's counterexample payloads are raw terms
+            # evaluated under a canonical model, and a member's failure is
+            # its own: every member discharges its raw conditions.
+            expected = [(result.condition, result.holds) for result in results]
+            reports = []
+            for member in members:
+                member_started = _time.perf_counter()
+                own = _discharge(node_conditions(annotated, member, delay=delay), solver)
+                observed = [(result.condition, result.holds) for result in own]
+                if observed != expected:
+                    raise VerificationError(
+                        f"symmetry class member {member!r} decided {observed} but its "
+                        f"class (representative {representative!r}) decided {expected}; "
+                        "the partition is unsound for this network"
+                    )
+                reports.append(NodeReport(member, own, _time.perf_counter() - member_started))
+        else:
+            reports = [NodeReport(representative, results, _time.perf_counter() - started)]
     except BaseException:
         _recover_solver(solver, owned)
         raise
-    if quotient is not None:
-        for result in results:
-            result.quotient = "destination"
-    reports = [
-        NodeReport(node=representative, results=results, duration=_time.perf_counter() - started)
-    ]
-
-    representative_preds = topology.predecessors(representative)
-    for member in symmetry_class.members[1:]:
-        if member == symmetry_class.spot_member:
-            reports.append(
-                _spot_check_member(annotated, symmetry_class, member, results, delay, solver, owned)
-            )
-            continue
-        member_started = _time.perf_counter()
-        destination = (
-            None
-            if quotient is None
-            else (quotient.variable, quotient.permutation(representative, member))
-        )
-        member_results = [
-            ConditionResult(
-                node=member,
-                condition=result.condition,
-                holds=result.holds,
-                duration=0.0,
-                counterexample=(
-                    None
-                    if result.counterexample is None
-                    else translate_counterexample(
-                        result.counterexample,
-                        member,
-                        representative_preds,
-                        topology.predecessors(member),
-                        destination=destination,
-                    )
-                ),
-                propagated_from=representative,
-                quotient=result.quotient,
-            )
-            for result in results
-        ]
+    for report in reports:
+        for result in report.results:
+            result.quotient = quotient
+    for member in members[len(reports):]:
         reports.append(
             NodeReport(
                 node=member,
-                results=member_results,
-                duration=_time.perf_counter() - member_started,
+                results=[
+                    ConditionResult(
+                        node=member,
+                        condition=result.condition,
+                        holds=True,
+                        duration=0.0,
+                        propagated_from=representative,
+                        quotient=quotient,
+                    )
+                    for result in results
+                ],
+                duration=0.0,
             )
         )
     return reports
-
-
-def _spot_check_member(
-    annotated: AnnotatedNetwork,
-    symmetry_class: SymmetryClass,
-    member: str,
-    representative_results: list[ConditionResult],
-    delay: int,
-    solver: Any,
-    owned: bool,
-) -> NodeReport:
-    """Fully re-verify one class member and compare against the representative."""
-    member_started = _time.perf_counter()
-    try:
-        member_results = _discharge(node_conditions(annotated, member, delay=delay), solver)
-    except BaseException:
-        _recover_solver(solver, owned)
-        raise
-    expected = [(result.condition, result.holds) for result in representative_results]
-    observed = [(result.condition, result.holds) for result in member_results]
-    if expected != observed:
-        raise VerificationError(
-            f"symmetry spot-check failed: class member {member!r} decided {observed} "
-            f"but representative {symmetry_class.representative!r} decided {expected}; "
-            "the symmetry classes (metadata hints?) are unsound for this network"
-        )
-    return NodeReport(
-        node=member, results=member_results, duration=_time.perf_counter() - member_started
-    )
 
 
 def assert_verified(report: ModularReport) -> None:

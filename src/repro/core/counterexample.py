@@ -54,29 +54,3 @@ def _render_route(route: Any) -> str:
         return f"⟨{fields}⟩"
     return repr(route)
 
-
-def reindex_destination(
-    example: Counterexample, variable: str, mapping: dict[int, int]
-) -> Counterexample:
-    """Re-concretize the destination index of a translated counterexample.
-
-    Destination-quotient symmetry classes (see
-    :class:`repro.core.symmetry.DestinationQuotient`) prove one canonical
-    instance per class; a member's counterexample is the representative's
-    with the destination value mapped through the slot permutation.  Values
-    outside ``mapping`` (never mentioned by either node's conditions) and a
-    missing ``variable`` entry are left unchanged.
-    """
-    value = example.symbolics.get(variable)
-    if not isinstance(value, int) or value not in mapping:
-        return example
-    symbolics = dict(example.symbolics)
-    symbolics[variable] = mapping[value]
-    return Counterexample(
-        node=example.node,
-        condition=example.condition,
-        time=example.time,
-        neighbor_routes=example.neighbor_routes,
-        route=example.route,
-        symbolics=symbolics,
-    )

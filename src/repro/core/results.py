@@ -25,8 +25,10 @@ class ConditionResult:
     holds: bool
     duration: float
     counterexample: Counterexample | None = None
-    #: When the symmetry-aware checker reused another node's verdict instead
-    #: of discharging this condition, the representative it came from.
+    #: When this passing verdict was copied from the representative of a
+    #: destination-quotient class instead of discharged, that representative.
+    #: A query answered from the solver's answer memo is not a propagation
+    #: (it counts in ``backend_cache["answer_hits"]``).
     propagated_from: str | None = None
     #: True when the delta re-verification layer reused a verdict from the
     #: persistent store (``Modular(delta="reuse")``) instead of discharging
@@ -34,11 +36,10 @@ class ConditionResult:
     #: passes: failing conditions are re-discharged so counterexamples are
     #: fresh.
     reused: bool = False
-    #: Symmetry provenance: the quotient the verdict travelled through.
-    #: ``"destination"`` when the condition was discharged as (or propagated
-    #: from) a destination-permutation canonical instance rather than the
-    #: node's literal condition; ``None`` otherwise.  See
-    #: :class:`repro.core.symmetry.DestinationQuotient` and
+    #: Symmetry provenance: ``"destination"`` when the node was checked as a
+    #: member of a destination-permutation quotient class — a pass is the
+    #: class's canonical instance, a failure the node's own raw condition;
+    #: ``None`` otherwise.  See :mod:`repro.core.symmetry` and
     #: ``docs/DIAGNOSTICS.md``.
     quotient: str | None = None
 
@@ -103,7 +104,7 @@ class ModularReport:
     node_reports: dict[str, NodeReport]
     wall_time: float
     parallelism: int = 1
-    #: The symmetry mode the run used ("off" | "classes" | "spot-check").
+    #: The symmetry mode the run used ("off" | "classes").
     symmetry: str = "off"
     #: Number of symmetry classes the nodes were partitioned into
     #: (``None`` when symmetry reduction was off).

@@ -5,7 +5,7 @@ Examples::
     timepiece-bench figure1 --pods 4 8 --timeout 60
     timepiece-bench figure14 --policy reach --pods 4 8 12
     timepiece-bench figure14 --policy hijack --all-pairs --pods 4
-    timepiece-bench figure14 --policy reach --symmetry spot-check --stats
+    timepiece-bench figure14 --policy reach --all-pairs --symmetry classes --stats
     timepiece-bench internet2 --peers 20 40 --timeout 120
     timepiece-bench figure14 --policy reach --lint strict
     timepiece-bench lint
@@ -31,6 +31,7 @@ import sys
 from typing import Sequence
 
 from repro.core.results import ConditionResult
+from repro.core.symmetry import SYMMETRY_MODES
 from repro.errors import AnalysisError, BenchmarkError
 from repro.harness.runner import (
     ExperimentResult,
@@ -107,22 +108,29 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     _add_strategy_arguments(parser)
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count; 0 has always meant "run sequentially"."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {jobs}")
+    return jobs
+
+
 def _add_strategy_arguments(parser: argparse.ArgumentParser) -> None:
     """The argv surface of the verification strategies (argv → strategy)."""
     parser.add_argument("--timeout", type=float, default=60.0, help="monolithic timeout in seconds")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for modular checks")
+    parser.add_argument(
+        "--jobs",
+        type=_jobs,
+        default=1,
+        help="parallel workers for modular checks (0 or 1: sequential)",
+    )
     parser.add_argument("--skip-monolithic", action="store_true", help="only run the modular checks")
     parser.add_argument(
         "--symmetry",
-        choices=["off", "classes", "spot-check"],
+        choices=list(SYMMETRY_MODES),
         default="off",
         help="symmetry reduction for modular checks (default: off)",
-    )
-    parser.add_argument(
-        "--spot-check-seed",
-        type=int,
-        default=0,
-        help="seed for the spot-check member choice (with --symmetry spot-check)",
     )
     parser.add_argument(
         "--delta",
@@ -189,10 +197,8 @@ def _modular_strategy(arguments: argparse.Namespace) -> Modular:
     """Build the modular strategy from argv."""
     return Modular(
         symmetry=arguments.symmetry,
-        # --jobs 0 has always meant "run sequentially".
         parallel=max(1, arguments.jobs),
         stop_on_failure=arguments.stop_on_failure,
-        spot_check_seed=arguments.spot_check_seed,
         delta=arguments.delta,
         store=arguments.delta_store,
     )

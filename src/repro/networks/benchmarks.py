@@ -20,7 +20,7 @@ index ranging over every edge node).  The destination is the only thing the
 flavours differ in, so it is one object — :class:`FixedDestination` or
 :class:`SymbolicDestination` — and each policy is one function written
 against it.  The destination supplies the initial routes, the network
-symbolics, the symmetry marker, ``adj(v)``, and ``until(node, before,
+symbolics, the ``Ap`` symmetry marker, ``adj(v)``, and ``until(node, before,
 after)``: ``before U^{dist(v)} after(dist(v))``, where the witness time
 ``dist(v)`` (:meth:`repro.networks.fattree.Fattree.distance_to_destination`)
 is a constant for ``Sp`` and an ITE ladder over the symbolic destination for
@@ -44,7 +44,7 @@ from repro.core import (
     until,
     until_dynamic,
 )
-from repro.networks.fattree import Fattree, fattree_symmetry_key
+from repro.networks.fattree import Fattree
 from repro.routing.algebra import Network, SymbolicVariable
 from repro.routing.bgp import (
     BgpPolicy,
@@ -114,8 +114,8 @@ class _Destination:
     #: The concrete destination edge node, or ``None`` when it is symbolic.
     name: str | None
     symbolics: tuple[SymbolicVariable, ...]
-    #: The symmetry marker, as :class:`AnnotatedNetwork` keyword arguments.
-    symmetry: dict[str, Any]
+    #: The destination-symmetry marker (``Ap`` only).
+    marker: DestinationSymmetry | None = None
 
     def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
         self.fattree = fattree
@@ -138,16 +138,15 @@ class FixedDestination(_Destination):
     """``Sp``: the destination is the fattree's default edge node.
 
     Witness times and hence interfaces depend only on a node's role, whether
-    it shares the destination's pod and whether it is the destination, so the
-    network carries the fattree role hint and the symmetry-aware checker
-    partitions nodes without hashing their conditions.
+    it shares the destination's pod and whether it is the destination, so
+    nodes of one role pose term-identical queries: the incremental solver
+    answers each distinct one once, and the network declares no symmetry.
     """
 
     def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
         super().__init__(fattree, family)
         self.name = fattree.default_destination()
         self.symbolics = ()
-        self.symmetry = {"symmetry_key": fattree_symmetry_key(fattree, self.name)}
         self._announcement = family.default_announcement()
 
     def initial(self, node: str) -> SymOption:
@@ -168,7 +167,7 @@ class SymbolicDestination(_Destination):
 
     Every node's interface bakes in its own ``dest == k`` constants, so no two
     nodes are term-identical; the network carries a
-    :class:`DestinationSymmetry` marker instead, and the symmetry layer
+    :class:`DestinationSymmetry` marker, and the symmetry layer
     quotients nodes up to a simultaneous permutation of those constants.
     """
 
@@ -184,7 +183,7 @@ class SymbolicDestination(_Destination):
         self.symbolics = (
             SymbolicVariable("dest", self.index, constraint=self.index < len(edge_nodes)),
         )
-        self.symmetry = {"destination_symmetry": DestinationSymmetry("dest", len(edge_nodes))}
+        self.marker = DestinationSymmetry("dest", len(edge_nodes))
         self._position = {name: position for position, name in enumerate(edge_nodes)}
         self._present = family.route.some(family.default_announcement())
         self._absent = family.route.none()
@@ -455,6 +454,6 @@ def build_fattree(
         all_pairs,
         destination.fattree,
         destination.family,
-        AnnotatedNetwork(network, interfaces, properties, **destination.symmetry),
+        AnnotatedNetwork(network, interfaces, properties, destination_symmetry=destination.marker),
         destination.name,
     )

@@ -174,39 +174,6 @@ class Fattree:
         return f"Fattree(pods={self.pods}, nodes={self.node_count})"
 
 
-def fattree_symmetry_key(fattree: Fattree, destination: str):
-    """A symmetry-class key function for single-destination fattree benchmarks.
-
-    Fattrees are vertex-transitive within each tier once a destination edge
-    node is fixed: every node's verification conditions are determined (up
-    to node renaming) by its role and whether it shares the destination's
-    pod — the same case analysis as ``dist(v)`` in §6.  The returned
-    function maps a node to the key ``(role, in destination pod?, is the
-    destination?)``, i.e. at most six classes per benchmark regardless of
-    ``k``: the destination, its pod's other edge switches, its pod's
-    aggregation switches, the cores, and the other pods' aggregation and
-    edge tiers.  Nodes the fattree does not know (benchmark extras such as
-    the Hijack benchmark's hijacker) map to ``None`` — a singleton class.
-
-    The construction order of :meth:`Fattree._build` guarantees the
-    positional predecessor correspondence the checker's counterexample
-    translation relies on: within a class, the ``i``-th in-neighbour of one
-    member plays the same structural role as the ``i``-th in-neighbour of
-    any other (pods are built in pod order, tiers in index order).
-    """
-    if fattree.role(destination) != EDGE:
-        raise BenchmarkError(f"destination {destination!r} must be an edge node")
-    destination_pod = fattree.pod_of(destination)
-
-    def key(node: str):
-        info = fattree._nodes.get(node)
-        if info is None:
-            return None
-        return ("fattree", info.role, info.pod == destination_pod, node == destination)
-
-    return key
-
-
 def fattree_size(pods: int) -> int:
     """Number of nodes of a ``pods``-fattree (the paper's ``1.25·k²``)."""
     return (pods * pods) // 4 + pods * pods

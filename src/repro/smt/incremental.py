@@ -97,11 +97,12 @@ mentioning ``¬a`` are entailed by the database and simply become inert once
 ``a`` is no longer assumed.
 
 **Positional naming contract.**  Verification conditions name their query
-routes by predecessor *position* (:mod:`repro.core.conditions`), so every
-member of a symmetry class (:mod:`repro.core.symmetry`) produces the
-*identical* hash-consed terms — a further member query (the ``spot-check``
-mode) re-assumes the same activation literals, ships nothing and reuses the
-learned clauses outright.  Neighbouring classes and nodes overlap too (the
+routes by predecessor *position* (:mod:`repro.core.conditions`), so nodes
+whose neighbourhoods and annotations agree — every node of one role on a
+single-destination fattree — produce the *identical* hash-consed terms, and
+the answer memo above answers each such query once: no symmetry partition
+(:mod:`repro.core.symmetry`) is needed to find them.  Neighbouring nodes
+overlap too (the
 network precondition, shared policy terms), which is why the scope is a
 window over the batch order rather than one instance per class.  The cone
 filtering in :meth:`IncrementalSolver._ship` keeps the window small — a

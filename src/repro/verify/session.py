@@ -20,7 +20,6 @@ drain-and-return convenience used by non-streaming callers.
 
 from __future__ import annotations
 
-import random
 import time as _time
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -468,14 +467,6 @@ def modular_events(
         else:
             classes = partition_nodes(annotated, selected, delay=strategy.delay)
         class_count = len(classes)
-        if strategy.symmetry == "spot-check":
-            # Spot-member selection stays ahead of the delta filter so the
-            # rng stream — and hence which members a cold and a warm run
-            # re-verify — is identical whatever the store contains.
-            rng = random.Random(strategy.spot_check_seed)
-            for symmetry_class in classes:
-                if len(symmetry_class) > 1:
-                    symmetry_class.spot_member = rng.choice(symmetry_class.members[1:])
         if store is not None:
             # A class is reusable iff its representative's fingerprints
             # are: class membership is keyed on term-identical canonical

@@ -75,8 +75,7 @@ class Modular(Strategy):
 
     ``symmetry`` selects the symmetry reduction mode (one of
     :data:`~repro.core.symmetry.SYMMETRY_MODES`); ``parallel`` the
-    worker-process count; ``spot_check_seed`` seeds the deterministic choice
-    of re-verified class members in ``spot-check`` mode; ``delay`` is the
+    worker-process count; ``delay`` is the
     §4 bounded delay :func:`repro.core.check_class` builds conditions under.
     Every run discharges all three condition kinds of each node on one
     incremental SMT solver — the session's, if one was supplied, otherwise
@@ -101,7 +100,6 @@ class Modular(Strategy):
     symmetry: str = "off"
     parallel: int = 1
     stop_on_failure: bool = False
-    spot_check_seed: int = 0
     delay: int = 0
     #: Delta re-verification mode (:data:`DELTA_MODES`).  With ``"reuse"``
     #: the session loads the fingerprint store before the run, emits cached

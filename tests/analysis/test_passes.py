@@ -7,13 +7,14 @@ from repro.analysis.distance import DistancePass, earliest_route_demand, origin_
 from repro.analysis.sortcheck import check_term_sorts, term_path
 from repro.analysis.vacuity import conjuncts, propagate, unit_assignments
 from repro.config import analyze, parse_config
+from repro.networks import registry
 from repro.routing import path_topology, shortest_path_network
 from repro.smt.sorts import BOOL, BitVecSort
 from repro.smt.terms import FALSE, OP_AND, OP_BVCONST, OP_ITE, OP_NOT, TRUE, make_term
 from repro.symbolic import SymBV, SymBool
 
 
-def reach(interfaces=None, properties=None, symmetry_key=None):
+def reach(interfaces=None, properties=None):
     """A 3-node path annotated for reachability, with optional overrides."""
     topology = path_topology(3)
     network = shortest_path_network(topology, "n0")
@@ -27,7 +28,7 @@ def reach(interfaces=None, properties=None, symmetry_key=None):
             node: core.finally_(2, core.globally(lambda r: r.is_some))
             for node in topology.nodes
         }
-    return core.AnnotatedNetwork(network, interfaces, properties, symmetry_key=symmetry_key)
+    return core.AnnotatedNetwork(network, interfaces, properties)
 
 
 class TestSortChecker:
@@ -201,36 +202,13 @@ class TestDistancePass:
         assert report.clean
 
 
-class TestCoveragePass:
-    def test_inconsistent_symmetry_class_is_tp008(self):
-        annotated = reach(symmetry_key=lambda node: "tail" if node != "n0" else None)
-        # n1 and n2 share a hint key but carry different witness times.
-        report = lint_network(annotated)
-        [finding] = report.by_code("TP008")
-        assert finding.node == "n1"  # the representative
-        assert "'n2'" in finding.message
-
-    def test_consistent_symmetry_class_is_silent(self):
-        shared = core.finally_(2, core.globally(lambda r: r.is_some))
-        annotated = reach(
-            interfaces={"n0": core.globally(lambda r: r.is_some), "n1": shared, "n2": shared},
-            symmetry_key=lambda node: "tail" if node != "n0" else None,
-        )
-        # n2's interface is loose but identical to n1's: no TP008 (the
-        # inductive failure, if any, is the verifier's to find on the
-        # representative).
-        assert not lint_network(annotated).by_code("TP008")
-
-
 class TestLintTarget:
-    def test_deep_nodes_without_hint_is_every_node(self):
-        target = LintTarget(reach())
-        assert target.deep_nodes() == target.nodes
-
-    def test_deep_nodes_with_hint_keeps_representatives_and_unhinted(self):
-        annotated = reach(symmetry_key=lambda node: "tail" if node != "n0" else None)
-        target = LintTarget(annotated)
-        assert target.deep_nodes() == ("n0", "n1")
+    def test_every_node_conditions_are_inspected(self):
+        annotated = registry.build("fattree/reach", pods=4).annotated
+        lint_network(annotated)
+        # No representative subset: the deep passes built every node's
+        # conditions (memoised per network, so a second target sees them).
+        assert set(LintTarget(annotated).memo("conditions")) == set(annotated.nodes)
 
     def test_interface_values_fold_constants_only(self):
         annotated = reach(

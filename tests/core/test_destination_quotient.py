@@ -1,34 +1,31 @@
 """Regression tests for the destination-permutation symmetry quotient.
 
 All-pairs benchmarks bake per-node ``dest == k`` constants into every
-interface, so no two nodes are term-identical and the hash-only partition
-degenerates to near-singletons.  The destination quotient abstracts those
-constants into permutation slots and collapses the partition to a handful of
-role classes.  These tests pin:
+interface, so no two nodes are term-identical and the answer memo finds
+little to share.  The destination quotient abstracts those constants into
+permutation slots and collapses the partition to a handful of role classes.
+These tests pin:
 
-* the permutation algebra (witness slots map across, the rest ascending);
-* counterexample re-concretization (:func:`reindex_destination`);
-* the partition itself (coarser than hash-only for every k=4 all-pairs
-  policy, ≤ 25% of it for Reach; canonical conditions term-identical across
-  class members);
+* the partition itself (fewer classes than distinct raw condition sets for
+  every k=4 all-pairs policy, ≤ 25% of them for Reach; canonical conditions
+  term-identical across class members; singletons without the marker);
 * the headline soundness claim — verdicts are byte-identical to
   ``symmetry="off"``, on both passing and failing networks (the latter
-  exercises the raw re-check + counterexample translation path);
+  exercises the per-member raw re-check of a failing class, whose
+  counterexamples are each member's own);
+* the guard: a member whose own verdicts differ from its class's raises;
 * fingerprint stability across class members, the property that lets delta
   reuse compose with the quotient.
 """
 
 import pytest
 
+from repro.core import checker
 from repro.core.annotations import AnnotatedNetwork
-from repro.core.conditions import canonical_node_conditions
-from repro.core.counterexample import Counterexample, reindex_destination
+from repro.core.conditions import canonical_node_conditions, node_conditions
 from repro.core.fingerprint import node_condition_fingerprints
-from repro.core.symmetry import (
-    DestinationQuotient,
-    destination_permutation,
-    partition_nodes,
-)
+from repro.core.results import condition_verdicts
+from repro.core.symmetry import partition_nodes
 from repro.core.temporal import globally
 from repro.errors import VerificationError
 from repro.networks import registry
@@ -49,8 +46,7 @@ def _verdicts(report):
 
 
 def _without_marker(annotated):
-    """A copy of ``annotated`` with the DestinationSymmetry marker stripped,
-    forcing the generic hash-only partition."""
+    """A copy of ``annotated`` with the DestinationSymmetry marker stripped."""
     return AnnotatedNetwork(
         annotated.network,
         {name: annotated.interface(name) for name in annotated.nodes},
@@ -59,71 +55,62 @@ def _without_marker(annotated):
     )
 
 
-class TestPermutationAlgebra:
-    def test_witness_slots_map_across_and_rest_ascending(self):
-        mapping = destination_permutation((2, 0), (3, 1), 4)
-        # Slot constants map slot-to-slot; the unmatched indices {1, 3} and
-        # {0, 2} pair up in ascending order.
-        assert mapping == {2: 3, 0: 1, 1: 0, 3: 2}
-
-    def test_identity_when_witnesses_agree(self):
-        assert destination_permutation((1, 3), (1, 3), 4) == {i: i for i in range(4)}
-
-    def test_mismatched_witness_lengths_are_rejected(self):
-        with pytest.raises(VerificationError, match="witnesses disagree"):
-            destination_permutation((0,), (1, 2), 4)
-
-    def test_quotient_permutation_uses_member_witnesses(self):
-        quotient = DestinationQuotient(
-            variable="dest", size=4, witnesses={"a": (0,), "b": (2,)}
-        )
-        mapping = quotient.permutation("a", "b")
-        assert mapping[0] == 2
-        assert sorted(mapping) == [0, 1, 2, 3]
-        assert sorted(mapping.values()) == [0, 1, 2, 3]
+def _poisoned(ap_bench):
+    """``ap_bench`` with one edge node's interface made unsatisfiable, *keeping*
+    the quotient marker: that node's class fails, and so does a class of
+    several members downstream of it."""
+    annotated = ap_bench.annotated
+    interfaces = {name: annotated.interface(name) for name in annotated.nodes}
+    interfaces[ap_bench.fattree.edge_nodes[1]] = globally(lambda r: r.is_none)
+    return AnnotatedNetwork(
+        annotated.network,
+        interfaces,
+        {name: annotated.node_property(name) for name in annotated.nodes},
+        minimum_time_width=annotated.minimum_time_width,
+        destination_symmetry=annotated.destination_symmetry,
+    )
 
 
-class TestReindexDestination:
-    def _example(self, symbolics):
-        return Counterexample(node="x", condition="inductive", time=1, symbolics=symbolics)
-
-    def test_maps_destination_through_permutation(self):
-        example = self._example({"dest": 1, "other": 5})
-        translated = reindex_destination(example, "dest", {1: 3, 3: 1})
-        assert translated.symbolics == {"dest": 3, "other": 5}
-        assert translated.node == "x" and translated.condition == "inductive"
-
-    def test_missing_or_non_integer_values_pass_through(self):
-        untouched = self._example({"other": 5})
-        assert reindex_destination(untouched, "dest", {0: 1}) is untouched
-        symbolic = self._example({"dest": "unconstrained"})
-        assert reindex_destination(symbolic, "dest", {0: 1}) is symbolic
-
-    def test_value_outside_mapping_passes_through(self):
-        example = self._example({"dest": 7})
-        assert reindex_destination(example, "dest", {0: 1}) is example
+def _failures(report):
+    return [
+        (node, result.condition, result.holds)
+        for node, node_report in report.node_reports.items()
+        for result in node_report.results
+        if not result.holds
+    ]
 
 
 class TestQuotientPartition:
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_partition_is_much_coarser_than_hash_only(self, policy):
+    def test_partition_is_much_coarser_than_the_raw_queries(self, policy):
         annotated = registry.build(f"fattree/{policy}", pods=4, all_pairs=True).annotated
         quotient_classes = partition_nodes(annotated, annotated.nodes)
-        hash_classes = partition_nodes(_without_marker(annotated), annotated.nodes)
-        # At k=4 every all-pairs policy quotients to fewer classes than the
-        # hash-only partition (3 vs 13 for Reach, Len and Vf, 4 vs 14 for
-        # Hijack); for Reach the quotient needs at most 25% of them.
-        assert len(quotient_classes) < len(hash_classes)
+        # What the answer memo alone would share: nodes whose raw conditions
+        # are term-identical.
+        raw_queries = {
+            tuple(
+                (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
+                for vc in node_conditions(annotated, node)
+            )
+            for node in annotated.nodes
+        }
+        # At k=4 every all-pairs policy quotients to fewer classes than it
+        # has distinct raw condition sets (3 vs 13 for Reach, Len and Vf,
+        # 4 vs 14 for Hijack); for Reach the quotient needs at most 25% of them.
+        assert len(quotient_classes) < len(raw_queries)
         if policy == "reach":
-            assert 4 * len(quotient_classes) <= len(hash_classes)
-        # Every class carries its quotient (all nodes are eligible) and a
-        # witness per member.
-        for cls in quotient_classes:
-            assert cls.destination is not None
-            assert set(cls.destination.witnesses) == set(cls.members)
+            assert 4 * len(quotient_classes) <= len(raw_queries)
+        # Every class was formed through the quotient (all nodes are eligible).
+        assert all(cls.destination for cls in quotient_classes)
         # Same node coverage, deterministic member order.
         covered = [member for cls in quotient_classes for member in cls.members]
         assert sorted(covered) == sorted(annotated.nodes)
+
+    def test_without_the_marker_every_node_is_its_own_class(self, ap_bench):
+        annotated = _without_marker(ap_bench.annotated)
+        classes = partition_nodes(annotated, annotated.nodes)
+        assert [cls.members for cls in classes] == [(node,) for node in annotated.nodes]
+        assert not any(cls.destination or cls.conditions for cls in classes)
 
     def test_class_members_share_canonical_conditions_and_fingerprints(self, ap_bench):
         annotated = ap_bench.annotated
@@ -171,44 +158,58 @@ class TestQuotientVerdicts:
             for result in report.results
         } == {None}
 
-    def test_failing_ap_translates_counterexamples_through_permutation(self, ap_bench):
-        annotated = ap_bench.annotated
-        marker = annotated.destination_symmetry
-        # Poison one edge node's interface *keeping* the quotient marker: the
-        # canonical representative instance now fails, forcing the checker's
-        # raw re-check for a genuine counterexample, and members re-concretize
-        # it through their slot permutations.
-        poisoned = ap_bench.fattree.edge_nodes[1]
-        interfaces = {name: annotated.interface(name) for name in annotated.nodes}
-        interfaces[poisoned] = globally(lambda r: r.is_none)
-        injected = AnnotatedNetwork(
-            annotated.network,
-            interfaces,
-            {name: annotated.node_property(name) for name in annotated.nodes},
-            minimum_time_width=annotated.minimum_time_width,
-            destination_symmetry=marker,
-        )
+    def test_failing_class_members_report_their_own_counterexamples(self, ap_bench):
+        injected = _poisoned(ap_bench)
+        marker = injected.destination_symmetry
         off = verify(injected, Modular(symmetry="off"))
         classes = verify(injected, Modular(symmetry="classes"))
         assert not off.passed and not classes.passed
-        # The headline soundness claim on a failing network: byte-identical
-        # verdicts and identical failing node sets.
-        assert _verdicts(off) == _verdicts(classes)
-        assert off.failed_nodes == classes.failed_nodes
-        # At least one failure was propagated (not discharged) — the
-        # translation path ran — and every propagated counterexample names
-        # its own node with an in-range concrete destination.
-        propagated = [
+        # The failing (node, condition, holds) triples are those of ``off``.
+        assert _failures(classes) == _failures(off)
+        assert condition_verdicts(classes) == condition_verdicts(off)
+        # A failing class propagates nothing: each failing member discharged
+        # its own raw conditions, and its counterexample is its own model.
+        topology = injected.network.topology
+        failing = [
             result
             for report in classes.node_reports.values()
             for result in report.results
-            if not result.holds and result.propagated_from is not None
+            if not result.holds
         ]
-        assert propagated
-        for result in propagated:
+        assert len({result.node for result in failing}) > 1
+        for result in failing:
+            assert result.propagated_from is None
             assert result.quotient == "destination"
             example = result.counterexample
             assert example is not None and example.node == result.node
-            destination = example.symbolics.get(marker.variable)
-            if isinstance(destination, int):
-                assert 0 <= destination < marker.size
+            if result.condition == "inductive":
+                assert sorted(example.neighbor_routes) == sorted(
+                    topology.predecessors(result.node)
+                )
+            assert 0 <= example.symbolics[marker.variable] < marker.size
+        # Some failing class has several members (one class, several
+        # discharges of their own).
+        classes_by_node = {
+            member: cls for cls in partition_nodes(injected, injected.nodes) for member in cls.members
+        }
+        assert any(len(classes_by_node[result.node]) > 1 for result in failing)
+
+    def test_a_member_whose_own_verdicts_differ_from_its_class_raises(self, ap_bench, monkeypatch):
+        injected = _poisoned(ap_bench)
+        shared = [
+            cls
+            for cls in partition_nodes(injected, injected.nodes)
+            if len(cls) > 1 and not checker.check_class(injected, cls)[0].passed
+        ]
+        assert shared
+        member = shared[0].members[-1]
+        holding = node_conditions(_without_marker(ap_bench.annotated), member)
+        original = checker.node_conditions
+
+        def member_holds(annotated, node, delay=0):
+            # The member's raw conditions now hold, against its class's failure.
+            return holding if node == member else original(annotated, node, delay=delay)
+
+        monkeypatch.setattr(checker, "node_conditions", member_holds)
+        with pytest.raises(VerificationError, match=repr(member)):
+            verify(injected, Modular(symmetry="classes"))

@@ -22,7 +22,6 @@ from repro.core.fingerprint import (
     node_dependency_fingerprint,
     strategy_signature,
 )
-from repro.core.symmetry import partition_nodes
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 
@@ -99,11 +98,19 @@ class TestConditionFingerprints:
 
     def test_isomorphic_nodes_share_fingerprints(self, reach_annotated):
         """Positional route names erase node identity from the digest."""
-        classes = partition_nodes(reach_annotated, reach_annotated.nodes)
-        largest = max(classes, key=len)
+        # Nodes of one role pose term-identical conditions (one answer-memo
+        # entry); their fingerprints must agree too.
+        by_query: dict = {}
+        for node in reach_annotated.nodes:
+            key = tuple(
+                (vc.assumptions.term.term_id, vc.goal.term.term_id)
+                for vc in node_conditions(reach_annotated, node)
+            )
+            by_query.setdefault(key, []).append(node)
+        largest = max(by_query.values(), key=len)
         assert len(largest) > 1
-        reference = node_condition_fingerprints(reach_annotated, largest.representative)
-        for member in largest.members:
+        reference = node_condition_fingerprints(reach_annotated, largest[0])
+        for member in largest:
             assert node_condition_fingerprints(reach_annotated, member) == reference
 
 

@@ -3,11 +3,10 @@
 import pytest
 
 from repro import core
-from repro.errors import VerificationError
+from repro.core.symmetry import SYMMETRY_MODES
 from repro.networks import registry
 from repro.networks.benchmarks import POLICIES
-from repro.networks.fattree import Fattree, fattree_symmetry_key
-from repro.routing import build_running_example, path_topology, shortest_path_network
+from repro.routing import build_running_example
 from repro.smt.incremental import process_solver, reset_process_solver
 from repro.smt.sat.solver import CdclSolver
 from repro.verify import Modular, verify
@@ -20,7 +19,7 @@ def _fresh_process_solver():
     reset_process_solver()
 
 
-def _verdicts_for_modes(annotated, modes=("off", "classes", "spot-check"), **kwargs):
+def _verdicts_for_modes(annotated, modes=SYMMETRY_MODES, **kwargs):
     verdicts = {}
     reports = {}
     for mode in modes:
@@ -30,36 +29,20 @@ def _verdicts_for_modes(annotated, modes=("off", "classes", "spot-check"), **kwa
     return verdicts, reports
 
 
-class TestFattreeHints:
-    def test_symmetry_key_partitions_by_role_and_pod(self):
-        fattree = Fattree(4)
-        destination = fattree.default_destination()
-        key = fattree_symmetry_key(fattree, destination)
-        classes = {}
-        for node in fattree.nodes:
-            classes.setdefault(key(node), []).append(node)
-        # destination, same-pod edges, same-pod aggs, cores, other aggs, other edges
-        assert len(classes) == 6
-        assert classes[("fattree", "edge", True, True)] == [destination]
-        assert key("not-a-switch") is None
-        with pytest.raises(Exception):
-            fattree_symmetry_key(fattree, fattree.core_nodes[0])  # not an edge node
-
+class TestSingleDestinationFattrees:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_sp_benchmarks_agree_across_all_modes(self, policy):
         instance = registry.build(f"fattree/{policy}", pods=4).raw
-        assert instance.annotated.symmetry_key is not None
         verdicts, reports = _verdicts_for_modes(instance.annotated)
-        assert verdicts["off"] == verdicts["classes"] == verdicts["spot-check"]
+        assert verdicts["off"] == verdicts["classes"]
         assert reports["off"].passed
-        assert reports["classes"].conditions_discharged < reports["off"].conditions_discharged
-        # spot-check discharges one extra member per multi-member class
-        assert (
-            reports["classes"].conditions_discharged
-            < reports["spot-check"].conditions_discharged
-            <= reports["off"].conditions_discharged
-        )
-        assert reports["classes"].symmetry_classes <= 7
+        # No marker: ``classes`` is the singleton partition, and the answer
+        # memo, not a partition, answers each distinct query once.
+        assert reports["classes"].symmetry_classes == len(instance.annotated.nodes)
+        assert reports["classes"].conditions_propagated == 0
+        for report in reports.values():
+            answers = report.conditions_discharged - report.backend_cache["answer_hits"]
+            assert answers < report.conditions_checked / 2
 
     def test_report_metadata_and_summary(self, assert_scopes_follow_size):
         instance = registry.build("fattree/reach", pods=4).raw
@@ -73,7 +56,7 @@ class TestFattreeHints:
         assert off.backend_cache is not None
         assert "symmetry" not in off.summary()
 
-    def test_propagated_counterexamples_name_member_neighbours(self):
+    def test_counterexamples_name_their_own_neighbours(self):
         instance = registry.build("fattree/reach", pods=4).raw
         fattree, destination = instance.fattree, instance.destination
         # Too-tight witness times: structurally symmetric, and failing.
@@ -88,7 +71,6 @@ class TestFattreeHints:
             instance.annotated.network,
             interfaces,
             {node: core.always_true() for node in fattree.nodes},
-            symmetry_key=instance.annotated.symmetry_key,
         )
         off = verify(broken, Modular(symmetry="off"))
         reset_process_solver()
@@ -97,69 +79,22 @@ class TestFattreeHints:
         assert off.failed_nodes == classes.failed_nodes
         assert core.condition_verdicts(off) == core.condition_verdicts(classes)
         topology = broken.network.topology
-        propagated = 0
+        failures = 0
         for node, node_report in classes.node_reports.items():
             for result in node_report.results:
+                assert result.propagated_from is None
                 if result.counterexample is None:
                     continue
+                failures += 1
                 assert result.counterexample.node == node
                 for neighbor in result.counterexample.neighbor_routes:
                     assert neighbor in topology.predecessors(node)
-                propagated += result.propagated_from is not None
-        assert propagated > 0  # some failures were propagated, not re-discharged
-
-    def test_wrong_hint_rejected_by_in_degree_check(self):
-        topology = path_topology(3)
-        network = shortest_path_network(topology, "n0")
-        interfaces = {
-            node: core.finally_(index, core.globally(lambda r: r.is_some))
-            for index, node in enumerate(("n0", "n1", "n2"))
-        }
-        # n0 (in-degree 1) and n1 (in-degree 2) are plainly not isomorphic.
-        annotated = core.AnnotatedNetwork(
-            network, interfaces, {n: core.always_true() for n in topology.nodes},
-            symmetry_key=lambda node: "all-the-same",
-        )
-        with pytest.raises(VerificationError, match="in-degree"):
-            verify(annotated, Modular(symmetry="classes"))
-
-    def test_wrong_hint_caught_by_spot_check(self):
-        topology = path_topology(3)
-        network = shortest_path_network(topology, "n0")
-        # n0 originates a route (holds at t=0); n2 only hears one at t=2.
-        interfaces = {
-            node: core.globally(lambda r: r.is_some) for node in ("n0", "n1", "n2")
-        }
-        annotated = core.AnnotatedNetwork(
-            network, interfaces, {n: core.always_true() for n in topology.nodes},
-            # Same in-degree (1 each), but NOT isomorphic conditions: n0's
-            # interface holds, n2's does not.
-            symmetry_key=lambda node: "ends" if node in ("n0", "n2") else None,
-        )
-        with pytest.raises(VerificationError, match="spot-check"):
-            verify(annotated, Modular(symmetry="spot-check", spot_check_seed=0))
-        # classes mode silently propagates the (wrong) verdict — that is the
-        # documented trust model for hints; spot-check is the guard.
-
-    def test_spot_check_selection_is_deterministic(self):
-        instance = registry.build("fattree/reach", pods=4).raw
-        first = verify(instance.annotated, Modular(symmetry="spot-check", spot_check_seed=7))
-        reset_process_solver()
-        second = verify(instance.annotated, Modular(symmetry="spot-check", spot_check_seed=7))
-        picked_first = [
-            node
-            for node, report in first.node_reports.items()
-            if all(r.propagated_from is None for r in report.results)
-        ]
-        picked_second = [
-            node
-            for node, report in second.node_reports.items()
-            if all(r.propagated_from is None for r in report.results)
-        ]
-        assert picked_first == picked_second
+        # Isomorphic failures pose one query: the memo answered the repeats.
+        assert failures > 0
+        assert classes.backend_cache["answer_hits"] > 0
 
 
-class TestGenericCanonicalHash:
+class TestPartition:
     def test_running_example_agrees_with_off(self):
         example = build_running_example("symbolic")
         interfaces = {
@@ -170,17 +105,13 @@ class TestGenericCanonicalHash:
             "e": core.globally(lambda r: r.is_none | r.payload.tag),
         }
         annotated = core.annotate(example.network, interfaces)
-        assert annotated.symmetry_key is None
         verdicts, reports = _verdicts_for_modes(annotated)
-        assert verdicts["off"] == verdicts["classes"] == verdicts["spot-check"]
-
-    def test_all_pairs_fattree_uses_generic_path(self):
-        instance = registry.build("fattree/reach", pods=4, all_pairs=True).raw
-        assert instance.annotated.symmetry_key is None
-        verdicts, reports = _verdicts_for_modes(instance.annotated, modes=("off", "classes"))
         assert verdicts["off"] == verdicts["classes"]
-        # Per-node destination-index constants break most symmetry, but the
-        # checker must still degrade cleanly (singleton-heavy partition).
+
+    def test_all_pairs_fattree_agrees_with_off(self):
+        instance = registry.build("fattree/reach", pods=4, all_pairs=True).raw
+        verdicts, reports = _verdicts_for_modes(instance.annotated)
+        assert verdicts["off"] == verdicts["classes"]
         assert reports["classes"].symmetry_classes <= len(instance.annotated.nodes)
 
     def test_partition_is_deterministic_and_ordered(self):

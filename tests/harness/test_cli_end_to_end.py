@@ -2,7 +2,7 @@
 
 Each test drives ``timepiece-bench`` through :func:`repro.harness.cli.main`
 exactly as a shell would, asserting exit codes and printed table output for
-the strategy surface (``--symmetry off|classes|spot-check``, ``--delta``,
+the strategy surface (``--symmetry off|classes``, ``--jobs``, ``--delta``,
 ``--stats``, ``--progress``, ``--json``).
 """
 
@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.symmetry import SYMMETRY_MODES
 from repro.harness.cli import build_argument_parser, main
 from repro.smt.incremental import reset_process_solver
 from repro.verify import Modular, Monolithic
@@ -43,20 +44,41 @@ class TestParser:
             [
                 "figure14",
                 "--symmetry",
-                "spot-check",
-                "--spot-check-seed",
-                "9",
+                "classes",
                 "--jobs",
                 "2",
                 "--stop-on-failure",
             ]
         )
         assert _modular_strategy(arguments) == Modular(
-            symmetry="spot-check",
-            spot_check_seed=9,
+            symmetry="classes",
             parallel=2,
             stop_on_failure=True,
         )
+
+    def test_symmetry_choices_are_the_strategy_modes(self, monkeypatch):
+        import repro.harness.cli as cli
+
+        parser = build_argument_parser()
+        for mode in SYMMETRY_MODES:
+            assert parser.parse_args(["figure14", "--symmetry", mode]).symmetry == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["figure14", "--symmetry", "spot-check"])
+        # The choices are read from the tuple, not spelled out again.
+        monkeypatch.setattr(cli, "SYMMETRY_MODES", (*SYMMETRY_MODES, "probe"))
+        assert build_argument_parser().parse_args(["figure14", "--symmetry", "probe"])
+
+    def test_jobs_zero_is_sequential(self):
+        from repro.harness.cli import _modular_strategy
+
+        arguments = build_argument_parser().parse_args(["figure14", "--jobs", "0"])
+        assert _modular_strategy(arguments).parallel == 1
+
+    def test_negative_jobs_is_an_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_argument_parser().parse_args(["figure14", "--jobs", "-2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_argv_maps_onto_the_delta_options(self):
         from repro.harness.cli import _modular_strategy
@@ -144,7 +166,7 @@ class TestTableCommands:
 
 
 class TestSweepCommands:
-    @pytest.mark.parametrize("symmetry", ["off", "classes", "spot-check"])
+    @pytest.mark.parametrize("symmetry", SYMMETRY_MODES)
     def test_figure14_each_symmetry_mode(self, capsys, symmetry):
         code = main(
             [

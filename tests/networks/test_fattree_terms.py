@@ -25,22 +25,27 @@ from repro.verify import Modular, verify
 
 #: ``(policy, all_pairs, pods)`` -> digest.  Every condition now uses positional
 #: route names, so each equals the digest the sender-naming code produced with
-#: ``node_conditions(..., naming="class")``.
+#: ``node_conditions(..., naming="class")``.  The four ``Sp`` pods=4 digests
+#: were re-recorded when the fattree role hint went: against the parent, only
+#: ``"partition"`` moved in each record, from the hint's role classes to
+#: singletons (at pods=2 every role class was already a singleton, so those
+#: four digests held); the eight ``Ap`` digests held, with witnesses now read
+#: from ``canonical_node_conditions``.
 GOLDEN = {
     ("reach", False, 2): "6b8b0bd3c19c3c8f45a5ac0f981e50f2f5b4a3e2fcb895ce7bb7c9f27dc3236e",
-    ("reach", False, 4): "ce8c3aa5b16e72f370aa374029966c0eed9abc847bd5529554dba836f1c15ac0",
+    ("reach", False, 4): "3445e6d55f307f5504dd6b893b49d3425f0ec4dfd843890b412a9e28f1286027",
     ("reach", True, 2): "5a10b7a4fd399f3cef2b7ab9531660b7e5160314eb0696eb89025ef1add79ccf",
     ("reach", True, 4): "978fe99a96c93d5f07dcac07218fc36f37a2018387f6142bb3600b35fa9dc408",
     ("length", False, 2): "a4c8b8dd49ed16ddcea64b7423501df244661c0b9c67c111858ffcff19950954",
-    ("length", False, 4): "7e82a81df2d05d102b6ea19c9793551ac32c57c9d5160e7929526a09fad4da35",
+    ("length", False, 4): "df8d25175cb1c3aa0eeadc43956acf8d150e95d7172bec8e718f396db73e8e9d",
     ("length", True, 2): "df5834cb9ffc181fcfff3078cdf05d128887c34f5e831dfcb927e94e90a8bd14",
     ("length", True, 4): "2e36560c7ae8e44cdfd8d376eb6030c1f5a0272fa5247131978dc642736038f2",
     ("valley_freedom", False, 2): "5caee0924c996bc226483908c94d2cc3e2b6ac65ca8eebecefb6a8c417ac63ac",
-    ("valley_freedom", False, 4): "b80db5d24b3554c0bda8c7a98a7a998dbbdb62e1fe498477726864b04732b192",
+    ("valley_freedom", False, 4): "d182d693db897b061ca92b37ee7232c593092f7b38676d111edd35a87d4095f4",
     ("valley_freedom", True, 2): "4ed83c3d7427628b44dc03047ec2abbc7f1fa1b41159aa402a7339459625517d",
     ("valley_freedom", True, 4): "16da90e6b65bac373a84b074a0f7db6cdc79a58da5e2d64ac993a83b7133c0fd",
     ("hijack", False, 2): "91fbab318dbe011a3598cc1b882fe52d0a7262cba1db58b9b4dada4edb4fe050",
-    ("hijack", False, 4): "fc6da47692ea00087e2d80e518517aab7127292be59c1318ed326c1907784d87",
+    ("hijack", False, 4): "b39b2aafbf168772d6d02cd580351000c597f502bc220844a95236635b894a24",
     ("hijack", True, 2): "d4c4df6c3e68f37152ba8fc0ae915b10f91d9d479f7ef6b9e3ceb60c2b24369d",
     ("hijack", True, 4): "3921a9da6c2ea5f1d6a27e28954249da6938e4982d3898e37cab851d5bc69969",
 }
@@ -51,7 +56,7 @@ WORKERS = 4
 
 def term_digest(policy, all_pairs, pods):
     """The digest of one build; executed in the subprocess (see ``__main__``)."""
-    from repro.core.conditions import node_conditions
+    from repro.core.conditions import canonical_node_conditions, node_conditions
     from repro.core.fingerprint import (
         condition_fingerprint,
         dependency_fingerprints,
@@ -76,7 +81,12 @@ def term_digest(policy, all_pairs, pods):
         "partition": [
             [
                 list(cls.members),
-                None if cls.destination is None else sorted(cls.destination.witnesses.items()),
+                sorted(
+                    (member, canonical_node_conditions(annotated, member)[1])
+                    for member in cls.members
+                )
+                if cls.destination
+                else None,
             ]
             for cls in partition_nodes(annotated, nodes)
         ],

@@ -7,8 +7,11 @@ enough to rotate mid-run), must agree with the reference
 (``reference_report`` in ``tests/conftest.py``: ``check_node`` on a fresh SAT
 instance per condition, outside the engine) on verdicts, node order and
 counterexample validity — on every registry network at its smallest size
-(every all-pairs variant too), on failure-injected networks, and on one-node
-edits placed off a symmetry-class representative.  The golden digests additionally pin the
+(every all-pairs variant too), on each of them with its first node's interface
+made unsatisfiable (the all-pairs copies keep their quotient marker, so a
+class of several members fails and each member re-discharges its own
+conditions), on two failing paths, and on one-node edits placed off the first
+node of a role.  The golden digests additionally pin the
 full timing-free report JSON of the sequential modes to what the pre-merge
 engine (four loops, two work-item types) produced.
 """
@@ -24,6 +27,7 @@ import pytest
 
 from repro import core
 from repro.analysis.mutations import lower_witness_time, make_interface_vacuous
+from repro.core.annotations import AnnotatedNetwork
 from repro.core.results import condition_verdicts
 from repro.core.symmetry import SYMMETRY_MODES
 from repro.networks import registry
@@ -45,9 +49,9 @@ def _registry_case(name, **extra):
 
 
 def _symmetric_failing_path():
-    # The two ends promise a route one step too early, so the class (n0, n4)
-    # fails its inductive condition: a propagated failure whose
-    # counterexample is translated from n0's neighbour to n4's.
+    # The two ends promise a route one step too early, so both fail their
+    # inductive condition with one query: the second is a memoised answer,
+    # whose counterexample names the second end's own neighbour.
     topology = path_topology(5)
     has_route = core.globally(lambda r: r.is_some)
     interfaces = {node: core.finally_(1, has_route) for node in topology.nodes}
@@ -55,19 +59,61 @@ def _symmetric_failing_path():
     return core.annotate(shortest_path_network(topology, "n2"), interfaces)
 
 
+def _injected_failure(name):
+    # The poisoned node is the middle of the subset selection (rounded to its
+    # start), so both selections hold a failure and a run stopped by it has
+    # answered enough queries to rotate the small scope of the rotating solver.
+    def build():
+        annotated = registry.build(name, **SMALLEST[name.split("/")[0]]).annotated
+        selected = SELECTIONS["subset"](annotated)
+        return inject_interface_failure(annotated, selected[(len(selected) - 1) // 2])[0]
+
+    return build
+
+
+def _quotient_failure(policy):
+    # ``inject_interface_failure`` drops the quotient marker; this copy keeps
+    # it.  With ``core-0`` unsatisfiable, the class of both aggregation
+    # switches fails, and each member re-discharges its own raw conditions.
+    def build():
+        annotated = _registry_case(f"fattree/{policy}", all_pairs=True)()
+        interfaces = {node: annotated.interface(node) for node in annotated.nodes}
+        interfaces[annotated.nodes[0]] = core.globally(lambda r: r.is_none)
+        return AnnotatedNetwork(
+            annotated.network,
+            interfaces,
+            {node: annotated.node_property(node) for node in annotated.nodes},
+            minimum_time_width=annotated.minimum_time_width,
+            destination_symmetry=annotated.destination_symmetry,
+        )
+
+    return build
+
+
 #: name -> builder of the annotated network (``None``: the shared
 #: ``one_failing_node_annotated`` conftest factory).
-NETWORKS = {
+PASSING_NETWORKS = {
     **{name: _registry_case(name) for name in registry.benchmark_names()},
     **{
         f"fattree/{policy}[all_pairs]": _registry_case(f"fattree/{policy}", all_pairs=True)
         for policy in POLICIES
     },
+}
+FAILING_NETWORKS = {
+    # ``ghost/no_transit`` has three nodes: either one of its subset's two is
+    # the first a selection checks, and a run stopped there never rotates.
+    **{
+        f"{name}[failure]": _injected_failure(name)
+        for name in registry.benchmark_names()
+        if name != "ghost/no_transit"
+    },
+    **{f"fattree/{policy}[all_pairs,failure]": _quotient_failure(policy) for policy in POLICIES},
     "path[symmetric_failure]": _symmetric_failing_path,
     "path[one_failing_node]": None,
 }
+NETWORKS = {**PASSING_NETWORKS, **FAILING_NETWORKS}
 #: Runs that contain failing conditions (``stop_on_failure`` then cuts them short).
-FAILING = ("path[symmetric_failure]", "path[one_failing_node]")
+FAILING = tuple(FAILING_NETWORKS)
 
 #: How a run picks its nodes: every node in network order, or every other
 #: node in reverse order (a proper subset whose selection order differs from
@@ -195,11 +241,10 @@ EDITS = {
 @pytest.mark.parametrize("node", [None, "core-1"], ids=["default", "core-1"])
 @pytest.mark.parametrize("edit", EDITS)
 def test_an_edited_node_is_checked_whatever_its_role_class(edit, node, symmetry, reference_report):
-    """An edit outside a class representative (``core-1``) must still fail.
+    """An edit outside the first node of its role (``core-1``) must still fail.
 
-    The fattree role hint describes the builder's annotations; were it kept
-    on the copy, the edited node would be filed under its role class and its
-    own conditions never built.
+    No partition is trusted: the edited node poses its own queries, which no
+    answer for an unedited node of its role can serve.
     """
     edited = EDITS[edit](registry.build("fattree/reach", pods=4).annotated, node)
     reference = reference_report(edited)
@@ -237,19 +282,22 @@ def test_an_edited_node_is_checked_whatever_its_role_class(edit, node, symmetry,
 #: ``guard_hits`` and, except for the two quotiented all-pairs modes, fewer
 #: ``branch_variables`` / ``scope_variables``, because a repeated query no
 #: longer re-activates its guards or searches).
+#: The four ``"spot-check"`` digests went with that mode.  The ``"classes"``
+#: digests of ``fattree/reach`` and ``wan/reach`` were re-recorded when the
+#: trusted role hint and the canonical-hash partition went: each new JSON is
+#: that network's ``"off"`` JSON apart from ``symmetry`` and
+#: ``symmetry_classes`` (``backend_cache`` included: the singleton partition
+#: poses the queries ``off`` does).  ``ghost/reach`` already partitioned into
+#: singletons, and the all-pairs quotient is untouched; both digests held.
 GOLDEN = {
     ("fattree/reach", "off"): "2f5e0f7cf8a0a2b726b7d87852f74dd521cdb2054a7d0867436c68ae5b0b3eda",
-    ("fattree/reach", "classes"): "f8df15609bd52679a2bf1922015e6514921964cf8a7b0372115f9448fea97fde",
-    ("fattree/reach", "spot-check"): "ae419a58edfedbe074ce01076bc5b2f6b9c1e2dadc0f791987ea3aed4851b268",
+    ("fattree/reach", "classes"): "d8548562b97dd2e62c2270e68d6894f516487b8e975949f520ee045650468c4b",
     ("fattree/reach[all_pairs]", "off"): "767092362d458878ed583b1c7b62e73c88b75858ccd86c164862d960699d6f03",
     ("fattree/reach[all_pairs]", "classes"): "881d05665a6d11259ba9df13b1e950db977c40b3d372c384e2090e0030b7ac2b",
-    ("fattree/reach[all_pairs]", "spot-check"): "0d40e1bc134efa9f2dcfbf2d6fb16c1e8e9d37988022d831f0a0daf0b1b2e134",
     ("wan/reach", "off"): "5608fefbd9e97b588b357438abb431749bc4853d08cc5621449b87a5d4a0b80e",
-    ("wan/reach", "classes"): "6b455dcae3f037ce66b7120b2564e7ca3960510c3e10c784a0917f11a8e1f312",
-    ("wan/reach", "spot-check"): "aa6a33c8116916d7723c7afda7988ec447bb0a3484fe43cd001cada917cf140d",
+    ("wan/reach", "classes"): "c4e81bbe8052262101eb779893d08e3d51f259cf10bb8f26fe07445c74e93caa",
     ("ghost/reach", "off"): "d6a4bcfb3109fab8794d9c90c66cf011ae54da56084055ead04ae0804074d961",
     ("ghost/reach", "classes"): "d10398955408fa4487791058d93254b612e40986ce297a7522bb26185dea07e0",
-    ("ghost/reach", "spot-check"): "bbfe78e7064179a2641bbe480b94c72e65691bf10ae561da94a53fb8d15a6b1a",
 }
 
 GOLDEN_NETWORKS = {

@@ -51,7 +51,8 @@ class TestByteIdenticalVerdicts:
             modern = session.run()
         assert condition_verdicts(reference) == condition_verdicts(modern)
         assert reference.passed and modern.passed
-        assert reference.symmetry_classes is None and modern.symmetry_classes == 6
+        # No destination marker: every node is its own class.
+        assert reference.symmetry_classes is None and modern.symmetry_classes == 20
         assert tuple(modern.node_reports) == tuple(reference.node_reports)
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["process", "session"])
@@ -190,7 +191,7 @@ class TestStreaming:
                 session.report
 
     def test_symmetry_streams_propagated_events(self):
-        benchmark = registry.build("fattree/reach", pods=4)
+        benchmark = registry.build("fattree/reach", pods=4, all_pairs=True)
         with Session(benchmark.annotated, Modular(symmetry="classes")) as session:
             events = list(session.stream())
         propagated = [event for event in events if event.propagated_from is not None]
