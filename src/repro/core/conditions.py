@@ -44,7 +44,7 @@ fold of :meth:`~repro.routing.algebra.Network.updated_route`, and each
 annotation applied to a route at a time.  Each part is evaluated once per
 distinct key, so the isomorphic nodes of a fattree share one merge fold and
 one set of constraints however many of them there are.  Soundness rests on
-one assumption, the same one the delta store's fingerprints already make
+one assumption, the same one the fingerprint layer's memo makes
 (:mod:`repro.core.fingerprint`): annotations, transfer functions and merge
 functions are *pure term builders*, whose result is a function of the
 symbolic values they are given and nothing else.  A merge fold is keyed on
@@ -146,14 +146,12 @@ class NodePolicy:
     #: ``network.updated_route`` over ``neighbor_routes`` (shared by every node
     #: of the network with the same merge-fold key, see :func:`_merge_fold`).
     updated: Any
-    #: The fingerprint layer's digests of ``initial`` and ``updated``.
-    digests: dict[str, bytes] = field(default_factory=dict)
 
 
 #: ``Network`` → node → :class:`NodePolicy`.  A network's policy is fixed at
 #: construction (an edited policy is a new ``Network``), so each node's is
-#: evaluated once and shared by its conditions, its dependency fingerprint,
-#: the lint passes and every later run over the same network object.
+#: evaluated once and shared by its conditions, the lint passes and every
+#: later run over the same network object.
 _NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Annotation object → ``(id(route), time term_id)`` → ``(route, application)``.
@@ -166,8 +164,9 @@ _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 #: key alive, so no ``id`` can be reused while the entry lives.
 _MERGE_FOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: Hit counts of the memos above (``fingerprint_statistics`` reports them).
-_MEMO_HITS = {"node_policies": 0, "applications": 0, "merge_folds": 0}
+#: Hit counts of the memos above and of the fingerprint layer's memo
+#: (``fingerprint_statistics`` reports them).
+_MEMO_HITS = {"node_policies": 0, "applications": 0, "merge_folds": 0, "condition_fingerprints": 0}
 
 
 def _term_key(value: Any) -> Any:
@@ -551,15 +550,6 @@ class DestinationCanonicalizer:
         finally:
             sys.setrecursionlimit(limit)
         return dataclasses.replace(condition, assumptions=assumptions, goal=goal)
-
-    def rewrite_term(self, term: Term) -> Term:
-        """Canonicalize one bare term (the fingerprint layer's entry point)."""
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 20_000))
-        try:
-            return self._rewrite(term)
-        finally:
-            sys.setrecursionlimit(limit)
 
     # -- slot assignment ---------------------------------------------------------
 

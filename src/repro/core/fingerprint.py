@@ -1,9 +1,9 @@
-"""Stable content fingerprints for terms, conditions and node dependencies.
+"""Stable content fingerprints for terms and verification conditions.
 
 The delta re-verification layer (``Modular(delta="reuse")``) needs to decide,
-*before* discharging anything, which verification conditions are unchanged
-since an earlier run — possibly an earlier run in a different process.  This
-module computes the keys that decision is made on:
+*before* discharging anything, which verification conditions were already
+proved by an earlier run — possibly an earlier run in a different process.
+This module computes the keys that decision is made on:
 
 * :func:`fingerprint_term` — a structural SHA-256 digest of a term DAG.
   Hash-consing already gives every term a process-stable ``term_id`` (what
@@ -19,69 +19,41 @@ module computes the keys that decision is made on:
   digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions name
   their query variables by predecessor position, so the fingerprint erases
   node identity: isomorphic nodes share fingerprints, and a verdict cached
-  for one is a verdict for all of them.
+  for one is a verdict for all of them.  It is the delta store's only key:
+  the hash *is* the query, so a recorded pass can never describe a
+  different one.
 
-* :func:`node_dependency_fingerprint` — a per-node digest covering exactly
-  the inputs the node's three conditions are built from: the node's own
-  interface and property, its policy (initial route, route update over the
-  canonical neighbour routes, route well-formedness), its neighbours'
-  interfaces in predecessor order, the network's symbolic constraints, and
-  the time widths/delay.  A node whose dependency fingerprint is unchanged
-  has unchanged conditions, so invalidation after a config edit is decided
-  without rebuilding (or discharging) any condition.  Editing one node's
-  annotation invalidates that node and its successors — the nodes whose
-  inductive conditions assume the edited interface — i.e. an O(neighbourhood)
-  set, not O(n).
-
-Annotations and policies enter the dependency fingerprint *extensionally*:
-each predicate/transfer function is applied once to canonical query
-variables (the same ``vc$``-prefixed variables the condition builders use)
-and the resulting term is digested.  This assumes annotations are pure term
-builders — the same assumption the rest of the pipeline already makes, since
-conditions are rebuilt from the same callables on every run and compared by
-term identity in the symmetry layer.
-
-**Memoised parts, and why they cannot produce a stale pass.**  A dependency
-fingerprint is Merkle-shaped — shared header ‖ own-annotation parts ‖ policy
-parts ‖ one part per in-edge — and every part is read from the memos of
-:mod:`repro.core.conditions` (``node_policy``, ``apply_annotation``), the very
-objects the condition builders read.  A warm in-process run therefore
-evaluates only parts whose key *object* is new — O(edited nodes + their
-successors) — and stays sound because: (i) keys are live objects in weak-key
-maps (the ``Network``, the annotation, the route shape), and a route keyed by
-``id`` is held by its own entry, so no key can be recycled while an entry
-exists; (ii) no value references its key, so an entry dies with it; (iii) a
-value is a function of its key object and of query variables fixed by
-``(route_shape, position, width)``, under the pure-term-builder
-assumption above; (iv) every edit is a new key — a replaced interface is a
-new annotation object, an edited policy a new ``Network`` — and misses.
-Nothing is shared across processes: a closure has no identity cheaper than
-evaluating it, so a fresh process pays one evaluation per distinct policy
-part (see :mod:`repro.core.conditions`) and per annotation object.
+**The in-process memo.**  :func:`node_condition_fingerprints` is memoised
+per ``Network`` (weakly, like the condition parts of
+:mod:`repro.core.conditions`) on exactly what the condition builders read:
+the node, ``delay``, both time widths, the destination-symmetry marker, and
+the identities of the node's interface, its property and each predecessor's
+interface in predecessor order.  The policy is fixed by the ``Network`` the
+memo is weak on, and under the pure-term-builder assumption of
+:mod:`repro.core.conditions` equal keys build equal conditions.  Every object whose ``id`` is in a key is held by its
+entry, so no ``id`` can be reused while the entry lives, and an edit is a
+new interface object (or a new ``Network``) and misses.  A warm run after a
+one-node edit therefore builds only the edited node's and its successors'
+conditions.  Nothing is shared across processes: a fresh process builds each
+node's conditions once and digests them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import (
     CONDITION_KINDS,
-    DestinationCanonicalizer,
-    IneligibleDestination,
-    NodePolicy,
     VerificationCondition,
     _APPLICATIONS,
     _MEMO_HITS,
     _MERGE_FOLDS,
     _NODE_POLICIES,
     _QUERY_ROUTES,
-    _query_time,
-    apply_annotation,
     canonical_node_conditions,
-    destination_variable,
-    node_policy,
 )
 from repro.errors import VerificationError
 from repro.smt.sorts import BitVecSort, BoolSort, Sort
@@ -94,8 +66,7 @@ from repro.symbolic.values import SymEnum
 
 #: Bumped whenever the fingerprint encoding changes, so digests from older
 #: code versions can never collide with current ones.  ``fp2``: condition
-#: and dependency fingerprints are computed on the destination-canonicalized
-#: form when the network declares a
+#: fingerprints are computed on the destination-canonicalized form when the network declares a
 #: :class:`~repro.core.annotations.DestinationSymmetry`, so all-pairs nodes
 #: that differ only by destination-index permutation share fingerprints and
 #: delta reuse composes with the destination quotient.
@@ -110,6 +81,11 @@ _SEP = b"\x1f"
 #: for the lifetime of the process (the intern table never evicts), so the
 #: id is a stable cache key — but the cached *value* is purely structural.
 _TERM_DIGESTS: dict[int, str] = {}
+
+#: ``Network`` → memo key → ``(held, fingerprints)``: the memo of
+#: :func:`node_condition_fingerprints` (see the module docstring).  ``held``
+#: keeps every annotation whose ``id`` is in the key alive.
+_CONDITION_FINGERPRINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Commutative operators whose child digests are sorted before hashing.  The
 #: builder normalises ``eq`` arguments by interning order (``term_id``),
@@ -147,7 +123,7 @@ def _encode_payload(payload: Any) -> bytes:
 
 
 #: The condition kinds every node is checked for, as the digest part that
-#: names them in dependency fingerprints and the strategy signature.
+#: names them in the strategy signature.
 _KINDS_PART = _encode_payload(",".join(CONDITION_KINDS))
 
 
@@ -195,48 +171,35 @@ def fingerprint_term(term: Term) -> str:
     return _TERM_DIGESTS[term.term_id]
 
 
-def fingerprint_value(value: Any, rewrite: Any = None) -> str:
+def fingerprint_value(value: Any) -> str:
     """The structural digest of any symbolic value (or plain scalar).
 
     Dispatches over the six modelling kinds; composites digest their shape
     metadata (record type and field names, option-ness, set universe) along
     with their component terms, so two values digest equally iff they are
-    structurally the same symbolic value.  ``rewrite`` optionally maps each
-    component term before digesting (the dependency fingerprint passes the
-    destination canonicalizer here so all-pairs route payloads digest
-    permutation-stably).
+    structurally the same symbolic value.
     """
-    def term_digest(term: Term) -> bytes:
-        if rewrite is not None:
-            term = rewrite(term)
-        return fingerprint_term(term).encode("ascii")
-
     if isinstance(value, (SymBool, SymBV)):
-        return _digest((b"t", term_digest(value.term)))
+        return _digest((b"t", fingerprint_term(value.term).encode("ascii")))
     if isinstance(value, SymEnum):
         return _digest(
             (
                 b"enum",
                 _encode_payload(value.enum_type.name),
                 _encode_payload(",".join(value.enum_type.members)),
-                term_digest(value.index.term),
+                fingerprint_term(value.index.term).encode("ascii"),
             )
         )
     if isinstance(value, SymOption):
-        return _digest(
-            (
-                b"opt",
-                fingerprint_value(value.is_some, rewrite).encode("ascii"),
-                fingerprint_value(value.payload, rewrite).encode("ascii"),
-            )
-        )
+        parts = (value.is_some, value.payload)
+        return _digest((b"opt",) + tuple(fingerprint_value(part).encode("ascii") for part in parts))
     if isinstance(value, SymSet):
         return _digest(
             (b"set",)
             + tuple(
                 _encode_payload(name)
                 + _SEP
-                + fingerprint_value(value.contains(name), rewrite).encode("ascii")
+                + fingerprint_value(value.contains(name)).encode("ascii")
                 for name in value.universe
             )
         )
@@ -244,7 +207,7 @@ def fingerprint_value(value: Any, rewrite: Any = None) -> str:
         return _digest(
             (b"rec", _encode_payload(value.type_name))
             + tuple(
-                _encode_payload(name) + _SEP + fingerprint_value(field, rewrite).encode("ascii")
+                _encode_payload(name) + _SEP + fingerprint_value(field).encode("ascii")
                 for name, field in value
             )
         )
@@ -275,132 +238,40 @@ def node_condition_fingerprints(
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
-    Builds the node's conditions (cheap: terms are hash-consed and their
-    digests memoised) — destination-canonicalized when the network declares
-    a destination symmetry, so permuted all-pairs nodes share condition
-    fingerprints — and digests each kind.  These are the keys the delta
-    store's verdict map is indexed by.
-    """
-    node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
-    return {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
-
-
-def _shared_dependency_parts(annotated: AnnotatedNetwork, delay: int) -> tuple[bytes, ...]:
-    """The leading digest parts shared by every node's dependency fingerprint.
-
-    The time widths are annotation-*global* (they depend on the largest
-    witness time over all interfaces and properties), so an edit anywhere
-    that changes the width correctly invalidates every node.
+    Builds the node's conditions — destination-canonicalized when the
+    network declares a destination symmetry, so permuted all-pairs nodes
+    share condition fingerprints — and digests each kind.  These are the
+    keys of the delta store.  Memoised on what the builders read (module
+    docstring), so a repeated call over unchanged inputs builds nothing.
     """
     network = annotated.network
-    return (
-        FINGERPRINT_VERSION.encode("ascii"),
-        b"dep",
-        b"w%d" % annotated.time_width(),
-        b"wd%d" % annotated.time_width(delay),
-        b"d%d" % delay,
-        fingerprint_term(network.symbolic_constraints().term).encode("ascii"),
-        _encode_payload(",".join(symbolic.name for symbolic in network.symbolics)),
-        _KINDS_PART,
-    )
-
-
-def node_dependency_fingerprint(annotated: AnnotatedNetwork, node: str, delay: int = 0) -> str:
-    """The invalidation key of one node: everything its conditions depend on.
-
-    Covers, over the same canonical ``vc$`` query variables the condition
-    builders use: the node's interface and property, its initial route and
-    route update (the policy), the route-shape constraint, each
-    predecessor's interface in position order, the network's symbolic
-    constraints and the time widths.  Node identity is erased (positional
-    naming), so isomorphic nodes share dependency fingerprints — the same
-    equivalence the symmetry layer computes, obtained here without an extra
-    mechanism.  Under a declared destination symmetry the digested terms are
-    additionally destination-canonicalized (falling back to raw terms when
-    the destination is used outside the eligible shapes), so the dependency
-    equivalence matches the destination quotient too.
-    """
-    return _node_dependency_fingerprint(
-        annotated, node, delay, _shared_dependency_parts(annotated, delay)
-    )
-
-
-def _node_dependency_fingerprint(
-    annotated: AnnotatedNetwork, node: str, delay: int, shared_parts: tuple[bytes, ...]
-) -> str:
-    destination = destination_variable(annotated)
-    if destination is not None:
-        canonicalizer = DestinationCanonicalizer(
-            destination, annotated.destination_symmetry.size
-        )
-        try:
-            return _dependency_digest(
-                annotated, node, delay, shared_parts, canonicalizer.rewrite_term
-            )
-        except IneligibleDestination:
-            pass
-    return _dependency_digest(annotated, node, delay, shared_parts, None)
-
-
-def _dependency_digest(
-    annotated: AnnotatedNetwork,
-    node: str,
-    delay: int,
-    shared_parts: tuple[bytes, ...],
-    rewrite: Any,
-) -> str:
-    def term_digest(term: Term) -> bytes:
-        if rewrite is not None:
-            term = rewrite(term)
-        return fingerprint_term(term).encode("ascii")
-
-    width = annotated.time_width(delay)
-    time_variable = _query_time(width)
-    base_time = _query_time(annotated.time_width())
-    policy = node_policy(annotated.network, node)
-    own_route = policy.own_route
     interface = annotated.interface(node)
     node_property = annotated.node_property(node)
-
-    parts: list[bytes] = list(shared_parts)
-    # The node's own annotation, applied extensionally at both widths the
-    # conditions use (initial/safety run at the base width, inductive at the
-    # delay-extended width).
-    parts.append(term_digest(apply_annotation(interface, own_route, base_time).term))
-    parts.append(term_digest(apply_annotation(interface, own_route, time_variable).term))
-    parts.append(term_digest(apply_annotation(node_property, own_route, base_time).term))
-    # The policy: initial route, route well-formedness, and the route update
-    # over canonical per-position neighbour routes.
-    parts.append(_policy_part(policy, "initial", rewrite))
-    parts.append(term_digest(policy.own_shape.term))
-    # One part per in-edge: the neighbour's interface is what the inductive
-    # condition assumes; its *name* is deliberately not part of the digest
-    # (positional canonicalization, exactly as in the conditions themselves).
-    for neighbor, route in policy.neighbor_routes.items():
-        sent = apply_annotation(annotated.interface(neighbor), route, time_variable)
-        parts.append(term_digest(sent.term))
-    parts.append(_policy_part(policy, "updated", rewrite))
-    return _digest(parts)
-
-
-def _policy_part(policy: NodePolicy, name: str, rewrite: Any) -> bytes:
-    """The digest of ``policy.<name>``, memoised on the policy in unrewritten form."""
-    if rewrite is not None:
-        return fingerprint_value(getattr(policy, name), rewrite).encode("ascii")
-    if name not in policy.digests:
-        policy.digests[name] = fingerprint_value(getattr(policy, name)).encode("ascii")
-    return policy.digests[name]
+    sent = tuple(map(annotated.interface, network.topology.predecessors(node)))
+    widths = (annotated.time_width(), annotated.time_width(delay))
+    identities = (id(interface), id(node_property), tuple(map(id, sent)))
+    key = (node, delay, widths, annotated.destination_symmetry, identities)
+    memo = _CONDITION_FINGERPRINTS.setdefault(network, {})
+    cached = memo.get(key)
+    if cached is not None:
+        _MEMO_HITS["condition_fingerprints"] += 1
+        return dict(cached[1])
+    node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
+    fingerprints = {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
+    memo[key] = ((interface, node_property, sent), fingerprints)
+    return dict(fingerprints)
 
 
 def dependency_fingerprints(
     annotated: AnnotatedNetwork, nodes: Sequence[str], delay: int = 0
-) -> dict[str, str]:
-    """Dependency fingerprints for a node selection (one pass, shared terms)."""
-    shared_parts = _shared_dependency_parts(annotated, delay)
-    return {
-        node: _node_dependency_fingerprint(annotated, node, delay, shared_parts)
-        for node in nodes
-    }
+) -> dict[str, dict[str, str]]:
+    """:func:`node_condition_fingerprints` for a node selection, by node.
+
+    The name is older than the function: nodes once had a second,
+    dependency-based key.  It stays because the benchmark spine's tracer
+    (``benchmarks/spine/trace.py``) wraps this function by name.
+    """
+    return {node: node_condition_fingerprints(annotated, node, delay=delay) for node in nodes}
 
 
 def network_fingerprint(annotated: AnnotatedNetwork) -> str:
@@ -436,7 +307,8 @@ def strategy_signature(delay: int) -> str:
 
 def clear_fingerprint_cache() -> None:
     """Drop every process-local memo a fingerprint reads (for tests and benchmarks)."""
-    for memo in (_TERM_DIGESTS, _NODE_POLICIES, _MERGE_FOLDS, _APPLICATIONS, _QUERY_ROUTES):
+    _TERM_DIGESTS.clear()
+    for memo in (_CONDITION_FINGERPRINTS, _NODE_POLICIES, _MERGE_FOLDS, _APPLICATIONS, _QUERY_ROUTES):
         memo.clear()
     for name in _MEMO_HITS:
         _MEMO_HITS[name] = 0
@@ -445,14 +317,17 @@ def clear_fingerprint_cache() -> None:
 def fingerprint_statistics() -> Mapping[str, int]:
     """Sizes and hit counts of the process-local memos (observability hook).
 
-    A dependency fingerprint assembled without evaluating anything is one
-    policy hit and in-degree + 3 application hits; a replaced interface or a
-    new ``Network`` shows as new entries instead.  ``merge_folds`` counts the
-    distinct merge folds a network's policies were built from, and a
-    ``merge_fold_hits`` is a node whose fold another node already evaluated.
+    A node whose condition fingerprints come from the memo is one
+    ``condition_fingerprint_hits`` and builds nothing; a replaced interface
+    or a new ``Network`` shows as new entries instead.  ``merge_folds``
+    counts the distinct merge folds a network's policies were built from,
+    and a ``merge_fold_hits`` is a node whose fold another node already
+    evaluated.
     """
     return {
         "memoised_terms": len(_TERM_DIGESTS),
+        "condition_fingerprints": sum(len(entries) for entries in _CONDITION_FINGERPRINTS.values()),
+        "condition_fingerprint_hits": _MEMO_HITS["condition_fingerprints"],
         "query_routes": sum(len(routes) for routes in _QUERY_ROUTES.values()),
         "node_policies": sum(len(policies) for policies in _NODE_POLICIES.values()),
         "node_policy_hits": _MEMO_HITS["node_policies"],

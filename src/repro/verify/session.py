@@ -26,7 +26,6 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import CONDITION_KINDS
 from repro.core.fingerprint import (
-    dependency_fingerprints,
     network_fingerprint,
     node_condition_fingerprints,
     strategy_signature,
@@ -352,60 +351,26 @@ def _reused_report(node: str, propagated_from: str | None = None) -> NodeReport:
     return NodeReport(node=node, results=results, duration=0.0)
 
 
-def _store_reuses(
-    store: DeltaStore,
-    annotated: AnnotatedNetwork,
-    strategy: Modular,
-    node: str,
-    dependency: str,
-    fingerprints: dict[str, dict[str, str]],
-) -> bool:
-    """Whether the store can supply all of ``node``'s verdicts.
-
-    Fast path: the node's recorded dependency fingerprint matches, deciding
-    reuse without building any condition.  Slow path: the invalidation key
-    changed, but every condition's exact content hash is still recorded as
-    proved — a reverted config edit, or a node isomorphic to one proved under
-    another name — in which case the node entry is refreshed so the next run
-    takes the fast path again.  A slow-path hit is reuse at its
-    soundest: the content hash *is* the query.  The slow path leaves the
-    node's condition fingerprints in ``fingerprints`` for ``_record_delta_run``.
-    """
-    if store.reusable(node, dependency):
-        return True
-    fingerprints[node] = node_condition_fingerprints(annotated, node, delay=strategy.delay)
-    if store.has_conditions(fingerprints[node]):
-        store.record(node, dependency, fingerprints[node])
-        return True
-    return False
-
-
 def _record_delta_run(
     store: DeltaStore,
-    annotated: AnnotatedNetwork,
-    strategy: Modular,
     reports: Sequence[NodeReport],
-    dependencies: Mapping[str, str],
     fingerprints: Mapping[str, Mapping[str, str]],
 ) -> None:
-    """Record this run's fully-passing freshly-checked nodes into the store.
+    """Record the condition fingerprints of this run's fully-passing fresh nodes.
 
-    A node is recorded only when every kind received a passing verdict *this
-    run* (discharged, or propagated from its class representative):
-    fail-fast truncation, early stop and failures all leave the node
-    unrecorded, so a warm run can never reuse an unproved verdict.  Nodes
-    that were themselves reused keep their existing entries.
+    ``fingerprints`` maps each node to its class representative's condition
+    fingerprints, which a quotient member shares by construction.  A node is
+    recorded only when every kind received a passing verdict *this run*
+    (discharged, or propagated from its class representative): early stop
+    and failures leave the node unrecorded, so a warm run can never reuse an
+    unproved verdict.  Reused nodes are already recorded.
     """
     for report in reports:
         if any(result.reused for result in report.results):
             continue
         observed = {result.condition for result in report.results if result.holds}
-        if not report.passed or not all(kind in observed for kind in CONDITION_KINDS):
-            continue
-        recorded = fingerprints.get(report.node) or node_condition_fingerprints(
-            annotated, report.node, delay=strategy.delay
-        )
-        store.record(report.node, dependencies[report.node], recorded)
+        if report.passed and all(kind in observed for kind in CONDITION_KINDS):
+            store.record(fingerprints[report.node].values())
 
 
 def modular_events(
@@ -431,13 +396,15 @@ def modular_events(
     got no verdict (``conditions_skipped`` — never-scheduled nodes, plus
     in-flight batches discarded with the stopped pool).
 
-    With ``strategy.delta == "reuse"`` the engine first loads the fingerprint
-    store and computes every selected node's dependency fingerprint; classes
-    (keyed by their representative) whose fingerprints match recorded passing
-    verdicts are emitted up front as zero-cost ``reused`` events, and only
-    the changed remainder is scheduled.  On normal completion the store is
-    re-recorded with this run's fully-passing nodes and atomically saved;
-    an abandoned stream leaves the store file untouched.
+    With ``strategy.delta == "reuse"`` the engine first loads the store of
+    proved condition fingerprints; a class whose representative's three
+    condition fingerprints are all recorded is emitted up front as zero-cost
+    ``reused`` events, and only the remainder is scheduled.  The
+    fingerprints are memoised in-process on what the conditions are built
+    from, so a run after a one-node edit builds only the edited node's and
+    its successors' conditions.  On normal completion this run's
+    fully-passing nodes are recorded and the store is atomically saved; an
+    abandoned stream leaves the store file untouched.
     """
     annotated = session.annotated
     selected = _selected_nodes(annotated, nodes)
@@ -450,16 +417,12 @@ def modular_events(
     reading = solver.cache_statistics() if solver is not None else process_cache_statistics()
     cache_delta = subtract_cache_statistics(reading, reading)
 
-    store: DeltaStore | None = None
-    dependencies: dict[str, str] = {}
-    #: Condition fingerprints of the nodes the store's slow path looked at.
+    # Store load and fingerprinting are part of the run (inside the wall
+    # clock): the warm-run speedup reported by the benchmarks is net of the
+    # delta layer's own overhead.
+    store = _open_delta_store(session, strategy) if strategy.delta == "reuse" else None
+    #: Node → its class representative's condition fingerprints.
     fingerprints: dict[str, dict[str, str]] = {}
-    if strategy.delta == "reuse":
-        # Store load and fingerprinting are part of the run (inside the wall
-        # clock): the warm-run speedup reported by the benchmarks is net of
-        # the delta layer's own overhead.
-        store = _open_delta_store(session, strategy)
-        dependencies = dependency_fingerprints(annotated, selected, delay=strategy.delay)
 
     try:
         if strategy.symmetry == "off":
@@ -470,15 +433,14 @@ def modular_events(
         if store is not None:
             # A class is reusable iff its representative's fingerprints
             # are: class membership is keyed on term-identical canonical
-            # conditions, so the representative's dependency fingerprint
-            # *is* every member's.
+            # conditions, so the representative's fingerprints *are* every
+            # member's.
             recheck = []
             for symmetry_class in classes:
                 representative = symmetry_class.representative
-                if not _store_reuses(
-                    store, annotated, strategy, representative,
-                    dependencies[representative], fingerprints,
-                ):
+                kinds = node_condition_fingerprints(annotated, representative, delay=strategy.delay)
+                fingerprints.update(dict.fromkeys(symmetry_class.members, kinds))
+                if not store.has_conditions(kinds):
                     recheck.append(symmetry_class)
                     continue
                 for member in symmetry_class.members:
@@ -519,7 +481,7 @@ def modular_events(
     if store is not None:
         # Only on normal completion: an abandoned stream never reaches here,
         # so a half-observed run can't overwrite a good store.
-        _record_delta_run(store, annotated, strategy, reports, dependencies, fingerprints)
+        _record_delta_run(store, reports, fingerprints)
         store.save()
     checked_nodes = {report.node for report in reports}
     conditions_skipped = (

@@ -1,37 +1,27 @@
-"""The delta-verification store: fingerprints and verdicts between runs.
+"""The delta-verification store: proved condition fingerprints between runs.
 
 ``Modular(delta="reuse")`` makes :class:`repro.verify.Session` consult a
-small on-disk store before discharging anything: a node whose *dependency
-fingerprint* (see :mod:`repro.core.fingerprint`) is unchanged since the last
-recorded run gets its cached verdicts back as ``reused`` events, and only
-changed/new nodes are handed to the SMT backend.  This module owns that
-store's format and lifecycle.
+small on-disk store before discharging anything: a symmetry class whose
+representative's three condition fingerprints (content hashes of the
+canonicalized queries, see :mod:`repro.core.fingerprint`) are all recorded
+as proved gets its verdicts back as ``reused`` events, and only the rest is
+handed to the SMT backend.  This module owns that store's format and
+lifecycle.
 
 **Format.**  One JSON document per (network topology, strategy signature)
-pair, with two tables:
-
-* ``conditions`` — the fingerprint-keyed verdict map: canonical condition
-  content hash → verdict + metadata.  Only *passing* verdicts are recorded;
-  a failing condition is always re-discharged so its counterexample is fresh
-  and its verdict can never go stale.
-* ``nodes`` — the invalidation index: node name → dependency fingerprint +
-  its per-kind condition fingerprints.  Reuse requires the dependency
-  fingerprint to match *and* each of the three kinds to resolve to a passing
-  entry in ``conditions``.
-
-Because both fingerprints are computed from canonicalized (node-identity-
-erased) term structure, a stale entry can never produce a wrong verdict: any
-semantic change to the inputs of a node's conditions changes its dependency
-fingerprint, and an entry that no longer matches is simply not reused.
-Entries for nodes whose fingerprint changed are *kept* until the node next
-passes — if the operator reverts the config edit, the old entry matches
-again and is legitimately reusable.
+pair, holding one sorted list: ``proved``, the condition fingerprints an
+earlier run proved.  Only *passing* verdicts are recorded; a failing
+condition is always re-discharged so its counterexample is fresh and its
+verdict can never go stale.  A fingerprint *is* its query, so an entry
+cannot describe a different one: an edited node poses new queries, which
+miss, and a reverted edit poses the old ones, which hit again.
 
 **Robustness.**  Loading is fail-soft by design: a truncated/corrupt file, a
 format-version mismatch, a different network topology, a different strategy
-signature or a malformed node entry each degrade to an empty store (i.e. a
-full run) with a :class:`RuntimeWarning` naming the reason — never a crash,
-never a stale verdict.  Saving is atomic (write-to-temp + ``os.replace``) so a crashed or
+signature or a ``proved`` entry that is not a 64-digit lowercase hex
+fingerprint each degrade to an empty store (i.e. a full run) with a
+:class:`RuntimeWarning` naming the reason — never a crash, never a stale
+verdict.  Saving is atomic (write-to-temp + ``os.replace``) so a crashed or
 interrupted run cannot truncate a previously good store.
 """
 
@@ -39,19 +29,22 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.core.conditions import CONDITION_KINDS
 
 #: Format version; bump on any incompatible schema change.  Loaders treat a
 #: mismatch as "no store" (full run), never attempt migration in place.
-#: Version 2: fingerprints moved to the destination-canonicalized ``fp2``
-#: encoding (see :mod:`repro.core.fingerprint`), so ``fp1`` stores must not
-#: be reused against them.
-STORE_VERSION = 2
+#: Version 3: the store is the ``proved`` list alone; version 2's per-node
+#: dependency index and per-entry metadata are gone.
+STORE_VERSION = 3
+
+#: What one ``proved`` entry must look like: a SHA-256 hex digest.
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 #: Directory the session drops stores into when no explicit path is given.
 DEFAULT_STORE_DIR = ".timepiece-delta"
@@ -80,10 +73,8 @@ class DeltaStore:
     path: str
     network: str
     strategy: str
-    #: Canonical condition fingerprint → metadata.  Presence means "proved".
-    conditions: dict[str, dict] = field(default_factory=dict)
-    #: Node name → {"dependency": fp, "conditions": {kind: condition fp}}.
-    nodes: dict[str, dict] = field(default_factory=dict)
+    #: Condition fingerprints recorded as proved.
+    proved: set[str] = field(default_factory=set)
     #: Whether anything changed since load (saving is skipped otherwise).
     dirty: bool = False
 
@@ -95,10 +86,10 @@ class DeltaStore:
 
         Every failure mode — missing file (a cold start, not warned about),
         unreadable file, malformed JSON, wrong schema version, different
-        network topology, different strategy signature, malformed node
-        entry — yields an empty store so the session falls back to a full
-        run; all but the cold start emit a :class:`RuntimeWarning` naming
-        the reason.
+        network topology, different strategy signature, a ``proved`` value
+        that is not a list of fingerprints — yields an empty store so the
+        session falls back to a full run; all but the cold start emit a
+        :class:`RuntimeWarning` naming the reason.
         """
         store = cls(path=path, network=network, strategy=strategy)
         if not os.path.exists(path):
@@ -124,71 +115,34 @@ class DeltaStore:
         if document.get("strategy") != strategy:
             _warn(path, "recorded under a different strategy signature")
             return store
-        conditions = document.get("conditions")
-        nodes = document.get("nodes")
-        if not isinstance(conditions, dict) or not isinstance(nodes, dict):
-            _warn(path, "malformed condition/node tables")
+        proved = document.get("proved")
+        if not isinstance(proved, list) or not all(
+            isinstance(entry, str) and _FINGERPRINT.fullmatch(entry) for entry in proved
+        ):
+            _warn(path, "malformed proved list (not a list of condition fingerprints)")
             return store
-        for name, entry in nodes.items():
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("dependency"), str)
-                or not isinstance(entry.get("conditions"), dict)
-                or not all(isinstance(value, str) for value in entry["conditions"].values())
-            ):
-                _warn(path, f"malformed node entry {name!r}")
-                return store
-        store.conditions = conditions
-        store.nodes = nodes
+        store.proved = set(proved)
         return store
 
     # -- queries -----------------------------------------------------------------
 
-    def reusable(self, node: str, dependency: str) -> bool:
-        """Whether ``node``'s verdicts can be reused under ``dependency``.
-
-        Requires a recorded entry whose dependency fingerprint matches and
-        whose condition fingerprints for *every* kind resolve to recorded
-        (passing) verdicts.
-        """
-        entry = self.nodes.get(node)
-        if entry is None or entry.get("dependency") != dependency:
-            return False
-        return self.has_conditions(entry.get("conditions", {}))
-
     def has_conditions(self, condition_fingerprints: Mapping[str, str]) -> bool:
-        """Whether every kind's exact condition is recorded as proved.
-
-        The slow-path reuse check: condition fingerprints are content hashes
-        of the (canonicalized) query itself, so a hit here is reusable even
-        when the node's dependency entry points elsewhere — e.g. after a
-        config edit was reverted, the old conditions are still in the table.
-        """
-        return all(
-            condition_fingerprints.get(kind) in self.conditions for kind in CONDITION_KINDS
-        )
+        """Whether every kind's condition fingerprint is recorded as proved."""
+        return all(condition_fingerprints.get(kind) in self.proved for kind in CONDITION_KINDS)
 
     # -- updates -----------------------------------------------------------------
 
-    def record(
-        self, node: str, dependency: str, condition_fingerprints: Mapping[str, str]
-    ) -> None:
-        """Record one fully-passing node: its dependency key and verdicts.
+    def record(self, condition_fingerprints: Iterable[str]) -> None:
+        """Record condition fingerprints as proved.
 
-        Callers only record nodes whose every condition passed — the store
-        never holds failing verdicts (they must be re-discharged for fresh
+        Callers only record conditions that passed — the store never holds
+        failing verdicts (they must be re-discharged for fresh
         counterexamples).
         """
-        entry = {"dependency": dependency, "conditions": dict(condition_fingerprints)}
-        if self.nodes.get(node) != entry:
-            self.nodes[node] = entry
+        fresh = set(condition_fingerprints) - self.proved
+        if fresh:
+            self.proved |= fresh
             self.dirty = True
-        for kind, fingerprint in condition_fingerprints.items():
-            metadata = {"kind": kind, "holds": True, "node": node}
-            existing = self.conditions.get(fingerprint)
-            if existing is None:
-                self.conditions[fingerprint] = metadata
-                self.dirty = True
 
     def save(self) -> None:
         """Atomically persist the store (no-op when nothing changed).
@@ -203,8 +157,7 @@ class DeltaStore:
             "version": STORE_VERSION,
             "network": self.network,
             "strategy": self.strategy,
-            "conditions": self.conditions,
-            "nodes": self.nodes,
+            "proved": sorted(self.proved),
         }
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)

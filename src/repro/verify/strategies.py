@@ -89,8 +89,8 @@ class Modular(Strategy):
 
     ``delta="reuse"`` (CLI ``--delta reuse``) turns the run change-aware: a
     fingerprint store persisted between runs (``store``, defaulting to a
-    conventional path) supplies cached verdicts for nodes whose condition
-    inputs are unchanged, so a config edit re-checks only the edited node's
+    conventional path) supplies cached verdicts for nodes whose conditions
+    an earlier run proved, so a config edit re-checks only the edited node's
     neighbourhood and a no-op re-run reuses everything.
     """
 

@@ -19,7 +19,6 @@ from repro.core.fingerprint import (
     fingerprint_term,
     network_fingerprint,
     node_condition_fingerprints,
-    node_dependency_fingerprint,
     strategy_signature,
 )
 from repro.networks import registry
@@ -114,14 +113,16 @@ class TestConditionFingerprints:
             assert node_condition_fingerprints(reach_annotated, member) == reference
 
 
-class TestDependencyFingerprints:
+class TestNodeConditionFingerprints:
+    """The delta store's keys under edits, delays and cache clears."""
+
     def test_stable_across_cache_clears(self, reach_annotated):
         node = reach_annotated.nodes[0]
-        first = node_dependency_fingerprint(reach_annotated, node)
+        first = node_condition_fingerprints(reach_annotated, node)
         clear_fingerprint_cache()
-        assert node_dependency_fingerprint(reach_annotated, node) == first
+        assert node_condition_fingerprints(reach_annotated, node) == first
 
-    def test_edit_invalidates_exactly_the_neighbourhood(self, reach_annotated):
+    def test_edit_changes_exactly_the_neighbourhood(self, reach_annotated):
         """Editing one interface changes the edited node and its successors."""
         edited, poisoned = inject_interface_failure(reach_annotated)
         before = dependency_fingerprints(reach_annotated, reach_annotated.nodes)
@@ -133,20 +134,28 @@ class TestDependencyFingerprints:
         }
         changed = {node for node in reach_annotated.nodes if before[node] != after[node]}
         assert changed == {poisoned} | successors
+        # A successor sees the edit only through the interface it assumes.
+        for node in successors:
+            assert after[node]["inductive"] != before[node]["inductive"]
+            assert after[node]["safety"] == before[node]["safety"]
 
     @pytest.mark.parametrize("delay", [0, 1])
     def test_batch_agrees_with_the_per_node_function(self, reach_annotated, delay):
         nodes = reach_annotated.nodes
         assert dependency_fingerprints(reach_annotated, nodes, delay=delay) == {
-            node: node_dependency_fingerprint(reach_annotated, node, delay=delay)
+            node: node_condition_fingerprints(reach_annotated, node, delay=delay)
             for node in nodes
         }
 
-    def test_delay_changes_the_fingerprint(self, reach_annotated):
+    def test_delay_changes_the_inductive_fingerprint(self, reach_annotated):
         node = reach_annotated.nodes[0]
-        assert node_dependency_fingerprint(
-            reach_annotated, node, delay=0
-        ) != node_dependency_fingerprint(reach_annotated, node, delay=1)
+        assert reach_annotated.time_width(1) == reach_annotated.time_width()
+        undelayed = node_condition_fingerprints(reach_annotated, node, delay=0)
+        delayed = node_condition_fingerprints(reach_annotated, node, delay=1)
+        assert delayed["inductive"] != undelayed["inductive"]
+        # Same width, so the kinds that ignore the delay are the same queries.
+        assert delayed["initial"] == undelayed["initial"]
+        assert delayed["safety"] == undelayed["safety"]
 
 
 class TestStoreIdentityKeys:
@@ -174,8 +183,7 @@ class TestStoreIdentityKeys:
 _SUBPROCESS_SCRIPT = """
 import json
 from repro.core.fingerprint import (
-    network_fingerprint, node_condition_fingerprints,
-    node_dependency_fingerprint, strategy_signature,
+    network_fingerprint, node_condition_fingerprints, strategy_signature,
 )
 from repro.networks import registry
 
@@ -184,7 +192,6 @@ print(json.dumps({
     "network": network_fingerprint(annotated),
     "strategy": strategy_signature(0),
     "conditions": {n: node_condition_fingerprints(annotated, n) for n in annotated.nodes},
-    "dependencies": {n: node_dependency_fingerprint(annotated, n) for n in annotated.nodes},
 }, sort_keys=True))
 """
 
@@ -193,14 +200,13 @@ print(json.dumps({
 #: memoised part of the base network exists yet.
 _EDITED_SUBPROCESS_SCRIPT = """
 import json
-from repro.core.fingerprint import dependency_fingerprints, node_condition_fingerprints
+from repro.core.fingerprint import node_condition_fingerprints
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 
 edited, _ = inject_interface_failure(registry.build("fattree/reach", pods=4).annotated)
 print(json.dumps({
     "conditions": {n: node_condition_fingerprints(edited, n) for n in edited.nodes},
-    "dependencies": dependency_fingerprints(edited, edited.nodes),
 }, sort_keys=True))
 """
 
@@ -239,26 +245,22 @@ class TestProcessIndependence:
             "conditions": {
                 n: node_condition_fingerprints(annotated, n) for n in annotated.nodes
             },
-            "dependencies": {
-                n: node_dependency_fingerprint(annotated, n) for n in annotated.nodes
-            },
         }
         assert local == outputs[0]
 
     def test_warm_edited_digests_equal_a_fresh_process(self):
-        """Parts memoised for the base network never leak into an edit's digest.
+        """Fingerprints memoised for the base network never leak into an edit's.
 
         Here the edit is fingerprinted after the base network, sharing its
-        ``Network`` and all but one interface object (every shared part is a
-        memo hit); the subprocess fingerprints the same edit with no memo at all.
+        ``Network`` and all but one interface object (every node outside the
+        edit's neighbourhood is a memo hit); the subprocess fingerprints the
+        same edit with no memo at all.
         """
         annotated = registry.build("fattree/reach", pods=4).annotated
-        dependency_fingerprints(annotated, annotated.nodes)
         for node in annotated.nodes:
             node_condition_fingerprints(annotated, node)
         edited, _ = inject_interface_failure(annotated)
         local = {
             "conditions": {n: node_condition_fingerprints(edited, n) for n in edited.nodes},
-            "dependencies": dependency_fingerprints(edited, edited.nodes),
         }
         assert local == _fingerprints_from_subprocess(_EDITED_SUBPROCESS_SCRIPT, "7")

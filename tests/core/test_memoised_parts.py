@@ -1,4 +1,4 @@
-"""The memoised parts a condition and a dependency fingerprint are assembled from.
+"""The memoised parts a node's conditions and condition fingerprints are built from.
 
 An *equality oracle*: whatever the process fingerprinted before — the base
 network, an edited copy sharing its ``Network`` and all but one interface
@@ -20,12 +20,13 @@ from repro.core.conditions import (
 )
 from repro.core.fingerprint import (
     clear_fingerprint_cache,
-    dependency_fingerprints,
     fingerprint_statistics,
     fingerprint_value,
     node_condition_fingerprints,
 )
-from repro.core.temporal import TemporalPredicate
+from repro.core.annotations import AnnotatedNetwork
+from repro.core.results import condition_verdicts
+from repro.core.temporal import TemporalPredicate, finally_, globally
 from repro.errors import AnalysisError
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
@@ -51,12 +52,30 @@ _EDITS = {
 
 
 def _fingerprints(annotated, delay=0):
-    return (
-        dependency_fingerprints(annotated, annotated.nodes, delay=delay),
-        {
-            node: node_condition_fingerprints(annotated, node, delay=delay)
-            for node in annotated.nodes
-        },
+    return {
+        node: node_condition_fingerprints(annotated, node, delay=delay)
+        for node in annotated.nodes
+    }
+
+
+def _unchanged_keys(base, edited):
+    """Nodes whose memo key is the same on ``edited`` as on ``base`` (delay 0)."""
+    topology = base.network.topology
+    if (
+        edited.network is not base.network
+        or edited.time_width() != base.time_width()
+        or edited.time_width(0) != base.time_width(0)
+        or edited.destination_symmetry != base.destination_symmetry
+    ):
+        return 0
+    return sum(
+        1
+        for node in base.nodes
+        if all(
+            edited.interface(reader) is base.interface(reader)
+            for reader in (node, *topology.predecessors(node))
+        )
+        and edited.node_property(node) is base.node_property(node)
     )
 
 
@@ -71,14 +90,90 @@ def test_warm_fingerprints_equal_cold_ones(name, parameters):
             edited = edit(base)
         except AnalysisError:
             continue  # the mutation has no place on this network
-        _fingerprints(base)  # the state an edit stream is in: base parts memoised
-        hits_before = fingerprint_statistics()["application_hits"]
+        # The state an edit stream is in: the base network's fingerprints memoised.
+        clear_fingerprint_cache()
+        _fingerprints(base)
+        hits_before = fingerprint_statistics()["condition_fingerprint_hits"]
         warm = _fingerprints(edited)
-        assert fingerprint_statistics()["application_hits"] > hits_before, edit_name
+        hits = fingerprint_statistics()["condition_fingerprint_hits"] - hits_before
+        # Exactly the nodes whose inputs the edit left alone are memo hits.
+        assert hits == _unchanged_keys(base, edited), edit_name
         clear_fingerprint_cache()
         assert _fingerprints(edited) == warm, edit_name
     clear_fingerprint_cache()
     assert _fingerprints(base, delay=1) == _fingerprints(base, delay=1)
+
+
+def _has_route(route):
+    return route.is_some
+
+
+def _flat_reach():
+    """``fattree/reach`` k=4 with every annotation ``globally(has_route)``.
+
+    Its largest witness time is 0, so at the default ``minimum_time_width``
+    of 2 the widths are 2 (undelayed) and 2 (delay 1).
+    """
+    reach = registry.build("fattree/reach", pods=4).annotated
+    annotation = globally(_has_route)
+    return AnnotatedNetwork(reach.network, lambda node: annotation, lambda node: annotation)
+
+
+def _width_edit(base):
+    """One interface with witness 1: ``time_width()`` stays 2, ``time_width(1)`` becomes 3."""
+    edited = base.with_interface(base.nodes[0], finally_(1, globally(_has_route)))
+    assert (base.time_width(), base.time_width(1)) == (2, 2)
+    assert (edited.time_width(), edited.time_width(1)) == (2, 3)
+    return edited
+
+
+def _predecessor_edit(base):
+    """A new interface object on one predecessor of the middle node."""
+    node = base.nodes[len(base.nodes) // 2]
+    predecessor = base.network.topology.predecessors(node)[0]
+    return base.with_interface(predecessor, globally(lambda route: route.is_none))
+
+
+def _marker_edit(base):
+    """``with_interface`` on an all-pairs network drops the destination marker."""
+    node = base.nodes[0]
+    edited = base.with_interface(node, base.interface(node))
+    assert base.destination_symmetry is not None and edited.destination_symmetry is None
+    return edited
+
+
+@pytest.mark.parametrize(
+    "build, edit, delay",
+    [
+        pytest.param(_flat_reach, _width_edit, 1, id="time-width-at-delay"),
+        pytest.param(
+            lambda: registry.build("fattree/reach", pods=4).annotated,
+            _predecessor_edit,
+            0,
+            id="predecessor-interface",
+        ),
+        pytest.param(
+            lambda: registry.build("fattree/reach", pods=4, all_pairs=True).annotated,
+            _marker_edit,
+            0,
+            id="destination-marker",
+        ),
+    ],
+)
+def test_the_memo_key_covers_every_input(build, edit, delay, tmp_path):
+    """Each edit changes one input of the memo key and nothing else a hit
+    would notice: warm fingerprints equal cold ones, and a warm delta run
+    gives the full engine's verdicts."""
+    base = build()
+    edited = edit(base)
+    store = str(tmp_path / "delta.json")
+    clear_fingerprint_cache()
+    verify(base, Modular(delta="reuse", delay=delay, store=store))
+    warm = _fingerprints(edited, delay=delay)
+    delta = verify(edited, Modular(delta="reuse", delay=delay, store=store))
+    assert condition_verdicts(delta) == condition_verdicts(verify(edited, Modular(delay=delay)))
+    clear_fingerprint_cache()
+    assert _fingerprints(edited, delay=delay) == warm
 
 
 def _assert_policies_are_unmemoised_builds(network):

@@ -3,7 +3,7 @@
 One golden digest per fattree variant (4 policies × ``Sp``/``Ap`` × pods
 {2, 4}) pins every term a build produces.  Each digest covers, per node in
 network order, the raw and the canonical condition fingerprints at delay 0
-and 1, the dependency fingerprints at delay 0 and 1, and then the network fingerprint and the symmetry partition.  Fresh
+and 1, and then the network fingerprint and the symmetry partition.  Fresh
 variable names carry a process-wide counter, so every digest comes from its
 own fresh subprocess; nothing else about the process (the machine,
 ``PYTHONHASHSEED``) moves it.
@@ -30,24 +30,27 @@ from repro.verify import Modular, verify
 #: ``"partition"`` moved in each record, from the hint's role classes to
 #: singletons (at pods=2 every role class was already a singleton, so those
 #: four digests held); the eight ``Ap`` digests held, with witnesses now read
-#: from ``canonical_node_conditions``.
+#: from ``canonical_node_conditions``.  All sixteen were re-recorded when the
+#: dependency fingerprints went: the record's ``"dependencies"`` field (by
+#: then a repeat of ``"conditions"``) was dropped, and in every case the
+#: parent's record minus that field hashes to the new digest.
 GOLDEN = {
-    ("reach", False, 2): "6b8b0bd3c19c3c8f45a5ac0f981e50f2f5b4a3e2fcb895ce7bb7c9f27dc3236e",
-    ("reach", False, 4): "3445e6d55f307f5504dd6b893b49d3425f0ec4dfd843890b412a9e28f1286027",
-    ("reach", True, 2): "5a10b7a4fd399f3cef2b7ab9531660b7e5160314eb0696eb89025ef1add79ccf",
-    ("reach", True, 4): "978fe99a96c93d5f07dcac07218fc36f37a2018387f6142bb3600b35fa9dc408",
-    ("length", False, 2): "a4c8b8dd49ed16ddcea64b7423501df244661c0b9c67c111858ffcff19950954",
-    ("length", False, 4): "df8d25175cb1c3aa0eeadc43956acf8d150e95d7172bec8e718f396db73e8e9d",
-    ("length", True, 2): "df5834cb9ffc181fcfff3078cdf05d128887c34f5e831dfcb927e94e90a8bd14",
-    ("length", True, 4): "2e36560c7ae8e44cdfd8d376eb6030c1f5a0272fa5247131978dc642736038f2",
-    ("valley_freedom", False, 2): "5caee0924c996bc226483908c94d2cc3e2b6ac65ca8eebecefb6a8c417ac63ac",
-    ("valley_freedom", False, 4): "d182d693db897b061ca92b37ee7232c593092f7b38676d111edd35a87d4095f4",
-    ("valley_freedom", True, 2): "4ed83c3d7427628b44dc03047ec2abbc7f1fa1b41159aa402a7339459625517d",
-    ("valley_freedom", True, 4): "16da90e6b65bac373a84b074a0f7db6cdc79a58da5e2d64ac993a83b7133c0fd",
-    ("hijack", False, 2): "91fbab318dbe011a3598cc1b882fe52d0a7262cba1db58b9b4dada4edb4fe050",
-    ("hijack", False, 4): "b39b2aafbf168772d6d02cd580351000c597f502bc220844a95236635b894a24",
-    ("hijack", True, 2): "d4c4df6c3e68f37152ba8fc0ae915b10f91d9d479f7ef6b9e3ceb60c2b24369d",
-    ("hijack", True, 4): "3921a9da6c2ea5f1d6a27e28954249da6938e4982d3898e37cab851d5bc69969",
+    ("reach", False, 2): "4b8be29e1b647a96bbac4c4f6daa21fdf5285078046dbc76200225944b606624",
+    ("reach", False, 4): "8249685c6da54ff7d74c51a06ef87a36f85660d7cd6d9d53e065e446c504f063",
+    ("reach", True, 2): "90eb6570354d4deb0e1c67caeed2d93e179af719d1b46172214c51cb16a50e72",
+    ("reach", True, 4): "55a681eabd2c9e741cb4649fdfb62e7de9fd91acdf4b1cf6f4ab38e77d68898b",
+    ("length", False, 2): "3a6a28cfa36bcd30c794d110c4bf5585b635799a2c13383cc726d70b90726b5d",
+    ("length", False, 4): "41fe93343eb6106c4a1f553d88e9a5f768df44c49d71d6710a797fd16f1e1669",
+    ("length", True, 2): "293bddfd06870471654d6f913a48c0eaa9d987fbcf3387724bdef64a508beff9",
+    ("length", True, 4): "158f821a172d9c3ee69315226c20b0feb6d140bf306a83579f21b77b0ccb1105",
+    ("valley_freedom", False, 2): "15d91ac35e6ef8a87ad3ef0fa6c10225f8dc89a8e6d976c6f6cc3c842866424a",
+    ("valley_freedom", False, 4): "ad07adef801c05493fc027f94d18c5d037bdc914704e129045ea4ba498720d3c",
+    ("valley_freedom", True, 2): "5f0c3759301d75eebff8a0ea30068fed6b91df695c9f5f950504b3bce11537fa",
+    ("valley_freedom", True, 4): "3b341c1eebfd930621dd6120cca9d0a973836459ae3024719311d1498ec275fb",
+    ("hijack", False, 2): "443f85278c4b5dc182f5602389561c740f01a2902c9632eb5c303bba2be2f144",
+    ("hijack", False, 4): "b638b7e0b92aa0cc41b0d3563fb89ba5704303c2f42078b329049ff6b902c42a",
+    ("hijack", True, 2): "590acd5414df6f7543236a868b505de5c07400baf8e2d749c508a5eecb0fa972",
+    ("hijack", True, 4): "7683d89b19c30e029b8fd3a34055c894e63a3521dc0a1f98c80fc9f3dec6c46e",
 }
 
 #: Digest subprocesses run at once (each holds one small build).
@@ -59,7 +62,6 @@ def term_digest(policy, all_pairs, pods):
     from repro.core.conditions import canonical_node_conditions, node_conditions
     from repro.core.fingerprint import (
         condition_fingerprint,
-        dependency_fingerprints,
         network_fingerprint,
         node_condition_fingerprints,
     )
@@ -76,7 +78,6 @@ def term_digest(policy, all_pairs, pods):
             for node in nodes
             for delay in (0, 1)
         ],
-        "dependencies": [dependency_fingerprints(annotated, nodes, delay=delay) for delay in (0, 1)],
         "network": network_fingerprint(annotated),
         "partition": [
             [

@@ -1,17 +1,22 @@
 """Tests for the on-disk delta store (:mod:`repro.verify.store`).
 
 The store's contract is *fail-soft*: any unusable file — truncated, corrupt,
-wrong schema version, recorded for another network or strategy — degrades to
-an empty store (a full verification run) with a :class:`RuntimeWarning`, and
-never a crash or a stale verdict.
+wrong schema version, recorded for another network or strategy, a
+``proved`` list that is not a list of fingerprints — degrades to an empty
+store (a full verification run) with a :class:`RuntimeWarning`, and never a
+crash or a stale verdict.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.core.fingerprint import network_fingerprint, node_condition_fingerprints
+from repro.core.results import condition_verdicts
 from repro.networks import registry
+from repro.networks.benchmarks import inject_interface_failure
 from repro.verify import (
     DEFAULT_STORE_DIR,
     DeltaStore,
@@ -19,15 +24,20 @@ from repro.verify import (
     STORE_VERSION,
     Session,
     default_store_path,
+    verify,
 )
 
 NETWORK = "net-fp"
 STRATEGY = "strategy-sig"
 
 
+def _fingerprint(label):
+    return hashlib.sha256(label.encode()).hexdigest()
+
+
 def _kinds(suffix=""):
     """A full per-kind condition-fingerprint map, as the session records one."""
-    return {kind: f"fp-{kind}{suffix}" for kind in ("initial", "inductive", "safety")}
+    return {kind: _fingerprint(kind + suffix) for kind in ("initial", "inductive", "safety")}
 
 
 @pytest.fixture
@@ -35,98 +45,84 @@ def store_path(tmp_path):
     return str(tmp_path / "store.json")
 
 
-def _saved_store(path, conditions=None, nodes=None):
+def _saved_store(path, *fingerprint_maps):
     store = DeltaStore(path=path, network=NETWORK, strategy=STRATEGY)
-    for node, (dependency, kinds) in (nodes or {}).items():
-        store.record(node, dependency, kinds)
-    if conditions:
-        store.conditions.update(conditions)
-        store.dirty = True
+    for fingerprints in fingerprint_maps:
+        store.record(fingerprints.values())
     store.save()
     return store
+
+
+def _write(path, document):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
 
 
 class TestFailSoftLoading:
     def test_missing_file_is_a_silent_cold_start(self, store_path, recwarn):
         store = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        assert store.conditions == {} and store.nodes == {}
+        assert store.proved == set()
         assert not any(issubclass(w.category, RuntimeWarning) for w in recwarn.list)
 
     def test_truncated_file_degrades_with_warning(self, store_path):
-        _saved_store(store_path, nodes={"a": ("dep", {"safety": "fp"})})
+        _saved_store(store_path, _kinds())
         with open(store_path, "r+", encoding="utf-8") as handle:
             handle.truncate(len(handle.read()) // 2)
         with pytest.warns(RuntimeWarning, match="unreadable or corrupt"):
             store = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        assert store.conditions == {} and store.nodes == {}
+        assert store.proved == set()
 
     def test_non_object_document_degrades(self, store_path):
-        with open(store_path, "w", encoding="utf-8") as handle:
-            json.dump(["not", "a", "store"], handle)
+        _write(store_path, ["not", "a", "store"])
         with pytest.warns(RuntimeWarning, match="not a JSON object"):
-            assert DeltaStore.open(store_path, NETWORK, STRATEGY).nodes == {}
+            assert DeltaStore.open(store_path, NETWORK, STRATEGY).proved == set()
 
     def test_version_skew_degrades(self, store_path):
-        _saved_store(store_path, nodes={"a": ("dep", {"safety": "fp"})})
+        _saved_store(store_path, _kinds())
         with open(store_path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
         document["version"] = STORE_VERSION + 1
-        with open(store_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+        _write(store_path, document)
         with pytest.warns(RuntimeWarning, match="format version"):
-            assert DeltaStore.open(store_path, NETWORK, STRATEGY).nodes == {}
+            assert DeltaStore.open(store_path, NETWORK, STRATEGY).proved == set()
 
     def test_other_network_or_strategy_degrades(self, store_path):
-        _saved_store(store_path, nodes={"a": ("dep", {"safety": "fp"})})
+        _saved_store(store_path, _kinds())
         with pytest.warns(RuntimeWarning, match="different network topology"):
-            assert DeltaStore.open(store_path, "other-net", STRATEGY).nodes == {}
+            assert DeltaStore.open(store_path, "other-net", STRATEGY).proved == set()
         with pytest.warns(RuntimeWarning, match="different strategy signature"):
-            assert DeltaStore.open(store_path, NETWORK, "other-sig").nodes == {}
-
-    def test_malformed_tables_degrade(self, store_path):
-        document = {
-            "version": STORE_VERSION,
-            "network": NETWORK,
-            "strategy": STRATEGY,
-            "conditions": "oops",
-            "nodes": {},
-        }
-        with open(store_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        with pytest.warns(RuntimeWarning, match="malformed condition/node tables"):
-            assert DeltaStore.open(store_path, NETWORK, STRATEGY).conditions == {}
+            assert DeltaStore.open(store_path, NETWORK, "other-sig").proved == set()
 
     @pytest.mark.parametrize(
-        "entry",
+        "proved",
         [
-            {"dependency": 42, "conditions": {}},
-            # A non-string condition fingerprint would be an unhashable
-            # verdict-table key at the first reuse check.
-            {"dependency": "dep", "conditions": {"initial": ["fp"]}},
-            ["dep", {}],
-            {"dependency": "dep"},
-            {"dependency": "dep", "conditions": ["fp"]},
+            "oops",
+            {_fingerprint("a"): {"holds": True}},
+            [_fingerprint("a"), {"holds": False}],
+            [_fingerprint("a"), 42],
+            [_fingerprint("a")[:63]],
+            [_fingerprint("a").upper()],
+            [_fingerprint("a")[:63] + "g"],
+            None,
         ],
         ids=[
-            "dependency",
-            "condition-fingerprint",
-            "not-an-object",
-            "no-conditions",
-            "conditions-list",
+            "string",
+            "v2-style-table",
+            "entry-object",
+            "entry-number",
+            "short",
+            "uppercase",
+            "not-hex",
+            "missing",
         ],
     )
-    def test_malformed_node_entry_degrades(self, store_path, entry):
-        document = {
-            "version": STORE_VERSION,
-            "network": NETWORK,
-            "strategy": STRATEGY,
-            "conditions": {},
-            "nodes": {"a": entry},
-        }
-        with open(store_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        with pytest.warns(RuntimeWarning, match="malformed node entry 'a'"):
-            assert DeltaStore.open(store_path, NETWORK, STRATEGY).nodes == {}
+    def test_malformed_proved_list_degrades(self, store_path, proved):
+        document = {"version": STORE_VERSION, "network": NETWORK, "strategy": STRATEGY}
+        if proved is not None:
+            document["proved"] = proved
+        _write(store_path, document)
+        with pytest.warns(RuntimeWarning, match="malformed proved list"):
+            assert DeltaStore.open(store_path, NETWORK, STRATEGY).proved == set()
 
     def test_corrupt_store_still_yields_a_full_passing_run(self, store_path):
         """End to end: the session degrades to a full run, never crashes."""
@@ -147,52 +143,106 @@ class TestFailSoftLoading:
         assert warm.conditions_reused == warm.conditions_checked > 0
 
 
-class TestQueries:
-    def test_record_then_reusable(self, store_path):
-        store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
-        store.record("a", "dep-1", _kinds())
-        assert store.reusable("a", "dep-1")
-        assert not store.reusable("a", "dep-2")
-        assert not store.reusable("b", "dep-1")
-        # Every kind must resolve to a proved condition.
-        store.record("c", "dep-1", {"initial": "fp-initial", "safety": "fp-safety"})
-        assert not store.reusable("c", "dep-1")
+class TestFailingEntriesAreNeverPasses:
+    """A store entry that records a failure must never be reused as a pass.
 
-    def test_has_conditions_matches_by_content_not_node(self, store_path):
-        """The revert slow path: exact condition hits reuse regardless of the
-        node entry's current dependency key."""
+    Version 2 stores kept a per-entry ``"holds"`` field that the loader never
+    read, so a planted ``{"holds": false}`` entry counted as proved.  The
+    version 3 list has no such field, and a version 2 store is not read.
+    """
+
+    def _planted(self, tmp_path):
+        reach = registry.build("fattree/reach", pods=4).annotated
+        edited, poisoned = inject_interface_failure(reach)
+        path = str(tmp_path / "delta.json")
+        assert verify(reach, Modular(delta="reuse", store=path)).passed
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        planted = node_condition_fingerprints(edited, poisoned).values()
+        return edited, path, document, planted
+
+    def test_v2_failing_entries_are_not_reused(self, tmp_path):
+        edited, path, document, planted = self._planted(tmp_path)
+        assert document["network"] == network_fingerprint(edited)
+        conditions = {fingerprint: {"holds": True} for fingerprint in document["proved"]}
+        conditions.update((fingerprint, {"holds": False}) for fingerprint in planted)
+        _write(
+            path,
+            {
+                "version": 2,
+                "network": document["network"],
+                "strategy": document["strategy"],
+                "conditions": conditions,
+                "nodes": {},
+            },
+        )
+        with pytest.warns(RuntimeWarning, match="format version 2 != 3"):
+            delta = verify(edited, Modular(delta="reuse", store=path))
+        full = verify(edited, Modular())
+        assert not full.passed
+        assert delta.conditions_reused == 0
+        assert condition_verdicts(delta) == condition_verdicts(full)
+
+    def test_v3_failing_entries_make_the_store_malformed(self, tmp_path):
+        edited, path, document, planted = self._planted(tmp_path)
+        document["proved"] += [{fingerprint: {"holds": False}} for fingerprint in planted]
+        _write(path, document)
+        with pytest.warns(RuntimeWarning, match="malformed proved list"):
+            delta = verify(edited, Modular(delta="reuse", store=path))
+        assert delta.conditions_reused == 0
+        assert condition_verdicts(delta) == condition_verdicts(verify(edited, Modular()))
+
+
+class TestQueries:
+    def test_record_then_has_conditions(self, store_path):
         store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
-        store.record("a", "dep-old", _kinds())
-        store.record("a", "dep-new", _kinds("-2"))
-        assert not store.reusable("a", "dep-old")
+        store.record(_kinds().values())
         assert store.has_conditions(_kinds())
         assert not store.has_conditions(_kinds("-other"))
         assert not store.has_conditions({})
+        # Every kind must resolve to a proved condition.
+        partial = dict(_kinds())
+        partial["safety"] = _fingerprint("unproved")
+        assert not store.has_conditions(partial)
+
+    def test_conditions_match_by_content_not_node(self, store_path):
+        """A proved condition is proved whichever node posed it, and an edit
+        that is reverted finds its old conditions still recorded."""
+        store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
+        store.record(_kinds().values())
+        store.record(_kinds("-edited").values())
+        assert store.has_conditions(_kinds())
+        assert store.has_conditions(_kinds("-edited"))
 
 
 class TestSaving:
-    def test_round_trip(self, store_path):
-        _saved_store(store_path, nodes={"a": ("dep", _kinds())})
+    def test_round_trip_is_one_sorted_list(self, store_path):
+        _saved_store(store_path, _kinds(), _kinds("-2"))
+        with open(store_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert set(document) == {"version", "network", "strategy", "proved"}
+        assert document["proved"] == sorted({*_kinds().values(), *_kinds("-2").values()})
         loaded = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        assert loaded.reusable("a", "dep")
+        assert loaded.has_conditions(_kinds()) and loaded.has_conditions(_kinds("-2"))
         assert not loaded.dirty
 
     def test_clean_store_save_is_a_no_op(self, store_path):
         store = DeltaStore(path=store_path, network=NETWORK, strategy=STRATEGY)
         store.save()
         assert not os.path.exists(store_path)
-        store.record("a", "dep", {"safety": "fp"})
+        store.record(_kinds().values())
         store.save()
         stamp = os.stat(store_path).st_mtime_ns
-        # Recording an identical entry does not dirty the store.
-        store.record("a", "dep", {"safety": "fp"})
+        # Recording proved fingerprints again does not dirty the store.
+        store.record(_kinds().values())
+        assert not store.dirty
         store.save()
         assert os.stat(store_path).st_mtime_ns == stamp
 
     def test_interrupted_save_keeps_the_previous_version(self, store_path, monkeypatch):
-        _saved_store(store_path, nodes={"a": ("dep", {"safety": "fp"})})
+        _saved_store(store_path, _kinds())
         store = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        store.record("b", "dep-b", {"safety": "fp-b"})
+        store.record(_kinds("-b").values())
 
         def explode(source, target):
             raise OSError("disk full")
@@ -203,7 +253,7 @@ class TestSaving:
         monkeypatch.undo()
         # The original store is intact and no temp files leak.
         reloaded = DeltaStore.open(store_path, NETWORK, STRATEGY)
-        assert set(reloaded.nodes) == {"a"}
+        assert reloaded.proved == set(_kinds().values())
         directory = os.path.dirname(store_path)
         assert [name for name in os.listdir(directory) if name.endswith(".tmp")] == []
 
