@@ -465,14 +465,13 @@ def node_conditions(
 # all-pairs nodes: their conditions are isomorphic only *up to a simultaneous
 # permutation of the destination constants*.  The canonicalizer below closes
 # that gap: it rewrites every ``dest == k`` atom so the constants become
-# *permutation slots* numbered by first canonical occurrence, normalises the
-# ``dist``-style ITE ladders whose guards are destination atoms (flattening,
-# dropping cases equal to the default — undoing the build-order-dependent
-# ``ite(c, x, x)`` folding — and ordering cases by value content, then by
-# already-assigned slot), and orders bags of destination atoms under and/or
-# by assigned slot.  Isomorphic nodes then rebuild literally identical
-# hash-consed terms, so the symmetry layer's "equal keys ⟺ identical query"
-# soundness story carries over unchanged — the canonical instance (constants
+# *permutation slots* numbered by first canonical occurrence, and orders bags
+# of destination atoms under and/or by assigned slot.  (The fattree's
+# ``dist`` ladders are built by value — a fixed order of hop-count cases,
+# each guarded by an or-bag of atoms — so this is all they need.)
+# Isomorphic nodes then rebuild literally identical hash-consed terms, so
+# the symmetry layer's "equal keys ⟺ identical query" soundness story
+# carries over unchanged — the canonical instance (constants
 # ``0..m-1``) is itself a valid query, equivalid with every member's raw
 # conditions under that member's slot permutation.
 #
@@ -640,9 +639,6 @@ class DestinationCanonicalizer:
             compare = builder.bv_ult if term.op == OP_BVULT else builder.bv_ule
             return compare(self._rewrite(left), self._rewrite(right))
         if term.op == OP_ITE:
-            ladder = self._flatten_ladder(term)
-            if ladder is not None:
-                return self._rebuild_ladder(*ladder)
             cond, then_branch, else_branch = term.args
             return builder.ite(
                 self._rewrite(cond), self._rewrite(then_branch), self._rewrite(else_branch)
@@ -683,61 +679,6 @@ class DestinationCanonicalizer:
         ]
         combine = builder.and_ if term.op == OP_AND else builder.or_
         return combine(*rebuilt)
-
-    def _flatten_ladder(
-        self, term: Term
-    ) -> tuple[list[tuple[int, Term]], Term] | None:
-        """Flatten a maximal ``ite(dest == k, value, ...)`` chain.
-
-        Returns ``(cases, default)`` — guard constants with destination-free
-        values, outermost first, duplicate (dead) guards dropped — or ``None``
-        when ``term`` is not a destination-guarded ladder with destination-free
-        case values (generic ITE recursion handles it instead).
-        """
-        cases: list[tuple[int, Term]] = []
-        seen: set[int] = set()
-        current = term
-        while current.op == OP_ITE:
-            constant = self._destination_atom(current.args[0])
-            if constant is None or self._mentions_dest(current.args[1]):
-                break
-            value = constant.bv_value()
-            if value not in seen:
-                seen.add(value)
-                cases.append((value, current.args[1]))
-            current = current.args[2]
-        if not cases:
-            return None
-        return cases, current
-
-    def _rebuild_ladder(self, cases: list[tuple[int, Term]], default: Term) -> Term:
-        rewritten_default = self._rewrite(default)
-        # Cases whose value equals the (original) default are dead weight the
-        # builder's ite(c, x, x) fold removed for *some* build orders but not
-        # others; dropping them restores order-independence.  The guards are
-        # mutually exclusive (distinct constants over one variable), so
-        # removal and reordering both preserve the function.
-        live = [(value, case) for value, case in cases if case is not default]
-        from repro.core.fingerprint import fingerprint_term
-
-        def sort_key(pair: tuple[int, Term]) -> tuple:
-            value, case = pair
-            content = (
-                (0, case.width(), case.bv_value())
-                if case.is_bv_const()
-                else (1, fingerprint_term(case))
-            )
-            return (content, self._slots.get(value, self._size))
-
-        live.sort(key=sort_key)
-        guards = [
-            builder.eq(self._dest, builder.bv_const(self._slot(value), self._width))
-            for value, _ in live
-        ]
-        result = rewritten_default
-        for guard, (_, case) in zip(reversed(guards), reversed(live)):
-            result = builder.ite(guard, case, result)
-        return result
 
 
 def canonical_node_conditions(

@@ -279,6 +279,7 @@ def lines_of_code_table() -> str:
         fattree.FixedDestination.until,
         fattree.FixedDestination.adjacent,
         fattree.SymbolicDestination.until,
+        fattree.SymbolicDestination._hop_cases,
         fattree.SymbolicDestination.adjacent,
         fattree._path_length,
     )

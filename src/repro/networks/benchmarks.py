@@ -24,7 +24,12 @@ symbolics, the ``Ap`` symmetry marker, ``adj(v)``, and ``until(node, before,
 after)``: ``before U^{dist(v)} after(dist(v))``, where the witness time
 ``dist(v)`` (:meth:`repro.networks.fattree.Fattree.distance_to_destination`)
 is a constant for ``Sp`` and an ITE ladder over the symbolic destination for
-``Ap``, exactly as described in §6.  :func:`build_fattree` is the one builder.
+``Ap``, as described in §6.  The ``Ap`` ladder is built by value: at most
+three hop counts per node, the most frequent one as the default and each
+other one guarded by the disjunction of its ``dest == k`` atoms.  The default
+is sound because every condition assumes the network precondition
+``dest < size``, under which it covers exactly its own group.
+:func:`build_fattree` is the one builder.
 """
 
 from __future__ import annotations
@@ -165,10 +170,19 @@ class FixedDestination(_Destination):
 class SymbolicDestination(_Destination):
     """``Ap``: the destination is a symbolic index ``dest`` over the edge nodes.
 
-    Every node's interface bakes in its own ``dest == k`` constants, so no two
-    nodes are term-identical; the network carries a
-    :class:`DestinationSymmetry` marker, and the symmetry layer
-    quotients nodes up to a simultaneous permutation of those constants.
+    ``dist(v)`` is built by value.  An edge node is 0 hops from itself, 2
+    from the rest of its pod and 4 from other pods; an aggregation node 1
+    from its pod and 3 from other pods; a core node 2 from every edge node.
+    The ladder's default is the node's most frequent hop count (the larger on
+    a tie), and each other count is one case guarded by the ``any_of`` of its
+    ``dest == k`` atoms.  Every condition assumes ``dest < size``, and inside
+    that range the default covers exactly its own group.  So a core node's
+    ``dist`` is the constant 2, and no ladder mentions more than ``pods // 2``
+    atoms.  The atoms are built once per network; a node's hop counts are
+    grouped when a condition first reads its interface.  The atoms left still
+    differ between nodes, so the network carries a
+    :class:`DestinationSymmetry` marker, and the symmetry layer quotients
+    nodes up to a simultaneous permutation of the ``dest == k`` constants.
     """
 
     name = None
@@ -184,29 +198,40 @@ class SymbolicDestination(_Destination):
             SymbolicVariable("dest", self.index, constraint=self.index < len(edge_nodes)),
         )
         self.marker = DestinationSymmetry("dest", len(edge_nodes))
-        self._position = {name: position for position, name in enumerate(edge_nodes)}
+        #: Edge node -> its ``dest == k`` atom.
+        self._atoms = {name: self.index == position for position, name in enumerate(edge_nodes)}
+        #: Node -> ``(default hop count, ((hop count, guard), ...))``.
+        self._hops: dict[str, tuple[int, tuple[tuple[int, SymBool], ...]]] = {}
         self._present = family.route.some(family.default_announcement())
         self._absent = family.route.none()
 
     def initial(self, node: str) -> SymOption:
-        if node not in self._position:
+        if node not in self._atoms:
             return self._absent
-        return ite_value(self.index == self._position[node], self._present, self._absent)
+        return ite_value(self._atoms[node], self._present, self._absent)
+
+    def _hop_cases(self, node: str) -> tuple[int, tuple[tuple[int, SymBool], ...]]:
+        """``dist(node)`` grouped by value: the default and the guarded cases."""
+        cases = self._hops.get(node)
+        if cases is None:
+            groups: dict[int, list[SymBool]] = {}
+            for edge_node, atom in self._atoms.items():
+                hops = self.fattree.distance_to_destination(node, edge_node)
+                groups.setdefault(hops, []).append(atom)
+            default = max(groups, key=lambda hops: (len(groups[hops]), hops))
+            cases = self._hops[node] = (
+                default,
+                tuple((hops, any_of(groups[hops])) for hops in sorted(groups) if hops != default),
+            )
+        return cases
 
     def until(self, node: str, before: Callable, after: Callable) -> TemporalPredicate:
-        ladders: dict[int, SymBV] = {}
-
         def distance(time: SymBV) -> SymBV:
-            # ``dist(node)`` selected by the symbolic destination, at the time
-            # term's width: one ITE per edge node, built once per time term
-            # however often the interface reads it.
-            ladder = ladders.get(time.term.term_id)
-            if ladder is None:
-                ladder = SymBV.constant(FATTREE_DIAMETER, time.width)
-                for edge_node, position in self._position.items():
-                    hops = self.fattree.distance_to_destination(node, edge_node)
-                    ladder = ite_value(self.index == position, SymBV.constant(hops, time.width), ladder)
-                ladders[time.term.term_id] = ladder
+            # ``dist(node)`` at the time term's width: at most two ITEs.
+            default, cases = self._hop_cases(node)
+            ladder = SymBV.constant(default, time.width)
+            for hops, guard in reversed(cases):
+                ladder = ite_value(guard, SymBV.constant(hops, time.width), ladder)
             return ladder
 
         later = TemporalPredicate(
@@ -216,12 +241,11 @@ class SymbolicDestination(_Destination):
         return until_dynamic(distance, before, later, max_witness=FATTREE_DIAMETER)
 
     def adjacent(self, node: str) -> SymBool:
-        matches = [
-            self.index == position
-            for edge_node, position in self._position.items()
+        return any_of(
+            atom
+            for edge_node, atom in self._atoms.items()
             if self.fattree.adjacent_to_destination(node, edge_node)
-        ]
-        return any_of(matches) if matches else SymBool.false()
+        )
 
 
 def _path_length(path_length: SymBV, distance: int | SymBV, compare: Callable) -> SymBool:

@@ -33,24 +33,32 @@ from repro.verify import Modular, verify
 #: from ``canonical_node_conditions``.  All sixteen were re-recorded when the
 #: dependency fingerprints went: the record's ``"dependencies"`` field (by
 #: then a repeat of ``"conditions"``) was dropped, and in every case the
-#: parent's record minus that field hashes to the new digest.
+#: parent's record minus that field hashes to the new digest.  The eight
+#: ``Ap`` digests were re-recorded when ``dist(v)`` came to be built by value
+#: (at most three hop-count cases over shared ``dest == k`` atoms instead of
+#: one case per edge node): every ``Ap`` condition term, and with it every
+#: raw and canonical fingerprint and each class member's witness (its
+#: constants per permutation slot), moved by design.  Class membership,
+#: verdicts, failing conditions, counterexamples and node order are
+#: identical to the parent's on every registry network; the eight ``Sp``
+#: digests held.
 GOLDEN = {
     ("reach", False, 2): "4b8be29e1b647a96bbac4c4f6daa21fdf5285078046dbc76200225944b606624",
     ("reach", False, 4): "8249685c6da54ff7d74c51a06ef87a36f85660d7cd6d9d53e065e446c504f063",
-    ("reach", True, 2): "90eb6570354d4deb0e1c67caeed2d93e179af719d1b46172214c51cb16a50e72",
-    ("reach", True, 4): "55a681eabd2c9e741cb4649fdfb62e7de9fd91acdf4b1cf6f4ab38e77d68898b",
+    ("reach", True, 2): "54f0ff58044fcfaa73be549dff6b2bb47d6cd02da143c75c1e7933097558f545",
+    ("reach", True, 4): "8513a1970e6db21a7bce49d631ceb01baed02ae1bac3824f152083f9d30180cb",
     ("length", False, 2): "3a6a28cfa36bcd30c794d110c4bf5585b635799a2c13383cc726d70b90726b5d",
     ("length", False, 4): "41fe93343eb6106c4a1f553d88e9a5f768df44c49d71d6710a797fd16f1e1669",
-    ("length", True, 2): "293bddfd06870471654d6f913a48c0eaa9d987fbcf3387724bdef64a508beff9",
-    ("length", True, 4): "158f821a172d9c3ee69315226c20b0feb6d140bf306a83579f21b77b0ccb1105",
+    ("length", True, 2): "52b592a7fafc7528f5e7316b72b9456f618826375e2fa962dc7245379a869716",
+    ("length", True, 4): "00978852b86d16d74d2b969eaeaf82d3a658729411576b7d9abe2d158e9f6d5c",
     ("valley_freedom", False, 2): "15d91ac35e6ef8a87ad3ef0fa6c10225f8dc89a8e6d976c6f6cc3c842866424a",
     ("valley_freedom", False, 4): "ad07adef801c05493fc027f94d18c5d037bdc914704e129045ea4ba498720d3c",
-    ("valley_freedom", True, 2): "5f0c3759301d75eebff8a0ea30068fed6b91df695c9f5f950504b3bce11537fa",
-    ("valley_freedom", True, 4): "3b341c1eebfd930621dd6120cca9d0a973836459ae3024719311d1498ec275fb",
+    ("valley_freedom", True, 2): "37452173689d37031db9f12c0edbff992440c211a75c9a0870107bf246fc0e1d",
+    ("valley_freedom", True, 4): "47d0d00fec32577c9e605b30e75913580cec808b4083e2012096488e6924c29d",
     ("hijack", False, 2): "443f85278c4b5dc182f5602389561c740f01a2902c9632eb5c303bba2be2f144",
     ("hijack", False, 4): "b638b7e0b92aa0cc41b0d3563fb89ba5704303c2f42078b329049ff6b902c42a",
-    ("hijack", True, 2): "590acd5414df6f7543236a868b505de5c07400baf8e2d749c508a5eecb0fa972",
-    ("hijack", True, 4): "7683d89b19c30e029b8fd3a34055c894e63a3521dc0a1f98c80fc9f3dec6c46e",
+    ("hijack", True, 2): "f8f28f97bc6a9772dfbc46edaa944bf6cb6e2d0595f18f255157d73765f968d2",
+    ("hijack", True, 4): "5ac2be6f0d91d8f9886a43d403bec52765baf4a4b3eff9164ed99bd978010f9d",
 }
 
 #: Digest subprocesses run at once (each holds one small build).
@@ -124,11 +132,12 @@ def test_every_fattree_variant_builds_its_golden_terms(digests, key):
 
 
 @pytest.mark.parametrize("policy", ["reach", "length"])
-def test_dist_ladder_is_built_once_per_node_and_time_term(policy, monkeypatch):
+def test_dist_hop_counts_are_grouped_once_per_node(policy, monkeypatch):
     """Every all-pairs policy pays ``dist(v)`` as often as Reach, whatever it reads.
 
-    One ladder evaluation asks ``distance_to_destination`` once per edge node;
-    a quotiented k=4 run applies each node's interface at three time terms.
+    Grouping a node's ladder by hop count asks ``distance_to_destination``
+    once per edge node, and a node is grouped once however many time terms
+    its interface is applied at; nothing is asked while the network is built.
     """
     calls = []
     original = Fattree.distance_to_destination
@@ -141,7 +150,7 @@ def test_dist_ladder_is_built_once_per_node_and_time_term(policy, monkeypatch):
     assert calls == []
     assert verify(built.annotated, Modular(symmetry="classes")).passed
     edge_nodes = len(built.raw.fattree.edge_nodes)
-    assert len(calls) == 3 * len(built.annotated.nodes) * edge_nodes
+    assert len(calls) == len(built.annotated.nodes) * edge_nodes
 
 
 if __name__ == "__main__":
