@@ -9,8 +9,8 @@ for the logical-time variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import VerificationError
 from repro.routing.algebra import Network
@@ -31,10 +31,25 @@ class DestinationSymmetry:
 
     ``variable`` is the symbolic variable's name, ``size`` the number of
     valid destination indices (the permutation acts on ``0..size-1``).
+    ``order`` maps a node to its numbering ``π_v`` (raw index ``k`` ↦
+    ``π_v[k]``), the one its canonical conditions are built in (see
+    :mod:`repro.core.numbering`).  It is how the builder numbers, not what
+    it declares, so markers compare on ``variable`` and ``size`` alone.
     """
 
     variable: str
     size: int
+    order: Callable[[str], Sequence[int]] = field(compare=False)
+
+    def numbering(self, node: str) -> tuple[int, ...]:
+        """``π_node``, checked to be a permutation of ``range(size)``."""
+        numbering = tuple(self.order(node))
+        if sorted(numbering) != list(range(self.size)):
+            raise VerificationError(
+                f"destination numbering of {node!r} is not a permutation of "
+                f"range({self.size}): {numbering}"
+            )
+        return numbering
 
 
 class AnnotatedNetwork:
@@ -45,7 +60,7 @@ class AnnotatedNetwork:
     symmetry layer quotient nodes whose conditions differ only in which
     concrete destination constants they mention.  It is the only symmetry
     an annotated network declares; class membership is then decided by term
-    identity of the canonicalized conditions.
+    identity of the conditions each node builds in its own numbering.
     """
 
     def __init__(

@@ -129,15 +129,15 @@ def check_class(
             # No cached conditions (a singleton class), or the cache was
             # built for a different delay than this check requests.
             if quotient is not None:
-                built, _ = canonical_node_conditions(annotated, representative, delay=delay)
+                built = canonical_node_conditions(annotated, representative, delay=delay)
             else:
                 built = node_conditions(annotated, representative, delay=delay)
         results = _discharge(built, solver)
         failed = not all(result.holds for result in results)
         if failed and (quotient is not None or len(members) > 1):
-            # A canonical instance's counterexample payloads are raw terms
-            # evaluated under a canonical model, and a member's failure is
-            # its own: every member discharges its raw conditions.
+            # A canonical instance's counterexample is in the representative's
+            # destination numbering, and a member's failure is its own:
+            # every member discharges its raw conditions.
             expected = [(result.condition, result.holds) for result in results]
             reports = []
             for member in members:

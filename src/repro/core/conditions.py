@@ -47,7 +47,9 @@ one set of constraints however many of them there are.  Soundness rests on
 one assumption, the same one the fingerprint layer's memo makes
 (:mod:`repro.core.fingerprint`): annotations, transfer functions and merge
 functions are *pure term builders*, whose result is a function of the
-symbolic values they are given and nothing else.  A merge fold is keyed on
+symbolic values they are given and, for annotations and initial routes, of
+the active destination numbering (:mod:`repro.core.numbering`), which the
+policy and application memos key on.  A merge fold is keyed on
 the initial route's term ids and, per in-edge, on the identities of the
 transfer callable and the interned query route; the merge callable is fixed
 by the ``Network`` the memo is weak on.  Under purity, equal keys fold to
@@ -58,8 +60,6 @@ policy is a new ``Network`` (or a new callable) and misses.
 
 from __future__ import annotations
 
-import dataclasses
-import sys
 import time as _time
 import weakref
 from dataclasses import dataclass, field
@@ -68,21 +68,9 @@ from typing import Any
 from repro import smt
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.counterexample import Counterexample
+from repro.core.numbering import active_numbering, destination_numbering
 from repro.core.results import ConditionResult
 from repro.errors import VerificationError
-from repro.smt import builder
-from repro.smt.terms import (
-    OP_AND,
-    OP_BVADD,
-    OP_BVSUB,
-    OP_BVULE,
-    OP_BVULT,
-    OP_EQ,
-    OP_ITE,
-    OP_NOT,
-    OP_OR,
-    Term,
-)
 from repro.symbolic import (
     SymBV,
     SymBool,
@@ -148,13 +136,13 @@ class NodePolicy:
     updated: Any
 
 
-#: ``Network`` → node → :class:`NodePolicy`.  A network's policy is fixed at
-#: construction (an edited policy is a new ``Network``), so each node's is
-#: evaluated once and shared by its conditions, the lint passes and every
-#: later run over the same network object.
+#: ``Network`` → ``(node, numbering)`` → :class:`NodePolicy`.  A network's
+#: policy is fixed at construction (an edited policy is a new ``Network``), so
+#: each node's is evaluated once per destination numbering and shared by its
+#: conditions, the lint passes and every later run over the same network.
 _NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: Annotation object → ``(id(route), time term_id)`` → ``(route, application)``.
+#: Annotation object → ``(id(route), time term_id, numbering)`` → ``(route, application)``.
 #: The entry holds ``route``, so the ``id`` cannot be reused while it lives.
 _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -214,7 +202,8 @@ def _merge_fold(network: Any, node: str, initial: Any, routes: dict[str, Any]) -
 def node_policy(network: Any, node: str) -> NodePolicy:
     """The memoised :class:`NodePolicy` of ``node``."""
     policies = _NODE_POLICIES.setdefault(network, {})
-    policy = policies.get(node)
+    key = (node, active_numbering())
+    policy = policies.get(key)
     if policy is not None:
         _MEMO_HITS["node_policies"] += 1
         return policy
@@ -223,7 +212,7 @@ def node_policy(network: Any, node: str) -> NodePolicy:
     parts = [_query_part(network, position) for position in range(len(predecessors))]
     routes = dict(zip(predecessors, (route for route, _ in parts)))
     initial = network.initial_route(node)
-    policy = policies[node] = NodePolicy(
+    policy = policies[key] = NodePolicy(
         initial=initial,
         own_route=own_route,
         own_shape=own_shape,
@@ -241,7 +230,7 @@ def apply_annotation(predicate: Any, route: Any, time: SymBV) -> SymBool:
     policy's route): the memo keeps it alive.
     """
     applications = _APPLICATIONS.setdefault(predicate, {})
-    key = (id(route), time.term.term_id)
+    key = (id(route), time.term.term_id, active_numbering())
     cached = applications.get(key)
     if cached is None:
         cached = applications[key] = (route, predicate(route, time))
@@ -387,16 +376,13 @@ def inductive_condition(
 
     policy = node_policy(annotated.network, node)
     neighbor_routes = policy.neighbor_routes
+    # With delay d, the route may have been sent at any of t, t+1, ..., t+d.
+    sent_at = [time_variable + step for step in range(delay + 1)]
     for (neighbor, route), shape in zip(neighbor_routes.items(), policy.neighbor_shapes):
         conjuncts.append(shape)
         interface = annotated.interface(neighbor)
-        # With delay d, the route may have been sent at any of t, t+1, ..., t+d.
-        conjuncts.append(
-            any_of(
-                apply_annotation(interface, route, time_variable + step)
-                for step in range(delay + 1)
-            )
-        )
+        sent = [apply_annotation(interface, route, time) for time in sent_at]
+        conjuncts.append(sent[0] if delay == 0 else any_of(sent))
     assumptions = all_of(conjuncts)
 
     new_route = policy.updated
@@ -454,252 +440,23 @@ def node_conditions(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Destination-permutation canonicalization (the all-pairs quotient)
-# ---------------------------------------------------------------------------
-#
-# All-pairs benchmarks route to a symbolic destination index ``dest`` that
-# enters conditions only through equalities against concrete index constants
-# (``dest == k``, one constant per edge node) and a single range constraint
-# ``dest < size``.  Positional naming alone therefore cannot merge two
-# all-pairs nodes: their conditions are isomorphic only *up to a simultaneous
-# permutation of the destination constants*.  The canonicalizer below closes
-# that gap: it rewrites every ``dest == k`` atom so the constants become
-# *permutation slots* numbered by first canonical occurrence, and orders bags
-# of destination atoms under and/or by assigned slot.  (The fattree's
-# ``dist`` ladders are built by value — a fixed order of hop-count cases,
-# each guarded by an or-bag of atoms — so this is all they need.)
-# Isomorphic nodes then rebuild literally identical hash-consed terms, so
-# the symmetry layer's "equal keys ⟺ identical query" soundness story
-# carries over unchanged — the canonical instance (constants
-# ``0..m-1``) is itself a valid query, equivalid with every member's raw
-# conditions under that member's slot permutation.
-#
-# Soundness: for a member whose slot ``i`` abstracts constant ``c_i``, extend
-# ``slot_i ↦ c_i`` to a bijection π of ``[0, 2^w)`` that preserves
-# ``[0, size)`` (possible because all constants and slots lie below ``size``;
-# enforced by the eligibility checks).  Substituting ``dest ↦ π⁻¹(dest)``
-# maps the member's conditions exactly onto the canonical ones — ``dest == c``
-# becomes ``dest == slot``, and ``dest < size`` is preserved because π
-# preserves the range — so validity transfers both ways and a canonical
-# counterexample re-concretizes by mapping its destination value through π.
-# Any occurrence of ``dest`` outside the two eligible atom shapes makes the
-# node *ineligible*: it falls back to its raw conditions (a finer partition
-# — never unsound).
-
-
-class IneligibleDestination(Exception):
-    """Internal: ``dest`` occurs outside the eligible atom shapes."""
-
-
-#: Process-local memo of destination cones: dest ``term_id`` → (``term_id`` →
-#: does the cone mention the destination variable).  Terms are interned for
-#: the process lifetime, so the key never goes stale.
-_DEST_CONES: dict[int, dict[int, bool]] = {}
-
-
-def destination_variable(annotated: AnnotatedNetwork) -> Term | None:
-    """The destination variable's term, when the network declares the symmetry."""
-    marker = annotated.destination_symmetry
-    if marker is None:
-        return None
-    for symbolic in annotated.network.symbolics:
-        if symbolic.name == marker.variable:
-            term = getattr(symbolic.value, "term", None)
-            if term is not None and term.is_var():
-                return term
-    return None
-
-
-class DestinationCanonicalizer:
-    """Rewrites one node's conditions up to destination-index permutation.
-
-    One instance per node: the slot map is shared across the node's three
-    conditions (canonicalized in kind order) so the same constant always
-    maps to the same slot, and :attr:`witness` records the node's concrete
-    constant per slot for counterexample re-concretization.
-    """
-
-    def __init__(self, destination: Term, size: int) -> None:
-        self._dest = destination
-        self._size = size
-        self._width = destination.width()
-        self._slots: dict[int, int] = {}
-        self._memo: dict[int, Term] = {}
-        self._cones = _DEST_CONES.setdefault(destination.term_id, {})
-
-    @property
-    def witness(self) -> tuple[int, ...]:
-        """The node's destination constants in slot order (slot ``i`` ↦ ``witness[i]``)."""
-        return tuple(constant for constant, _ in sorted(self._slots.items(), key=lambda kv: kv[1]))
-
-    def rewrite_condition(self, condition: VerificationCondition) -> VerificationCondition:
-        """The canonical twin of ``condition`` (assumptions/goal rewritten).
-
-        Evaluation payloads (neighbour routes, the node route, symbolics) are
-        kept as the original node's terms: the canonical instance is only ever
-        *proved*; a failing canonical query is re-discharged in raw form to
-        produce a genuine counterexample (see ``check_class``).
-        """
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 20_000))
-        try:
-            assumptions = SymBool(self._rewrite(condition.assumptions.term))
-            goal = SymBool(self._rewrite(condition.goal.term))
-        finally:
-            sys.setrecursionlimit(limit)
-        return dataclasses.replace(condition, assumptions=assumptions, goal=goal)
-
-    # -- slot assignment ---------------------------------------------------------
-
-    def _slot(self, constant: int) -> int:
-        if constant >= self._size:
-            # π could not preserve the [0, size) range constraint.
-            raise IneligibleDestination
-        return self._slots.setdefault(constant, len(self._slots))
-
-    def _mentions_dest(self, term: Term) -> bool:
-        cached = self._cones.get(term.term_id)
-        if cached is not None:
-            return cached
-        # Iterative post-order with an ``expanded`` marker: each node's
-        # children are pushed exactly once, so the walk is linear in the
-        # *DAG* size.  (Cones are deep and heavily shared — route records
-        # duplicate guard structure per field — so re-expanding shared
-        # subterms would enumerate paths, which is exponential.)  The memo
-        # is shared across nodes of the same network.
-        stack = [term]
-        expanded: set[int] = set()
-        while stack:
-            current = stack[-1]
-            term_id = current.term_id
-            if term_id in self._cones:
-                stack.pop()
-                continue
-            if current is self._dest:
-                self._cones[term_id] = True
-                stack.pop()
-                continue
-            if not current.args:
-                self._cones[term_id] = False
-                stack.pop()
-                continue
-            if term_id not in expanded:
-                expanded.add(term_id)
-                stack.extend(arg for arg in current.args if arg.term_id not in self._cones)
-            else:
-                # Second visit: every child was resolved while this node
-                # waited on the stack.
-                self._cones[term_id] = any(
-                    self._cones[arg.term_id] for arg in current.args
-                )
-                stack.pop()
-        return self._cones[term.term_id]
-
-    def _destination_atom(self, term: Term) -> Term | None:
-        """The constant term of a ``dest == k`` atom, else ``None``."""
-        if term.op != OP_EQ:
-            return None
-        left, right = term.args
-        if left is self._dest and right.is_bv_const():
-            return right
-        if right is self._dest and left.is_bv_const():
-            return left
-        return None
-
-    # -- the rewrite -------------------------------------------------------------
-
-    def _rewrite(self, term: Term) -> Term:
-        if not self._mentions_dest(term):
-            return term
-        cached = self._memo.get(term.term_id)
-        if cached is not None:
-            return cached
-        rewritten = self._rewrite_uncached(term)
-        self._memo[term.term_id] = rewritten
-        return rewritten
-
-    def _rewrite_uncached(self, term: Term) -> Term:
-        constant = self._destination_atom(term)
-        if constant is not None:
-            return builder.eq(self._dest, builder.bv_const(self._slot(constant.bv_value()), self._width))
-        if term is self._dest:
-            # A bare occurrence outside the eligible atoms (arithmetic over
-            # dest, comparison against a non-constant, ...).
-            raise IneligibleDestination
-        if term.op in (OP_BVULT, OP_BVULE):
-            left, right = term.args
-            if left is self._dest:
-                if term.op == OP_BVULT and right.is_bv_const() and right.bv_value() == self._size:
-                    # The permutation-invariant range constraint dest < size.
-                    return term
-                raise IneligibleDestination
-            # dest only nested deeper (e.g. a dist ladder compared against
-            # time): recurse.  A bare dest on the right raises below.
-            compare = builder.bv_ult if term.op == OP_BVULT else builder.bv_ule
-            return compare(self._rewrite(left), self._rewrite(right))
-        if term.op == OP_ITE:
-            cond, then_branch, else_branch = term.args
-            return builder.ite(
-                self._rewrite(cond), self._rewrite(then_branch), self._rewrite(else_branch)
-            )
-        if term.op in (OP_AND, OP_OR):
-            return self._rewrite_connective(term)
-        if term.op == OP_NOT:
-            return builder.not_(self._rewrite(term.args[0]))
-        if term.op == OP_EQ:
-            left, right = term.args
-            return builder.eq(self._rewrite(left), self._rewrite(right))
-        if term.op == OP_BVADD:
-            left, right = term.args
-            return builder.bv_add(self._rewrite(left), self._rewrite(right))
-        if term.op == OP_BVSUB:
-            left, right = term.args
-            return builder.bv_sub(self._rewrite(left), self._rewrite(right))
-        # Leaves never mention dest (handled above); any other operator with
-        # dest in its cone has no sound rewrite here.
-        raise IneligibleDestination
-
-    def _rewrite_connective(self, term: Term) -> Term:
-        """and/or: non-atom children in order, then atoms sorted by slot."""
-        others: list[Term] = []
-        atoms: list[tuple[int, Term]] = []  # (constant value, atom term)
-        for child in term.args:
-            constant = self._destination_atom(child)
-            if constant is not None:
-                atoms.append((constant.bv_value(), child))
-            else:
-                others.append(self._rewrite(child))
-        # Already-assigned constants sort by slot; fresh ones keep their
-        # original relative order (stable sort) and are assigned in it.
-        atoms.sort(key=lambda pair: self._slots.get(pair[0], self._size))
-        rebuilt = others + [
-            builder.eq(self._dest, builder.bv_const(self._slot(value), self._width))
-            for value, _ in atoms
-        ]
-        combine = builder.and_ if term.op == OP_AND else builder.or_
-        return combine(*rebuilt)
-
-
 def canonical_node_conditions(
     annotated: AnnotatedNetwork, node: str, delay: int = 0
-) -> tuple[list[VerificationCondition], tuple[int, ...] | None]:
-    """The node's conditions, destination-canonicalized when declared.
+) -> list[VerificationCondition]:
+    """``node``'s conditions built in its own destination numbering ``π_node``.
 
-    Returns ``(conditions, witness)``.  When the network declares a
-    :class:`~repro.core.annotations.DestinationSymmetry` and the node's
-    conditions use the destination only in the eligible atom shapes, the
-    conditions come back canonicalized and ``witness`` is the node's
-    destination constant per permutation slot.  Otherwise the raw
-    conditions are returned with ``witness=None``.
+    Without a :class:`~repro.core.annotations.DestinationSymmetry` marker
+    these are :func:`node_conditions`.  With one, the marker's ``π_node`` is
+    active for the build (:mod:`repro.core.numbering`), so isomorphic nodes
+    build the identical hash-consed terms.  Soundness: a bijection of
+    ``[0, size)`` maps a query over ``dest == k`` atoms and ``dest < size``
+    onto an equally valid one, so these conditions hold iff the raw ones do,
+    and a ``π_node`` that is not a symmetry of the network only loses sharing.
+    Payloads (routes, symbolics) are in ``π_node`` too: counterexamples come
+    from :func:`node_conditions`, in the network's own numbering.
     """
-    raw = node_conditions(annotated, node, delay=delay)
-    destination = destination_variable(annotated)
-    if destination is None:
-        return raw, None
-    canonicalizer = DestinationCanonicalizer(destination, annotated.destination_symmetry.size)
-    try:
-        canonical = [canonicalizer.rewrite_condition(condition) for condition in raw]
-    except IneligibleDestination:
-        return raw, None
-    return canonical, canonicalizer.witness
+    marker = annotated.destination_symmetry
+    if marker is None:
+        return node_conditions(annotated, node, delay=delay)
+    with destination_numbering(marker.numbering(node)):
+        return node_conditions(annotated, node, delay=delay)

@@ -16,7 +16,7 @@ This module computes the keys that decision is made on:
 
 * :func:`condition_fingerprint` — the content hash of one
   :class:`~repro.core.conditions.VerificationCondition`: its kind plus the
-  digests of the canonicalized ``(assumptions, goal)`` pair.  Conditions name
+  digests of its ``(assumptions, goal)`` pair.  Conditions name
   their query variables by predecessor position, so the fingerprint erases
   node identity: isomorphic nodes share fingerprints, and a verdict cached
   for one is a verdict for all of them.  It is the delta store's only key:
@@ -26,9 +26,10 @@ This module computes the keys that decision is made on:
 **The in-process memo.**  :func:`node_condition_fingerprints` is memoised
 per ``Network`` (weakly, like the condition parts of
 :mod:`repro.core.conditions`) on exactly what the condition builders read:
-the node, ``delay``, both time widths, the destination-symmetry marker, and
-the identities of the node's interface, its property and each predecessor's
-interface in predecessor order.  The policy is fixed by the ``Network`` the
+the node, ``delay``, both time widths, the destination-symmetry marker, the
+destination numbering the conditions are built in, and the identities of the
+node's interface, its property and each predecessor's interface in
+predecessor order.  The policy is fixed by the ``Network`` the
 memo is weak on, and under the pure-term-builder assumption of
 :mod:`repro.core.conditions` equal keys build equal conditions.  Every object whose ``id`` is in a key is held by its
 entry, so no ``id`` can be reused while the entry lives, and an edit is a
@@ -66,7 +67,8 @@ from repro.symbolic.values import SymEnum
 
 #: Bumped whenever the fingerprint encoding changes, so digests from older
 #: code versions can never collide with current ones.  ``fp2``: condition
-#: fingerprints are computed on the destination-canonicalized form when the network declares a
+#: fingerprints are computed on the conditions each node builds in its own
+#: destination numbering when the network declares a
 #: :class:`~repro.core.annotations.DestinationSymmetry`, so all-pairs nodes
 #: that differ only by destination-index permutation share fingerprints and
 #: delta reuse composes with the destination quotient.
@@ -238,7 +240,7 @@ def node_condition_fingerprints(
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
-    Builds the node's conditions — destination-canonicalized when the
+    Builds the node's conditions — in its own destination numbering when the
     network declares a destination symmetry, so permuted all-pairs nodes
     share condition fingerprints — and digests each kind.  These are the
     keys of the delta store.  Memoised on what the builders read (module
@@ -250,13 +252,15 @@ def node_condition_fingerprints(
     sent = tuple(map(annotated.interface, network.topology.predecessors(node)))
     widths = (annotated.time_width(), annotated.time_width(delay))
     identities = (id(interface), id(node_property), tuple(map(id, sent)))
-    key = (node, delay, widths, annotated.destination_symmetry, identities)
+    marker = annotated.destination_symmetry
+    numbering = None if marker is None else marker.numbering(node)
+    key = (node, delay, widths, marker, numbering, identities)
     memo = _CONDITION_FINGERPRINTS.setdefault(network, {})
     cached = memo.get(key)
     if cached is not None:
         _MEMO_HITS["condition_fingerprints"] += 1
         return dict(cached[1])
-    node_vcs, _ = canonical_node_conditions(annotated, node, delay=delay)
+    node_vcs = canonical_node_conditions(annotated, node, delay=delay)
     fingerprints = {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
     memo[key] = ((interface, node_property, sent), fingerprints)
     return dict(fingerprints)

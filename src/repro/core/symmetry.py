@@ -13,19 +13,19 @@ singleton partition (:func:`singleton_classes`), whose classes discharge
 exactly the queries a plain per-node check would.
 
 **Destination quotient.**  The one partition.  A network that declares a
-:class:`~repro.core.annotations.DestinationSymmetry` marker has its
-conditions canonicalized *up to simultaneous destination-index permutation*
+:class:`~repro.core.annotations.DestinationSymmetry` marker has each node's
+conditions built in that node's own destination numbering
 (:func:`repro.core.conditions.canonical_node_conditions`), and two nodes
-share a class iff their canonical ``(assumptions, goal)`` pairs are the
-identical hash-consed ``Term`` objects.  A network without the marker gets
+share a class iff those ``(assumptions, goal)`` pairs are the identical
+hash-consed ``Term`` objects.  A network without the marker gets
 the singleton partition under every mode: nodes whose conditions are
 term-identical are already answered once, by the incremental solver's answer
 memo (:mod:`repro.smt.incremental`), so no partition needs to find them.
 
 Soundness.  Equal keys mean the members' raw conditions are each equivalid
-with the *same* canonical instance (they are its images under bijections of
-the destination index that preserve the range constraint), hence equivalid
-with each other: a passing representative is a passing member.  A failing
+with the *same* canonical instance (it is their image under a bijection of
+the destination index range), hence equivalid with each other: a passing
+representative is a passing member.  A failing
 class propagates nothing: every member re-discharges its own raw conditions,
 so each counterexample is that member's genuine one, and a member whose
 verdicts differ from the class's is an internal error.
@@ -54,7 +54,7 @@ class SymmetryClass:
     (``None`` for singleton classes, whose conditions are built at check
     time).  ``destination`` is set when the class was formed up to
     destination-index permutation: the cached ``conditions`` are then the
-    *canonical* instance.
+    representative's, built in its own destination numbering.
     """
 
     key: Hashable
@@ -87,20 +87,16 @@ def partition_nodes(
     :class:`~repro.core.annotations.DestinationSymmetry`, otherwise the
     singleton partition.  Classes are returned in first-member order;
     members keep the order of ``nodes``.
-
-    An eligibility flag keeps nodes whose conditions fell back to their raw
-    form (destination used outside the eligible atom shapes) from ever
-    sharing a class with canonicalized ones; equal raw terms still merge.
     """
     if annotated.destination_symmetry is None:
         return singleton_classes(nodes)
     groups: dict[Hashable, list[str]] = {}
     built: dict[Hashable, tuple[VerificationCondition, ...]] = {}
     for node in nodes:
-        node_vcs, witness = canonical_node_conditions(annotated, node, delay=delay)
+        node_vcs = canonical_node_conditions(annotated, node, delay=delay)
         # Hash-consing makes term_id a process-stable structural fingerprint:
-        # equal keys ⟺ the canonicalized conditions are the same Term objects.
-        key = (witness is not None,) + tuple(
+        # equal keys ⟺ the canonical conditions are the same Term objects.
+        key = tuple(
             (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id) for vc in node_vcs
         )
         if key not in groups:
@@ -112,7 +108,7 @@ def partition_nodes(
             members=tuple(members),
             conditions=built[key],
             conditions_delay=delay,
-            destination=key[0],
+            destination=True,
         )
         for key, members in groups.items()
     ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
+from repro.core.numbering import active_numbering
 from repro.errors import VerificationError
 from repro.symbolic import SymBV, SymBool
 
@@ -161,14 +162,15 @@ def until_dynamic(
     if max_witness < 0:
         raise VerificationError(f"max_witness must be non-negative, got {max_witness}")
     after_predicate = lift(after)
-    # The witness is a function of the time term alone (in practice of its
-    # width), and can be a long ITE ladder: build it once per time term.
-    witnesses: dict[int, SymBV] = {}
+    # The witness is a function of the time term (in practice of its width)
+    # and of the destination numbering it is built in: build it once per pair.
+    witnesses: dict[tuple[int, tuple[int, ...] | None], SymBV] = {}
 
     def evaluate(route: Any, time: SymBV) -> SymBool:
-        witness_value = witnesses.get(time.term.term_id)
+        key = (time.term.term_id, active_numbering())
+        witness_value = witnesses.get(key)
         if witness_value is None:
-            witness_value = witnesses[time.term.term_id] = witness(time)
+            witness_value = witnesses[key] = witness(time)
         before_holds = SymBool.lift(before(route))
         after_holds = after_predicate(route, time)
         return (time < witness_value).ite(before_holds, after_holds)

@@ -280,6 +280,8 @@ def lines_of_code_table() -> str:
         fattree.FixedDestination.adjacent,
         fattree.SymbolicDestination.until,
         fattree.SymbolicDestination._hop_cases,
+        fattree.SymbolicDestination._numbering,
+        fattree.SymbolicDestination._any_of,
         fattree.SymbolicDestination.adjacent,
         fattree._path_length,
     )

@@ -28,8 +28,10 @@ is a constant for ``Sp`` and an ITE ladder over the symbolic destination for
 three hop counts per node, the most frequent one as the default and each
 other one guarded by the disjunction of its ``dest == k`` atoms.  The default
 is sound because every condition assumes the network precondition
-``dest < size``, under which it covers exactly its own group.
-:func:`build_fattree` is the one builder.
+``dest < size``, under which it covers exactly its own group.  ``Ap`` builds
+every ``dest`` term in the active destination numbering, so each node's
+conditions can be built in its own.  :func:`build_fattree` is the one
+builder.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.core import (
     until,
     until_dynamic,
 )
+from repro.core.numbering import active_numbering
 from repro.networks.fattree import Fattree
 from repro.routing.algebra import Network, SymbolicVariable
 from repro.routing.bgp import (
@@ -178,52 +181,74 @@ class SymbolicDestination(_Destination):
     ``dest == k`` atoms.  Every condition assumes ``dest < size``, and inside
     that range the default covers exactly its own group.  So a core node's
     ``dist`` is the constant 2, and no ladder mentions more than ``pods // 2``
-    atoms.  The atoms are built once per network; a node's hop counts are
-    grouped when a condition first reads its interface.  The atoms left still
-    differ between nodes, so the network carries a
-    :class:`DestinationSymmetry` marker, and the symmetry layer quotients
-    nodes up to a simultaneous permutation of the ``dest == k`` constants.
+    atoms.  A node's hop counts are grouped when a condition first reads its
+    interface.
+
+    Every ``dest`` term (atom, ladder, ``adjacent`` bag, initial route) is
+    built in the active destination numbering (:mod:`repro.core.numbering`):
+    raw index ``k`` is written ``π[k]``, and each bag lists its atoms in
+    ascending ``π`` order.  The network's :class:`DestinationSymmetry` marker
+    hands out ``π_v`` (:meth:`_numbering`), in which isomorphic nodes build
+    identical terms, and the symmetry layer quotients on term identity.
     """
 
     name = None
 
     def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
         super().__init__(fattree, family)
-        edge_nodes = fattree.edge_nodes
-        # One extra bit so the bound ``len(edge_nodes)`` itself is
-        # representable — otherwise the range constraint would wrap around
-        # and become false, making every all-pairs check vacuous.
-        self.index = SymBV.fresh(max(1, len(edge_nodes).bit_length()), "dest")
-        self.symbolics = (
-            SymbolicVariable("dest", self.index, constraint=self.index < len(edge_nodes)),
-        )
-        self.marker = DestinationSymmetry("dest", len(edge_nodes))
-        #: Edge node -> its ``dest == k`` atom.
-        self._atoms = {name: self.index == position for position, name in enumerate(edge_nodes)}
-        #: Node -> ``(default hop count, ((hop count, guard), ...))``.
-        self._hops: dict[str, tuple[int, tuple[tuple[int, SymBool], ...]]] = {}
+        #: Edge node -> its raw destination index.
+        self._positions = {name: k for k, name in enumerate(fattree.edge_nodes)}
+        size = len(self._positions)
+        # One extra bit so the bound ``size`` itself is representable —
+        # otherwise the range constraint would wrap around and become false,
+        # making every all-pairs check vacuous.
+        self.index = SymBV.fresh(max(1, size.bit_length()), "dest")
+        self.symbolics = (SymbolicVariable("dest", self.index, constraint=self.index < size),)
+        self.marker = DestinationSymmetry("dest", size, self._numbering)
+        #: ``dest == i`` for every index ``i``.
+        self._atoms = tuple(self.index == position for position in range(size))
+        self._pods = {node: fattree.pod_of(node) for node in fattree.nodes}
+        #: Node -> ``(default hop count, ((hop count, raw indices), ...))``:
+        #: indices, not terms, so the grouping holds for every numbering.
+        self._hops: dict[str, tuple[int, tuple[tuple[int, list[int]], ...]]] = {}
         self._present = family.route.some(family.default_announcement())
         self._absent = family.route.none()
 
+    def _numbering(self, node: str) -> list[int]:
+        """``π_node``: the node's pod's edge nodes first (itself first), then the other pods."""
+        pod = self._pods.get(node)
+        order = sorted(self._positions, key=lambda name: (self._pods[name] != pod, name != node))
+        numbering = [0] * len(order)
+        for position, name in enumerate(order):
+            numbering[self._positions[name]] = position
+        return numbering
+
+    def _any_of(self, indices: list[int]) -> SymBool:
+        """The ``dest == k`` atoms of raw ``indices``, in the active numbering."""
+        numbering = active_numbering()
+        if numbering is not None:
+            indices = sorted(numbering[k] for k in indices)
+        return any_of(self._atoms[k] for k in indices)
+
     def initial(self, node: str) -> SymOption:
-        if node not in self._atoms:
+        if node not in self._positions:
             return self._absent
-        return ite_value(self._atoms[node], self._present, self._absent)
+        return ite_value(self._any_of([self._positions[node]]), self._present, self._absent)
 
     def _hop_cases(self, node: str) -> tuple[int, tuple[tuple[int, SymBool], ...]]:
         """``dist(node)`` grouped by value: the default and the guarded cases."""
-        cases = self._hops.get(node)
-        if cases is None:
-            groups: dict[int, list[SymBool]] = {}
-            for edge_node, atom in self._atoms.items():
-                hops = self.fattree.distance_to_destination(node, edge_node)
-                groups.setdefault(hops, []).append(atom)
+        grouped = self._hops.get(node)
+        if grouped is None:
+            groups: dict[int, list[int]] = {}
+            for edge_node, k in self._positions.items():
+                groups.setdefault(self.fattree.distance_to_destination(node, edge_node), []).append(k)
             default = max(groups, key=lambda hops: (len(groups[hops]), hops))
-            cases = self._hops[node] = (
+            grouped = self._hops[node] = (
                 default,
-                tuple((hops, any_of(groups[hops])) for hops in sorted(groups) if hops != default),
+                tuple((hops, groups[hops]) for hops in sorted(groups) if hops != default),
             )
-        return cases
+        default, cases = grouped
+        return default, tuple((hops, self._any_of(indices)) for hops, indices in cases)
 
     def until(self, node: str, before: Callable, after: Callable) -> TemporalPredicate:
         def distance(time: SymBV) -> SymBV:
@@ -241,10 +266,12 @@ class SymbolicDestination(_Destination):
         return until_dynamic(distance, before, later, max_witness=FATTREE_DIAMETER)
 
     def adjacent(self, node: str) -> SymBool:
-        return any_of(
-            atom
-            for edge_node, atom in self._atoms.items()
-            if self.fattree.adjacent_to_destination(node, edge_node)
+        return self._any_of(
+            [
+                k
+                for edge_node, k in self._positions.items()
+                if self.fattree.adjacent_to_destination(node, edge_node)
+            ]
         )
 
 
@@ -359,12 +386,12 @@ def _valley_freedom(fattree: Fattree, place: type[_Destination], widths: dict[st
     network = destination.network(transfer_for)
 
     def interface(node: str) -> TemporalPredicate:
-        adjacent = destination.adjacent(node)
-
         def stable(distance: int | SymBV) -> TemporalPredicate:
             def predicate(route: SymOption) -> SymBool:
                 payload = route.payload
                 clean = ~payload.communities.contains(DOWN_COMMUNITY)
+                # Read when applied: ``Ap`` builds it in the active numbering.
+                adjacent = destination.adjacent(node)
                 return (
                     route.is_some
                     & (payload.lp == DEFAULT_LOCAL_PREFERENCE)

@@ -3,7 +3,7 @@
 ``Modular(delta="reuse")`` makes :class:`repro.verify.Session` consult a
 small on-disk store before discharging anything: a symmetry class whose
 representative's three condition fingerprints (content hashes of the
-canonicalized queries, see :mod:`repro.core.fingerprint`) are all recorded
+canonical queries, see :mod:`repro.core.fingerprint`) are all recorded
 as proved gets its verdicts back as ``reused`` events, and only the rest is
 handed to the SMT backend.  This module owns that store's format and
 lifecycle.

@@ -19,18 +19,16 @@ import pytest
 
 from repro import core
 from repro.core.annotations import AnnotatedNetwork
+from repro.core.numbering import destination_numbering
 from repro.core.conditions import (
     INDUCTIVE,
     INITIAL,
     SAFETY,
     VC_PREFIX,
-    DestinationCanonicalizer,
-    IneligibleDestination,
     VerificationCondition,
     _query_part,
     _query_time,
     canonical_node_conditions,
-    destination_variable,
     inductive_condition,
     initial_condition,
     node_conditions,
@@ -159,17 +157,12 @@ def _oracle_node_conditions(
 
 def _oracle_canonical_node_conditions(
     annotated: AnnotatedNetwork, node: str, delay: int = 0
-) -> tuple[list[VerificationCondition], tuple[int, ...] | None]:
-    raw = _oracle_node_conditions(annotated, node, delay=delay)
-    destination = destination_variable(annotated)
-    if destination is None:
-        return raw, None
-    canonicalizer = DestinationCanonicalizer(destination, annotated.destination_symmetry.size)
-    try:
-        canonical = [canonicalizer.rewrite_condition(condition) for condition in raw]
-    except IneligibleDestination:
-        return raw, None
-    return canonical, canonicalizer.witness
+) -> list[VerificationCondition]:
+    marker = annotated.destination_symmetry
+    if marker is None:
+        return _oracle_node_conditions(annotated, node, delay=delay)
+    with destination_numbering(marker.numbering(node)):
+        return _oracle_node_conditions(annotated, node, delay=delay)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +170,7 @@ def _oracle_canonical_node_conditions(
 # ---------------------------------------------------------------------------
 
 #: Every registry network at its smallest size, the all-pairs variant (the
-#: only one the destination canonicalizer rewrites), and the wide-area shape
+#: only one built in a node-relative destination numbering), and the wide-area shape
 #: whose 50-conjunct precondition is what the n-ary builders are for.
 _IDENTITY_CASES = [
     *(
@@ -210,10 +203,10 @@ def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay):
             node_conditions(annotated, node, delay=delay),
             _oracle_node_conditions(annotated, node, delay=delay),
         )
-        built, witness = canonical_node_conditions(annotated, node, delay=delay)
-        expected, expected_witness = _oracle_canonical_node_conditions(annotated, node, delay=delay)
-        _assert_same_terms(built, expected)
-        assert witness == expected_witness
+        _assert_same_terms(
+            canonical_node_conditions(annotated, node, delay=delay),
+            _oracle_canonical_node_conditions(annotated, node, delay=delay),
+        )
 
 
 # ---------------------------------------------------------------------------

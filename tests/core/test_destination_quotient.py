@@ -2,8 +2,9 @@
 
 All-pairs benchmarks bake per-node ``dest == k`` constants into every
 interface, so no two nodes are term-identical and the answer memo finds
-little to share.  The destination quotient abstracts those constants into
-permutation slots and collapses the partition to a handful of role classes.
+little to share.  The destination quotient builds each node's conditions in
+its own destination numbering and collapses the partition to a handful of
+role classes.
 These tests pin:
 
 * the partition itself (fewer classes than distinct raw condition sets for
@@ -100,7 +101,7 @@ class TestQuotientPartition:
         assert len(quotient_classes) < len(raw_queries)
         if policy == "reach":
             assert 4 * len(quotient_classes) <= len(raw_queries)
-        # Every class was formed through the quotient (all nodes are eligible).
+        # Every class was formed through the quotient.
         assert all(cls.destination for cls in quotient_classes)
         # Same node coverage, deterministic member order.
         covered = [member for cls in quotient_classes for member in cls.members]
@@ -118,11 +119,10 @@ class TestQuotientPartition:
         largest = max(classes, key=len)
         assert len(largest) >= 2
         rep, member = largest.members[0], largest.members[-1]
-        rep_conditions, rep_witness = canonical_node_conditions(annotated, rep)
-        member_conditions, member_witness = canonical_node_conditions(annotated, member)
-        assert rep_witness is not None and member_witness is not None
-        # Canonicalized conditions are *term-identical* (hash-consed), even
-        # though the raw conditions bake in different destination constants.
+        rep_conditions = canonical_node_conditions(annotated, rep)
+        member_conditions = canonical_node_conditions(annotated, member)
+        # Conditions built in each node's own numbering are *term-identical*
+        # (hash-consed), though the raw ones bake in different constants.
         assert [
             (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
             for vc in rep_conditions
