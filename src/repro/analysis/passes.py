@@ -107,14 +107,6 @@ class LintTarget:
             raise value  # type: ignore[misc]
         return value  # type: ignore[return-value]
 
-    def condition_build_error(self, node: str) -> ReproError | None:
-        """The error the node's condition build raised, if any."""
-        try:
-            self.conditions(node)
-        except ReproError as error:
-            return error
-        return None
-
     def annotation_term(self, node: str, kind: str):
         """``A(node)``/``P(node)`` applied to the shared canonical probe.
 

@@ -33,13 +33,19 @@ class DestinationSymmetry:
     valid destination indices (the permutation acts on ``0..size-1``).
     ``order`` maps a node to its numbering ``π_v`` (raw index ``k`` ↦
     ``π_v[k]``), the one its canonical conditions are built in (see
-    :mod:`repro.core.numbering`).  It is how the builder numbers, not what
-    it declares, so markers compare on ``variable`` and ``size`` alone.
+    :mod:`repro.core.numbering`).  ``vouched`` maps ``id`` to each object
+    (the network, annotations) that the builder wrote to read ``dest`` only
+    through atoms built in the active numbering: a numbered build renames
+    nothing else, so it is sound only for a node that reads vouched objects
+    alone (:meth:`AnnotatedNetwork.destination_numbering`).  ``order`` and
+    ``vouched`` are how the builder numbers, not what it declares, so
+    markers compare on ``variable`` and ``size`` alone.
     """
 
     variable: str
     size: int
     order: Callable[[str], Sequence[int]] = field(compare=False)
+    vouched: Mapping[int, object] = field(default_factory=dict, compare=False, repr=False)
 
     def numbering(self, node: str) -> tuple[int, ...]:
         """``π_node``, checked to be a permutation of ``range(size)``."""
@@ -60,7 +66,8 @@ class AnnotatedNetwork:
     symmetry layer quotient nodes whose conditions differ only in which
     concrete destination constants they mention.  It is the only symmetry
     an annotated network declares; class membership is then decided by term
-    identity of the conditions each node builds in its own numbering.
+    identity of the conditions each node builds in its own numbering
+    (:meth:`destination_numbering`).
     """
 
     def __init__(
@@ -137,6 +144,19 @@ class AnnotatedNetwork:
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.network.topology.nodes
+
+    def destination_numbering(self, node: str) -> tuple[int, ...] | None:
+        """``π_node`` if the marker vouches for the network and every annotation
+        ``node``'s conditions read (its own two, its predecessors' interfaces);
+        otherwise ``None``, the network's own numbering."""
+        marker = self.destination_symmetry
+        if marker is None:
+            return None
+        read: list[object] = [self.network, self.interface(node), self.node_property(node)]
+        read += map(self.interface, self.network.topology.predecessors(node))
+        if any(marker.vouched.get(id(value)) is not value for value in read):
+            return None
+        return marker.numbering(node)
 
     def max_witness_time(self) -> int:
         """The largest witness time mentioned by any interface or property."""

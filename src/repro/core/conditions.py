@@ -445,18 +445,19 @@ def canonical_node_conditions(
 ) -> list[VerificationCondition]:
     """``node``'s conditions built in its own destination numbering ``π_node``.
 
-    Without a :class:`~repro.core.annotations.DestinationSymmetry` marker
-    these are :func:`node_conditions`.  With one, the marker's ``π_node`` is
-    active for the build (:mod:`repro.core.numbering`), so isomorphic nodes
-    build the identical hash-consed terms.  Soundness: a bijection of
-    ``[0, size)`` maps a query over ``dest == k`` atoms and ``dest < size``
-    onto an equally valid one, so these conditions hold iff the raw ones do,
-    and a ``π_node`` that is not a symmetry of the network only loses sharing.
-    Payloads (routes, symbolics) are in ``π_node`` too: counterexamples come
-    from :func:`node_conditions`, in the network's own numbering.
+    ``π_node`` is :meth:`AnnotatedNetwork.destination_numbering`, active for
+    the build (:mod:`repro.core.numbering`), so isomorphic nodes build the
+    identical hash-consed terms; where it is ``None`` (no marker, or a read
+    object the marker does not vouch for) these are :func:`node_conditions`.
+    Soundness: the vouched objects write every ``dest == k`` atom in the
+    active numbering, and a bijection of ``[0, size)`` maps a query over
+    those atoms and ``dest < size`` onto an equally valid one, so these
+    conditions hold iff the raw ones do; a ``π_node`` that is not a symmetry
+    of the network only loses sharing.  Payloads (routes, symbolics) are in
+    ``π_node`` too: counterexamples come from :func:`node_conditions`.
     """
-    marker = annotated.destination_symmetry
-    if marker is None:
+    numbering = annotated.destination_numbering(node)
+    if numbering is None:
         return node_conditions(annotated, node, delay=delay)
-    with destination_numbering(marker.numbering(node)):
+    with destination_numbering(numbering):
         return node_conditions(annotated, node, delay=delay)

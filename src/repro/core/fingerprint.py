@@ -252,9 +252,8 @@ def node_condition_fingerprints(
     sent = tuple(map(annotated.interface, network.topology.predecessors(node)))
     widths = (annotated.time_width(), annotated.time_width(delay))
     identities = (id(interface), id(node_property), tuple(map(id, sent)))
-    marker = annotated.destination_symmetry
-    numbering = None if marker is None else marker.numbering(node)
-    key = (node, delay, widths, marker, numbering, identities)
+    numbering = annotated.destination_numbering(node)
+    key = (node, delay, widths, annotated.destination_symmetry, numbering, identities)
     memo = _CONDITION_FINGERPRINTS.setdefault(network, {})
     cached = memo.get(key)
     if cached is not None:

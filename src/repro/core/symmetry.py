@@ -14,7 +14,8 @@ exactly the queries a plain per-node check would.
 
 **Destination quotient.**  The one partition.  A network that declares a
 :class:`~repro.core.annotations.DestinationSymmetry` marker has each node's
-conditions built in that node's own destination numbering
+conditions built in that node's own destination numbering where the
+marker vouches for what they read
 (:func:`repro.core.conditions.canonical_node_conditions`), and two nodes
 share a class iff those ``(assumptions, goal)`` pairs are the identical
 hash-consed ``Term`` objects.  A network without the marker gets
@@ -52,9 +53,11 @@ class SymmetryClass:
     conditions are actually discharged.  ``conditions`` caches the
     representative's conditions when the partition already built them
     (``None`` for singleton classes, whose conditions are built at check
-    time).  ``destination`` is set when the class was formed up to
-    destination-index permutation: the cached ``conditions`` are then the
-    representative's, built in its own destination numbering.
+    time).  ``destination`` is set on every class :func:`partition_nodes`
+    forms on a marked network: the class is checked on canonical conditions
+    (:func:`~repro.core.conditions.canonical_node_conditions`).  It is not
+    implied by the marker: ``symmetry="off"`` checks the same network in
+    :func:`singleton_classes`, on raw conditions.
     """
 
     key: Hashable

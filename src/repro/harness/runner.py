@@ -61,10 +61,6 @@ class ExperimentResult:
             return None
         return self.monolithic.wall_time
 
-    @property
-    def monolithic_timed_out(self) -> bool:
-        return self.monolithic is not None and self.monolithic.timed_out
-
     def as_row(self) -> dict[str, object]:
         """A flat dictionary used by the table printers."""
         return {

@@ -122,12 +122,14 @@ class _Destination:
     #: The concrete destination edge node, or ``None`` when it is symbolic.
     name: str | None
     symbolics: tuple[SymbolicVariable, ...]
-    #: The destination-symmetry marker (``Ap`` only).
-    marker: DestinationSymmetry | None = None
 
     def __init__(self, fattree: Fattree, family: BgpRouteFamily) -> None:
         self.fattree = fattree
         self.family = family
+
+    def symmetry(self, network: Network, *annotations: dict) -> DestinationSymmetry | None:
+        """The destination-symmetry marker (``Ap`` only)."""
+        return None
 
     def network(self, transfer=None, merge=None, initial=None, symbolics=()) -> Network:
         """The network; by default plain eBGP on every edge from this destination."""
@@ -204,7 +206,6 @@ class SymbolicDestination(_Destination):
         # making every all-pairs check vacuous.
         self.index = SymBV.fresh(max(1, size.bit_length()), "dest")
         self.symbolics = (SymbolicVariable("dest", self.index, constraint=self.index < size),)
-        self.marker = DestinationSymmetry("dest", size, self._numbering)
         #: ``dest == i`` for every index ``i``.
         self._atoms = tuple(self.index == position for position in range(size))
         self._pods = {node: fattree.pod_of(node) for node in fattree.nodes}
@@ -213,6 +214,13 @@ class SymbolicDestination(_Destination):
         self._hops: dict[str, tuple[int, tuple[tuple[int, list[int]], ...]]] = {}
         self._present = family.route.some(family.default_announcement())
         self._absent = family.route.none()
+
+    def symmetry(self, network: Network, *annotations: dict) -> DestinationSymmetry:
+        """The marker, vouching for ``network`` and the ``annotations`` maps built on it."""
+        vouched = [network, *(value for values in annotations for value in values.values())]
+        return DestinationSymmetry(
+            "dest", len(self._positions), self._numbering, {id(value): value for value in vouched}
+        )
 
     def _numbering(self, node: str) -> list[int]:
         """``π_node``: the node's pod's edge nodes first (itself first), then the other pods."""
@@ -505,6 +513,11 @@ def build_fattree(
         all_pairs,
         destination.fattree,
         destination.family,
-        AnnotatedNetwork(network, interfaces, properties, destination_symmetry=destination.marker),
+        AnnotatedNetwork(
+            network,
+            interfaces,
+            properties,
+            destination_symmetry=destination.symmetry(network, interfaces, properties),
+        ),
         destination.name,
     )

@@ -108,10 +108,6 @@ class Network:
             raise RoutingError(f"edge {edge!r} is not in the topology")
         return self.transfer_function(edge)(route)
 
-    def merge_routes(self, left: Any, right: Any) -> Any:
-        """Apply the selection function ``⊕``."""
-        return self._merge(left, right)
-
     def merge_all(self, routes: list[Any]) -> Any:
         """Fold ``⊕`` over a non-empty list of routes."""
         if not routes:

@@ -25,7 +25,6 @@ Typical usage::
 
 from repro.smt.builder import (
     and_,
-    and_all,
     bool_const,
     bool_var,
     bv_add,
@@ -47,7 +46,6 @@ from repro.smt.builder import (
     ite,
     not_,
     or_,
-    or_all,
     true,
     xor,
 )
@@ -90,8 +88,6 @@ __all__ = [
     "not_",
     "and_",
     "or_",
-    "and_all",
-    "or_all",
     "implies",
     "iff",
     "xor",

@@ -13,7 +13,7 @@ All constructors are total functions: they validate sorts and raise
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import SortError, TermError
 from repro.smt.sorts import BOOL, BitVecSort, check_same_sort
@@ -335,16 +335,6 @@ def bv_saturating_add(left: Term, right: Term) -> Term:
     total = bv_add(left, right)
     overflowed = bv_ult(total, left)
     return ite(overflowed, top, total)
-
-
-def and_all(args: Sequence[Term]) -> Term:
-    """Conjunction of a sequence (accepts the empty sequence)."""
-    return and_(*args)
-
-
-def or_all(args: Sequence[Term]) -> Term:
-    """Disjunction of a sequence (accepts the empty sequence)."""
-    return or_(*args)
 
 
 # -- helpers -------------------------------------------------------------------

@@ -12,6 +12,9 @@ at pods 2 and 4:
   ``dest == π_v(k)`` by the test-only substitution below;
 * with a failure injected, the quotient decides the ``(node, condition,
   holds)`` triples the per-node run does;
+* a node that reads an annotation the marker does not vouch for (one that
+  reads ``dest`` itself) is built raw, and the quotient still decides what
+  the per-node run does;
 * memo isolation: a process that builds the raw conditions before or after
   the numbered ones builds the terms a fresh process builds for each.
 """
@@ -26,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro import smt
+from repro.core import TemporalPredicate, condition_verdicts
 from repro.core.annotations import AnnotatedNetwork, DestinationSymmetry
 from repro.core.conditions import canonical_node_conditions, node_conditions
 from repro.errors import VerificationError
@@ -127,6 +131,65 @@ def test_an_injected_failure_is_decided_as_without_the_quotient(policy, pods):
     assert decided(classes) == decided(verify(injected, Modular(symmetry="off")))
 
 
+def _reading_dest(built, node, index):
+    """``built`` with ``node``'s interface narrowed by a clause that reads ``dest`` itself.
+
+    The clause claims no route at time 0 when ``dest == index``, so an edge
+    node of raw index ``index`` fails its initial condition and nothing
+    else.  Were the node built in its own numbering, its initial route would
+    be renamed and the clause not, and every condition would hold.  The
+    marker is kept.
+    """
+    annotated = built.annotated
+    (dest,) = [s.value for s in annotated.network.symbolics if s.name == "dest"]
+    quiet = TemporalPredicate(
+        lambda route, time: ((dest == index) & (time == 0)).implies(route.is_none),
+        max_witness=0,
+    )
+    interfaces = {name: annotated.interface(name) for name in annotated.nodes}
+    interfaces[node] = annotated.interface(node).intersect(quiet)
+    return AnnotatedNetwork(
+        annotated.network,
+        interfaces,
+        {name: annotated.node_property(name) for name in annotated.nodes},
+        minimum_time_width=annotated.minimum_time_width,
+        destination_symmetry=annotated.destination_symmetry,
+    )
+
+
+@pytest.mark.parametrize("pods", (2, 4))
+def test_an_annotation_the_marker_does_not_vouch_for_is_built_raw(pods):
+    built = _built("reach", pods)
+    edge = built.fattree.edge_nodes[1]
+    annotated = _reading_dest(built, edge, 1)
+    unvouched = {edge, *annotated.network.topology.successors(edge)}
+    for node in annotated.nodes:
+        numbering = annotated.destination_numbering(node)
+        if node in unvouched:
+            assert numbering is None, node
+            built_raw, numbered = (
+                [(vc.assumptions.term, vc.goal.term) for vc in build(annotated, node)]
+                for build in (node_conditions, canonical_node_conditions)
+            )
+            assert numbered == built_raw, node
+        else:
+            assert numbering == annotated.destination_symmetry.numbering(node), node
+
+    def failures(report):
+        return [
+            (node, result.condition, result.holds)
+            for node, node_report in report.node_reports.items()
+            for result in node_report.results
+            if not result.holds
+        ]
+
+    off = verify(annotated, Modular(symmetry="off"))
+    classes = verify(annotated, Modular(symmetry="classes"))
+    assert failures(off) == [(edge, "initial", False)]
+    assert failures(classes) == failures(off)
+    assert condition_verdicts(classes) == condition_verdicts(off)
+
+
 # ---------------------------------------------------------------------------
 # Memo isolation
 # ---------------------------------------------------------------------------
@@ -154,7 +217,7 @@ def build_digests(order):
         {node: annotated.node_property(node) for node in annotated.nodes},
         minimum_time_width=annotated.minimum_time_width,
         destination_symmetry=DestinationSymmetry(
-            marker.variable, marker.size, lambda node: range(marker.size)
+            marker.variable, marker.size, lambda node: range(marker.size), marker.vouched
         ),
     )
     builds = {
