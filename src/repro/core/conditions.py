@@ -70,7 +70,7 @@ from repro.core.annotations import AnnotatedNetwork
 from repro.core.counterexample import Counterexample
 from repro.core.numbering import active_numbering, destination_numbering
 from repro.core.results import ConditionResult
-from repro.errors import VerificationError
+from repro.errors import SolverError, VerificationError
 from repro.symbolic import (
     SymBV,
     SymBool,
@@ -279,7 +279,9 @@ class VerificationCondition:
         ``solver`` optionally names a reusable SMT backend (typically the
         per-process :func:`repro.smt.process_solver`); the query then runs in
         a push/pop frame on it, reusing encoded structure and learned clauses
-        from earlier conditions.
+        from earlier conditions.  A failing answer's model is evaluated on
+        the condition's own terms; one that does not refute it raises
+        :class:`~repro.errors.SolverError` instead of becoming a verdict.
         """
         started = _time.perf_counter()
         proof = smt.prove(self.goal.term, self.assumptions.term, solver=solver)
@@ -288,6 +290,13 @@ class VerificationCondition:
             return ConditionResult(self.node, self.kind, True, elapsed)
         model = proof.counterexample
         assert model is not None
+        # Checked by concrete evaluation, independent of the encoders and the
+        # SAT core: a model that does not refute the query is no verdict.
+        if (model.evaluate(self.assumptions.term), model.evaluate(self.goal.term)) != (True, False):
+            raise SolverError(
+                f"the solver's model for the {self.kind} condition of {self.node!r} "
+                "does not satisfy its assumptions and falsify its goal"
+            )
         counterexample = Counterexample(
             node=self.node,
             condition=self.kind,
@@ -456,8 +465,5 @@ def canonical_node_conditions(
     of the network only loses sharing.  Payloads (routes, symbolics) are in
     ``π_node`` too: counterexamples come from :func:`node_conditions`.
     """
-    numbering = annotated.destination_numbering(node)
-    if numbering is None:
-        return node_conditions(annotated, node, delay=delay)
-    with destination_numbering(numbering):
+    with destination_numbering(annotated.destination_numbering(node)):
         return node_conditions(annotated, node, delay=delay)

@@ -26,8 +26,8 @@ This module computes the keys that decision is made on:
 **The in-process memo.**  :func:`node_condition_fingerprints` is memoised
 per ``Network`` (weakly, like the condition parts of
 :mod:`repro.core.conditions`) on exactly what the condition builders read:
-the node, ``delay``, both time widths, the destination-symmetry marker, the
-destination numbering the conditions are built in, and the identities of the
+the node, ``delay``, both time widths, the destination numbering the
+conditions are built in (all the marker decides), and the identities of the
 node's interface, its property and each predecessor's interface in
 predecessor order.  The policy is fixed by the ``Network`` the
 memo is weak on, and under the pure-term-builder assumption of
@@ -253,7 +253,7 @@ def node_condition_fingerprints(
     widths = (annotated.time_width(), annotated.time_width(delay))
     identities = (id(interface), id(node_property), tuple(map(id, sent)))
     numbering = annotated.destination_numbering(node)
-    key = (node, delay, widths, annotated.destination_symmetry, numbering, identities)
+    key = (node, delay, widths, numbering, identities)
     memo = _CONDITION_FINGERPRINTS.setdefault(network, {})
     cached = memo.get(key)
     if cached is not None:

@@ -7,8 +7,10 @@ in a node-relative numbering ``π_v`` (handed out by the network's
 :class:`~repro.core.annotations.DestinationSymmetry` marker): while it is
 active, the builder that owns ``dest`` writes the atom of raw index ``k`` as
 ``dest == π_v(k)``.  Every memo that can hold a term built from ``dest`` keys
-on :func:`active_numbering`, so a term built under one numbering is never
-served under another.  ``None`` is the identity: the network's own numbering.
+on the numbering, so a term built under one numbering is never served under
+another: the builder's ``SymbolicDestination._numbered``, the node-policy and
+application memos of :mod:`repro.core.conditions`, and the condition-fingerprint
+memo.  ``None`` is the identity: the network's own numbering.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ def active_numbering() -> tuple[int, ...] | None:
 
 
 @contextmanager
-def destination_numbering(numbering: tuple[int, ...]) -> Iterator[None]:
-    """Build in ``numbering`` for the duration of the ``with`` block."""
+def destination_numbering(numbering: tuple[int, ...] | None) -> Iterator[None]:
+    """Build in ``numbering`` (``None``: the identity) for the duration of the ``with`` block."""
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = None if numbering == tuple(range(len(numbering))) else numbering
+    _ACTIVE = None if numbering == tuple(range(len(numbering or ()))) else numbering
     try:
         yield
     finally:

@@ -57,10 +57,10 @@ class SymmetryClass:
     forms on a marked network: the class is checked on canonical conditions
     (:func:`~repro.core.conditions.canonical_node_conditions`).  It is not
     implied by the marker: ``symmetry="off"`` checks the same network in
-    :func:`singleton_classes`, on raw conditions.
+    :func:`singleton_classes`, on raw conditions, as must
+    :func:`~repro.core.checker.check_node`, the per-node reference.
     """
 
-    key: Hashable
     members: tuple[str, ...]
     conditions: tuple[VerificationCondition, ...] | None = None
     #: The ``delay`` the cached conditions were built with; the checker
@@ -78,7 +78,7 @@ class SymmetryClass:
 
 def singleton_classes(nodes: Sequence[str]) -> list[SymmetryClass]:
     """The trivial partition: one class per node, in ``nodes`` order."""
-    return [SymmetryClass(key=("singleton", node), members=(node,)) for node in nodes]
+    return [SymmetryClass(members=(node,)) for node in nodes]
 
 
 def partition_nodes(
@@ -107,7 +107,6 @@ def partition_nodes(
         groups.setdefault(key, []).append(node)
     return [
         SymmetryClass(
-            key=key,
             members=tuple(members),
             conditions=built[key],
             conditions_delay=delay,

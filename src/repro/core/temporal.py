@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
-from repro.core.numbering import active_numbering
 from repro.errors import VerificationError
 from repro.symbolic import SymBV, SymBool
 
@@ -157,20 +156,15 @@ def until_dynamic(
     of the right width) and returns the witness time as a bitvector of the
     same width.  This is how the all-pairs benchmarks express ``dist(v)`` as a
     function of the symbolic destination.  ``max_witness`` must bound every
-    value ``witness`` can take; it is used to size the time variable.
+    value ``witness`` can take; it is used to size the time variable.  It is
+    called on every evaluation, so a costly witness is memoised by its builder.
     """
     if max_witness < 0:
         raise VerificationError(f"max_witness must be non-negative, got {max_witness}")
     after_predicate = lift(after)
-    # The witness is a function of the time term (in practice of its width)
-    # and of the destination numbering it is built in: build it once per pair.
-    witnesses: dict[tuple[int, tuple[int, ...] | None], SymBV] = {}
 
     def evaluate(route: Any, time: SymBV) -> SymBool:
-        key = (time.term.term_id, active_numbering())
-        witness_value = witnesses.get(key)
-        if witness_value is None:
-            witness_value = witnesses[key] = witness(time)
+        witness_value = witness(time)
         before_holds = SymBool.lift(before(route))
         after_holds = after_predicate(route, time)
         return (time < witness_value).ite(before_holds, after_holds)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro import core
+from repro import core, smt
 from repro.core.conditions import inductive_condition, initial_condition, safety_condition
-from repro.errors import VerificationError
+from repro.errors import SolverError, VerificationError
 from repro.routing import build_running_example, path_topology, shortest_path_network
+from repro.smt.model import Model
+from repro.smt.solver import ProofResult
 
 
 def reach_example():
@@ -142,6 +144,15 @@ class TestConditionEncodings:
         result = safety_condition(annotated, "n1").check()
         assert not result.holds
         assert result.counterexample is not None
+
+    def test_a_model_that_does_not_refute_the_condition_is_no_verdict(self, monkeypatch):
+        # The inductive condition of n1 holds, so no model satisfies its
+        # assumptions and falsifies its goal: a solver that claims one is wrong.
+        condition = inductive_condition(reach_example(), "n1")
+        assert condition.check().holds
+        monkeypatch.setattr(smt, "prove", lambda *terms, **options: ProofResult(False, Model({})))
+        with pytest.raises(SolverError, match="inductive condition of 'n1'"):
+            condition.check()
 
     def test_negative_delay_rejected(self):
         with pytest.raises(VerificationError):

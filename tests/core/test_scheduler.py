@@ -69,9 +69,9 @@ class TestSkewedPartition:
         # class is structurally plausible) plus the endpoint singletons —
         # the shape the destination quotient produces on all-pairs runs.
         return [
-            SymmetryClass(key="interior", members=("n1", "n2", "n3", "n4")),
-            SymmetryClass(key="head", members=("n0",)),
-            SymmetryClass(key="tail", members=("n5",)),
+            SymmetryClass(members=("n1", "n2", "n3", "n4")),
+            SymmetryClass(members=("n0",)),
+            SymmetryClass(members=("n5",)),
         ]
 
     def test_more_workers_than_classes_keeps_report_order(self, monkeypatch, check_classes):
