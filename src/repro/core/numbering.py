@@ -8,9 +8,9 @@ in a node-relative numbering ``π_v`` (handed out by the network's
 active, the builder that owns ``dest`` writes the atom of raw index ``k`` as
 ``dest == π_v(k)``.  Every memo that can hold a term built from ``dest`` keys
 on the numbering, so a term built under one numbering is never served under
-another: the builder's ``SymbolicDestination._numbered``, the node-policy and
-application memos of :mod:`repro.core.conditions`, and the condition-fingerprint
-memo.  ``None`` is the identity: the network's own numbering.
+another: the node-policy and application memos of :mod:`repro.core.conditions`
+and the condition-fingerprint memo.  ``None`` is the identity: the network's
+own numbering.
 """
 
 from __future__ import annotations

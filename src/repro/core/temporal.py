@@ -157,7 +157,7 @@ def until_dynamic(
     same width.  This is how the all-pairs benchmarks express ``dist(v)`` as a
     function of the symbolic destination.  ``max_witness`` must bound every
     value ``witness`` can take; it is used to size the time variable.  It is
-    called on every evaluation, so a costly witness is memoised by its builder.
+    called on every evaluation.
     """
     if max_witness < 0:
         raise VerificationError(f"max_witness must be non-negative, got {max_witness}")

@@ -191,8 +191,7 @@ class SymbolicDestination(_Destination):
     raw index ``k`` is written ``π[k]``, and each bag lists its atoms in
     ascending ``π`` order.  The network's :class:`DestinationSymmetry` marker
     hands out ``π_v`` (:meth:`_numbering`), in which isomorphic nodes build
-    identical terms, and the symmetry layer quotients on term identity.  The
-    ladders and bags are memoised here, per node, time width and numbering.
+    identical terms, and the symmetry layer quotients on term identity.
     """
 
     name = None
@@ -213,8 +212,6 @@ class SymbolicDestination(_Destination):
         #: Node -> ``(default hop count, ((hop count, raw indices), ...))``:
         #: indices, not terms, so the grouping holds for every numbering.
         self._hops: dict[str, tuple[int, tuple[tuple[int, list[int]], ...]]] = {}
-        #: ``(node, time width, numbering)`` -> ``dist(node)``; width ``None``: ``adj(node)``.
-        self._numbered: dict[tuple[str, int | None, tuple[int, ...] | None], Any] = {}
         self._present = family.route.some(family.default_announcement())
         self._absent = family.route.none()
 
@@ -264,14 +261,11 @@ class SymbolicDestination(_Destination):
     def until(self, node: str, before: Callable, after: Callable) -> TemporalPredicate:
         def distance(time: SymBV) -> SymBV:
             # ``dist(node)`` at the time term's width: at most two ITEs.
-            key = (node, time.width, active_numbering())
-            if key not in self._numbered:
-                default, cases = self._hop_cases(node)
-                ladder = SymBV.constant(default, time.width)
-                for hops, guard in reversed(cases):
-                    ladder = ite_value(guard, SymBV.constant(hops, time.width), ladder)
-                self._numbered[key] = ladder
-            return self._numbered[key]
+            default, cases = self._hop_cases(node)
+            ladder = SymBV.constant(default, time.width)
+            for hops, guard in reversed(cases):
+                ladder = ite_value(guard, SymBV.constant(hops, time.width), ladder)
+            return ladder
 
         later = TemporalPredicate(
             lambda route, time: lift(after(distance(time)))(route, time),
@@ -280,12 +274,13 @@ class SymbolicDestination(_Destination):
         return until_dynamic(distance, before, later, max_witness=FATTREE_DIAMETER)
 
     def adjacent(self, node: str) -> SymBool:
-        key = (node, None, active_numbering())
-        if key not in self._numbered:
-            adjacent = self.fattree.adjacent_to_destination
-            near = [k for edge_node, k in self._positions.items() if adjacent(node, edge_node)]
-            self._numbered[key] = self._any_of(near)
-        return self._numbered[key]
+        return self._any_of(
+            [
+                k
+                for edge_node, k in self._positions.items()
+                if self.fattree.adjacent_to_destination(node, edge_node)
+            ]
+        )
 
 
 def _path_length(path_length: SymBV, distance: int | SymBV, compare: Callable) -> SymBool:

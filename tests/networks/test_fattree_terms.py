@@ -19,9 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.numbering import active_numbering
 from repro.networks import registry
-from repro.networks.benchmarks import POLICIES, SymbolicDestination
 from repro.networks.fattree import Fattree
 from repro.verify import Modular, verify
 
@@ -157,28 +155,6 @@ def test_dist_hop_counts_are_grouped_once_per_node(policy, monkeypatch):
     assert verify(built.annotated, Modular(symmetry="classes")).passed
     edge_nodes = len(built.raw.fattree.edge_nodes)
     assert len(calls) == len(built.annotated.nodes) * edge_nodes
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_each_numbered_ladder_is_built_once(policy, monkeypatch):
-    """A ``classes`` run builds each ``dist(v)`` ladder once per node, width and numbering.
-
-    The interface's witness and its ``after`` predicate both read the ladder
-    from ``SymbolicDestination``'s memo, at every time term and in every
-    condition.  A run at delay 0 uses one time width, so a second build of a
-    ``(node, numbering)`` pair would be a repeat.
-    """
-    builds = []
-    original = SymbolicDestination._hop_cases
-    monkeypatch.setattr(
-        SymbolicDestination,
-        "_hop_cases",
-        lambda self, node: builds.append((node, active_numbering())) or original(self, node),
-    )
-    built = registry.build(f"fattree/{policy}", pods=4, all_pairs=True)
-    assert verify(built.annotated, Modular(symmetry="classes")).passed
-    assert builds
-    assert len(builds) == len(set(builds))
 
 
 if __name__ == "__main__":
