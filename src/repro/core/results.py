@@ -132,11 +132,11 @@ class ModularReport:
     #: Empty when the run did not lint.  Lint diagnostics never change the
     #: verdict — ``lint="strict"`` raises before a report exists.
     diagnostics: list = field(default_factory=list)
-    #: Adaptive-scheduler statistics from the parallel dispatcher (``None``
-    #: for ``parallel=1`` runs or when nothing was scheduled): ``workers``
+    #: Scheduler statistics from the parallel dispatcher (``None`` for
+    #: ``parallel=1`` runs or when nothing was scheduled): ``workers``
     #: (distinct processes that checked classes) and ``window`` (histogram:
-    #: prefetch-window size → number of class dispatches made at that
-    #: window).  See :mod:`repro.core.parallel`.
+    #: classes per run → number of contiguous runs of that length
+    #: dispatched).  See :mod:`repro.core.parallel`.
     scheduler: dict | None = None
 
     @property
@@ -286,7 +286,7 @@ class ModularReport:
         if self.scheduler is not None:
             text += (
                 f"; scheduler: {self.scheduler.get('workers', 1)} workers, "
-                f"windows {self.scheduler.get('window', {})}"
+                f"runs by classes {self.scheduler.get('window', {})}"
             )
         if self.delta != "off":
             text += (

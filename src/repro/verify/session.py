@@ -9,8 +9,8 @@ per-process one.
 Sessions stream: :meth:`Session.stream` is a generator of per-condition
 :class:`~repro.core.results.ConditionResult` events, yielded class by class
 (a plain per-node run is the singleton partition) as the engine discharges
-them — live even for parallel runs, where each worker batch is yielded the
-moment it completes.  The harness uses this for progress output; a fail-fast
+them — live even for parallel runs, where each worker's run of classes is
+yielded the moment it completes.  The harness uses this for progress output; a fail-fast
 consumer can simply stop iterating at the first failing event (in-flight
 parallel dispatch is cancelled and the session solver recovered), or ask the
 engine to do it with ``Modular(stop_on_failure=True)``.  Exhausting the
@@ -390,8 +390,8 @@ def modular_events(
     ``backend_cache``.
 
     With ``strategy.stop_on_failure`` the engine stops scheduling work after
-    the first batch that reports a failing condition: queued parallel items
-    are never dispatched, the pool is wound down without killing a worker, and
+    the first batch that reports a failing condition: queued parallel runs
+    are cancelled, the pool is wound down without killing a worker, and
     the finalized report records ``stopped_early`` plus how many conditions
     got no verdict (``conditions_skipped`` — never-scheduled nodes, plus
     in-flight batches discarded with the stopped pool).

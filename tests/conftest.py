@@ -104,12 +104,9 @@ def assert_scopes_follow_size():
 @pytest.fixture
 def no_process_pool(monkeypatch):
     """Simulate a platform whose ``fork`` context cannot set up a pool."""
-    import multiprocessing
+    import concurrent.futures
 
-    class _FailingContext:
-        def _unavailable(self, *args, **kwargs):
-            raise OSError("no semaphores on this platform")
+    def unavailable(*args, **kwargs):
+        raise OSError("no semaphores on this platform")
 
-        Event = Pool = _unavailable
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda kind: _FailingContext())
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)

@@ -370,6 +370,54 @@ print("finished", flush=True)
                 pass
 
 
+    # An interface predicate that SIGKILLs whichever worker evaluates it, as
+    # the OOM killer would; the parent builds nothing itself here.
+    KILLED_WORKER = """
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from repro import core
+from repro.routing import path_topology, shortest_path_network
+from repro.verify import Modular, verify
+
+PARENT = os.getpid()
+
+def kill_the_worker(route):
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return route.is_some
+
+topology = path_topology(12)
+has_route = core.globally(lambda r: r.is_some)
+interfaces = {node: core.finally_(index, has_route) for index, node in enumerate(topology.nodes)}
+interfaces["n6"] = core.finally_(6, core.globally(kill_the_worker))
+annotated = core.annotate(shortest_path_network(topology, "n0"), interfaces)
+try:
+    verify(annotated, Modular(parallel=2))
+except BrokenProcessPool as error:
+    print(f"BrokenProcessPool: {error}", flush=True)
+    print(f"children: {len(multiprocessing.active_children())}", flush=True)
+else:
+    print("finished", flush=True)
+"""
+
+    def test_a_killed_worker_is_an_error_not_a_hang(self):
+        process = _run_script(self.KILLED_WORKER, start_new_session=True)
+        try:
+            output, _ = process.communicate(timeout=30)
+            assert process.returncode == 0
+            lines = output.splitlines()
+            assert lines[0].startswith("BrokenProcessPool: a worker of the 2-process pool died")
+            assert lines[1:] == ["children: 0"]
+            # Nothing of the run outlives it: its process group is empty.
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 class TestReportJson:
     def test_failing_monolithic_report_serialises(self):
         import json

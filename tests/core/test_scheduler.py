@@ -1,4 +1,4 @@
-"""Tests for the adaptive class scheduler: windows, skew, teardown.
+"""Tests for the class scheduler: the run split, skew, teardown.
 
 The destination quotient collapses all-pairs benchmarks into a handful of
 classes — fewer classes than workers, and wildly uneven sizes.  These tests
@@ -17,9 +17,12 @@ import pytest
 
 from repro import core
 import repro.core.parallel as parallel_module
-from repro.core.parallel import MAX_WINDOW, SchedulerStats, _window_size
+from repro.core.parallel import RUNS_PER_WORKER, SchedulerStats, split_runs
 from repro.core.symmetry import SymmetryClass
+from repro.networks import registry
+from repro.networks.benchmarks import inject_interface_failure
 from repro.routing import path_topology, shortest_path_network
+from repro.smt import reset_process_solver
 from repro.verify import Modular, verify
 
 
@@ -36,20 +39,25 @@ def _verdicts(reports):
     ]
 
 
-class TestWindowSize:
-    def test_decays_to_one_at_the_tail(self):
-        assert _window_size(1, 4) == 1
-        assert _window_size(4, 4) == 1
-        assert _window_size(0, 4) == 1
+class TestRunSplit:
+    @pytest.mark.parametrize("count", [0, 1, 3, 7, 8, 9, 17, 80, 180, 2000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_runs_are_contiguous_and_cover_every_class_once_in_order(self, count, workers):
+        runs = split_runs(count, workers)
+        assert [index for run in runs for index in run] == list(range(count))
+        assert all(run.step == 1 and len(run) > 0 for run in runs)
+        assert len(runs) <= RUNS_PER_WORKER * workers
 
-    def test_grows_with_backlog_up_to_the_cap(self):
-        assert _window_size(8, 4) == 2
-        assert _window_size(9, 4) == 3
-        assert _window_size(1000, 4) == MAX_WINDOW
+    @pytest.mark.parametrize("count, workers", [(180, 2), (2000, 2), (9, 2), (80, 3)])
+    def test_runs_are_even_up_to_a_shorter_last_run(self, count, workers):
+        runs = split_runs(count, workers)
+        size = -(-count // (RUNS_PER_WORKER * workers))
+        assert [len(run) for run in runs[:-1]] == [size] * (len(runs) - 1)
+        assert 0 < len(runs[-1]) <= size
 
-    def test_degenerate_worker_counts(self):
-        assert _window_size(10, 0) == 1
-        assert _window_size(10, -1) == 1
+    def test_a_worker_gets_several_runs_once_classes_outnumber_them(self):
+        assert len(split_runs(180, 2)) == RUNS_PER_WORKER * 2
+        assert len(split_runs(5, 2)) == 5
 
 
 class TestSkewedPartition:
@@ -152,22 +160,23 @@ class TestSkewedPartition:
             check_classes(annotated, classes, jobs=4)
         _assert_no_orphaned_workers()
 
-    def test_degraded_run_matches_pool_window_accounting(self, request, check_classes):
-        """Satellite contract: the one-worker degrade path records the same
-        adaptive window accounting the pool path would have used."""
-        annotated = self._annotated()
-        classes = self._skewed_classes(annotated)
+    def test_degraded_run_reports_the_pool_run_histogram(self, request, check_classes):
+        """The one-worker degrade path records the runs the pool dispatches:
+        the same ``window`` histogram of classes per run."""
+        annotated = self._annotated(length=24)
+        classes = [SymmetryClass(members=(node,)) for node in annotated.nodes]
         pooled_stats = SchedulerStats()
-        pooled, _ = check_classes(annotated, classes, jobs=4, stats=pooled_stats)
+        pooled, _ = check_classes(annotated, classes, jobs=2, stats=pooled_stats)
+        _assert_no_orphaned_workers()
 
         request.getfixturevalue("no_process_pool")
         degraded_stats = SchedulerStats()
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-            degraded, _ = check_classes(annotated, classes, jobs=4, stats=degraded_stats)
+            degraded, _ = check_classes(annotated, classes, jobs=2, stats=degraded_stats)
         assert _verdicts(degraded) == _verdicts(pooled)
-        assert degraded_stats.window == pooled_stats.window
+        # 24 classes on 2 workers: 8 runs of 3.
+        assert pooled_stats.window == degraded_stats.window == {3: 8}
         assert degraded_stats.worker_pids == {os.getpid()}
-        _assert_no_orphaned_workers()
 
 
 class TestSchedulerReportPlumbing:
@@ -220,3 +229,61 @@ class TestSchedulerReportPlumbing:
         report = verify(annotated, Modular(symmetry="classes"))
         assert report.passed
         assert report.scheduler is None
+
+
+class TestFailureInsideARun:
+    """A failing node in the middle of a several-class run reports exactly as
+    on the one-worker schedule, whether or not the run stops at it."""
+
+    @pytest.fixture(scope="class")
+    def poisoned(self):
+        annotated = registry.build("fattree/reach", pods=8).annotated
+        # 80 singleton classes on 2 workers: runs of 10; class 15 sits in
+        # the middle of the second.
+        run = next(run for run in split_runs(len(annotated.nodes), 2) if 15 in run)
+        assert run.start < 15 < run.stop - 1
+        return inject_interface_failure(annotated, annotated.nodes[15])
+
+    def _failures(self, report):
+        return [
+            (node, result.condition, result.counterexample)
+            for node, node_report in report.node_reports.items()
+            for result in node_report.failures
+        ]
+
+    def _runs(self, annotated, stop_on_failure):
+        # Each schedule starts from an empty solver, so neither inherits the
+        # other's answers (forked workers would).
+        reports = []
+        for parallel in (2, 1):
+            reset_process_solver()
+            reports.append(
+                verify(annotated, Modular(parallel=parallel, stop_on_failure=stop_on_failure))
+            )
+        _assert_no_orphaned_workers()
+        return reports
+
+    def test_a_full_run_matches_the_one_worker_schedule(self, poisoned):
+        annotated, node = poisoned
+        pooled, sequential = self._runs(annotated, stop_on_failure=False)
+        assert pooled.scheduler["window"] == {10: 8}
+        assert pooled.failed_nodes == sequential.failed_nodes == [node]
+        assert tuple(pooled.node_reports) == tuple(sequential.node_reports) == annotated.nodes
+        assert core.condition_verdicts(pooled) == core.condition_verdicts(sequential)
+        assert self._failures(pooled) == self._failures(sequential)
+        assert self._failures(pooled)[0][2] is not None
+
+    def test_a_stopped_run_keeps_reports_the_full_run_agrees_with(self, poisoned):
+        annotated, node = poisoned
+        full = verify(annotated, Modular())
+        expected = core.condition_verdicts(full)
+        for report in self._runs(annotated, stop_on_failure=True):
+            assert report.stopped_early
+            assert report.failed_nodes == [node]
+            kept = core.condition_verdicts(report)
+            assert list(kept) == [member for member in annotated.nodes if member in kept]
+            assert all(kept[member] == expected[member] for member in kept)
+            assert self._failures(report) == self._failures(full)
+            assert report.conditions_skipped == len(core.CONDITION_KINDS) * (
+                len(annotated.nodes) - len(kept)
+            )
