@@ -21,9 +21,8 @@ compares design alternatives the spine does not run.
 * **Symmetry reduction.** The symmetry-aware checker
   (:mod:`repro.core.symmetry`) discharges one representative per node
   equivalence class and propagates the verdict; the ablation runs a ``k=8``
-  single-destination fattree in all three modes and asserts that
-  ``symmetry="classes"`` discharges at most 25% of the conditions that
-  ``symmetry="off"`` does, with byte-identical verdicts everywhere.
+  single-destination fattree in both modes and asserts that at most 25% of
+  the conditions reach the SAT core, with byte-identical verdicts.
 * **Lint overhead.** The pre-solve static analysis must cost under 1% of the
   cold modular run it precedes.
 """

@@ -7,13 +7,14 @@ properties (:func:`annotate`), then verify it through the unified API in
 
     from repro.verify import Modular, Monolithic, verify
 
-    report = verify(annotated, Modular(symmetry="classes"))
+    report = verify(annotated, Modular())
     baseline = verify(annotated, Monolithic(timeout=60))
 
 This package holds the engine primitives those strategies drive: the three
-verification conditions, the per-class checking function
-(:func:`check_class`; :func:`check_node` checks a class of one), the symmetry
-partitioner, the monolithic and strawperson engines and the report types.
+verification conditions, the per-class checking function (:func:`check_class`,
+which builds every node in its own destination numbering) and the raw
+per-node reference (:func:`check_node`), the symmetry partitioner, the
+monolithic and strawperson engines and the report types.
 """
 
 from repro.core.annotations import AnnotatedNetwork, DestinationSymmetry, annotate

@@ -3,8 +3,8 @@
 Orchestration (selection, symmetry partitioning, delta reuse, report
 assembly) lives in :mod:`repro.verify.session` and scheduling in
 :mod:`repro.core.parallel`; this module provides the one per-batch primitive
-they build on, :func:`check_class`.  A node is a class of one:
-:func:`check_node` checks the singleton class.
+they build on, :func:`check_class`, and the raw reference they are held to,
+:func:`check_node`.
 
 For every class, encode and discharge the initial, inductive and safety
 conditions of its representative.  Class checks are completely independent —
@@ -20,17 +20,18 @@ and learned clauses.  An explicit ``solver`` pins another backend; a facade
 how the test suite's reference run is built.  The verdicts are identical
 either way, only the cost differs (see the ablation benchmarks).
 
-**Symmetry reduction.**  :mod:`repro.core.symmetry` partitions the nodes of
-a network that declares a destination symmetry into destination-quotient
-classes; :func:`check_class` then discharges the canonical conditions of one
-representative per class and propagates a passing verdict to the remaining
-members.  A failing class propagates nothing: each member re-discharges its
-own raw conditions, so every counterexample is the member's genuine one.  A
-class is discharged on the backend's current SAT scope, so encoded clauses
-and learned clauses are shared across the class (and with its neighbours in
-batch order, until the scope outgrows its size bound).  Verdicts are
-identical across all symmetry modes; only the number of discharged
-conditions (and the wall time) differs.
+**Destination numbering.**  Every mode builds a representative's conditions
+in its own destination numbering
+(:func:`~repro.core.conditions.canonical_node_conditions`; raw unless a
+marker vouches for all it reads), so isomorphic all-pairs nodes pose one query, which the
+solver's answer memo answers once.  Under ``symmetry="classes"`` a passing
+representative's verdict is propagated to the rest of its
+:mod:`repro.core.symmetry` class.  A failing numbered build or class has
+each member re-discharge its own raw conditions, so every counterexample is
+the member's genuine one.  A class is discharged on the backend's current
+SAT scope, so encoded and learned clauses are shared across the class (and
+with its neighbours in batch order, until the scope outgrows its size
+bound).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Any, Iterable
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import VerificationCondition, canonical_node_conditions, node_conditions
 from repro.core.results import ConditionResult, ModularReport, NodeReport
-from repro.core.symmetry import SymmetryClass, singleton_classes
+from repro.core.symmetry import SymmetryClass
 from repro.errors import VerificationError
 from repro.smt.incremental import process_solver
 
@@ -74,13 +75,23 @@ def _recover_solver(solver: Any, owned: bool) -> None:
 def check_node(
     annotated: AnnotatedNetwork, node: str, delay: int = 0, solver: Any | None = None
 ) -> NodeReport:
-    """Check one node's verification conditions.
+    """Check one node's raw conditions: the reference every mode is held to.
 
-    A node is a class of one: this is :func:`check_class` (which documents
-    the parameters) on the node's singleton class.
+    :func:`~repro.core.conditions.node_conditions` is discharged on
+    ``solver`` (the shared per-process incremental solver when omitted) up
+    to the first failure, with no class and no destination numbering.  If a
+    condition raises, an owned backend is restored to a clean state before
+    the exception propagates.
     """
-    (singleton,) = singleton_classes((node,))
-    return check_class(annotated, singleton, delay=delay, solver=solver)[0]
+    owned = solver is None
+    solver = solver or process_solver()
+    started = _time.perf_counter()
+    try:
+        results = _discharge(node_conditions(annotated, node, delay=delay), solver)
+    except BaseException:
+        _recover_solver(solver, owned)
+        raise
+    return NodeReport(node, results, _time.perf_counter() - started)
 
 
 def check_class(
@@ -103,19 +114,23 @@ def check_class(
     the exception propagates, so subsequent checks stay sound.
 
     Returns a report per member, in member order.  The representative's
-    conditions are discharged in one SAT scope.  When they all hold, every
-    other member receives them as propagated :class:`ConditionResult`
-    records (duration 0, ``propagated_from`` the representative).  When one
-    fails, the class propagates nothing: every member re-discharges its own
-    raw conditions in the same scope, so each counterexample is the member's
-    genuine one, and a member whose ``(condition, holds)`` sequence differs
-    from the class's raises :class:`VerificationError`.  Results of a
-    destination-quotient class (``symmetry_class.destination``) carry
-    ``quotient="destination"``.
+    conditions are built in its own destination numbering
+    (:func:`~repro.core.conditions.canonical_node_conditions`; raw unless
+    the marker vouches for all it reads) and discharged in one SAT scope.
+    When they all hold, every other member receives them as propagated
+    :class:`ConditionResult` records (duration 0, ``propagated_from`` the
+    representative).  When one fails and the build was numbered or the class
+    has several members, the class propagates nothing: every member
+    re-discharges its own raw conditions in the same scope, so each
+    counterexample is the member's genuine one, and a member whose
+    ``(condition, holds)`` sequence differs from the class's raises
+    :class:`VerificationError`.  Results carry ``quotient="destination"``
+    exactly when the representative has a numbering.
     """
     representative = symmetry_class.representative
     members = symmetry_class.members
-    quotient = "destination" if symmetry_class.destination else None
+    numbered = annotated.destination_numbering(representative) is not None
+    quotient = "destination" if numbered else None
     # Without a pinned solver the shared per-process one is used as it
     # stands: its encoding caches and its current SAT scope persist across
     # batches (and whole runs), and it alone decides when a scope rotates.
@@ -128,14 +143,11 @@ def check_class(
         if built is None or symmetry_class.conditions_delay != delay:
             # No cached conditions (a singleton class), or the cache was
             # built for a different delay than this check requests.
-            if quotient is not None:
-                built = canonical_node_conditions(annotated, representative, delay=delay)
-            else:
-                built = node_conditions(annotated, representative, delay=delay)
+            built = canonical_node_conditions(annotated, representative, delay=delay)
         results = _discharge(built, solver)
         failed = not all(result.holds for result in results)
-        if failed and (quotient is not None or len(members) > 1):
-            # A canonical instance's counterexample is in the representative's
+        if failed and (numbered or len(members) > 1):
+            # A numbered instance's counterexample is in the representative's
             # destination numbering, and a member's failure is its own:
             # every member discharges its raw conditions.
             expected = [(result.condition, result.holds) for result in results]

@@ -36,11 +36,11 @@ class ConditionResult:
     #: passes: failing conditions are re-discharged so counterexamples are
     #: fresh.
     reused: bool = False
-    #: Symmetry provenance: ``"destination"`` when the node was checked as a
-    #: member of a destination-permutation quotient class — a pass is the
-    #: class's canonical instance, a failure the node's own raw condition;
-    #: ``None`` otherwise.  See :mod:`repro.core.symmetry` and
-    #: ``docs/DIAGNOSTICS.md``.
+    #: Symmetry provenance: ``"destination"`` when the node's class
+    #: representative (the node itself under ``symmetry="off"``) was built in
+    #: its destination numbering — a pass is that numbered instance, a
+    #: failure the node's own raw condition; ``None`` when it was built raw.
+    #: See :mod:`repro.core.symmetry` and ``docs/DIAGNOSTICS.md``.
     quotient: str | None = None
 
     def __bool__(self) -> bool:

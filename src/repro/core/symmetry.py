@@ -1,16 +1,15 @@
 """Symmetry reduction: verify one node per destination-quotient class.
 
 An all-pairs benchmark bakes each node's own ``dest == k`` constants into its
-interface, so no two of its nodes pose the same query; yet on a fattree they
-prove the *same* theorem up to a renaming of the destination index.  This
-module partitions such networks into equivalence classes so
-:func:`repro.core.checker.check_class` can discharge the conditions of one
-*representative* per class and propagate a passing verdict to the remaining
-members.
+interface, yet on a fattree its nodes prove the *same* theorem up to a
+renaming of the destination index.  Every mode builds a node in its own
+destination numbering, so isomorphic nodes pose one query, which the
+incremental solver's answer memo answers once.  This module partitions such
+networks into equivalence classes so ``symmetry="classes"`` discharges one
+*representative* per class and propagates a passing verdict to the rest.
 
 The class is the engine's only unit of work: ``symmetry="off"`` is the
-singleton partition (:func:`singleton_classes`), whose classes discharge
-exactly the queries a plain per-node check would.
+singleton partition (:func:`singleton_classes`).
 
 **Destination quotient.**  The one partition.  A network that declares a
 :class:`~repro.core.annotations.DestinationSymmetry` marker has each node's
@@ -20,8 +19,8 @@ marker vouches for what they read
 share a class iff those ``(assumptions, goal)`` pairs are the identical
 hash-consed ``Term`` objects.  A network without the marker gets
 the singleton partition under every mode: nodes whose conditions are
-term-identical are already answered once, by the incremental solver's answer
-memo (:mod:`repro.smt.incremental`), so no partition needs to find them.
+term-identical are already answered once, by the answer memo, so no
+partition needs to find them.
 
 Soundness.  Equal keys mean the members' raw conditions are each equivalid
 with the *same* canonical instance (it is their image under a bijection of
@@ -53,12 +52,7 @@ class SymmetryClass:
     conditions are actually discharged.  ``conditions`` caches the
     representative's conditions when the partition already built them
     (``None`` for singleton classes, whose conditions are built at check
-    time).  ``destination`` is set on every class :func:`partition_nodes`
-    forms on a marked network: the class is checked on canonical conditions
-    (:func:`~repro.core.conditions.canonical_node_conditions`).  It is not
-    implied by the marker: ``symmetry="off"`` checks the same network in
-    :func:`singleton_classes`, on raw conditions, as must
-    :func:`~repro.core.checker.check_node`, the per-node reference.
+    time).
     """
 
     members: tuple[str, ...]
@@ -66,7 +60,6 @@ class SymmetryClass:
     #: The ``delay`` the cached conditions were built with; the checker
     #: rebuilds them when asked to check under a different delay.
     conditions_delay: int = 0
-    destination: bool = False
 
     @property
     def representative(self) -> str:
@@ -106,11 +99,6 @@ def partition_nodes(
             built[key] = tuple(node_vcs)
         groups.setdefault(key, []).append(node)
     return [
-        SymmetryClass(
-            members=tuple(members),
-            conditions=built[key],
-            conditions_delay=delay,
-            destination=True,
-        )
+        SymmetryClass(members=tuple(members), conditions=built[key], conditions_delay=delay)
         for key, members in groups.items()
     ]

@@ -37,6 +37,13 @@ from repro.errors import SolverError
 from repro.smt.sat.heap import ActivityHeap
 
 
+#: The Luby restart unit (conflicts), and the per-conflict activity decay of
+#: variables and of learned clauses.
+RESTART_BASE = 100
+ACTIVITY_DECAY = 0.95
+CLAUSE_DECAY = 0.999
+
+
 class SatStatus(Enum):
     """Result of a satisfiability query."""
 
@@ -82,13 +89,7 @@ class LearnedClause(list):
 class CdclSolver:
     """CDCL SAT solver over clauses of integer literals (DIMACS convention)."""
 
-    def __init__(
-        self,
-        restart_base: int = 100,
-        activity_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        max_learned: int = 2000,
-    ) -> None:
+    def __init__(self, max_learned: int = 2000) -> None:
         self.num_vars = 0
         self._clauses: list[list[int]] = []
         self._learned: list[LearnedClause] = []
@@ -107,11 +108,8 @@ class CdclSolver:
         #: Conflict-analysis markers; all false between :meth:`_analyze` calls.
         self._seen: list[bool] = [False]
         self._activity_increment = 1.0
-        self._activity_decay = activity_decay
         self._clause_activity_increment = 1.0
-        self._clause_activity_decay = clause_decay
         self._max_learned = float(max_learned)
-        self._restart_base = restart_base
         self._unsatisfiable = False
         self._pending_units: list[int] = []
         self._model: dict[int, bool] = {}
@@ -559,7 +557,7 @@ class CdclSolver:
         self._heap.rebuild(branch)
         self._branch = set(branch)
 
-        conflicts_until_restart = self._restart_base * luby(1)
+        conflicts_until_restart = RESTART_BASE * luby(1)
         restart_count = 1
         conflicts_since_restart = 0
         iterations = 0
@@ -601,14 +599,14 @@ class CdclSolver:
                     self._enqueue(learned[0], learned_clause)
                     if len(self._learned) >= self._max_learned:
                         self._reduce_learned()
-                self._activity_increment /= self._activity_decay
-                self._clause_activity_increment /= self._clause_activity_decay
+                self._activity_increment /= ACTIVITY_DECAY
+                self._clause_activity_increment /= CLAUSE_DECAY
             else:
                 if conflicts_since_restart >= conflicts_until_restart:
                     self.statistics["restarts"] += 1
                     restart_count += 1
                     conflicts_since_restart = 0
-                    conflicts_until_restart = self._restart_base * luby(restart_count)
+                    conflicts_until_restart = RESTART_BASE * luby(restart_count)
                     self._backtrack(assumption_level)
                     continue
                 variable = self._pick_branch_variable()

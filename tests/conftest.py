@@ -63,10 +63,12 @@ def check_classes():
 def reference_report(annotated, nodes=None):
     """The oracle every engine mode is held to: the paper's loop, nothing shared.
 
-    Each selected node's conditions are discharged by ``check_node`` on a
-    facade :class:`repro.smt.Solver` — a fresh SAT instance per condition,
-    with no engine loop, no scheduler and no incremental solver — and the
-    node reports are merged in selection order.
+    Each selected node's raw conditions (no destination numbering, no
+    class) are discharged by ``check_node`` on a facade
+    :class:`repro.smt.Solver` — a fresh SAT instance per condition, with no
+    engine loop, no scheduler and no incremental solver — and the node
+    reports are merged in selection order.  Every engine mode builds a node
+    in its own numbering, so this is an independent check of that build.
     """
     from repro import smt
     from repro.core.checker import check_node

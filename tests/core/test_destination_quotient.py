@@ -10,14 +10,22 @@ These tests pin:
 * the partition itself (fewer classes than distinct raw condition sets for
   every k=4 all-pairs policy, ≤ 25% of them for Reach; canonical conditions
   term-identical across class members; singletons without the marker);
-* the headline soundness claim — verdicts are byte-identical to
-  ``symmetry="off"``, on both passing and failing networks (the latter
-  exercises the per-member raw re-check of a failing class, whose
-  counterexamples are each member's own);
+* the headline soundness claim — verdicts are byte-identical to the raw
+  per-node reference (``reference_report``), under both modes, on both
+  passing and failing networks (the latter exercises the per-member raw
+  re-check of a failing class, whose counterexamples are each member's
+  own), with ``quotient`` provenance exactly where the representative has a
+  destination numbering;
+* a failing numbered build re-discharges raw: its counterexample is in the
+  network's own destination numbering;
 * the guard: a member whose own verdicts differ from its class's raises;
+* numbered builds under ``off``: no more queries reach the solver than
+  ``classes`` discharges, and the reference builds nothing numbered;
 * fingerprint stability across class members, the property that lets delta
   reuse compose with the quotient.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +39,8 @@ from repro.core.temporal import globally
 from repro.errors import VerificationError
 from repro.networks import registry
 from repro.networks.benchmarks import POLICIES
-from repro.verify import Modular, verify
+from repro.smt.incremental import IncrementalSolver
+from repro.verify import Modular, Session, verify
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +81,21 @@ def _poisoned(ap_bench):
     )
 
 
+def _vouched_poison(ap_bench):
+    """``_poisoned`` with the marker also vouching for the poison, which reads no
+    ``dest``: the failing nodes are built in their own numbering."""
+    poisoned = _poisoned(ap_bench)
+    marker = poisoned.destination_symmetry
+    poison = poisoned.interface(ap_bench.fattree.edge_nodes[1])
+    return AnnotatedNetwork(
+        poisoned.network,
+        {name: poisoned.interface(name) for name in poisoned.nodes},
+        {name: poisoned.node_property(name) for name in poisoned.nodes},
+        minimum_time_width=poisoned.minimum_time_width,
+        destination_symmetry=replace(marker, vouched={**marker.vouched, id(poison): poison}),
+    )
+
+
 def _failures(report):
     return [
         (node, result.condition, result.holds)
@@ -101,8 +125,9 @@ class TestQuotientPartition:
         assert len(quotient_classes) < len(raw_queries)
         if policy == "reach":
             assert 4 * len(quotient_classes) <= len(raw_queries)
-        # Every class was formed through the quotient.
-        assert all(cls.destination for cls in quotient_classes)
+        # Every class was formed through the quotient, on built conditions.
+        assert annotated.destination_symmetry is not None
+        assert all(cls.conditions for cls in quotient_classes)
         # Same node coverage, deterministic member order.
         covered = [member for cls in quotient_classes for member in cls.members]
         assert sorted(covered) == sorted(annotated.nodes)
@@ -111,7 +136,8 @@ class TestQuotientPartition:
         annotated = _without_marker(ap_bench.annotated)
         classes = partition_nodes(annotated, annotated.nodes)
         assert [cls.members for cls in classes] == [(node,) for node in annotated.nodes]
-        assert not any(cls.destination or cls.conditions for cls in classes)
+        assert annotated.destination_symmetry is None
+        assert not any(cls.conditions for cls in classes)
 
     def test_class_members_share_canonical_conditions_and_fingerprints(self, ap_bench):
         annotated = ap_bench.annotated
@@ -137,36 +163,51 @@ class TestQuotientPartition:
         )
 
 
-class TestQuotientVerdicts:
-    def test_passing_ap_verdicts_byte_identical_to_off(self, ap_bench):
-        annotated = ap_bench.annotated
-        off = verify(annotated, Modular(symmetry="off"))
-        classes = verify(annotated, Modular(symmetry="classes"))
-        assert off.passed and classes.passed
-        assert _verdicts(off) == _verdicts(classes)
-        assert list(off.node_reports) == list(classes.node_reports)
-        # Provenance: every verdict in the classes run travelled through the
-        # destination quotient; the off run has no quotient provenance.
-        assert {
-            result.quotient
-            for report in classes.node_reports.values()
-            for result in report.results
-        } == {"destination"}
-        assert {
-            result.quotient
-            for report in off.node_reports.values()
-            for result in report.results
-        } == {None}
+def _quotients(annotated, report):
+    """Every result's ``quotient`` against what its representative's numbering implies."""
+    representative = {}
+    if report.symmetry == "classes":
+        for cls in partition_nodes(annotated, annotated.nodes):
+            representative.update(dict.fromkeys(cls.members, cls.representative))
+    return [
+        (
+            result.quotient,
+            "destination"
+            if annotated.destination_numbering(representative.get(node, node)) is not None
+            else None,
+        )
+        for node, node_report in report.node_reports.items()
+        for result in node_report.results
+    ]
 
-    def test_failing_class_members_report_their_own_counterexamples(self, ap_bench):
+
+class TestQuotientVerdicts:
+    def test_passing_ap_verdicts_byte_identical_to_the_reference(self, ap_bench, reference_report):
+        annotated = ap_bench.annotated
+        reference = reference_report(annotated)
+        for symmetry in ("off", "classes"):
+            report = verify(annotated, Modular(symmetry=symmetry))
+            assert report.passed, symmetry
+            assert _verdicts(report) == _verdicts(reference), symmetry
+            assert list(report.node_reports) == list(reference.node_reports), symmetry
+            # Provenance follows the representative's numbering: the marker
+            # vouches for every node here, so every verdict is numbered.
+            quotients = _quotients(annotated, report)
+            assert all(result == expected for result, expected in quotients), symmetry
+            assert {result for result, _ in quotients} == {"destination"}, symmetry
+
+    def test_failing_class_members_report_their_own_counterexamples(self, ap_bench, reference_report):
         injected = _poisoned(ap_bench)
         marker = injected.destination_symmetry
+        reference = reference_report(injected)
         off = verify(injected, Modular(symmetry="off"))
         classes = verify(injected, Modular(symmetry="classes"))
         assert not off.passed and not classes.passed
-        # The failing (node, condition, holds) triples are those of ``off``.
-        assert _failures(classes) == _failures(off)
-        assert condition_verdicts(classes) == condition_verdicts(off)
+        # The failing (node, condition, holds) triples are the reference's.
+        for report in (off, classes):
+            assert _failures(report) == _failures(reference)
+            assert condition_verdicts(report) == condition_verdicts(reference)
+            assert all(result == expected for result, expected in _quotients(injected, report))
         # A failing class propagates nothing: each failing member discharged
         # its own raw conditions, and its counterexample is its own model.
         topology = injected.network.topology
@@ -179,7 +220,6 @@ class TestQuotientVerdicts:
         assert len({result.node for result in failing}) > 1
         for result in failing:
             assert result.propagated_from is None
-            assert result.quotient == "destination"
             example = result.counterexample
             assert example is not None and example.node == result.node
             if result.condition == "inductive":
@@ -193,6 +233,22 @@ class TestQuotientVerdicts:
             member: cls for cls in partition_nodes(injected, injected.nodes) for member in cls.members
         }
         assert any(len(classes_by_node[result.node]) > 1 for result in failing)
+
+    @pytest.mark.parametrize("symmetry", ("off", "classes"))
+    def test_a_failing_numbered_build_is_re_discharged_raw(self, ap_bench, symmetry, reference_report):
+        injected = _vouched_poison(ap_bench)
+        edge = ap_bench.fattree.edge_nodes[1]
+        assert injected.destination_numbering(edge) is not None
+        reference = reference_report(injected)
+        report = verify(injected, Modular(symmetry=symmetry))
+        assert _failures(report) == _failures(reference) != []
+        assert all(result == expected for result, expected in _quotients(injected, report))
+        (initial,) = report.node_reports[edge].failures
+        assert initial.condition == "initial" and initial.quotient == "destination"
+        # The edge's route exists at time 0 exactly for its own raw index; in
+        # its numbering that index is 0, so only a raw model names index 1.
+        variable = injected.destination_symmetry.variable
+        assert initial.counterexample.symbolics[variable] == 1
 
     def test_a_member_whose_own_verdicts_differ_from_its_class_raises(self, ap_bench, monkeypatch):
         injected = _poisoned(ap_bench)
@@ -213,3 +269,26 @@ class TestQuotientVerdicts:
         monkeypatch.setattr(checker, "node_conditions", member_holds)
         with pytest.raises(VerificationError, match=repr(member)):
             verify(injected, Modular(symmetry="classes"))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_off_reaches_the_solver_no_more_than_classes_discharges(policy, monkeypatch, reference_report):
+    """Every mode builds a node in its own numbering: on an all-pairs fattree
+    ``off`` poses isomorphic nodes one query, which the answer memo answers
+    once, so no more queries reach the solver than ``classes`` discharges.
+    The raw reference builds nothing numbered."""
+    annotated = registry.build(f"fattree/{policy}", pods=4, all_pairs=True).annotated
+    reports = {}
+    for symmetry in ("off", "classes"):
+        with Session(annotated, Modular(symmetry=symmetry), solver=IncrementalSolver()) as session:
+            reports[symmetry] = session.run()
+    answered = reports["off"].conditions_discharged - reports["off"].backend_cache["answer_hits"]
+    assert answered <= reports["classes"].conditions_discharged
+
+    def numbered(*args, **kwargs):
+        raise AssertionError("the reference built a numbered condition")
+
+    monkeypatch.setattr(checker, "canonical_node_conditions", numbered)
+    with pytest.raises(AssertionError, match="numbered"):
+        verify(annotated, Modular())
+    assert condition_verdicts(reference_report(annotated)) == condition_verdicts(reports["off"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import core
-from repro.core.symmetry import SYMMETRY_MODES
+from repro.core.symmetry import SYMMETRY_MODES, singleton_classes
 from repro.networks import registry
 from repro.networks.benchmarks import POLICIES
 from repro.routing import build_running_example
@@ -108,10 +108,12 @@ class TestPartition:
         verdicts, reports = _verdicts_for_modes(annotated)
         assert verdicts["off"] == verdicts["classes"]
 
-    def test_all_pairs_fattree_agrees_with_off(self):
+    def test_all_pairs_fattree_agrees_with_the_reference(self, reference_report):
         instance = registry.build("fattree/reach", pods=4, all_pairs=True).raw
         verdicts, reports = _verdicts_for_modes(instance.annotated)
-        assert verdicts["off"] == verdicts["classes"]
+        # Both modes build numbered conditions: the raw reference is the oracle.
+        reference = core.condition_verdicts(reference_report(instance.annotated))
+        assert verdicts["off"] == verdicts["classes"] == reference
         assert reports["classes"].symmetry_classes <= len(instance.annotated.nodes)
 
     def test_partition_is_deterministic_and_ordered(self):
@@ -140,30 +142,43 @@ class TestParallelClasses:
         assert_scopes_follow_size(parallel.backend_cache)
 
 
+def _check_singleton_class(annotated, node, solver=None):
+    (singleton,) = singleton_classes((node,))
+    return core.check_class(annotated, singleton, solver=solver)[0]
+
+
+# The raw reference and the engine's class check each own their recovery.
+CHECKS = {"check_node": core.check_node, "check_class": _check_singleton_class}
+
+
 class TestSolverRecovery:
-    def test_crashed_check_does_not_poison_later_nodes(self, monkeypatch, reference_report):
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_crashed_check_does_not_poison_later_nodes(self, check, monkeypatch, reference_report):
         instance = registry.build("fattree/reach", pods=4).raw
         solver = process_solver()
-        calls = {"n": 0}
+        crashed = []
         original = CdclSolver.solve
 
         def explode_once(self, *args, **kwargs):
-            if calls["n"] == 0:
-                calls["n"] += 1
+            if not crashed:
+                crashed.append(self)
                 raise RuntimeError("interrupted mid-solve")
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(CdclSolver, "solve", explode_once)
         with pytest.raises(RuntimeError, match="interrupted mid-solve"):
-            core.check_node(instance.annotated, instance.annotated.nodes[0])
-        # The shared solver was recovered: frames balanced, fresh scope.
+            check(instance.annotated, instance.annotated.nodes[0])
+        # The shared solver was recovered: frames balanced, and the SAT
+        # instance whose search was interrupted is retired for a fresh scope.
         assert len(solver._frames) == 1
+        assert solver._sat is not crashed[0]
         report = verify(instance.annotated)
         assert report.passed
         fresh = reference_report(instance.annotated)
         assert core.condition_verdicts(report) == core.condition_verdicts(fresh)
 
-    def test_crash_leaves_caller_pinned_solver_untouched(self, monkeypatch):
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_crash_leaves_caller_pinned_solver_untouched(self, check, monkeypatch):
         from repro.smt.incremental import IncrementalSolver
 
         instance = registry.build("fattree/reach", pods=4).raw
@@ -179,7 +194,7 @@ class TestSolverRecovery:
 
         monkeypatch.setattr(CdclSolver, "solve", explode)
         with pytest.raises(RuntimeError):
-            core.check_node(instance.annotated, instance.annotated.nodes[0], solver=pinned)
+            check(instance.annotated, instance.annotated.nodes[0], solver=pinned)
         # The checker must not recover() a solver it does not own: the
         # caller's pushed frame (and its assertions) survive the crash.
         assert pinned.assertions == (context,)

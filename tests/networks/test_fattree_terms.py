@@ -98,7 +98,7 @@ def term_digest(policy, all_pairs, pods):
                     (member, annotated.destination_symmetry.numbering(member))
                     for member in cls.members
                 )
-                if cls.destination
+                if annotated.destination_symmetry is not None
                 else None,
             ]
             for cls in partition_nodes(annotated, nodes)

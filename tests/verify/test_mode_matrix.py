@@ -4,8 +4,9 @@ Every combination of ``symmetry`` × ``parallel`` × ``delta`` ×
 ``stop_on_failure`` that :class:`Modular` accepts, over every node or a
 reordered subset, on the per-process solver or a supplied one (also one small
 enough to rotate mid-run), must agree with the reference
-(``reference_report`` in ``tests/conftest.py``: ``check_node`` on a fresh SAT
-instance per condition, outside the engine) on verdicts, node order and
+(``reference_report`` in ``tests/conftest.py``: ``check_node``'s raw
+conditions on a fresh SAT instance per condition, outside the engine, where
+every mode builds numbered ones) on verdicts, node order and
 counterexample validity — on every registry network at its smallest size
 (every all-pairs variant too), on each of them with its first node's interface
 made unsatisfiable (the all-pairs copies keep their quotient marker, so a
@@ -294,10 +295,15 @@ def test_an_edited_node_is_checked_whatever_its_role_class(edit, node, symmetry,
 #: differs from the new one in ``backend_cache`` alone (fewer bit-blast and
 #: Tseitin entries, clauses shipped and learned, because the ladders are
 #: smaller terms); the other six digests held.
+#: The ``("fattree/reach[all_pairs]", "off")`` digest was re-recorded when every
+#: mode came to build a node in its own destination numbering: the parent
+#: JSON differs from the new one in ``backend_cache`` (the memo answers
+#: isomorphic nodes' shared queries) and in ``quotient`` (``None`` →
+#: ``"destination"``) alone; the other seven digests held.
 GOLDEN = {
     ("fattree/reach", "off"): "2f5e0f7cf8a0a2b726b7d87852f74dd521cdb2054a7d0867436c68ae5b0b3eda",
     ("fattree/reach", "classes"): "d8548562b97dd2e62c2270e68d6894f516487b8e975949f520ee045650468c4b",
-    ("fattree/reach[all_pairs]", "off"): "560ef525499575d26e69c4ff6cd4a087f1bf35652474670376d133b332d48ce7",
+    ("fattree/reach[all_pairs]", "off"): "641b5de982b29cabb55fd58413eb2448b0ec5e77d4cde58d61c0a4444b8bd010",
     ("fattree/reach[all_pairs]", "classes"): "0704b525d60c4cd6adfe64fd435153e8b8cf6a777e25e2de21b6f2cc533ce9ec",
     ("wan/reach", "off"): "5608fefbd9e97b588b357438abb431749bc4853d08cc5621449b87a5d4a0b80e",
     ("wan/reach", "classes"): "c4e81bbe8052262101eb779893d08e3d51f259cf10bb8f26fe07445c74e93caa",
