@@ -61,38 +61,42 @@ class ActivityHeap:
 
     # -- internal ---------------------------------------------------------------
 
-    def _better(self, left: int, right: int) -> bool:
-        return self._activity[left] > self._activity[right]
-
     def _sift_up(self, position: int) -> None:
         heap = self._heap
+        positions = self._positions
+        activity = self._activity
         variable = heap[position]
+        key = activity[variable]
         while position > 0:
             parent = (position - 1) >> 1
-            if not self._better(variable, heap[parent]):
+            above = heap[parent]
+            if not key > activity[above]:
                 break
-            heap[position] = heap[parent]
-            self._positions[heap[parent]] = position
+            heap[position] = above
+            positions[above] = position
             position = parent
         heap[position] = variable
-        self._positions[variable] = position
+        positions[variable] = position
 
     def _sift_down(self, position: int) -> None:
         heap = self._heap
+        positions = self._positions
+        activity = self._activity
         size = len(heap)
         variable = heap[position]
+        key = activity[variable]
         while True:
-            left = 2 * position + 1
-            if left >= size:
+            child = 2 * position + 1
+            if child >= size:
                 break
-            right = left + 1
-            best_child = left
-            if right < size and self._better(heap[right], heap[left]):
-                best_child = right
-            if not self._better(heap[best_child], variable):
+            right = child + 1
+            if right < size and activity[heap[right]] > activity[heap[child]]:
+                child = right
+            below = heap[child]
+            if not activity[below] > key:
                 break
-            heap[position] = heap[best_child]
-            self._positions[heap[best_child]] = position
-            position = best_child
+            heap[position] = below
+            positions[below] = position
+            position = child
         heap[position] = variable
-        self._positions[variable] = position
+        positions[variable] = position

@@ -22,6 +22,18 @@ clean trail.  Clauses added between calls are simplified against the
 top-level assignment (literals false at level 0 are dropped, clauses
 satisfied at level 0 are discarded), which keeps the two-watched-literal
 invariant sound for late-arriving clauses.
+
+The inner loops (:meth:`CdclSolver._propagate`, ``_analyze``,
+``_backtrack``) work over local bindings of the solver's arrays, with value
+lookups, enqueues and activity bumps inlined, and propagation compacts each
+visited watch list in place: clauses that stay are written back from the
+front and the slots of clauses that moved to a replacement watch are deleted
+in one slice.  The search itself is kept step for step: watch lists are
+visited in order, replacement watches are scanned from position 2 up, and
+activities are bumped and rescaled with the same float operations.  Any of
+those decides which clause propagates or conflicts first, so changing one
+moves every search count (``tests/smt/test_sat_solver.py::TestGoldenSearchTraces``
+and the clause-shipping goldens pin them).
 """
 
 from __future__ import annotations
@@ -257,16 +269,18 @@ class CdclSolver:
         self._watches[clause[0]].append(clause)
         self._watches[clause[1]].append(clause)
 
-    def _detach_clause(self, clause: list[int]) -> None:
-        """Remove ``clause`` from the two watch lists it occupies."""
-        for literal in (clause[0], clause[1]):
-            watchers = self._watches.get(literal)
-            if not watchers:
-                continue
-            for index, watched in enumerate(watchers):
-                if watched is clause:
-                    del watchers[index]
-                    break
+    def _detach_clauses(self, clauses: list[list[int]]) -> set[int]:
+        """Remove ``clauses`` from their watch lists, filtering each list once.
+
+        Every attached clause sits exactly once in the lists of its first two
+        literals, so dropping it there is the whole detach; the lists keep
+        their order.  Returns the ids of the detached clauses.
+        """
+        removed = {id(clause) for clause in clauses}
+        watches = self._watches
+        for literal in {literal for clause in clauses for literal in clause[:2]}:
+            watches[literal] = [clause for clause in watches[literal] if id(clause) not in removed]
+        return removed
 
     # -- assignment helpers -----------------------------------------------------
 
@@ -295,60 +309,64 @@ class CdclSolver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation.  Returns a conflicting clause, or ``None``."""
-        while self._propagation_head < len(self._trail):
-            literal = self._trail[self._propagation_head]
-            self._propagation_head += 1
-            self.statistics["propagations"] += 1
-            falsified = -literal
-            watch_list = self._watches.get(falsified)
+        trail = self._trail
+        assignment = self._assignment
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        decision_level = len(self._trail_limits)
+        start = head = self._propagation_head
+        conflict: list[int] | None = None
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            watch_list = watches.get(falsified)
             if not watch_list:
                 continue
-            remaining: list[list[int]] = []
-            conflict: list[int] | None = None
-            index = 0
-            while index < len(watch_list):
-                clause = watch_list[index]
-                index += 1
-                if conflict is not None:
-                    remaining.append(clause)
-                    continue
+            # Compact in place: clauses that stay are written back from the
+            # front, clauses that move to a replacement watch leave a gap.
+            write = moved = 0
+            for clause in watch_list:
                 # Normalise so that the falsified literal sits at position 1.
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = falsified
                 other = clause[0]
-                if self._value(other) == 1:
-                    remaining.append(clause)
+                value = assignment[other] if other > 0 else -assignment[-other]
+                if value != 1:
+                    # Look for a replacement watch among the remaining literals.
+                    for position in range(2, len(clause)):
+                        candidate = clause[position]
+                        if (assignment[candidate] if candidate > 0 else -assignment[-candidate]) != -1:
+                            clause[1] = candidate
+                            clause[position] = falsified
+                            watches[candidate].append(clause)
+                            moved += 1
+                            break
+                    else:
+                        watch_list[write] = clause
+                        write += 1
+                        if value == -1:
+                            conflict = clause
+                            break
+                        variable = other if other > 0 else -other
+                        assignment[variable] = 1 if other > 0 else -1
+                        level[variable] = decision_level
+                        reason[variable] = clause
+                        phase[variable] = other > 0
+                        trail.append(other)
                     continue
-                # Look for a replacement watch among the remaining literals.
-                moved = False
-                for position in range(2, len(clause)):
-                    candidate = clause[position]
-                    if self._value(candidate) != -1:
-                        clause[1], clause[position] = clause[position], clause[1]
-                        self._watches[candidate].append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                remaining.append(clause)
-                if self._value(other) == -1:
-                    conflict = clause
-                else:
-                    self._enqueue(other, clause)
-            self._watches[falsified] = remaining
+                watch_list[write] = clause
+                write += 1
+            del watch_list[write : write + moved]
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self._propagation_head = head
+        self.statistics["propagations"] += head - start
+        return conflict
 
     # -- conflict analysis ------------------------------------------------------
-
-    def _bump_variable(self, variable: int) -> None:
-        self._activity[variable] += self._activity_increment
-        if self._activity[variable] > 1e100:
-            for index in range(1, self.num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._activity_increment *= 1e-100
-        self._heap.update(variable)
 
     def _bump_clause(self, clause: LearnedClause) -> None:
         clause.activity += self._clause_activity_increment
@@ -361,10 +379,16 @@ class CdclSolver:
         """First-UIP analysis.  Returns (learned clause, backjump level)."""
         learned: list[int] = [0]  # placeholder for the asserting literal
         seen = self._seen
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        increment = self._activity_increment
+        update = self._heap.update
+        decision_level = len(self._trail_limits)
         counter = 0
         literal = 0
         clause: list[int] | None = conflict
-        trail_index = len(self._trail) - 1
+        trail_index = len(trail) - 1
         while True:
             assert clause is not None, "reached a decision without finding the UIP"
             if isinstance(clause, LearnedClause):
@@ -372,20 +396,26 @@ class CdclSolver:
             for clause_literal in clause:
                 # Skip the literal implied by this reason clause (the one whose
                 # antecedents we are currently expanding).
-                if literal != 0 and clause_literal == literal:
+                if clause_literal == literal:
                     continue
-                variable = abs(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                variable = clause_literal if clause_literal > 0 else -clause_literal
+                if seen[variable] or level[variable] == 0:
                     continue
                 seen[variable] = True
-                self._bump_variable(variable)
-                if self._level[variable] >= self.decision_level:
+                activity[variable] += increment
+                if activity[variable] > 1e100:
+                    for index in range(1, self.num_vars + 1):
+                        activity[index] *= 1e-100
+                    increment *= 1e-100
+                    self._activity_increment = increment
+                update(variable)
+                if level[variable] >= decision_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
-            while not seen[abs(self._trail[trail_index])]:
+            while not seen[abs(trail[trail_index])]:
                 trail_index -= 1
-            literal = self._trail[trail_index]
+            literal = trail[trail_index]
             trail_index -= 1
             seen[abs(literal)] = False
             counter -= 1
@@ -403,26 +433,30 @@ class CdclSolver:
             # position 1 so the two-watched-literal invariant (the watched
             # literals are the last to be falsified) holds for the learned
             # clause after backjumping.
-            best_index = max(range(1, len(learned)), key=lambda i: self._level[abs(learned[i])])
+            best_index = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
             learned[1], learned[best_index] = learned[best_index], learned[1]
-            backjump_level = self._level[abs(learned[1])]
+            backjump_level = level[abs(learned[1])]
         return learned, backjump_level
 
     def _backtrack(self, target_level: int) -> None:
-        if self.decision_level <= target_level:
+        trail_limits = self._trail_limits
+        if len(trail_limits) <= target_level:
             return
-        boundary = self._trail_limits[target_level]
+        trail = self._trail
+        boundary = trail_limits[target_level]
+        assignment = self._assignment
+        reason = self._reason
         branch = self._branch
         push = self._heap.push
-        for literal in reversed(self._trail[boundary:]):
-            variable = abs(literal)
-            self._assignment[variable] = 0
-            self._reason[variable] = None
+        for literal in reversed(trail[boundary:]):
+            variable = literal if literal > 0 else -literal
+            assignment[variable] = 0
+            reason[variable] = None
             if variable in branch:
                 push(variable)
-        del self._trail[boundary:]
-        del self._trail_limits[target_level:]
-        self._propagation_head = len(self._trail)
+        del trail[boundary:]
+        del trail_limits[target_level:]
+        self._propagation_head = len(trail)
 
     # -- clause-database maintenance --------------------------------------------
 
@@ -445,17 +479,17 @@ class CdclSolver:
         propagation cost of a long-lived incremental solver.
         """
         limit = len(self._learned) // 2
-        removed: set[int] = set()
+        doomed: list[list[int]] = []
         for clause in sorted(self._learned, key=lambda c: c.activity):
-            if len(removed) >= limit:
+            if len(doomed) >= limit:
                 break
             if len(clause) <= 2 or clause.lbd <= 2 or self._is_locked(clause):
                 continue
-            self._detach_clause(clause)
-            removed.add(id(clause))
-        if removed:
+            doomed.append(clause)
+        if doomed:
+            removed = self._detach_clauses(doomed)
             self._learned = [c for c in self._learned if id(c) not in removed]
-            self.statistics["deleted"] += len(removed)
+            self.statistics["deleted"] += len(doomed)
         self._max_learned *= 1.1
 
     def _simplify_database(self) -> None:
@@ -467,19 +501,19 @@ class CdclSolver:
         activation literal is forced false at the root, satisfying every
         guarded clause).
         """
+        assignment = self._assignment
+        satisfied: list[list[int]] = []
         for store in (self._clauses, self._learned):
             kept = []
             for clause in store:
-                satisfied = False
                 for literal in clause:
-                    if self._value(literal) == 1:
-                        satisfied = True
+                    if (assignment[literal] if literal > 0 else -assignment[-literal]) == 1:
+                        satisfied.append(clause)
                         break
-                if satisfied:
-                    self._detach_clause(clause)
                 else:
                     kept.append(clause)
             store[:] = kept
+        self._detach_clauses(satisfied)
         self._simplified_trail_size = len(self._trail)
 
     # -- branching ---------------------------------------------------------------

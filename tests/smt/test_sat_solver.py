@@ -1,12 +1,15 @@
 """Tests for the CDCL SAT core (unit tests plus a brute-force fuzz oracle)."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.smt.sat import BruteForceSolver, CdclSolver, SatStatus
+from repro.smt.sat import solver as solver_module
 from repro.smt.sat.heap import ActivityHeap
 from repro.smt.sat.solver import luby
 
@@ -261,6 +264,24 @@ class TestLearnedClauseDeletion:
             assert aggressive.solve() == plain_brute.solve()
 
 
+def _assert_watches_consistent(solver):
+    """The solver is at level 0 and watches exactly its attached clauses.
+
+    Each problem or learned clause sits, by identity, once in the watch list
+    of ``clause[0]`` and once in that of ``clause[1]``, and in no other; so
+    no deleted or simplified-away clause is still watched.
+    """
+    assert solver.decision_level == 0
+    expected = Counter()
+    for clause in (*solver._clauses, *solver._learned):
+        expected[clause[0], id(clause)] += 1
+        expected[clause[1], id(clause)] += 1
+    watched = Counter(
+        (literal, id(clause)) for literal, watchers in solver._watches.items() for clause in watchers
+    )
+    assert watched == expected
+
+
 def _random_clauses(rng, max_vars=10, max_clauses=40):
     num_vars = rng.randint(1, max_vars)
     num_clauses = rng.randint(1, max_clauses)
@@ -285,6 +306,7 @@ class TestAgainstBruteForce:
             expected = brute.solve()
             actual = cdcl.solve()
             assert actual == expected, f"disagreement on {clauses}"
+            _assert_watches_consistent(cdcl)
             if actual == SatStatus.SAT:
                 model = cdcl.model()
                 for clause in clauses:
@@ -311,6 +333,7 @@ class TestAgainstBruteForce:
             cdcl.add_clause(list(clause))
             brute.add_clause(list(clause))
         assert cdcl.solve() == brute.solve()
+        _assert_watches_consistent(cdcl)
 
 
 def _flat(clauses):
@@ -443,3 +466,77 @@ class TestBulkLoader:
         for clause in clauses:
             brute.add_clause(list(clause))
         assert cdcl.solve() == brute.solve()
+
+
+def _search_trace(seed):
+    """One seeded incremental session: answers, a digest of its models, statistics.
+
+    A near-threshold random 3-SAT base, so that single solves run past the
+    first Luby restart, is solved ten times under random assumptions, some of
+    which fail.  Between rounds a root unit and a few 3–5 literal clauses
+    arrive, so the next solve simplifies the database.  The small
+    ``max_learned`` makes ``_reduce_learned`` delete, and the longer clauses
+    give the replacement-watch scan more than one candidate.
+    """
+    rng = random.Random(seed)
+    num_vars = rng.randint(90, 100)
+    solver = CdclSolver(max_learned=rng.choice((10, 20, 40)))
+
+    def literal():
+        return rng.choice((1, -1)) * rng.randint(1, num_vars)
+
+    def clause(size):
+        return [rng.choice((1, -1)) * v for v in rng.sample(range(1, num_vars + 1), size)]
+
+    solver.add_clauses(*_flat([clause(3) for _ in range(int(num_vars * 4.05))]))
+    answers, models = [], hashlib.sha256()
+    for _ in range(5):
+        for _ in range(2):
+            status = solver.solve(assumptions=[literal() for _ in range(rng.randint(0, 5))])
+            _assert_watches_consistent(solver)
+            answers.append(status.value[0].upper())
+            if status == SatStatus.SAT:
+                model = solver.model()
+                models.update(bytes(model[variable] for variable in range(1, num_vars + 1)))
+            models.update(status.value.encode())
+        solver.add_clause([literal()])
+        for _ in range(rng.randint(2, 8)):
+            solver.add_clause(clause(rng.choice((3, 4, 5))))
+    return "".join(answers), models.hexdigest()[:16], dict(solver.statistics)
+
+
+#: Seeds whose session runs with both activity decays at 0.25, so that the
+#: 1e100 rescales of variable and clause activities run too.
+FAST_DECAY = {8, 9}
+
+#: ``_search_trace(seed)`` → (answers, model digest, statistics), recorded in
+#: a fresh interpreter before the propagation loop was rewritten over local
+#: bindings.  Any change to visit order, replacement-watch order, tie-breaks
+#: or activity arithmetic moves these; the clause-shipping goldens at pods=4
+#: never restart or delete, so this corpus is the gate for those paths.
+GOLDEN_TRACES = {
+    0: ('SSSSSUSSSS', 'd69936dc558b0526', {'conflicts': 107, 'decisions': 342, 'propagations': 3050, 'restarts': 0, 'learned': 107, 'deleted': 77}),
+    1: ('SSUUUUUUUU', '36a5b97401e33eef', {'conflicts': 443, 'decisions': 585, 'propagations': 10431, 'restarts': 2, 'learned': 435, 'deleted': 318}),
+    2: ('SSUUSSSUUU', '9532e546f90f0873', {'conflicts': 609, 'decisions': 788, 'propagations': 13895, 'restarts': 3, 'learned': 603, 'deleted': 547}),
+    3: ('UUSUUUUUUU', '47c56fef11bfa314', {'conflicts': 400, 'decisions': 522, 'propagations': 8445, 'restarts': 3, 'learned': 394, 'deleted': 318}),
+    4: ('SUUUUUUUUU', '339fe5b77348dc9c', {'conflicts': 745, 'decisions': 910, 'propagations': 17134, 'restarts': 5, 'learned': 735, 'deleted': 641}),
+    5: ('SSSSSSUUSS', '2e4d4a20563a1eec', {'conflicts': 381, 'decisions': 629, 'propagations': 10055, 'restarts': 1, 'learned': 380, 'deleted': 318}),
+    6: ('UUSSUUUUUU', '8934e5eb4b6fda0c', {'conflicts': 278, 'decisions': 381, 'propagations': 7146, 'restarts': 0, 'learned': 268, 'deleted': 227}),
+    7: ('SUSUUUSSUU', 'cdf117f3d1b06811', {'conflicts': 937, 'decisions': 1226, 'propagations': 22929, 'restarts': 5, 'learned': 931, 'deleted': 824}),
+    8: ('UUUSUUUUUU', 'c52da47042a465b8', {'conflicts': 505, 'decisions': 619, 'propagations': 10938, 'restarts': 2, 'learned': 492, 'deleted': 406}),
+    9: ('SUSSSSSSUU', '625a8a1e37e52e99', {'conflicts': 1014, 'decisions': 1407, 'propagations': 23108, 'restarts': 7, 'learned': 1011, 'deleted': 811}),
+}
+
+
+class TestGoldenSearchTraces:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_TRACES))
+    def test_session_repeats_its_recorded_search(self, monkeypatch, seed):
+        if seed in FAST_DECAY:
+            monkeypatch.setattr(solver_module, "ACTIVITY_DECAY", 0.25)
+            monkeypatch.setattr(solver_module, "CLAUSE_DECAY", 0.25)
+        assert _search_trace(seed) == GOLDEN_TRACES[seed]
+
+    def test_corpus_restarts_and_deletes(self):
+        for counter in ("restarts", "deleted", "learned"):
+            assert sum(stats[counter] for _, _, stats in GOLDEN_TRACES.values()) > 0, counter
+        assert any("U" in answers and "S" in answers for answers, _, _ in GOLDEN_TRACES.values())
