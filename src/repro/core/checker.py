@@ -26,12 +26,12 @@ in its own destination numbering
 marker vouches for all it reads), so isomorphic all-pairs nodes pose one query, which the
 solver's answer memo answers once.  Under ``symmetry="classes"`` a passing
 representative's verdict is propagated to the rest of its
-:mod:`repro.core.symmetry` class.  A failing numbered build or class has
-each member re-discharge its own raw conditions, so every counterexample is
-the member's genuine one.  A class is discharged on the backend's current
-SAT scope, so encoded and learned clauses are shared across the class (and
-with its neighbours in batch order, until the scope outgrows its size
-bound).
+:mod:`repro.core.symmetry` class.  A failing numbered or sliced build or
+class has each member re-discharge its own raw conditions, so every
+counterexample is the member's genuine one.  A class is discharged on the
+backend's current SAT scope, so encoded and learned clauses are shared
+across the class (and with its neighbours in batch order, until the scope
+outgrows its size bound).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Any, Iterable
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import VerificationCondition, canonical_node_conditions, node_conditions
+from repro.core.conditions import _precondition_slices
 from repro.core.results import ConditionResult, ModularReport, NodeReport
 from repro.core.symmetry import SymmetryClass
 from repro.errors import VerificationError
@@ -119,17 +120,19 @@ def check_class(
     the marker vouches for all it reads) and discharged in one SAT scope.
     When they all hold, every other member receives them as propagated
     :class:`ConditionResult` records (duration 0, ``propagated_from`` the
-    representative).  When one fails and the build was numbered or the class
-    has several members, the class propagates nothing: every member
-    re-discharges its own raw conditions in the same scope, so each
+    representative).  When one fails and the build was numbered or sliced or
+    the class has several members, the class propagates nothing: every
+    member re-discharges its own raw conditions in the same scope, so each
     counterexample is the member's genuine one, and a member whose
-    ``(condition, holds)`` sequence differs from the class's raises
-    :class:`VerificationError`.  Results carry ``quotient="destination"``
-    exactly when the representative has a numbering.
+    ``(condition, holds)`` sequence differs from the class's (after a sliced
+    build, the representative's raw one) raises :class:`VerificationError`.
+    Results carry ``quotient="destination"`` exactly when the representative
+    has a numbering.
     """
     representative = symmetry_class.representative
     members = symmetry_class.members
     numbered = annotated.destination_numbering(representative) is not None
+    sliced = _precondition_slices(annotated.network) is not None
     quotient = "destination" if numbered else None
     # Without a pinned solver the shared per-process one is used as it
     # stands: its encoding caches and its current SAT scope persist across
@@ -146,16 +149,17 @@ def check_class(
             built = canonical_node_conditions(annotated, representative, delay=delay)
         results = _discharge(built, solver)
         failed = not all(result.holds for result in results)
-        if failed and (numbered or len(members) > 1):
-            # A numbered instance's counterexample is in the representative's
-            # destination numbering, and a member's failure is its own:
-            # every member discharges its raw conditions.
-            expected = [(result.condition, result.holds) for result in results]
+        if failed and (numbered or sliced or len(members) > 1):
+            # Every member discharges its raw conditions: a numbered or sliced
+            # counterexample is not the member's, and a sliced failure is only
+            # a candidate (there the representative's raw verdicts decide).
+            expected = None if sliced else [(result.condition, result.holds) for result in results]
             reports = []
             for member in members:
                 member_started = _time.perf_counter()
                 own = _discharge(node_conditions(annotated, member, delay=delay), solver)
                 observed = [(result.condition, result.holds) for result in own]
+                expected = expected or observed
                 if observed != expected:
                     raise VerificationError(
                         f"symmetry class member {member!r} decided {observed} but its "

@@ -35,7 +35,14 @@ hash-conses across conditions and nodes.  Term identity is what the symmetry
 layer (:mod:`repro.core.symmetry`) keys equivalence classes on, what the
 delta store's fingerprints digest, and what lets the incremental SMT backend
 (:mod:`repro.smt.incremental`) bit-blast and CNF-encode every distinct
-subterm once per process instead of once per query.
+subterm once per process instead of once per query.  A precondition that
+splits into components (conjuncts grouped by shared variables) is *sliced*
+by :func:`canonical_node_conditions` to those a condition shares a variable
+with, and a symbolic's variables are named ``vc$symbolic.%i.j:<sort>`` (its
+order of first appearance, their position in its value): the WAN's peers pose
+one query.  Dropping conjuncts weakens the assumptions, so a sliced pass is a
+raw pass whatever the precondition; a sliced failure is a candidate the raw
+conditions decide (they hold vacuously iff a dropped component is unsatisfiable).
 
 **Construction costs distinct shapes, not nodes.**  A node's conditions are
 assembled from memoised parts (:func:`node_policy`, :func:`apply_annotation`):
@@ -62,7 +69,7 @@ from __future__ import annotations
 
 import time as _time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro import smt
@@ -71,6 +78,7 @@ from repro.core.counterexample import Counterexample
 from repro.core.numbering import active_numbering, destination_numbering
 from repro.core.results import ConditionResult
 from repro.errors import SolverError, VerificationError
+from repro.smt.terms import OP_AND, OP_EQ, OP_VAR, Term, make_term
 from repro.symbolic import (
     SymBV,
     SymBool,
@@ -348,6 +356,104 @@ def _network_symbolics(annotated: AnnotatedNetwork) -> tuple[SymBool, dict[str, 
     return assumptions, values
 
 
+#: ``Network`` → its :func:`_precondition_slices`.
+_PRECONDITION_SLICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _value_variables(value: Any) -> list[str]:
+    """The variable names of a symbolic value, in structural order."""
+    if isinstance(value, (SymBool, SymBV)):
+        return list(smt.free_variables(value.term))
+    if isinstance(value, SymEnum):
+        return list(smt.free_variables(value.index.term))
+    if isinstance(value, SymOption):
+        return _value_variables(value.is_some) + _value_variables(value.payload)
+    if isinstance(value, SymSet):
+        return [n for name in value.universe for n in _value_variables(value.contains(name))]
+    if isinstance(value, SymRecord):
+        return [name for _, part in value for name in _value_variables(part)]
+    return []
+
+
+def _precondition_slices(network: Any) -> tuple[dict, dict] | None:
+    """Once per network: ``None`` below two precondition components, else two maps:
+    conjunct ``term_id`` and variable name → component (union-find over shared
+    names), and a symbolic's variable → ``(symbolic index, position in its value)``."""
+    if network in _PRECONDITION_SLICES:
+        return _PRECONDITION_SLICES[network]
+    precondition = network.symbolic_constraints().term
+    conjuncts = precondition.args if precondition.op == OP_AND else ()
+    roots: dict[int | str, int | str] = {}
+
+    def find(key: int | str) -> int | str:
+        while roots.setdefault(key, key) != key:
+            roots[key] = key = roots[roots[key]]
+        return key
+
+    for conjunct in conjuncts:
+        for name in smt.free_variables(conjunct):
+            roots[find(name)] = find(conjunct.term_id)
+    slices = None
+    if len({find(conjunct.term_id) for conjunct in conjuncts}) > 1:
+        positions = {
+            name: (index, position)
+            for index, symbolic in enumerate(network.symbolics)
+            for position, name in enumerate(dict.fromkeys(_value_variables(symbolic.value)))
+        }
+        slices = ({key: find(key) for key in roots}, positions)
+    _PRECONDITION_SLICES[network] = slices
+    return slices
+
+
+def _sliced(condition: VerificationCondition, slices: tuple[dict, dict]) -> VerificationCondition:
+    """``condition`` sliced and renamed (module docstring) by one memoised walk, left
+    to right, over its other assumptions, its goal, then the components they touch."""
+    components, positions = slices
+    renamed: dict[int, Term] = {}
+    touched: set[int | str | None] = set()
+    order: dict[int, int] = {}
+
+    def substitute(root: Term) -> Term:
+        stack = [root]
+        while stack:
+            term = stack[-1]
+            pending = [arg for arg in term.args if arg.term_id not in renamed]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            if stack.pop().term_id in renamed:
+                continue
+            new = term
+            if term.op == OP_VAR:
+                touched.add(components.get(term.payload))
+                place = positions.get(term.payload)
+                if place is not None:
+                    index = order.setdefault(place[0], len(order))
+                    name = f"{VC_PREFIX}symbolic.%{index}.{place[1]}:{term.sort!r}"
+                    new = make_term(OP_VAR, (), name, term.sort)
+            elif any(renamed[arg.term_id] is not arg for arg in term.args):
+                args = tuple(renamed[arg.term_id] for arg in term.args)
+                if term.op == OP_EQ:  # its sides go in interning order
+                    new = smt.eq(*args)
+                else:
+                    new = make_term(term.op, args, term.payload, term.sort)
+            renamed[term.term_id] = new
+        return renamed[root.term_id]
+
+    assumptions = condition.assumptions.term
+    conjuncts = assumptions.args if assumptions.op == OP_AND else (assumptions,)
+    for conjunct in conjuncts:
+        if conjunct.term_id not in components:
+            substitute(conjunct)
+    goal = substitute(condition.goal.term)
+    kept = [
+        substitute(conjunct)
+        for conjunct in conjuncts
+        if conjunct.term_id not in components or components[conjunct.term_id] in touched
+    ]
+    return replace(condition, assumptions=SymBool(smt.and_(*kept)), goal=SymBool(goal))
+
+
 def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
     """``I_v ∈ A(v)(0)`` (equation 5)."""
     width = annotated.time_width()
@@ -462,8 +568,11 @@ def canonical_node_conditions(
     active numbering, and a bijection of ``[0, size)`` maps a query over
     those atoms and ``dest < size`` onto an equally valid one, so these
     conditions hold iff the raw ones do; a ``π_node`` that is not a symmetry
-    of the network only loses sharing.  Payloads (routes, symbolics) are in
-    ``π_node`` too: counterexamples come from :func:`node_conditions`.
+    of the network only loses sharing.  Then :func:`_sliced`, if the
+    precondition splits.  Payloads (routes, symbolics) are in ``π_node`` and
+    not renamed: counterexamples come from :func:`node_conditions`.
     """
     with destination_numbering(annotated.destination_numbering(node)):
-        return node_conditions(annotated, node, delay=delay)
+        conditions = node_conditions(annotated, node, delay=delay)
+    slices = _precondition_slices(annotated.network)
+    return conditions if slices is None else [_sliced(vc, slices) for vc in conditions]

@@ -54,6 +54,7 @@ from repro.core.conditions import (
     _MERGE_FOLDS,
     _NODE_POLICIES,
     _QUERY_ROUTES,
+    _precondition_slices,
     canonical_node_conditions,
 )
 from repro.errors import VerificationError
@@ -261,6 +262,10 @@ def node_condition_fingerprints(
         return dict(cached[1])
     node_vcs = canonical_node_conditions(annotated, node, delay=delay)
     fingerprints = {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
+    if _precondition_slices(network) is not None:
+        # A pass recorded for a sliced condition may be vacuous: add the whole precondition.
+        whole = fingerprint_term(network.symbolic_constraints().term).encode("ascii")
+        fingerprints = {k: _digest((fp.encode(), whole)) for k, fp in fingerprints.items()}
     memo[key] = ((interface, node_property, sent), fingerprints)
     return dict(fingerprints)
 

@@ -22,13 +22,13 @@ the singleton partition under every mode: nodes whose conditions are
 term-identical are already answered once, by the answer memo, so no
 partition needs to find them.
 
-Soundness.  Equal keys mean the members' raw conditions are each equivalid
-with the *same* canonical instance (it is their image under a bijection of
-the destination index range), hence equivalid with each other: a passing
-representative is a passing member.  A failing
-class propagates nothing: every member re-discharges its own raw conditions,
-so each counterexample is that member's genuine one, and a member whose
-verdicts differ from the class's is an internal error.
+Soundness.  Equal keys mean the members' raw conditions are each implied by
+the *same* canonical instance (their image under a bijection of the
+destination index range, perhaps with precondition components dropped), and
+equivalid with it unless the precondition is unsatisfiable: a passing
+representative is a passing member.  A failing class propagates nothing:
+every member re-discharges its own raw conditions, so each counterexample is
+that member's genuine one, and members whose verdicts differ are an error.
 """
 
 from __future__ import annotations

@@ -447,12 +447,14 @@ class CdclSolver:
         assignment = self._assignment
         reason = self._reason
         branch = self._branch
+        # A propagated variable never left the heap: push only decided ones.
+        in_heap = self._heap._positions
         push = self._heap.push
         for literal in reversed(trail[boundary:]):
             variable = literal if literal > 0 else -literal
             assignment[variable] = 0
             reason[variable] = None
-            if variable in branch:
+            if variable in branch and variable not in in_heap:
                 push(variable)
         del trail[boundary:]
         del trail_limits[target_level:]

@@ -4,7 +4,8 @@ Three guards on the n-ary, build-once condition builders:
 
 * a *term identity oracle* — the left-fold builders the n-ary ones replaced
   are kept here verbatim, and every condition of every registry network must
-  be the very same interned term they produce;
+  be the very same interned term they produce (the canonical ones after the
+  conftest's independent ``sliced_and_renamed``);
 * a *count-based scaling gate* — operands visited by ``builder.and_`` per
   node may at most double when the network's symbolics double;
 * *memo safety* — what is computed once per network or per annotation set is
@@ -156,13 +157,15 @@ def _oracle_node_conditions(
 
 
 def _oracle_canonical_node_conditions(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0
+    annotated: AnnotatedNetwork, node: str, sliced_and_renamed: Any, delay: int = 0
 ) -> list[VerificationCondition]:
     marker = annotated.destination_symmetry
     if marker is None:
-        return _oracle_node_conditions(annotated, node, delay=delay)
-    with destination_numbering(marker.numbering(node)):
-        return _oracle_node_conditions(annotated, node, delay=delay)
+        conditions = _oracle_node_conditions(annotated, node, delay=delay)
+    else:
+        with destination_numbering(marker.numbering(node)):
+            conditions = _oracle_node_conditions(annotated, node, delay=delay)
+    return sliced_and_renamed(annotated.network, conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ def _assert_same_terms(built: list[VerificationCondition], oracle: list[Verifica
 
 @pytest.mark.parametrize("delay", (0, 1))
 @pytest.mark.parametrize("name, parameters", _IDENTITY_CASES)
-def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay):
+def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay, sliced_and_renamed):
     annotated = registry.build(name, **parameters).annotated
     for node in annotated.nodes:
         _assert_same_terms(
@@ -205,7 +208,7 @@ def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay):
         )
         _assert_same_terms(
             canonical_node_conditions(annotated, node, delay=delay),
-            _oracle_canonical_node_conditions(annotated, node, delay=delay),
+            _oracle_canonical_node_conditions(annotated, node, sliced_and_renamed, delay=delay),
         )
 
 
