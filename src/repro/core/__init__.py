@@ -33,7 +33,6 @@ from repro.core.conditions import (
 )
 from repro.core.symmetry import (
     SYMMETRY_MODES,
-    SymmetryClass,
     partition_nodes,
 )
 from repro.core.counterexample import Counterexample
@@ -97,7 +96,6 @@ __all__ = [
     "SAFETY",
     # symmetry reduction
     "SYMMETRY_MODES",
-    "SymmetryClass",
     "partition_nodes",
     # checking
     "check_node",

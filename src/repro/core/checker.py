@@ -20,13 +20,16 @@ and learned clauses.  An explicit ``solver`` pins another backend; a facade
 how the test suite's reference run is built.  The verdicts are identical
 either way, only the cost differs (see the ablation benchmarks).
 
-**Destination numbering.**  Every mode builds a representative's conditions
-in its own destination numbering
+**Destination numbering.**  Every mode discharges a representative's
+conditions as built in its own destination numbering
 (:func:`~repro.core.conditions.canonical_node_conditions`; raw unless a
-marker vouches for all it reads), so isomorphic all-pairs nodes pose one query, which the
-solver's answer memo answers once.  Under ``symmetry="classes"`` a passing
-representative's verdict is propagated to the rest of its
-:mod:`repro.core.symmetry` class.  A failing numbered or sliced build or
+marker vouches for all it reads), so isomorphic all-pairs nodes pose one
+query, which the solver's answer memo answers once.  That build is
+memoised: the partition and the fingerprint layer read the same one, so a
+node is built once however many of them ask.  A class is the tuple
+of its members, representative first (:mod:`repro.core.symmetry`); under
+``symmetry="classes"`` a passing representative's verdict is propagated to
+the rest of it.  A failing numbered or sliced build or
 class has each member re-discharge its own raw conditions, so every
 counterexample is the member's genuine one.  A class is discharged on the
 backend's current SAT scope, so encoded and learned clauses are shared
@@ -37,13 +40,11 @@ outgrows its size bound).
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import VerificationCondition, canonical_node_conditions, node_conditions
-from repro.core.conditions import _precondition_slices
 from repro.core.results import ConditionResult, ModularReport, NodeReport
-from repro.core.symmetry import SymmetryClass
 from repro.errors import VerificationError
 from repro.smt.incremental import process_solver
 
@@ -97,7 +98,7 @@ def check_node(
 
 def check_class(
     annotated: AnnotatedNetwork,
-    symmetry_class: SymmetryClass,
+    members: Sequence[str],
     delay: int = 0,
     solver: Any | None = None,
 ) -> list[NodeReport]:
@@ -114,10 +115,12 @@ def check_class(
     condition raises, the shared backend is restored to a clean state before
     the exception propagates, so subsequent checks stay sound.
 
-    Returns a report per member, in member order.  The representative's
-    conditions are built in its own destination numbering
+    ``members`` is the class (:mod:`repro.core.symmetry`), its first member
+    the representative.  Returns a report per member, in member order.  The
+    representative's conditions are its memoised build in its own
+    destination numbering
     (:func:`~repro.core.conditions.canonical_node_conditions`; raw unless
-    the marker vouches for all it reads) and discharged in one SAT scope.
+    the marker vouches for all it reads), discharged in one SAT scope.
     When they all hold, every other member receives them as propagated
     :class:`ConditionResult` records (duration 0, ``propagated_from`` the
     representative).  When one fails and the build was numbered or sliced or
@@ -129,10 +132,8 @@ def check_class(
     Results carry ``quotient="destination"`` exactly when the representative
     has a numbering.
     """
-    representative = symmetry_class.representative
-    members = symmetry_class.members
+    representative = members[0]
     numbered = annotated.destination_numbering(representative) is not None
-    sliced = _precondition_slices(annotated.network) is not None
     quotient = "destination" if numbered else None
     # Without a pinned solver the shared per-process one is used as it
     # stands: its encoding caches and its current SAT scope persist across
@@ -142,11 +143,8 @@ def check_class(
 
     started = _time.perf_counter()
     try:
-        built = symmetry_class.conditions
-        if built is None or symmetry_class.conditions_delay != delay:
-            # No cached conditions (a singleton class), or the cache was
-            # built for a different delay than this check requests.
-            built = canonical_node_conditions(annotated, representative, delay=delay)
+        built = canonical_node_conditions(annotated, representative, delay=delay)
+        sliced = built[0].sliced_from is not None
         results = _discharge(built, solver)
         failed = not all(result.holds for result in results)
         if failed and (numbered or sliced or len(members) > 1):

@@ -50,9 +50,10 @@ the interned query routes with their well-formedness constraints, the merge
 fold of :meth:`~repro.routing.algebra.Network.updated_route`, and each
 annotation applied to a route at a time.  Each part is evaluated once per
 distinct key, so the isomorphic nodes of a fattree share one merge fold and
-one set of constraints however many of them there are.  Soundness rests on
-one assumption, the same one the fingerprint layer's memo makes
-(:mod:`repro.core.fingerprint`): annotations, transfer functions and merge
+one set of constraints however many of them there are, and a node's canonical
+conditions are themselves memoised (:func:`canonical_node_conditions`), once
+for the partition, the checker and the fingerprint layer.  Soundness rests on
+one assumption: annotations, transfer functions and merge
 functions are *pure term builders*, whose result is a function of the
 symbolic values they are given and, for annotations and initial routes, of
 the active destination numbering (:mod:`repro.core.numbering`), which the
@@ -160,9 +161,9 @@ _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 #: key alive, so no ``id`` can be reused while the entry lives.
 _MERGE_FOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: Hit counts of the memos above and of the fingerprint layer's memo
-#: (``fingerprint_statistics`` reports them).
-_MEMO_HITS = {"node_policies": 0, "applications": 0, "merge_folds": 0, "condition_fingerprints": 0}
+#: Hit counts of the memos above and of :func:`canonical_node_conditions`
+#: (:func:`memo_statistics` reports them).
+_MEMO_HITS = {"node_policies": 0, "applications": 0, "merge_folds": 0, "canonical_conditions": 0}
 
 
 def _term_key(value: Any) -> Any:
@@ -247,7 +248,7 @@ def apply_annotation(predicate: Any, route: Any, time: SymBV) -> SymBool:
     return cached[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationCondition:
     """One encoded verification condition, ready to hand to the SMT backend."""
 
@@ -266,6 +267,9 @@ class VerificationCondition:
     node_route: Any = None
     #: The network's symbolic variables (name -> symbolic value).
     symbolics: dict[str, Any] = field(default_factory=dict)
+    #: The whole network precondition, when ``assumptions`` keep only a slice
+    #: of it (:func:`canonical_node_conditions`); ``None`` otherwise.
+    sliced_from: SymBool | None = None
 
     def fingerprint(self) -> str:
         """Stable, process-independent content hash of this condition.
@@ -405,9 +409,12 @@ def _precondition_slices(network: Any) -> tuple[dict, dict] | None:
     return slices
 
 
-def _sliced(condition: VerificationCondition, slices: tuple[dict, dict]) -> VerificationCondition:
-    """``condition`` sliced and renamed (module docstring) by one memoised walk, left
-    to right, over its other assumptions, its goal, then the components they touch."""
+def _sliced(
+    condition: VerificationCondition, slices: tuple[dict, dict], whole: SymBool
+) -> VerificationCondition:
+    """``condition`` sliced from the precondition ``whole`` and renamed (module docstring)
+    by one memoised walk, left to right, over its other assumptions, its goal, then the
+    components they touch."""
     components, positions = slices
     renamed: dict[int, Term] = {}
     touched: set[int | str | None] = set()
@@ -451,7 +458,8 @@ def _sliced(condition: VerificationCondition, slices: tuple[dict, dict]) -> Veri
         for conjunct in conjuncts
         if conjunct.term_id not in components or components[conjunct.term_id] in touched
     ]
-    return replace(condition, assumptions=SymBool(smt.and_(*kept)), goal=SymBool(goal))
+    assumptions = SymBool(smt.and_(*kept))
+    return replace(condition, assumptions=assumptions, goal=SymBool(goal), sliced_from=whole)
 
 
 def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
@@ -555,9 +563,15 @@ def node_conditions(
     ]
 
 
+#: ``Network`` → memo key → ``(held, conditions)``: the memo of
+#: :func:`canonical_node_conditions`.  ``held`` keeps every annotation whose
+#: ``id`` is in the key alive.
+_CANONICAL_CONDITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def canonical_node_conditions(
     annotated: AnnotatedNetwork, node: str, delay: int = 0
-) -> list[VerificationCondition]:
+) -> tuple[VerificationCondition, ...]:
     """``node``'s conditions built in its own destination numbering ``π_node``.
 
     ``π_node`` is :meth:`AnnotatedNetwork.destination_numbering`, active for
@@ -569,10 +583,71 @@ def canonical_node_conditions(
     those atoms and ``dest < size`` onto an equally valid one, so these
     conditions hold iff the raw ones do; a ``π_node`` that is not a symmetry
     of the network only loses sharing.  Then :func:`_sliced`, if the
-    precondition splits.  Payloads (routes, symbolics) are in ``π_node`` and
-    not renamed: counterexamples come from :func:`node_conditions`.
+    precondition splits (each condition's ``sliced_from`` says so).  Payloads
+    (routes, symbolics) are in ``π_node`` and not renamed: counterexamples
+    come from :func:`node_conditions`.
+
+    The one build the partition, the checker and the fingerprint layer read,
+    memoised per ``Network`` (weakly) on what the builders read: the node,
+    ``delay``, both time widths, ``π_node`` and the identities of the node's
+    interface, its property and each predecessor's interface.  The policy is
+    the ``Network``'s, so under purity (module docstring) equal keys build
+    equal conditions.  The entry holds every object whose ``id`` is in its
+    key, and an edit is a new interface object (or ``Network``) and misses.
     """
-    with destination_numbering(annotated.destination_numbering(node)):
-        conditions = node_conditions(annotated, node, delay=delay)
-    slices = _precondition_slices(annotated.network)
-    return conditions if slices is None else [_sliced(vc, slices) for vc in conditions]
+    network = annotated.network
+    interface = annotated.interface(node)
+    node_property = annotated.node_property(node)
+    sent = tuple(map(annotated.interface, network.topology.predecessors(node)))
+    numbering = annotated.destination_numbering(node)
+    widths = (annotated.time_width(), annotated.time_width(delay))
+    key = (node, delay, widths, numbering, id(interface), id(node_property), tuple(map(id, sent)))
+    memo = _CANONICAL_CONDITIONS.setdefault(network, {})
+    cached = memo.get(key)
+    if cached is not None:
+        _MEMO_HITS["canonical_conditions"] += 1
+        return cached[1]
+    with destination_numbering(numbering):
+        conditions = tuple(node_conditions(annotated, node, delay=delay))
+    slices = _precondition_slices(network)
+    if slices is not None:
+        whole = network.symbolic_constraints()
+        conditions = tuple(_sliced(vc, slices, whole) for vc in conditions)
+    memo[key] = ((interface, node_property, sent), conditions)
+    return conditions
+
+
+#: Every memo of this module, weak on its owner.
+_MEMOS: tuple[weakref.WeakKeyDictionary, ...] = (
+    _QUERY_ROUTES, _NODE_POLICIES, _APPLICATIONS, _MERGE_FOLDS,
+    _NETWORK_SYMBOLICS, _PRECONDITION_SLICES, _CANONICAL_CONDITIONS,
+)
+
+
+def clear_memos() -> None:
+    """Drop every memo of this module and zero its hit counts (tests and benchmarks)."""
+    for memo in _MEMOS:
+        memo.clear()
+    for name in _MEMO_HITS:
+        _MEMO_HITS[name] = 0
+
+
+def memo_statistics() -> dict[str, int]:
+    """Entry and hit counts of this module's memos.
+
+    A ``canonical_condition_hits`` is a :func:`canonical_node_conditions`
+    call that built nothing; ``merge_folds`` counts the distinct merge folds
+    a network's policies were built from, and a ``merge_fold_hits`` is a
+    node whose fold another node already evaluated.
+    """
+    return {
+        "canonical_conditions": sum(len(entries) for entries in _CANONICAL_CONDITIONS.values()),
+        "canonical_condition_hits": _MEMO_HITS["canonical_conditions"],
+        "query_routes": sum(len(routes) for routes in _QUERY_ROUTES.values()),
+        "node_policies": sum(len(policies) for policies in _NODE_POLICIES.values()),
+        "node_policy_hits": _MEMO_HITS["node_policies"],
+        "merge_folds": sum(len(folds) for folds in _MERGE_FOLDS.values()),
+        "merge_fold_hits": _MEMO_HITS["merge_folds"],
+        "applications": sum(len(entries) for entries in _APPLICATIONS.values()),
+        "application_hits": _MEMO_HITS["applications"],
+    }

@@ -16,55 +16,39 @@ This module computes the keys that decision is made on:
 
 * :func:`condition_fingerprint` — the content hash of one
   :class:`~repro.core.conditions.VerificationCondition`: its kind plus the
-  digests of its ``(assumptions, goal)`` pair.  Conditions name
+  digests of its ``(assumptions, goal)`` pair (and, for a sliced condition,
+  of the whole precondition it was sliced from).  Conditions name
   their query variables by predecessor position, so the fingerprint erases
   node identity: isomorphic nodes share fingerprints, and a verdict cached
   for one is a verdict for all of them.  It is the delta store's only key:
   the hash *is* the query, so a recorded pass can never describe a
   different one.
 
-**The in-process memo.**  :func:`node_condition_fingerprints` is memoised
-per ``Network`` (weakly, like the condition parts of
-:mod:`repro.core.conditions`) on exactly what the condition builders read:
-the node, ``delay``, both time widths, the destination numbering the
-conditions are built in (all the marker decides), and the identities of the
-node's interface, its property and each predecessor's interface in
-predecessor order.  The policy is fixed by the ``Network`` the
-memo is weak on, and under the pure-term-builder assumption of
-:mod:`repro.core.conditions` equal keys build equal conditions.  Every object whose ``id`` is in a key is held by its
-entry, so no ``id`` can be reused while the entry lives, and an edit is a
-new interface object (or a new ``Network``) and misses.  A warm run after a
-one-node edit therefore builds only the edited node's and its successors'
-conditions.  Nothing is shared across processes: a fresh process builds each
-node's conditions once and digests them.
+**Nothing is memoised here but term digests.**  The conditions a fingerprint
+digests come from :func:`~repro.core.conditions.canonical_node_conditions`,
+whose per-``Network`` memo (see its docstring) is the one build the
+partition, the checker and this module share: a warm run after a one-node
+edit builds only the edited node's and its successors' conditions, once.
+Nothing is shared across processes: a fresh process builds each node's
+conditions once and digests them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import weakref
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.conditions import (
     CONDITION_KINDS,
     VerificationCondition,
-    _APPLICATIONS,
-    _MEMO_HITS,
-    _MERGE_FOLDS,
-    _NODE_POLICIES,
-    _QUERY_ROUTES,
-    _precondition_slices,
     canonical_node_conditions,
+    clear_memos,
+    memo_statistics,
 )
 from repro.errors import VerificationError
 from repro.smt.sorts import BitVecSort, BoolSort, Sort
 from repro.smt.terms import Term
-from repro.symbolic import SymBV, SymBool
-from repro.symbolic.option import SymOption
-from repro.symbolic.record import SymRecord
-from repro.symbolic.sets import SymSet
-from repro.symbolic.values import SymEnum
 
 #: Bumped whenever the fingerprint encoding changes, so digests from older
 #: code versions can never collide with current ones.  ``fp2``: condition
@@ -84,11 +68,6 @@ _SEP = b"\x1f"
 #: for the lifetime of the process (the intern table never evicts), so the
 #: id is a stable cache key — but the cached *value* is purely structural.
 _TERM_DIGESTS: dict[int, str] = {}
-
-#: ``Network`` → memo key → ``(held, fingerprints)``: the memo of
-#: :func:`node_condition_fingerprints` (see the module docstring).  ``held``
-#: keeps every annotation whose ``id`` is in the key alive.
-_CONDITION_FINGERPRINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Commutative operators whose child digests are sorted before hashing.  The
 #: builder normalises ``eq`` arguments by interning order (``term_id``),
@@ -174,58 +153,15 @@ def fingerprint_term(term: Term) -> str:
     return _TERM_DIGESTS[term.term_id]
 
 
-def fingerprint_value(value: Any) -> str:
-    """The structural digest of any symbolic value (or plain scalar).
-
-    Dispatches over the six modelling kinds; composites digest their shape
-    metadata (record type and field names, option-ness, set universe) along
-    with their component terms, so two values digest equally iff they are
-    structurally the same symbolic value.
-    """
-    if isinstance(value, (SymBool, SymBV)):
-        return _digest((b"t", fingerprint_term(value.term).encode("ascii")))
-    if isinstance(value, SymEnum):
-        return _digest(
-            (
-                b"enum",
-                _encode_payload(value.enum_type.name),
-                _encode_payload(",".join(value.enum_type.members)),
-                fingerprint_term(value.index.term).encode("ascii"),
-            )
-        )
-    if isinstance(value, SymOption):
-        parts = (value.is_some, value.payload)
-        return _digest((b"opt",) + tuple(fingerprint_value(part).encode("ascii") for part in parts))
-    if isinstance(value, SymSet):
-        return _digest(
-            (b"set",)
-            + tuple(
-                _encode_payload(name)
-                + _SEP
-                + fingerprint_value(value.contains(name)).encode("ascii")
-                for name in value.universe
-            )
-        )
-    if isinstance(value, SymRecord):
-        return _digest(
-            (b"rec", _encode_payload(value.type_name))
-            + tuple(
-                _encode_payload(name) + _SEP + fingerprint_value(field).encode("ascii")
-                for name, field in value
-            )
-        )
-    if isinstance(value, (bool, int, str)):
-        return _digest((b"lit", _encode_payload(value)))
-    raise VerificationError(f"cannot fingerprint value of type {type(value).__name__}")
-
-
 def condition_fingerprint(condition: VerificationCondition) -> str:
     """The content hash of one verification condition.
 
     Digests the ``(kind, assumptions, goal)`` triple; positional route names
     make it node-identity-erased (see :func:`node_condition_fingerprints`).
+    A sliced condition's pass may be vacuous, so its hash also digests the
+    whole precondition it was sliced from.
     """
-    return _digest(
+    fingerprint = _digest(
         (
             FINGERPRINT_VERSION.encode("ascii"),
             b"vc",
@@ -234,6 +170,10 @@ def condition_fingerprint(condition: VerificationCondition) -> str:
             fingerprint_term(condition.goal.term).encode("ascii"),
         )
     )
+    if condition.sliced_from is None:
+        return fingerprint
+    whole = fingerprint_term(condition.sliced_from.term).encode("ascii")
+    return _digest((fingerprint.encode("ascii"), whole))
 
 
 def node_condition_fingerprints(
@@ -241,33 +181,16 @@ def node_condition_fingerprints(
 ) -> dict[str, str]:
     """Per-kind canonical condition fingerprints for one node.
 
-    Builds the node's conditions — in its own destination numbering when the
-    network declares a destination symmetry, so permuted all-pairs nodes
-    share condition fingerprints — and digests each kind.  These are the
-    keys of the delta store.  Memoised on what the builders read (module
-    docstring), so a repeated call over unchanged inputs builds nothing.
+    Digests the node's
+    :func:`~repro.core.conditions.canonical_node_conditions` — built in its
+    own destination numbering when the network declares a destination
+    symmetry, so permuted all-pairs nodes share condition fingerprints.
+    These are the keys of the delta store.
     """
-    network = annotated.network
-    interface = annotated.interface(node)
-    node_property = annotated.node_property(node)
-    sent = tuple(map(annotated.interface, network.topology.predecessors(node)))
-    widths = (annotated.time_width(), annotated.time_width(delay))
-    identities = (id(interface), id(node_property), tuple(map(id, sent)))
-    numbering = annotated.destination_numbering(node)
-    key = (node, delay, widths, numbering, identities)
-    memo = _CONDITION_FINGERPRINTS.setdefault(network, {})
-    cached = memo.get(key)
-    if cached is not None:
-        _MEMO_HITS["condition_fingerprints"] += 1
-        return dict(cached[1])
-    node_vcs = canonical_node_conditions(annotated, node, delay=delay)
-    fingerprints = {vc.kind: condition_fingerprint(vc) for vc in node_vcs}
-    if _precondition_slices(network) is not None:
-        # A pass recorded for a sliced condition may be vacuous: add the whole precondition.
-        whole = fingerprint_term(network.symbolic_constraints().term).encode("ascii")
-        fingerprints = {k: _digest((fp.encode(), whole)) for k, fp in fingerprints.items()}
-    memo[key] = ((interface, node_property, sent), fingerprints)
-    return dict(fingerprints)
+    return {
+        vc.kind: condition_fingerprint(vc)
+        for vc in canonical_node_conditions(annotated, node, delay=delay)
+    }
 
 
 def dependency_fingerprints(
@@ -316,31 +239,16 @@ def strategy_signature(delay: int) -> str:
 def clear_fingerprint_cache() -> None:
     """Drop every process-local memo a fingerprint reads (for tests and benchmarks)."""
     _TERM_DIGESTS.clear()
-    for memo in (_CONDITION_FINGERPRINTS, _NODE_POLICIES, _MERGE_FOLDS, _APPLICATIONS, _QUERY_ROUTES):
-        memo.clear()
-    for name in _MEMO_HITS:
-        _MEMO_HITS[name] = 0
+    clear_memos()
 
 
 def fingerprint_statistics() -> Mapping[str, int]:
     """Sizes and hit counts of the process-local memos (observability hook).
 
-    A node whose condition fingerprints come from the memo is one
-    ``condition_fingerprint_hits`` and builds nothing; a replaced interface
-    or a new ``Network`` shows as new entries instead.  ``merge_folds``
-    counts the distinct merge folds a network's policies were built from,
-    and a ``merge_fold_hits`` is a node whose fold another node already
-    evaluated.
+    ``memoised_terms`` counts term digests; the rest is
+    :func:`repro.core.conditions.memo_statistics`.  A node whose canonical
+    conditions come from the memo is one ``canonical_condition_hits`` and
+    builds nothing; a replaced interface or a new ``Network`` shows as new
+    entries instead.
     """
-    return {
-        "memoised_terms": len(_TERM_DIGESTS),
-        "condition_fingerprints": sum(len(entries) for entries in _CONDITION_FINGERPRINTS.values()),
-        "condition_fingerprint_hits": _MEMO_HITS["condition_fingerprints"],
-        "query_routes": sum(len(routes) for routes in _QUERY_ROUTES.values()),
-        "node_policies": sum(len(policies) for policies in _NODE_POLICIES.values()),
-        "node_policy_hits": _MEMO_HITS["node_policies"],
-        "merge_folds": sum(len(folds) for folds in _MERGE_FOLDS.values()),
-        "merge_fold_hits": _MEMO_HITS["merge_folds"],
-        "applications": sum(len(entries) for entries in _APPLICATIONS.values()),
-        "application_hits": _MEMO_HITS["applications"],
-    }
+    return {"memoised_terms": len(_TERM_DIGESTS), **memo_statistics()}

@@ -1,11 +1,12 @@
 """Streaming execution of class checks: one work item, one generator.
 
-The engine's only unit of work is a :class:`~repro.core.symmetry.SymmetryClass`
-(a plain per-node run is the singleton partition), and
-:func:`iter_class_batches` is the only way to run a list of them.  It yields
-one ``(class_index, member_reports, cache_delta)`` batch per class, in
-completion order; the caller re-sorts final reports by the submission index,
-so results are reproducible while progress is live.
+The engine's only unit of work is a class of nodes, the tuple of its members
+with the representative first (:mod:`repro.core.symmetry`; a plain per-node
+run is the singleton partition), and :func:`iter_class_batches` is the only
+way to run a list of them.  It yields one ``(class_index, member_reports,
+cache_delta)`` batch per class, in completion order; the caller re-sorts
+final reports by the submission index, so results are reproducible while
+progress is live.
 
 **Runs.**  The class list is split into contiguous runs of
 ⌈classes / (:data:`RUNS_PER_WORKER` × workers)⌉ classes (:func:`split_runs`),
@@ -60,13 +61,12 @@ from typing import Any, Iterator, Sequence
 from repro.core.annotations import AnnotatedNetwork
 from repro.core.checker import check_class
 from repro.core.results import NodeReport
-from repro.core.symmetry import SymmetryClass
 from repro.smt.incremental import process_cache_statistics, subtract_cache_statistics
 
 #: ``(network, classes, delay)`` of the current pool and its stop flag, a
 #: shared byte; inherited by forked workers.  The flag takes no lock: a worker
 #: killed while holding one would hang the parent's teardown.
-_ACTIVE: tuple[AnnotatedNetwork, Sequence[SymmetryClass], int] | None = None
+_ACTIVE: tuple[AnnotatedNetwork, Sequence[tuple[str, ...]], int] | None = None
 _STOP: Any = None
 
 #: One completed class: its position in the submitted class list, the member
@@ -118,7 +118,7 @@ class SchedulerStats:
 
 def _check_item(
     annotated: AnnotatedNetwork,
-    classes: Sequence[SymmetryClass],
+    classes: Sequence[tuple[str, ...]],
     delay: int,
     index: int,
     solver: Any | None = None,
@@ -196,7 +196,7 @@ def _open_pool(active: tuple, processes: int) -> Any | None:
 
 def iter_class_batches(
     annotated: AnnotatedNetwork,
-    classes: Sequence[SymmetryClass],
+    classes: Sequence[tuple[str, ...]],
     delay: int,
     jobs: int,
     stats: SchedulerStats | None = None,

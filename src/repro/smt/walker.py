@@ -26,27 +26,8 @@ from repro.smt.terms import (
     OP_TRUE,
     OP_VAR,
     Term,
+    iter_subterms,
 )
-
-
-def _topological_order(root: Term) -> list[Term]:
-    """Return every distinct subterm of ``root`` in child-before-parent order."""
-    order: list[Term] = []
-    seen: set[int] = set()
-    stack: list[tuple[Term, bool]] = [(root, False)]
-    while stack:
-        term, expanded = stack.pop()
-        if expanded:
-            order.append(term)
-            continue
-        if term.term_id in seen:
-            continue
-        seen.add(term.term_id)
-        stack.append((term, True))
-        for arg in term.args:
-            if arg.term_id not in seen:
-                stack.append((arg, False))
-    return order
 
 
 def rebuild(root: Term, leaf_map: Callable[[Term], Term | None]) -> Term:
@@ -58,7 +39,7 @@ def rebuild(root: Term, leaf_map: Callable[[Term], Term | None]) -> Term:
     introduced by the mapping are folded through the whole term.
     """
     cache: dict[int, Term] = {}
-    for term in _topological_order(root):
+    for term in iter_subterms(root):
         replacement = leaf_map(term)
         if replacement is not None:
             cache[term.term_id] = replacement
@@ -117,7 +98,7 @@ def evaluate(root: Term, env: Mapping[str, bool | int], default: bool = True) ->
     otherwise evaluation raises :class:`TermError`.
     """
     cache: dict[int, bool | int] = {}
-    for term in _topological_order(root):
+    for term in iter_subterms(root):
         cache[term.term_id] = _evaluate_node(term, cache, env, default)
     return cache[root.term_id]
 

@@ -400,9 +400,9 @@ def modular_events(
     proved condition fingerprints; a class whose representative's three
     condition fingerprints are all recorded is emitted up front as zero-cost
     ``reused`` events, and only the remainder is scheduled.  The
-    fingerprints are memoised in-process on what the conditions are built
-    from, so a run after a one-node edit builds only the edited node's and
-    its successors' conditions.  On normal completion this run's
+    fingerprints digest the memoised canonical build the checker then
+    discharges, so a run after a one-node edit builds only the edited node's
+    and its successors' conditions, once each.  On normal completion this run's
     fully-passing nodes are recorded and the store is atomically saved; an
     abandoned stream leaves the store file untouched.
     """
@@ -436,14 +436,14 @@ def modular_events(
             # conditions, so the representative's fingerprints *are* every
             # member's.
             recheck = []
-            for symmetry_class in classes:
-                representative = symmetry_class.representative
+            for members in classes:
+                representative = members[0]
                 kinds = node_condition_fingerprints(annotated, representative, delay=strategy.delay)
-                fingerprints.update(dict.fromkeys(symmetry_class.members, kinds))
+                fingerprints.update(dict.fromkeys(members, kinds))
                 if not store.has_conditions(kinds):
-                    recheck.append(symmetry_class)
+                    recheck.append(members)
                     continue
-                for member in symmetry_class.members:
+                for member in members:
                     report = _reused_report(
                         member, None if member == representative else representative
                     )

@@ -31,7 +31,7 @@ import pytest
 
 from repro.core import checker
 from repro.core.annotations import AnnotatedNetwork
-from repro.core.conditions import canonical_node_conditions, node_conditions
+from repro.core.conditions import canonical_node_conditions, memo_statistics, node_conditions
 from repro.core.fingerprint import node_condition_fingerprints
 from repro.core.results import condition_verdicts
 from repro.core.symmetry import partition_nodes
@@ -53,6 +53,10 @@ def _verdicts(report):
         (name, [(result.condition, result.holds) for result in node_report.results])
         for name, node_report in report.node_reports.items()
     ]
+
+
+def _terms(conditions):
+    return tuple((vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id) for vc in conditions)
 
 
 def _without_marker(annotated):
@@ -112,50 +116,42 @@ class TestQuotientPartition:
         quotient_classes = partition_nodes(annotated, annotated.nodes)
         # What the answer memo alone would share: nodes whose raw conditions
         # are term-identical.
-        raw_queries = {
-            tuple(
-                (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-                for vc in node_conditions(annotated, node)
-            )
-            for node in annotated.nodes
-        }
+        raw_queries = {_terms(node_conditions(annotated, node)) for node in annotated.nodes}
         # At k=4 every all-pairs policy quotients to fewer classes than it
         # has distinct raw condition sets (3 vs 13 for Reach, Len and Vf,
         # 4 vs 14 for Hijack); for Reach the quotient needs at most 25% of them.
         assert len(quotient_classes) < len(raw_queries)
         if policy == "reach":
             assert 4 * len(quotient_classes) <= len(raw_queries)
-        # Every class was formed through the quotient, on built conditions.
+        # Every class was formed through the quotient: its members built
+        # term-identical canonical conditions.
         assert annotated.destination_symmetry is not None
-        assert all(cls.conditions for cls in quotient_classes)
+        for cls in quotient_classes:
+            assert len({_terms(canonical_node_conditions(annotated, node)) for node in cls}) == 1
         # Same node coverage, deterministic member order.
-        covered = [member for cls in quotient_classes for member in cls.members]
+        covered = [member for cls in quotient_classes for member in cls]
         assert sorted(covered) == sorted(annotated.nodes)
 
     def test_without_the_marker_every_node_is_its_own_class(self, ap_bench):
         annotated = _without_marker(ap_bench.annotated)
+        built = memo_statistics()["canonical_conditions"]
         classes = partition_nodes(annotated, annotated.nodes)
-        assert [cls.members for cls in classes] == [(node,) for node in annotated.nodes]
+        assert classes == [(node,) for node in annotated.nodes]
         assert annotated.destination_symmetry is None
-        assert not any(cls.conditions for cls in classes)
+        # The singleton partition builds nothing.
+        assert memo_statistics()["canonical_conditions"] == built
 
     def test_class_members_share_canonical_conditions_and_fingerprints(self, ap_bench):
         annotated = ap_bench.annotated
         classes = partition_nodes(annotated, annotated.nodes)
         largest = max(classes, key=len)
         assert len(largest) >= 2
-        rep, member = largest.members[0], largest.members[-1]
+        rep, member = largest[0], largest[-1]
         rep_conditions = canonical_node_conditions(annotated, rep)
         member_conditions = canonical_node_conditions(annotated, member)
         # Conditions built in each node's own numbering are *term-identical*
         # (hash-consed), though the raw ones bake in different constants.
-        assert [
-            (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-            for vc in rep_conditions
-        ] == [
-            (vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id)
-            for vc in member_conditions
-        ]
+        assert _terms(rep_conditions) == _terms(member_conditions)
         # ... hence identical condition fingerprints: the property that lets
         # the delta store reuse verdicts across destination permutations.
         assert node_condition_fingerprints(annotated, rep) == node_condition_fingerprints(
@@ -168,7 +164,7 @@ def _quotients(annotated, report):
     representative = {}
     if report.symmetry == "classes":
         for cls in partition_nodes(annotated, annotated.nodes):
-            representative.update(dict.fromkeys(cls.members, cls.representative))
+            representative.update(dict.fromkeys(cls, cls[0]))
     return [
         (
             result.quotient,
@@ -230,7 +226,7 @@ class TestQuotientVerdicts:
         # Some failing class has several members (one class, several
         # discharges of their own).
         classes_by_node = {
-            member: cls for cls in partition_nodes(injected, injected.nodes) for member in cls.members
+            member: cls for cls in partition_nodes(injected, injected.nodes) for member in cls
         }
         assert any(len(classes_by_node[result.node]) > 1 for result in failing)
 
@@ -258,7 +254,7 @@ class TestQuotientVerdicts:
             if len(cls) > 1 and not checker.check_class(injected, cls)[0].passed
         ]
         assert shared
-        member = shared[0].members[-1]
+        member = shared[0][-1]
         holding = node_conditions(_without_marker(ap_bench.annotated), member)
         original = checker.node_conditions
 

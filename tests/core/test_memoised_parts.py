@@ -1,27 +1,33 @@
 """The memoised parts a node's conditions and condition fingerprints are built from.
 
-An *equality oracle*: whatever the process fingerprinted before — the base
-network, an edited copy sharing its ``Network`` and all but one interface
-object — every fingerprint must equal the one computed after
+An *equality oracle*: whatever the process built before — the base network,
+an edited copy sharing its ``Network`` and all but one interface object —
+every canonical condition and fingerprint must equal the one computed after
 ``clear_fingerprint_cache()``, i.e. with every part evaluated from scratch.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.mutations import lower_witness_time, make_interface_vacuous
+from repro.core import conditions as conditions_module
 from repro.core.conditions import (
     _query_part,
     _query_time,
     _term_key,
     apply_annotation,
+    canonical_node_conditions,
+    node_conditions,
     node_policy,
 )
 from repro.core.fingerprint import (
     clear_fingerprint_cache,
     fingerprint_statistics,
-    fingerprint_value,
     node_condition_fingerprints,
 )
 from repro.core.annotations import AnnotatedNetwork
@@ -58,25 +64,42 @@ def _fingerprints(annotated, delay=0):
     }
 
 
-def _unchanged_keys(base, edited):
-    """Nodes whose memo key is the same on ``edited`` as on ``base`` (delay 0)."""
+def _terms(conditions):
+    """Conditions by kind and term identity."""
+    return [(vc.kind, vc.assumptions.term.term_id, vc.goal.term.term_id) for vc in conditions]
+
+
+def _conditions(annotated, delay=0):
+    """Every node's canonical conditions, by kind and term identity."""
+    return {
+        node: _terms(canonical_node_conditions(annotated, node, delay=delay))
+        for node in annotated.nodes
+    }
+
+
+def _changed_keys(base, edited, delay=0):
+    """Nodes whose memo key differs on ``edited`` from ``base``."""
     topology = base.network.topology
     if (
         edited.network is not base.network
         or edited.time_width() != base.time_width()
-        or edited.time_width(0) != base.time_width(0)
+        or edited.time_width(delay) != base.time_width(delay)
         or edited.destination_symmetry != base.destination_symmetry
     ):
-        return 0
-    return sum(
-        1
+        return list(base.nodes)
+    return [
+        node
         for node in base.nodes
-        if all(
+        if not all(
             edited.interface(reader) is base.interface(reader)
             for reader in (node, *topology.predecessors(node))
         )
-        and edited.node_property(node) is base.node_property(node)
-    )
+        or edited.node_property(node) is not base.node_property(node)
+    ]
+
+
+def _hits():
+    return fingerprint_statistics()["canonical_condition_hits"]
 
 
 @pytest.mark.parametrize("name, parameters", _CASES)
@@ -93,11 +116,11 @@ def test_warm_fingerprints_equal_cold_ones(name, parameters):
         # The state an edit stream is in: the base network's fingerprints memoised.
         clear_fingerprint_cache()
         _fingerprints(base)
-        hits_before = fingerprint_statistics()["condition_fingerprint_hits"]
+        hits_before = _hits()
         warm = _fingerprints(edited)
-        hits = fingerprint_statistics()["condition_fingerprint_hits"] - hits_before
         # Exactly the nodes whose inputs the edit left alone are memo hits.
-        assert hits == _unchanged_keys(base, edited), edit_name
+        changed = _changed_keys(base, edited)
+        assert _hits() - hits_before == len(base.nodes) - len(changed), edit_name
         clear_fingerprint_cache()
         assert _fingerprints(edited) == warm, edit_name
     clear_fingerprint_cache()
@@ -162,18 +185,86 @@ def _marker_edit(base):
 )
 def test_the_memo_key_covers_every_input(build, edit, delay, tmp_path):
     """Each edit changes one input of the memo key and nothing else a hit
-    would notice: warm fingerprints equal cold ones, and a warm delta run
-    gives the full engine's verdicts."""
+    would notice: the nodes it reaches miss, warm conditions equal cold
+    ones, and a warm delta run gives the full engine's verdicts."""
     base = build()
     edited = edit(base)
     store = str(tmp_path / "delta.json")
     clear_fingerprint_cache()
     verify(base, Modular(delta="reuse", delay=delay, store=store))
-    warm = _fingerprints(edited, delay=delay)
+    hits_before = _hits()
+    warm = _conditions(edited, delay=delay)
+    changed = _changed_keys(base, edited, delay=delay)
+    assert changed and _hits() - hits_before == len(base.nodes) - len(changed)
     delta = verify(edited, Modular(delta="reuse", delay=delay, store=store))
     assert condition_verdicts(delta) == condition_verdicts(verify(edited, Modular(delay=delay)))
     clear_fingerprint_cache()
-    assert _fingerprints(edited, delay=delay) == warm
+    assert _conditions(edited, delay=delay) == warm
+
+
+def test_a_warm_edit_builds_each_changed_node_once(tmp_path, monkeypatch):
+    """After one edit a warm delta run builds each node whose memo key
+    changed exactly once, for its fingerprints and its check together, and
+    no other node."""
+    base = registry.build("fattree/reach", pods=4).annotated
+    store = str(tmp_path / "delta.json")
+    clear_fingerprint_cache()
+    assert verify(base, Modular(delta="reuse", store=store)).passed
+    edited, _ = inject_interface_failure(base)
+    builds = []
+    original = conditions_module.node_conditions
+
+    def counted(annotated, node, delay=0):
+        builds.append(node)
+        return original(annotated, node, delay=delay)
+
+    monkeypatch.setattr(conditions_module, "node_conditions", counted)
+    report = verify(edited, Modular(delta="reuse", store=store))
+    assert not report.passed and report.conditions_discharged > 0
+    changed = _changed_keys(base, edited)
+    assert sorted(builds) == sorted(changed)
+
+
+def test_memoised_conditions_cannot_be_mutated():
+    annotated = registry.build("fattree/reach", pods=4).annotated
+    built = canonical_node_conditions(annotated, annotated.nodes[0])
+    assert isinstance(built, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built[0].goal = built[0].assumptions
+    assert canonical_node_conditions(annotated, annotated.nodes[0]) is built
+
+
+def test_delays_and_numberings_keep_their_own_entries():
+    """Delay 0 and 1, and one node in its own numbering and in the network's
+    (the marker dropped, every object shared), are four entries that each
+    equal a cold build."""
+    base = registry.build("fattree/reach", pods=4, all_pairs=True).annotated
+    unmarked = _marker_edit(base)
+    numberings = {node: base.destination_numbering(node) for node in base.nodes}
+    node = next(node for node, numbering in numberings.items() if list(numbering) != sorted(numbering))
+    clear_fingerprint_cache()
+    terms = {
+        (annotated, delay): _terms(canonical_node_conditions(annotated, node, delay=delay))
+        for annotated in (base, unmarked)
+        for delay in (0, 1)
+    }
+    assert fingerprint_statistics()["canonical_conditions"] == 4
+    assert len({tuple(value) for value in terms.values()}) == 4
+    assert terms[unmarked, 1] == _terms(node_conditions(base, node, delay=1))
+    clear_fingerprint_cache()
+    for (annotated, delay), value in terms.items():
+        assert _terms(canonical_node_conditions(annotated, node, delay=delay)) == value
+
+
+def test_entries_do_not_keep_their_network_alive():
+    annotated = registry.build("fattree/reach", pods=4).annotated
+    for node in annotated.nodes:
+        node_condition_fingerprints(annotated, node)
+    assert fingerprint_statistics()["canonical_conditions"] >= len(annotated.nodes)
+    network = weakref.ref(annotated.network)
+    del annotated, node
+    gc.collect()
+    assert network() is None
 
 
 def _assert_policies_are_unmemoised_builds(network):
@@ -255,8 +346,8 @@ def test_node_policy_is_what_the_network_builds():
         assert all(policy.neighbor_routes[neighbor] is route for neighbor, route in routes.items())
         direct = network.updated_route(node, routes)
         assert direct.is_some.term is policy.updated.is_some.term
-        assert fingerprint_value(direct) == fingerprint_value(policy.updated)
-        assert fingerprint_value(network.initial_route(node)) == fingerprint_value(policy.initial)
+        assert _term_key(direct) == _term_key(policy.updated)
+        assert _term_key(network.initial_route(node)) == _term_key(policy.initial)
         assert policy.own_shape.term is network.route_shape.constraint(policy.own_route).term
 
 
@@ -295,7 +386,7 @@ def test_a_new_network_or_annotation_object_misses():
         network.symbolics,
     )
     assert node_policy(rebuilt, node) is not node_policy(network, node)
-    assert fingerprint_value(node_policy(rebuilt, node).updated) == fingerprint_value(
+    assert _term_key(node_policy(rebuilt, node).updated) == _term_key(
         node_policy(network, node).updated
     )
 

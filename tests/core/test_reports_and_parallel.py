@@ -236,7 +236,7 @@ class TestStreamingDispatcher:
         annotated = self._annotated()
         classes = partition_nodes(annotated, annotated.nodes, delay=0)
         reports, totals = check_classes(annotated, classes, jobs=2)
-        expected = [member for cls in classes for member in cls.members]
+        expected = [member for cls in classes for member in cls]
         assert [report.node for report in reports] == expected
         assert totals is not None
         assert_scopes_follow_size(totals)

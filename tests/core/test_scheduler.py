@@ -18,7 +18,6 @@ import pytest
 from repro import core
 import repro.core.parallel as parallel_module
 from repro.core.parallel import RUNS_PER_WORKER, SchedulerStats, split_runs
-from repro.core.symmetry import SymmetryClass
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 from repro.routing import path_topology, shortest_path_network
@@ -77,9 +76,9 @@ class TestSkewedPartition:
         # class is structurally plausible) plus the endpoint singletons —
         # the shape the destination quotient produces on all-pairs runs.
         return [
-            SymmetryClass(members=("n1", "n2", "n3", "n4")),
-            SymmetryClass(members=("n0",)),
-            SymmetryClass(members=("n5",)),
+            ("n1", "n2", "n3", "n4"),
+            ("n0",),
+            ("n5",),
         ]
 
     def test_more_workers_than_classes_keeps_report_order(self, monkeypatch, check_classes):
@@ -97,7 +96,7 @@ class TestSkewedPartition:
         reports, totals = check_classes(annotated, classes, jobs=4, stats=stats)
         # Deterministic report order: class order, members in member order.
         assert [report.node for report in reports] == [
-            member for cls in classes for member in cls.members
+            member for cls in classes for member in cls
         ]
         # A class is the only work item: 4 requested workers over 3 classes
         # make a pool of 3, and each class is dispatched once.
@@ -130,10 +129,10 @@ class TestSkewedPartition:
         wide, _ = check_classes(annotated, classes, jobs=4)
         exact, _ = check_classes(annotated, classes, jobs=len(classes))
         assert _verdicts(wide) == _verdicts(exact)
-        interior = [report for report in wide if report.node in classes[0].members]
+        interior = [report for report in wide if report.node in classes[0]]
         assert [(r.condition, r.holds) for report in interior for r in report.results] == [
             (core.INITIAL, False)
-        ] * len(classes[0].members)
+        ] * len(classes[0])
         _assert_no_orphaned_workers()
 
     def test_adaptive_runs_are_reproducible(self, check_classes):
@@ -164,7 +163,7 @@ class TestSkewedPartition:
         """The one-worker degrade path records the runs the pool dispatches:
         the same ``window`` histogram of classes per run."""
         annotated = self._annotated(length=24)
-        classes = [SymmetryClass(members=(node,)) for node in annotated.nodes]
+        classes = [(node,) for node in annotated.nodes]
         pooled_stats = SchedulerStats()
         pooled, _ = check_classes(annotated, classes, jobs=2, stats=pooled_stats)
         _assert_no_orphaned_workers()

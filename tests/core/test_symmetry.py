@@ -120,11 +120,11 @@ class TestPartition:
         instance = registry.build("fattree/reach", pods=4, all_pairs=True).raw
         first = core.partition_nodes(instance.annotated, instance.annotated.nodes)
         second = core.partition_nodes(instance.annotated, instance.annotated.nodes)
-        assert [c.members for c in first] == [c.members for c in second]
-        flattened = [node for c in first for node in c.members]
+        assert first == second
+        flattened = [node for c in first for node in c]
         assert sorted(flattened) == sorted(instance.annotated.nodes)
         # representatives appear in node order
-        representatives = [c.representative for c in first]
+        representatives = [c[0] for c in first]
         order = {node: i for i, node in enumerate(instance.annotated.nodes)}
         assert representatives == sorted(representatives, key=order.__getitem__)
 

@@ -100,10 +100,10 @@ def term_digest(policy, all_pairs, pods):
         "network": network_fingerprint(annotated),
         "partition": [
             [
-                list(cls.members),
+                list(cls),
                 sorted(
                     (member, annotated.destination_symmetry.numbering(member))
-                    for member in cls.members
+                    for member in cls
                 )
                 if annotated.destination_symmetry is not None
                 else None,
