@@ -23,6 +23,7 @@ applied to our synthetic Internet2-style configurations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,7 +172,8 @@ def compile_config(
     the internal nodes initially have any possible route").  Otherwise internal
     routers start from their ``announce`` statements (or no route).
     ``external_constraint`` restricts the symbolic announcements of external
-    routers (e.g. "does not carry the BTE community").
+    routers (e.g. "does not carry the BTE community").  Edges with the same
+    ``(export, import)`` policy pair share one transfer callable.
     """
     family = bgp_route_family(
         communities=tuple(resolved.communities), **(widths or WAN_WIDTHS)
@@ -194,10 +196,8 @@ def compile_config(
             topology.add_edge(*outbound)
             export_policy[outbound] = neighbor.export_policy
 
-    def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
-        exporter = export_policy.get(edge)
-        importer = import_policy.get(edge)
-
+    @functools.cache
+    def transfer(exporter: str | None, importer: str | None) -> Callable[[SymOption], SymOption]:
         def apply(route: SymOption) -> SymOption:
             outgoing = policies[exporter](route) if exporter else route
             moved = outgoing.map(
@@ -208,6 +208,9 @@ def compile_config(
             return policies[importer](moved) if importer else moved
 
         return apply
+
+    def transfer_for(edge: Edge) -> Callable[[SymOption], SymOption]:
+        return transfer(export_policy.get(edge), import_policy.get(edge))
 
     symbolics: list[SymbolicVariable] = []
     external_announcements: dict[str, SymOption] = {}

@@ -36,34 +36,38 @@ layer (:mod:`repro.core.symmetry`) keys equivalence classes on, what the
 delta store's fingerprints digest, and what lets the incremental SMT backend
 (:mod:`repro.smt.incremental`) bit-blast and CNF-encode every distinct
 subterm once per process instead of once per query.  A precondition that
-splits into components (conjuncts grouped by shared variables) is *sliced*
-by :func:`canonical_node_conditions` to those a condition shares a variable
-with, and a symbolic's variables are named ``vc$symbolic.%i.j:<sort>`` (its
-order of first appearance, their position in its value): the WAN's peers pose
-one query.  Dropping conjuncts weakens the assumptions, so a sliced pass is a
-raw pass whatever the precondition; a sliced failure is a candidate the raw
-conditions decide (they hold vacuously iff a dropped component is unsatisfiable).
+splits into components (conjuncts grouped by shared variables) is *sliced* by
+:func:`canonical_node_conditions`, which builds a condition without it and
+joins only the components it shares a variable with; a symbolic's variables
+are named ``vc$symbolic.%i.j:<sort>`` (its order of first appearance, their
+position in its value): the WAN's peers pose one query.  Dropping conjuncts
+weakens the assumptions, so a sliced pass is a raw pass whatever the
+precondition; a sliced failure is a candidate the raw conditions decide (they
+hold vacuously iff a dropped component is unsatisfiable).
 
 **Construction costs distinct shapes, not nodes.**  A node's conditions are
 assembled from memoised parts (:func:`node_policy`, :func:`apply_annotation`):
 the interned query routes with their well-formedness constraints, the merge
-fold of :meth:`~repro.routing.algebra.Network.updated_route`, and each
-annotation applied to a route at a time.  Each part is evaluated once per
-distinct key, so the isomorphic nodes of a fattree share one merge fold and
-one set of constraints however many of them there are, and a node's canonical
-conditions are themselves memoised (:func:`canonical_node_conditions`), once
-for the partition, the checker and the fingerprint layer.  Soundness rests on
-one assumption: annotations, transfer functions and merge
-functions are *pure term builders*, whose result is a function of the
-symbolic values they are given and, for annotations and initial routes, of
-the active destination numbering (:mod:`repro.core.numbering`), which the
-policy and application memos key on.  A merge fold is keyed on
-the initial route's term ids and, per in-edge, on the identities of the
-transfer callable and the interned query route; the merge callable is fixed
-by the ``Network`` the memo is weak on.  Under purity, equal keys fold to
-the same terms.  Every object whose ``id`` enters a key is held by the memo
-entry, so an ``id`` cannot be reused while its entry lives, and an edited
-policy is a new ``Network`` (or a new callable) and misses.
+fold of :meth:`~repro.routing.algebra.Network.updated_route` over each
+in-edge's transfer of its query route, and each annotation applied to a route
+at a time.  Each part is evaluated once per distinct key, so the isomorphic
+nodes of a fattree share one merge fold and one set of constraints however
+many of them there are, a WAN evaluates one transfer per policy pair and query
+route, and a node's canonical conditions are themselves memoised
+(:func:`canonical_node_conditions`), once for the partition, the checker and
+the fingerprint layer.  Soundness rests on one assumption: annotations,
+transfer functions and merge functions are *pure term builders*, whose result
+is a function of the symbolic values they are given and, for annotations and
+initial routes, of the active destination numbering
+(:mod:`repro.core.numbering`), which the policy and application memos key on.
+A merge fold is keyed on the initial route's term ids and, per in-edge, on the
+identities of the transfer callable and the interned query route, which alone
+key that edge's transfer (so that memo, like the fold, assumes a transfer
+reads no numbering); the merge callable is fixed by the ``Network`` the memos
+are weak on.  Under purity, equal keys fold to the same terms.  Every object
+whose ``id`` enters a key is held by the memo entry, so an ``id`` cannot be
+reused while its entry lives, and an edited policy is a new ``Network`` (or a
+new callable) and misses.
 """
 
 from __future__ import annotations
@@ -156,10 +160,12 @@ _NODE_POLICIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _APPLICATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: ``Network`` → merge-fold key → ``(held, updated)``: the merge fold of
-#: :meth:`Network.updated_route`, evaluated once per distinct key (see
-#: :func:`_merge_fold`).  ``held`` keeps every object whose ``id`` is in the
-#: key alive, so no ``id`` can be reused while the entry lives.
+#: :meth:`Network.updated_route`, once per distinct key (:func:`_merge_fold`), and
+#: ``Network`` → ``(id(transfer), id(route))`` → ``(transfer, route, transfer(route))``.
+#: Entries keep every object whose ``id`` is in their key alive, so no ``id``
+#: can be reused while the entry lives.
 _MERGE_FOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TRANSFERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 #: Hit counts of the memos above and of :func:`canonical_node_conditions`
 #: (:func:`memo_statistics` reports them).
@@ -191,19 +197,24 @@ def _merge_fold(network: Any, node: str, initial: Any, routes: dict[str, Any]) -
 
     ``initial`` is ``network.initial_route(node)``.  The key is its
     :func:`_term_key` and, per in-edge in predecessor order, the identity of
-    the edge's transfer callable and of its interned query route; the merge
-    callable is the network's own.  Under the purity assumption (module
-    docstring) the fold is a function of exactly these, so two nodes with
-    equal keys fold to the same terms.
+    the edge's transfer callable and of its interned query route (the key of
+    that edge's transfer in ``_TRANSFERS``); the merge callable is the network's
+    own.  Under the purity assumption (module docstring) the fold is a function
+    of exactly these, so two nodes with equal keys fold to the same terms.
     """
     transfers = tuple(network.transfer_function((neighbor, node)) for neighbor in routes)
-    key = (_term_key(initial), tuple(zip(map(id, transfers), map(id, routes.values()))))
+    edges = tuple(zip(map(id, transfers), map(id, routes.values())))
+    key = (_term_key(initial), edges)
     folds = _MERGE_FOLDS.setdefault(network, {})
     cached = folds.get(key)
     if cached is not None:
         _MEMO_HITS["merge_folds"] += 1
         return cached[1]
-    updated = network.updated_route(node, routes)
+    applied = _TRANSFERS.setdefault(network, {})
+    for edge, transfer, route in zip(edges, transfers, routes.values()):
+        if edge not in applied:
+            applied[edge] = (transfer, route, transfer(route))
+    updated = network.merge_all([initial, *(applied[edge][2] for edge in edges)])
     folds[key] = ((initial, transfers, tuple(routes.values())), updated)
     return updated
 
@@ -379,10 +390,10 @@ def _value_variables(value: Any) -> list[str]:
     return []
 
 
-def _precondition_slices(network: Any) -> tuple[dict, dict] | None:
-    """Once per network: ``None`` below two precondition components, else two maps:
-    conjunct ``term_id`` and variable name → component (union-find over shared
-    names), and a symbolic's variable → ``(symbolic index, position in its value)``."""
+def _precondition_slices(network: Any) -> tuple[dict, dict, dict] | None:
+    """Once per network: ``None`` below two precondition components, else conjunct ``term_id``
+    and variable name → component (union-find over shared names), a symbolic's variable →
+    ``(symbolic index, position in its value)``, component → ``(position, conjunct)`` pairs."""
     if network in _PRECONDITION_SLICES:
         return _PRECONDITION_SLICES[network]
     precondition = network.symbolic_constraints().term
@@ -404,18 +415,21 @@ def _precondition_slices(network: Any) -> tuple[dict, dict] | None:
             for index, symbolic in enumerate(network.symbolics)
             for position, name in enumerate(dict.fromkeys(_value_variables(symbolic.value)))
         }
-        slices = ({key: find(key) for key in roots}, positions)
+        members: dict[int | str, list] = {}
+        for position, conjunct in enumerate(conjuncts):
+            members.setdefault(find(conjunct.term_id), []).append((position, conjunct))
+        slices = ({key: find(key) for key in roots}, positions, members)
     _PRECONDITION_SLICES[network] = slices
     return slices
 
 
 def _sliced(
-    condition: VerificationCondition, slices: tuple[dict, dict], whole: SymBool
+    condition: VerificationCondition, slices: tuple[dict, dict, dict], whole: SymBool
 ) -> VerificationCondition:
-    """``condition`` sliced from the precondition ``whole`` and renamed (module docstring)
-    by one memoised walk, left to right, over its other assumptions, its goal, then the
-    components they touch."""
-    components, positions = slices
+    """``condition`` (built unjoined) and the components of ``whole`` it touches, joined and
+    renamed (module docstring) by one memoised walk, left to right, over its assumptions, its
+    goal, then those components; an assumption in ``whole`` stays iff its component does."""
+    components, positions, members = slices
     renamed: dict[int, Term] = {}
     touched: set[int | str | None] = set()
     order: dict[int, int] = {}
@@ -449,20 +463,16 @@ def _sliced(
 
     assumptions = condition.assumptions.term
     conjuncts = assumptions.args if assumptions.op == OP_AND else (assumptions,)
-    for conjunct in conjuncts:
-        if conjunct.term_id not in components:
-            substitute(conjunct)
+    others = [substitute(c) for c in conjuncts if c.term_id not in components]
     goal = substitute(condition.goal.term)
-    kept = [
-        substitute(conjunct)
-        for conjunct in conjuncts
-        if conjunct.term_id not in components or components[conjunct.term_id] in touched
-    ]
-    assumptions = SymBool(smt.and_(*kept))
+    kept = sorted(pair for root in touched for pair in members.get(root, ()))
+    assumptions = SymBool(smt.and_(*(substitute(conjunct) for _, conjunct in kept), *others))
     return replace(condition, assumptions=assumptions, goal=SymBool(goal), sliced_from=whole)
 
 
-def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
+def initial_condition(
+    annotated: AnnotatedNetwork, node: str, joined: bool = True
+) -> VerificationCondition:
     """``I_v ∈ A(v)(0)`` (equation 5)."""
     width = annotated.time_width()
     assumptions, symbolics = _network_symbolics(annotated)
@@ -472,7 +482,7 @@ def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCon
     return VerificationCondition(
         node=node,
         kind=INITIAL,
-        assumptions=assumptions,
+        assumptions=assumptions if joined else SymBool.true(),
         goal=goal,
         node_route=initial_route,
         symbolics=symbolics,
@@ -480,7 +490,7 @@ def initial_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCon
 
 
 def inductive_condition(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0
+    annotated: AnnotatedNetwork, node: str, delay: int = 0, joined: bool = True
 ) -> VerificationCondition:
     """The inductive condition (equation 6), optionally with bounded delay."""
     if delay < 0:
@@ -495,7 +505,7 @@ def inductive_condition(
     max_time = (1 << width) - 1
     # Conjuncts are collected and joined once: the precondition has one
     # conjunct per symbolic, and `acc & part` would re-flatten it per part.
-    conjuncts = [precondition, time_variable <= max_time - delay - 1]
+    conjuncts = [precondition if joined else True, time_variable <= max_time - delay - 1]
 
     policy = node_policy(annotated.network, node)
     neighbor_routes = policy.neighbor_routes
@@ -524,7 +534,9 @@ def inductive_condition(
     )
 
 
-def safety_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCondition:
+def safety_condition(
+    annotated: AnnotatedNetwork, node: str, joined: bool = True
+) -> VerificationCondition:
     """``A(v)(t) ⊆ P(v)(t)`` for all times ``t`` (equation 7)."""
     width = annotated.time_width()
     precondition, symbolics = _network_symbolics(annotated)
@@ -534,7 +546,7 @@ def safety_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCond
     route = policy.own_route
     assumptions = all_of(
         [
-            precondition,
+            precondition if joined else True,
             policy.own_shape,
             apply_annotation(annotated.interface(node), route, time_variable),
         ]
@@ -553,13 +565,13 @@ def safety_condition(annotated: AnnotatedNetwork, node: str) -> VerificationCond
 
 
 def node_conditions(
-    annotated: AnnotatedNetwork, node: str, delay: int = 0
+    annotated: AnnotatedNetwork, node: str, delay: int = 0, joined: bool = True
 ) -> list[VerificationCondition]:
-    """All three verification conditions for ``node``."""
+    """All three verification conditions for ``node``, with the precondition iff ``joined``."""
     return [
-        initial_condition(annotated, node),
-        inductive_condition(annotated, node, delay=delay),
-        safety_condition(annotated, node),
+        initial_condition(annotated, node, joined),
+        inductive_condition(annotated, node, delay, joined),
+        safety_condition(annotated, node, joined),
     ]
 
 
@@ -607,19 +619,18 @@ def canonical_node_conditions(
     if cached is not None:
         _MEMO_HITS["canonical_conditions"] += 1
         return cached[1]
-    with destination_numbering(numbering):
-        conditions = tuple(node_conditions(annotated, node, delay=delay))
     slices = _precondition_slices(network)
+    with destination_numbering(numbering):
+        conditions = tuple(node_conditions(annotated, node, delay=delay, joined=slices is None))
     if slices is not None:
-        whole = network.symbolic_constraints()
-        conditions = tuple(_sliced(vc, slices, whole) for vc in conditions)
+        conditions = tuple(_sliced(vc, slices, network.symbolic_constraints()) for vc in conditions)
     memo[key] = ((interface, node_property, sent), conditions)
     return conditions
 
 
 #: Every memo of this module, weak on its owner.
 _MEMOS: tuple[weakref.WeakKeyDictionary, ...] = (
-    _QUERY_ROUTES, _NODE_POLICIES, _APPLICATIONS, _MERGE_FOLDS,
+    _QUERY_ROUTES, _NODE_POLICIES, _APPLICATIONS, _MERGE_FOLDS, _TRANSFERS,
     _NETWORK_SYMBOLICS, _PRECONDITION_SLICES, _CANONICAL_CONDITIONS,
 )
 
@@ -638,7 +649,7 @@ def memo_statistics() -> dict[str, int]:
     A ``canonical_condition_hits`` is a :func:`canonical_node_conditions`
     call that built nothing; ``merge_folds`` counts the distinct merge folds
     a network's policies were built from, and a ``merge_fold_hits`` is a
-    node whose fold another node already evaluated.
+    node whose fold another node already evaluated.  ``transfers`` counts transfer evaluations.
     """
     return {
         "canonical_conditions": sum(len(entries) for entries in _CANONICAL_CONDITIONS.values()),
@@ -648,6 +659,7 @@ def memo_statistics() -> dict[str, int]:
         "node_policy_hits": _MEMO_HITS["node_policies"],
         "merge_folds": sum(len(folds) for folds in _MERGE_FOLDS.values()),
         "merge_fold_hits": _MEMO_HITS["merge_folds"],
+        "transfers": sum(len(entries) for entries in _TRANSFERS.values()),
         "applications": sum(len(entries) for entries in _APPLICATIONS.values()),
         "application_hits": _MEMO_HITS["applications"],
     }

@@ -6,8 +6,9 @@ Three guards on the n-ary, build-once condition builders:
   are kept here verbatim, and every condition of every registry network must
   be the very same interned term they produce (the canonical ones after the
   conftest's independent ``sliced_and_renamed``);
-* a *count-based scaling gate* — operands visited by ``builder.and_`` per
-  node may at most double when the network's symbolics double;
+* *count-based scaling gates* — operands visited by ``builder.and_`` per
+  node may at most double when the network's symbolics double, and stay
+  flat (within 10%) for the canonical conditions, which slice before joining;
 * *memo safety* — what is computed once per network or per annotation set is
   recomputed for every new instance and never hides the reserved-prefix check.
 """
@@ -35,13 +36,14 @@ from repro.core.conditions import (
     node_conditions,
     safety_condition,
 )
+from repro.core.fingerprint import clear_fingerprint_cache
 from repro.errors import VerificationError
 from repro.networks import registry
 from repro.networks.benchmarks import inject_interface_failure
 from repro.routing import path_topology, shortest_path_network
 from repro.routing.algebra import SymbolicVariable
 from repro.smt import builder
-from repro.smt.terms import OP_AND
+from repro.smt.terms import OP_AND, free_variables
 from repro.symbolic import SymBV, SymBool, any_of
 
 # ---------------------------------------------------------------------------
@@ -212,13 +214,39 @@ def test_conditions_are_the_left_fold_oracles_terms(name, parameters, delay, sli
         )
 
 
+def test_an_assumption_that_is_a_precondition_conjunct_touches_nothing(sliced_and_renamed):
+    """``n0``'s interface is the precondition conjunct ``first``, so ``n1``'s
+    inductive assumptions hold ``first`` twice when joined whole.  Sliced, it
+    stays only where its component is touched by something else, as in a
+    condition that joins the whole precondition and slices it afterwards."""
+    first, second = SymBool.fresh("first"), SymBool.fresh("second")
+    network = shortest_path_network(path_topology(3), "n0").with_symbolics(
+        SymbolicVariable("first", first, first), SymbolicVariable("second", second, second)
+    )
+    interfaces = {
+        "n0": core.globally(lambda route: first),
+        "n1": core.globally(lambda route: route.is_some),
+        "n2": core.globally(lambda route: route.is_some | second),
+    }
+    annotated = core.annotate(network, interfaces)
+    for node in annotated.nodes:
+        _assert_same_terms(
+            canonical_node_conditions(annotated, node),
+            sliced_and_renamed(network, node_conditions(annotated, node)),
+        )
+    inductive = canonical_node_conditions(annotated, "n1")[1].assumptions.term
+    symbolic = [name for name in free_variables(inductive) if name.startswith("vc$symbolic")]
+    assert len(symbolic) == 1  # ``second``'s, read by n2's interface
+
+
 # ---------------------------------------------------------------------------
 # (b) Count-based scaling gate
 # ---------------------------------------------------------------------------
 
 
-def _and_operands_per_node(external_peers: int, monkeypatch) -> float:
-    """Flattened operands ``builder.and_`` visits per node of ``wan/reach``."""
+def _and_operands_per_node(external_peers: int, monkeypatch, build=node_conditions) -> float:
+    """Flattened operands ``builder.and_`` visits per node of ``wan/reach``
+    while ``build`` builds every node's conditions."""
     annotated = registry.build(
         "wan/reach", internal_routers=10, external_peers=external_peers
     ).annotated
@@ -233,7 +261,7 @@ def _and_operands_per_node(external_peers: int, monkeypatch) -> float:
     with monkeypatch.context() as patch:
         patch.setattr(builder, "and_", counting_and)
         for node in annotated.nodes:
-            node_conditions(annotated, node)
+            build(annotated, node)
     return visited / len(annotated.nodes)
 
 
@@ -243,6 +271,18 @@ def test_conjunction_work_per_node_at_most_doubles_with_the_network(monkeypatch)
         # The precondition has one conjunct per peer, so linear is the floor;
         # the left fold re-flattened it per conjunct added and grew ≈ 4x.
         assert larger <= 2.5 * smaller, per_node
+
+
+def test_canonical_conjunction_work_per_node_is_flat_in_the_peers(monkeypatch):
+    """A canonical condition joins only the precondition components it reads,
+    so its ``and_`` work per node does not grow with the peers (joining the
+    whole precondition first and slicing after read 310 → 627 → 1,425)."""
+    per_node = []
+    for peers in (40, 120, 320):
+        clear_fingerprint_cache()
+        per_node.append(_and_operands_per_node(peers, monkeypatch, canonical_node_conditions))
+    for smaller, larger in zip(per_node, per_node[1:]):
+        assert larger <= 1.1 * smaller, per_node
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,9 @@ def test_a_warm_edit_builds_each_changed_node_once(tmp_path, monkeypatch):
     builds = []
     original = conditions_module.node_conditions
 
-    def counted(annotated, node, delay=0):
+    def counted(annotated, node, delay=0, joined=True):
         builds.append(node)
-        return original(annotated, node, delay=delay)
+        return original(annotated, node, delay=delay, joined=joined)
 
     monkeypatch.setattr(conditions_module, "node_conditions", counted)
     report = verify(edited, Modular(delta="reuse", store=store))
@@ -319,6 +319,36 @@ def test_nodes_with_different_transfer_callables_never_share_a_fold():
     assert _term_key(node_policy(network, aggregation).updated) != _term_key(
         node_policy(network, core).updated
     )
+    _assert_policies_are_unmemoised_builds(network)
+
+
+@pytest.mark.parametrize("buggy", (False, True), ids=("wan/reach", "wan/reach-buggy"))
+def test_a_wan_evaluates_one_transfer_per_policy_pair_and_query_route(buggy):
+    """Edges with one (export, import) policy pair share a transfer callable,
+    so 10 + 120 peers fold 280 in-edges (no fold is shared: every initial
+    route differs) from 50 transfer evaluations; the buggy export to
+    ``peer0`` is its own callable and adds exactly one."""
+    network = registry.build(
+        "wan/reach", internal_routers=10, external_peers=120, buggy=buggy
+    ).annotated.network
+    topology = network.topology
+    clear_fingerprint_cache()
+    for node in topology.nodes:
+        node_policy(network, node)
+    statistics = fingerprint_statistics()
+    in_edges = sum(topology.in_degree(node) for node in topology.nodes)
+    assert (in_edges, statistics["merge_fold_hits"]) == (280, 0)
+    assert statistics["transfers"] == 50 + buggy
+    to_peers = {
+        (source, target): network.transfer_function((source, target))
+        for target in topology.nodes
+        if target.startswith("peer")
+        for source in topology.predecessors(target)
+    }
+    buggy_edge = to_peers.pop(("wan0", "peer0"))
+    shared = set(to_peers.values())
+    assert len(shared) == 1
+    assert (buggy_edge not in shared) == buggy
     _assert_policies_are_unmemoised_builds(network)
 
 
